@@ -50,6 +50,17 @@ def _parse_degree(tokens, d, lineno):
         raise DegreeArityError(f"bad coordinate: {exc}", line=lineno)
 
 
+def _parse_count(token, what, lineno):
+    try:
+        count = int(token)
+    except ValueError:
+        raise HeaderError(f"{what} count {token!r} is not an integer",
+                          line=lineno)
+    if count < 0:
+        raise HeaderError(f"{what} count {count} is negative", line=lineno)
+    return count
+
+
 def parse_pmod(text, field=None):
     """Parse a pmod document into a Presentation (not yet minimized)."""
     lines = text.splitlines()
@@ -86,7 +97,7 @@ def parse_pmod(text, field=None):
     parts = gens_line.split()
     if len(parts) != 2 or parts[0] != "gens":
         raise HeaderError("expected 'gens <count>'", line=lineno)
-    n_gens = int(parts[1])
+    n_gens = _parse_count(parts[1], "gens", lineno)
     rows = []
     for _ in range(n_gens):
         line, lineno = next_line()
@@ -96,7 +107,7 @@ def parse_pmod(text, field=None):
     parts = rels_line.split()
     if len(parts) != 2 or parts[0] != "rels":
         raise HeaderError("expected 'rels <count>'", line=lineno)
-    n_rels = int(parts[1])
+    n_rels = _parse_count(parts[1], "rels", lineno)
     cols, columns = [], []
     for _ in range(n_rels):
         line, lineno = next_line()
@@ -219,7 +230,7 @@ def parse_firep(text, field=None):
     counts = lines[3].split()
     if len(counts) != 3:
         raise HeaderError("expected counts line 't s r'", line=4)
-    t, s, r = (int(c) for c in counts)
+    t, s, r = (_parse_count(c, "firep", 4) for c in counts)
     body = lines[4:]
     if len(body) != t + s:
         raise ParseError(
@@ -233,7 +244,10 @@ def parse_firep(text, field=None):
         deg = _parse_degree(deg_part.split(), 2, lineno)
         entries = {}
         for token in entry_part.split():
-            idx = int(token)
+            try:
+                idx = int(token)
+            except ValueError:
+                raise ParseError(f"bad index token {token!r}", line=lineno)
             if not 0 <= idx < n_targets:
                 raise ParseError(f"index {idx} out of range", line=lineno)
             # GF(2) incidence: repeated indices cancel.

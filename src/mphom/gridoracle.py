@@ -80,7 +80,8 @@ def nullspace_with_free(matrix, p):
     if a.size == 0:
         return np.eye(n_cols, dtype=np.int64), list(range(n_cols))
     r, pivot_cols = rref(a, p)
-    free = [c for c in range(n_cols) if c not in set(pivot_cols)]
+    pivots = set(pivot_cols)
+    free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((n_cols, len(free)), dtype=np.int64)
     for k, f in enumerate(free):
         basis[f, k] = 1

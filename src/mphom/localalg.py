@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, GradingError
 from .graded import column_reduce, deg_leq, submatrix_at_most
 
 
@@ -55,12 +55,17 @@ class LocalCokernel:
     def coordinates(self, column):
         """Coordinates in the subset basis of a sparse vector over rows_le.
 
-        The vector indexes rows by their *original* row numbers.
+        The vector indexes rows by their *original* row numbers; a row
+        whose degree is not <= the evaluation degree raises GradingError.
         """
         pos = {r: k for k, r in enumerate(self.rows_le)}
         out = [0] * self.dim
         for r, v in column:
-            local = pos[r]
+            local = pos.get(r)
+            if local is None:
+                raise GradingError(
+                    f"row {r} is not a generator of degree <= {self.degree}"
+                )
             for t in range(self.dim):
                 out[t] += self.matrix[t][local] * v
         return [v % self.p for v in out]

@@ -110,6 +110,37 @@ def test_parse_error_exit_code(tmp_path):
     assert out.returncode == 3
 
 
+PMOD_BAD_COUNTS = [
+    "pmod 2 3\ngens x\nrels 0\n",
+    "pmod 2 3\ngens -1\nrels 0\n",
+    "pmod 2 3\ngens 1\n0 0\nrels 1.5\n",
+    "pmod 2 3\ngens 1\n0 0\nrels -2\n",
+]
+
+FIREP_BAD = [
+    "firep\nx\ny\n0 a 1\n1 0 ; 0\n",
+    "firep\nx\ny\n0 1 1\n1 0 ; zero\n",
+]
+
+
+@pytest.mark.parametrize("text", PMOD_BAD_COUNTS + FIREP_BAD)
+def test_malformed_counts_and_indices_exit_code(tmp_path, text):
+    bad = tmp_path / "bad.pmod"
+    bad.write_text(text)
+    out = run_cli("thickness", str(bad))
+    assert out.returncode == 3, out.stderr
+    assert "parse error" in out.stderr
+
+
+def test_kernel_closure_cap_exit_code(fig_files, monkeypatch, capsys):
+    from mphom import cli, presentations
+
+    x, y = fig_files
+    monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
+    assert cli.main(["hom", str(x), str(y), "--alg", "a"]) == 4
+    assert "join closure" in capsys.readouterr().err
+
+
 def test_grid_cap_exit_code(fig_files):
     x, y = fig_files
     out = run_cli("hom", str(x), str(y), "--alg", "oracle", "--grid-cap", "2")

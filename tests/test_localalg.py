@@ -7,6 +7,7 @@ import pytest
 from mphom import (
     CokernelCache,
     DimensionMismatchError,
+    GradingError,
     column_reduce,
     deg_leq,
     hilbert_at,
@@ -42,6 +43,15 @@ def test_local_cokernel_below_everything():
     ck = local_cokernel(blue.matrix, (0, 0))
     assert ck.dim == 0
     assert ck.subset == ()
+
+
+def test_coordinates_rejects_row_above_the_degree():
+    _, blue = red_blue()
+    # Generator 1 sits at (1,0), which is not <= (0,1).
+    ck = local_cokernel(blue.matrix, (0, 1))
+    assert ck.rows_le == (0,)
+    with pytest.raises(GradingError, match=r"row 1 .*\(0, 1\)"):
+        ck.coordinates([(1, 1)])
 
 
 def test_local_cokernel_of_free_module():

@@ -6,10 +6,13 @@ import random
 import pytest
 
 from mphom import (
+    DegreeOverflowError,
+    DimensionMismatchError,
     GradedMatrix,
     GradingError,
     Presentation,
     PrimeField,
+    ResourceCapError,
     deg_join,
     free_resolution,
     graded_matrix_from_entries,
@@ -25,6 +28,7 @@ from mphom import (
     truncation_bound,
     validate_grading,
 )
+from mphom import presentations
 from mphom.generators import random_module, random_pair
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.localalg import evaluation_grid, grid_points
@@ -138,6 +142,65 @@ def test_kernel_matches_per_degree_dense_nullspace():
                     sub[i, kk] = v
             got = len(span_cols) - dense_nullspace(sub, 2).shape[1]
             assert got == expected, (seed, pt)
+
+
+def _fixpoint_join_closure(degrees):
+    """The frontier-times-closure fixpoint, kept as a reference."""
+    closure = {tuple(d) for d in degrees}
+    frontier = set(closure)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in closure:
+                j = deg_join(a, b)
+                if j not in closure:
+                    new.add(j)
+        closure |= new
+        frontier = new
+    return sorted(closure, key=lambda deg: (sum(deg), deg))
+
+
+def test_join_closure_matches_fixpoint():
+    rng = random.Random(2024)
+    cases = [[(3,)], [(1, 2)], [(0, 0, 0)], [(1, 2), (1, 2), (2, 1)]]
+    for d in (1, 2, 3):
+        for _ in range(30):
+            count = rng.randint(1, 12)
+            degrees = [tuple(rng.randint(-3, 6) for _ in range(d))
+                       for _ in range(count)]
+            # Repeat some degrees so duplicates are always exercised.
+            degrees += rng.sample(degrees, rng.randint(0, count))
+            rng.shuffle(degrees)
+            cases.append(degrees)
+    for degrees in cases:
+        got = presentations._join_closure(degrees)
+        assert got == _fixpoint_join_closure(degrees), degrees
+
+
+def test_kernel_rejects_mixed_arity_columns():
+    fld = PrimeField(2)
+    m = GradedMatrix(fld, [(0, 0)], [(1, 1), (1, 1, 1)], [[(0, 1)], []],
+                     validate=False)
+    with pytest.raises(DimensionMismatchError):
+        kernel(m)
+
+
+@pytest.mark.parametrize("coord", [1 << 62, -(1 << 62)])
+def test_kernel_rejects_out_of_range_column_degree(coord):
+    fld = PrimeField(2)
+    m = GradedMatrix(fld, [(0, 0)], [(1, 1), (coord, 0)], [[(0, 1)], []],
+                     validate=False)
+    with pytest.raises(DegreeOverflowError):
+        kernel(m)
+
+
+def test_kernel_closure_cap(monkeypatch):
+    _, blue = red_blue()
+    # Relations at (2,2), (5,0), (5,1): their join closure adds (5,2).
+    assert len(presentations._join_closure(blue.matrix.cols)) == 4
+    monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
+    with pytest.raises(ResourceCapError):
+        kernel(blue.matrix)
 
 
 def test_free_resolution_injective_length_one():
