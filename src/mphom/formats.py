@@ -221,23 +221,27 @@ def parse_firep(text, field=None):
     presents the homology module.  Only d = 2 inputs are supported.
     """
     fld = field or PrimeField(2)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "firep":
-        raise HeaderError("expected 'firep' header", line=1)
+    # (source line number, text) of every line that is not blank or a
+    # comment, so errors point at the line in the file.
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0][1] != "firep":
+        raise HeaderError("expected 'firep' header",
+                          line=lines[0][0] if lines else 1)
     if len(lines) < 4:
-        raise HeaderError("truncated firep file", line=len(lines))
-    counts = lines[3].split()
+        raise HeaderError("truncated firep file", line=lines[-1][0])
+    lineno, counts = lines[3][0], lines[3][1].split()
     if len(counts) != 3:
-        raise HeaderError("expected counts line 't s r'", line=4)
-    t, s, r = (_parse_count(c, "firep", 4) for c in counts)
+        raise HeaderError("expected counts line 't s r'", line=lineno)
+    t, s, r = (_parse_count(c, "firep", lineno) for c in counts)
     body = lines[4:]
     if len(body) != t + s:
         raise ParseError(
-            f"expected {t + s} generator rows, got {len(body)}", line=5
+            f"expected {t + s} generator rows, got {len(body)}",
+            line=body[0][0] if body else lineno,
         )
 
-    def parse_row(line, lineno, n_targets):
+    def parse_row(lineno, line, n_targets):
         if ";" not in line:
             raise ParseError("row lacks ';'", line=lineno)
         deg_part, _, entry_part = line.partition(";")
@@ -255,8 +259,8 @@ def parse_firep(text, field=None):
         col = tuple(sorted((i, v) for i, v in entries.items() if v))
         return deg, col
 
-    top = [parse_row(body[k], 5 + k, s) for k in range(t)]
-    mid = [parse_row(body[t + k], 5 + t + k, r) for k in range(s)]
+    top = [parse_row(*line, s) for line in body[:t]]
+    mid = [parse_row(*line, r) for line in body[t:]]
     # Degrees of the bottom generators are not part of the format; the
     # kernel computation only consumes column degrees, so placeholders
     # are fine (hence validate=False).

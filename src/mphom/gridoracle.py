@@ -9,6 +9,13 @@ Everything here is deliberately redundant with the sparse engine: ranks
 and nullspaces come from an independent dense row-echelon routine on
 numpy arrays (leftmost-pivot convention), so a bug in the sparse column
 reduction cannot confirm itself.
+
+The arithmetic is exact for every prime.  `rref` eliminates in the
+narrowest integer dtype that holds (p-1)^2 + p, the largest magnitude a
+row update produces before it is reduced mod p, and in Python ints
+(object arrays) once that passes int64; matrix products use the same
+rule with the bound inner_dim * (p-1)^2.  Reduced values are stored as
+int64, which holds every residue of a prime below 2^63.
 """
 
 from __future__ import annotations
@@ -26,43 +33,95 @@ from .errors import (
 import numpy as np
 
 GRID_CAP_DEFAULT = 10_000
+# Largest equation matrix hom_oracle allocates, in bytes of the rref
+# working dtype (rref copies it once more).  The largest system the test
+# suite and the benchmark pools build is 17.9 M cells over GF(2), 18 MB.
+SYSTEM_BYTES_CAP = 768 << 20
+
+_INT_DTYPES = tuple(
+    (dtype, int(np.iinfo(dtype).max))
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+)
+_INT64_MAX = _INT_DTYPES[-1][1]
 
 
-def _inverse_table(p):
-    return [0] + [pow(a, p - 2, p) for a in range(1, p)]
+def _work_dtype(bound):
+    """Narrowest signed integer dtype holding magnitudes up to `bound`;
+    object (Python ints, exact at any size) beyond int64."""
+    for dtype, largest in _INT_DTYPES:
+        if bound <= largest:
+            return dtype
+    return object
+
+
+def _rref_dtype(p):
+    return _work_dtype((p - 1) ** 2 + p)
+
+
+def _matmul_mod(a, b, p):
+    """(a @ b) mod p for entries in [0, p), exact for every p.
+
+    int64 while a dot product, at most inner_dim * (p-1)^2, fits;
+    Python-int arithmetic beyond.
+    """
+    if _work_dtype(a.shape[1] * (p - 1) ** 2) is object:
+        return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+    return (a @ b) % p
 
 
 def rref(matrix, p):
     """Reduced row echelon form over GF(p) with leftmost pivots.
 
-    Returns (R, pivot_cols); R is a fresh int64 array.
+    Returns (R, pivot_cols); R is a fresh int64 array (object for p at
+    or above 2^63).  Each pivot is scaled to 1 by its Fermat inverse and
+    its column is cleared in one vectorised update of every other row
+    that is nonzero there.  The update touches only the columns where
+    the pivot row is nonzero, all at or right of the pivot, since the
+    pivot row is zero to its left.  The pivot row of a column is its
+    first nonzero row that holds no earlier pivot; RREF is unique, so
+    the choice does not change R.  The work array takes the narrowest
+    dtype that holds (p-1)^2 + p, the largest magnitude of an update
+    before its reduction, so no step can overflow.
     """
-    r = np.array(matrix, dtype=np.int64) % p
+    dtype = _rref_dtype(p)
+    r = np.asarray(matrix)
+    if r.dtype.kind not in "iu" or (r.size and (r.min() < 0 or r.max() >= p)):
+        r = r.astype(object) % p
+    r = r.astype(dtype)
     n_rows, n_cols = r.shape
-    inv = _inverse_table(p)
-    pivot_cols = []
-    row = 0
+    # Rows are not swapped: each pivot row is recorded and the rows are
+    # put in echelon order once at the end.  Every other row ends zero.
+    is_pivot_row = np.zeros(n_rows, dtype=bool)
+    pivot_rows, pivot_cols = [], []
     for col in range(n_cols):
-        if row >= n_rows:
+        if len(pivot_rows) == n_rows:
             break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
+        # astype(bool) first: nonzero() is several times faster on bools.
+        nonzero = r[:, col].astype(bool).nonzero()[0]
+        candidates = nonzero[~is_pivot_row[nonzero]]
+        if candidates.size == 0:
             continue
-        first = row + hits[0]
-        if first != row:
-            r[[row, first]] = r[[first, row]]
-        r[row] = (r[row] * inv[int(r[row, col])]) % p
-        others = np.nonzero(r[:, col])[0]
-        for i in others:
-            if i != row:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        row = candidates[0]
+        support = col + r[row, col:].astype(bool).nonzero()[0]
+        piv = int(r[row, col])
+        if piv != 1:
+            r[row, support] = r[row, support] * pow(piv, p - 2, p) % p
+        others = nonzero[nonzero != row]
+        if others.size:
+            block = (others[:, None], support)
+            r[block] = (r[block] - r[block[0], col] * r[row, support]) % p
+        is_pivot_row[row] = True
+        pivot_rows.append(row)
         pivot_cols.append(col)
-        row += 1
-    return r, pivot_cols
+    out = np.zeros_like(r)
+    out[: len(pivot_rows)] = r[pivot_rows]
+    if p <= _INT64_MAX:
+        out = out.astype(np.int64, copy=False)
+    return out, pivot_cols
 
 
 def rank(matrix, p):
-    a = np.asarray(matrix, dtype=np.int64)
+    a = np.asarray(matrix)
     if a.size == 0:
         return 0
     return len(rref(a, p)[1])
@@ -75,7 +134,7 @@ def nullspace_with_free(matrix, p):
     vector k carries a 1 at free column k and 0 at the other free
     columns.
     """
-    a = np.asarray(matrix, dtype=np.int64)
+    a = np.asarray(matrix)
     n_cols = a.shape[1]
     if a.size == 0:
         return np.eye(n_cols, dtype=np.int64), list(range(n_cols))
@@ -83,10 +142,8 @@ def nullspace_with_free(matrix, p):
     pivots = set(pivot_cols)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((n_cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for row, pc in enumerate(pivot_cols):
-            basis[pc, k] = (-r[row, f]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivot_cols] = -r[: len(pivot_cols), free] % p
     return basis, free
 
 
@@ -235,7 +292,7 @@ def _edge_map(p, gen_rows, free_rows, functionals, point, succ):
 
 
 def _validate_squares(module):
-    axes = module.axes
+    axes, p = module.axes, module.p
     for point in module.points():
         for ax1 in range(len(axes)):
             for ax2 in range(ax1 + 1, len(axes)):
@@ -247,7 +304,7 @@ def _validate_squares(module):
                 succ2 = _successor(axes, point, ax2)
                 top = module.maps[(succ1, ax2)]
                 right = module.maps[(succ2, ax1)]
-                if ((top @ e1) % module.p != (right @ e2) % module.p).any():
+                if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
                     raise CheckMismatchError(
                         f"grid square at {point} does not commute"
                     )
@@ -297,43 +354,43 @@ def hom_oracle(gx, gy):
             if (point, axis) not in gx.maps:
                 continue
             succ = _successor(gx.axes, point, axis)
-            dxa, dya = gx.dims[point], gy.dims[point]
-            dxb, dyb = gx.dims[succ], gy.dims[succ]
+            dxa, dyb = gx.dims[point], gy.dims[succ]
             if dxa == 0 or dyb == 0:
                 continue
-            blocks.append((point, succ, axis, dxa, dyb))
+            blocks.append((point, succ, axis, n_eqs))
             n_eqs += dxa * dyb
-    a = np.zeros((n_eqs, total), dtype=np.int64)
-    eq = 0
-    for point, succ, axis, dxa, dyb in blocks:
+    # Entries lie in [0, p): build the matrix in the dtype rref works in.
+    dtype = _rref_dtype(p)
+    size = n_eqs * total * np.dtype(dtype).itemsize
+    if size > SYSTEM_BYTES_CAP:
+        raise ResourceCapError(
+            f"oracle system of {n_eqs} equations x {total} variables needs "
+            f"{size} bytes, cap is {SYSTEM_BYTES_CAP}"
+        )
+    a = np.zeros((n_eqs, total), dtype=dtype)
+    for point, succ, axis, eq in blocks:
+        # Row (t, s) of the block equates entry (t, s) of f_succ . X_edge
+        # and of Y_edge . f_point.  The block is kron(I_dyb, X_edge^T) on
+        # the variables of f_succ and -kron(Y_edge, I_dxa) on those of
+        # f_point, written through 4-d views of `a`.
         xmap = gx.maps[(point, axis)]  # dxb x dxa
         ymap = gy.maps[(point, axis)]  # dyb x dya
-        dxb = gx.dims[succ]
-        dya = gy.dims[point]
-        for t in range(dyb):
-            for s in range(dxa):
-                row = eq
-                # f_succ entries: coefficient X_edge[s', s] at var (succ, t, s')
-                if succ in offsets and dxb:
-                    base = offsets[succ]
-                    for sp in range(dxb):
-                        if xmap[sp, s]:
-                            a[row, base + t * dxb + sp] = (
-                                a[row, base + t * dxb + sp] + xmap[sp, s]
-                            ) % p
-                # -Y_edge . f_point entries: coefficient -Y[t, t'] at (point, t', s)
-                if point in offsets and dya:
-                    base = offsets[point]
-                    for tp in range(dya):
-                        if ymap[t, tp]:
-                            a[row, base + tp * dxa + s] = (
-                                a[row, base + tp * dxa + s] - ymap[t, tp]
-                            ) % p
-                eq += 1
+        (dxb, dxa), (dyb, dya) = xmap.shape, ymap.shape
+        rows = slice(eq, eq + dyb * dxa)
+        if succ in offsets:
+            base = offsets[succ]
+            view = a[rows, base : base + dyb * dxb].reshape(dyb, dxa, dyb, dxb)
+            t = np.arange(dyb)
+            view[t, :, t, :] = xmap.T
+        if point in offsets:
+            base = offsets[point]
+            view = a[rows, base : base + dya * dxa].reshape(dyb, dxa, dya, dxa)
+            s = np.arange(dxa)
+            view[:, s, :, s] = -ymap % p
     t0 = time.perf_counter()
     basis = nullspace(a, p) if total else np.zeros((0, 0), dtype=np.int64)
     elapsed = time.perf_counter() - t0
-    vectors = tuple(tuple(int(v) for v in basis[:, k]) for k in range(basis.shape[1]))
+    vectors = tuple(map(tuple, basis.T.tolist()))
     return OracleResult(
         dim=basis.shape[1] if total else 0,
         vectors=vectors,
@@ -364,7 +421,7 @@ def push_to_grid(q, gx, gy):
         for k, g in enumerate(gx.free_rows[point]):
             for gp, v in q.columns[g]:
                 q_dense[pos_y[gp], k] = v
-        out[point] = (gy.functionals[point] @ q_dense) % p
+        out[point] = _matmul_mod(gy.functionals[point], q_dense, p)
     return out
 
 
@@ -376,8 +433,8 @@ def naturality_residual(q, gx, gy):
     for (point, axis), xmap in gx.maps.items():
         succ = _successor(gx.axes, point, axis)
         ymap = gy.maps[(point, axis)]
-        lhs = (f[succ] @ xmap) % p
-        rhs = (ymap @ f[point]) % p
+        lhs = _matmul_mod(f[succ], xmap, p)
+        rhs = _matmul_mod(ymap, f[point], p)
         if lhs.size:
             worst = max(worst, int(np.abs(lhs - rhs).max()))
     return worst

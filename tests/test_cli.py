@@ -141,6 +141,19 @@ def test_kernel_closure_cap_exit_code(fig_files, monkeypatch, capsys):
     assert "join closure" in capsys.readouterr().err
 
 
+def test_oracle_system_cap_exit_code(fig_files, monkeypatch, capsys):
+    from mphom import cli, gridoracle
+
+    x, y = fig_files
+    # End(Y) has 22 equations in 17 variables, one byte each over GF(3).
+    monkeypatch.setattr(gridoracle, "SYSTEM_BYTES_CAP", 22 * 17 - 1)
+    assert cli.main(["end", str(y), "--alg", "oracle"]) == 4
+    assert "22 equations x 17 variables" in capsys.readouterr().err
+    assert cli.main(["end", str(y), "--alg", "b", "--check"]) == 4
+    monkeypatch.setattr(gridoracle, "SYSTEM_BYTES_CAP", 22 * 17)
+    assert cli.main(["end", str(y), "--alg", "oracle"]) == 0
+
+
 def test_grid_cap_exit_code(fig_files):
     x, y = fig_files
     out = run_cli("hom", str(x), str(y), "--alg", "oracle", "--grid-cap", "2")

@@ -157,6 +157,23 @@ def test_firep_rejects_bad_header():
         parse_firep("nope\n")
 
 
+def test_firep_errors_report_source_lines():
+    # Comments and blank lines still count: the bad index is on line 7.
+    text = "# comment\n\nfirep\nx-axis\ny-axis\n1 2 1\n2 2 ; 0 7\n" \
+        "1 0 ; 0\n# another\n0 1 ; 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_firep(text)
+    assert err.value.line == 7
+    assert str(err.value).startswith("line 7:")
+    text = text.replace("0 7", "0 1").replace("0 1 ; 0\n", "0 1 ; x\n")
+    with pytest.raises(ParseError) as err:
+        parse_firep(text)
+    assert err.value.line == 10
+    with pytest.raises(HeaderError) as err:
+        parse_firep("\n# c\nfirep\nx\ny\n1 2\n")
+    assert err.value.line == 6
+
+
 def test_random_module_deterministic_bytes():
     a = serialize_pmod(random_module(42, gens=6, rels=6, p=2))
     b = serialize_pmod(random_module(42, gens=6, rels=6, p=2))

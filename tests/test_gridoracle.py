@@ -1,5 +1,7 @@
 """The dense grid oracle: realization, commutativity, naturality."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from mphom import (
     naturality_residual,
     realize_grid,
 )
+from mphom import cli, serialize_pmod
 from mphom.gridoracle import grid_axes, hom_oracle, nullspace, rank, rref
-from mphom.generators import random_pair
+from mphom.generators import random_module, random_pair
 
 from conftest import free_module, red_blue, zero_module
 
@@ -140,3 +143,74 @@ def test_oracle_agreement_on_random_pairs():
         axes = grid_axes(x.matrix, y.matrix)
         gx, gy = realize_grid(x, axes), realize_grid(y, axes)
         assert hom_oracle(gx, gy).dim == hom_direct(x, y).dim, seed
+
+
+def reference_rref(matrix, p):
+    """Textbook Gauss-Jordan over GF(p) on lists of Python ints."""
+    r = [[v % p for v in row] for row in matrix]
+    n_cols = len(r[0]) if r else 0
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        hit = next((i for i in range(row, len(r)) if r[i][col]), None)
+        if hit is None:
+            continue
+        r[row], r[hit] = r[hit], r[row]
+        inv = pow(r[row][col], p - 2, p)
+        r[row] = [v * inv % p for v in r[row]]
+        for i in range(len(r)):
+            if i != row and r[i][col]:
+                f = r[i][col]
+                r[i] = [(a - f * b) % p for a, b in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+RREF_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (3, 9), (9, 3), (6, 6))
+
+
+# 11, 181, 46337 and 3037000493 are the largest primes rref works on in
+# int8, int16, int32 and int64; 4294967291 takes Python ints.
+@pytest.mark.parametrize(
+    "p", (2, 3, 5, 11, 181, 46337, 65521, 3037000493, 4294967291))
+def test_rref_matches_reference(p):
+    rng = random.Random(f"rref:{p}")
+    cases = [np.zeros((4, 5), dtype=np.int64)]
+    for shape in RREF_SHAPES:
+        for density in (0.2, 0.8):
+            cases.append(np.array(
+                [[rng.randrange(-p, 2 * p) if rng.random() < density else 0
+                  for _ in range(shape[1])] for _ in range(shape[0])],
+                dtype=np.int64,
+            ).reshape(shape))
+    # Rank-deficient: repeated and scaled rows.
+    base = cases[-1]
+    cases.append(np.vstack([base, 3 * base, base[:2]]))
+    cases.append(cases[-4].T)  # a transposed view, as realize_grid passes
+    for matrix in cases:
+        r, pivots = rref(matrix, p)
+        want, want_pivots = reference_rref(matrix.tolist(), p)
+        assert pivots == want_pivots, (p, matrix.shape)
+        assert r.shape == matrix.shape
+        assert r.tolist() == want
+
+
+@pytest.mark.parametrize("p", (65521, 2**31 - 1, 4294967291))
+def test_oracle_matches_direct_at_large_primes(p):
+    dims = []
+    for s in range(12):
+        x, y = random_pair(100 + s, d=2, gens=5, rels=5, coord_range=4, p=p)
+        axes = grid_axes(x.matrix, y.matrix)
+        gx, gy = realize_grid(x, axes), realize_grid(y, axes)
+        dim = hom_oracle(gx, gy).dim
+        assert dim == hom_direct(x, y).dim, s
+        dims.append(dim)
+    assert any(dims)
+
+
+def test_end_check_at_large_prime(tmp_path):
+    path = tmp_path / "x.pmod"
+    path.write_text(serialize_pmod(
+        random_module(5, gens=5, rels=5, coord_range=4, p=2**31 - 1)))
+    assert cli.main(["end", str(path), "--check"]) == 0
