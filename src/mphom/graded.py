@@ -67,26 +67,44 @@ def deg_neg(alpha):
     return tuple(-a for a in alpha)
 
 
+# Miller-Rabin with the first twelve prime bases is exact below 3.3e24,
+# which covers every n < 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The oracle slices fields into int64 arrays, so p must stay below 2^63.
+MAX_CHARACTERISTIC = 1 << 63
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; exact for p < 2^64."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 class PrimeField:
     """GF(p) with values stored as plain ints in [0, p).
 
-    p is validated to be prime at construction; inverses are computed by
-    Fermat and cached for small p.
+    p is validated at construction to be a prime below 2^63
+    (`MAX_CHARACTERISTIC`); inverses are computed by Fermat and cached for
+    small p.
     """
 
     __slots__ = ("p", "_inv")
@@ -94,6 +112,11 @@ class PrimeField:
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p!r}")
+        if p >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"field characteristic {p} is not below 2^63, the largest "
+                "the int64 grid slices hold"
+            )
         self.p = p
         if p <= 257:
             self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]

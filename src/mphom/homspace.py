@@ -19,6 +19,16 @@ M: A[R] -> A[G] of X and N: A[R'] -> A[G'] of Y:
 The three equation-based routes share one sparse linear-system builder
 that differs only in the variable-admissibility masks, so their reported
 system statistics are directly comparable.
+
+They also share one flat pipeline after the solve.  `LinearSystem.solve`
+returns each solution's Q part as a single sparse column indexed by the
+admissible Q entries in `_flat_index` order, and `_reduce_flat`
+column-reduces those columns once: after the flattened null-homotopies
+for `direct` and `mixed`, on their own for `a`, whose lifts are unique.
+Only the surviving columns are turned back into graded matrices.  The
+rank that `homotopy_killed` needs is read off the same flat columns.
+The public `homotopy_reduce` flattens its Q matrices and calls the same
+reducer.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ from .graded import (
     GradedMatrix,
     _axpy,
     column_reduce,
-    deg_leq,
     deg_sub,
     nullspace_of_columns,
     submatrix_at_most,
@@ -107,6 +116,8 @@ class LinearSystem:
     equation per pair (g', r) with deg(g') <= deg(r).  Masks map a
     generator (relation) index of X to the tuple of allowed Y-side row
     indices; `None` means every degree-admissible index is allowed.
+    Degrees are compared without arity checks: callers pass a pair that
+    `_check_pair` accepted.
     """
 
     def __init__(self, xp, yp, q_mask=None, p_mask=None):
@@ -116,23 +127,14 @@ class LinearSystem:
         self.n = n
         p = self.field.p
 
-        self.q_vars = []
-        q_pos = {}
-        for g, gdeg in enumerate(m.rows):
-            allowed = (
-                q_mask[g]
-                if q_mask is not None
-                else [
-                    gp
-                    for gp, gpdeg in enumerate(n.rows)
-                    if deg_leq(gpdeg, gdeg)
-                ]
-            )
-            for gp in allowed:
-                q_pos[(gp, g)] = len(self.q_vars)
-                self.q_vars.append((gp, g))
+        # Flat positions of the admissible Q entries; solve() and the
+        # homotopy quotient share this order.
+        self.q_index = _flat_index(n.rows, m.rows)
+        if q_mask is None:
+            self.q_vars = [(gp, g) for g, gp in self.q_index]
+        else:
+            self.q_vars = [(gp, g) for g in range(m.nrows) for gp in q_mask[g]]
         self.p_vars = []
-        p_pos = {}
         for r, rdeg in enumerate(m.cols):
             allowed = (
                 p_mask[r]
@@ -140,36 +142,37 @@ class LinearSystem:
                 else [
                     rp
                     for rp, rpdeg in enumerate(n.cols)
-                    if deg_leq(rpdeg, rdeg)
+                    if all(a <= b for a, b in zip(rpdeg, rdeg))
                 ]
             )
-            for rp in allowed:
-                p_pos[(rp, r)] = len(self.p_vars)
-                self.p_vars.append((rp, r))
+            self.p_vars.extend((rp, r) for rp in allowed)
 
         self.equations = []
         eq_pos = {}
         for r, rdeg in enumerate(m.cols):
             for gp, gpdeg in enumerate(n.rows):
-                if deg_leq(gpdeg, rdeg):
+                if all(a <= b for a, b in zip(gpdeg, rdeg)):
                     eq_pos[(gp, r)] = len(self.equations)
                     self.equations.append((gp, r))
 
         nq = len(self.q_vars)
         columns = [[] for _ in range(nq + len(self.p_vars))]
         # Q-variable (g', g) hits equation (g', r) with coefficient M_{g,r}.
+        q_of = [[] for _ in range(m.nrows)]
+        for k, (gp, g) in enumerate(self.q_vars):
+            q_of[g].append((gp, k))
         for r in range(m.ncols):
             for g, mv in m.columns[r]:
-                for gp, gpdeg in enumerate(n.rows):
-                    k = q_pos.get((gp, g))
-                    if k is not None and (gp, r) in eq_pos:
-                        columns[k].append((eq_pos[(gp, r)], mv))
+                for gp, k in q_of[g]:
+                    eq = eq_pos.get((gp, r))
+                    if eq is not None:
+                        columns[k].append((eq, mv))
         # P-variable (r', r) hits equation (g', r) with coefficient -N_{g',r'}.
-        for (rp, r), k in p_pos.items():
+        for k, (rp, r) in enumerate(self.p_vars, start=nq):
             for gp, nv in n.columns[rp]:
                 eq = eq_pos.get((gp, r))
                 if eq is not None:
-                    columns[nq + k].append((eq, (-nv) % p))
+                    columns[k].append((eq, (-nv) % p))
         self.columns = [tuple(sorted(col)) for col in columns]
         self.entries = sum(len(c) for c in self.columns)
 
@@ -182,35 +185,25 @@ class LinearSystem:
         return len(self.equations)
 
     def solve(self):
-        """Basis of the solution space as (Q entries, P entries) dicts."""
+        """Q parts of a basis of the solution space, as flat columns.
+
+        Each solution's Q part is one sparse column sorted by its position
+        in `q_index` (the `_flat_index(n.rows, m.rows)` order), ready for
+        the homotopy quotient without building a matrix per solution.  The
+        P parts are dropped.  Solutions with Q = 0 give empty columns, so
+        the list length is the dimension of the solution space.  The
+        nullspace call alone is timed into `solve_seconds`.
+        """
+        t0 = time.perf_counter()
         combos = nullspace_of_columns(self.columns, self.field)
+        self.solve_seconds = time.perf_counter() - t0
         nq = len(self.q_vars)
-        solutions = []
-        for combo in combos:
-            q_entries = {}
-            p_entries = {}
-            for k, v in combo.items():
-                if k < nq:
-                    gp, g = self.q_vars[k]
-                    q_entries[(gp, g)] = v
-                else:
-                    rp, r = self.p_vars[k - nq]
-                    p_entries[(rp, r)] = v
-            solutions.append((q_entries, p_entries))
-        return solutions
-
-
-def _q_matrix(entries, m, n):
-    cols = [[] for _ in range(m.nrows)]
-    for (gp, g), v in entries.items():
-        cols[g].append((gp, v))
-    return GradedMatrix(
-        m.field,
-        n.rows,
-        m.rows,
-        [tuple(sorted(c)) for c in cols],
-        validate=False,
-    )
+        index = self.q_index
+        flat = [index[(g, gp)] for gp, g in self.q_vars]
+        return [
+            tuple(sorted((flat[k], v) for k, v in combo.items() if k < nq))
+            for combo in combos
+        ]
 
 
 def _flat_index(q_rows, q_cols):
@@ -218,7 +211,7 @@ def _flat_index(q_rows, q_cols):
     index = {}
     for g, gdeg in enumerate(q_cols):
         for gp, gpdeg in enumerate(q_rows):
-            if deg_leq(gpdeg, gdeg):
+            if all(a <= b for a, b in zip(gpdeg, gdeg)):
                 index[(g, gp)] = len(index)
     return index
 
@@ -231,19 +224,6 @@ def _flatten_q(qmat, index):
     return tuple(sorted(col))
 
 
-def _unflatten_q(col, index, q_rows, q_cols, fld):
-    rev = {}
-    for (g, gp), k in index.items():
-        rev[k] = (g, gp)
-    cols = [[] for _ in range(len(q_cols))]
-    for k, v in col:
-        g, gp = rev[k]
-        cols[g].append((gp, v))
-    return GradedMatrix(
-        fld, q_rows, q_cols, [tuple(sorted(c)) for c in cols], validate=False
-    )
-
-
 def _homotopy_columns(n, q_cols, index):
     """Flattened columns of N placed into each generator block they reach.
 
@@ -254,12 +234,40 @@ def _homotopy_columns(n, q_cols, index):
     cols = []
     for g, gdeg in enumerate(q_cols):
         for rp, rpdeg in enumerate(n.cols):
-            if deg_leq(rpdeg, gdeg):
+            if all(a <= b for a, b in zip(rpdeg, gdeg)):
                 col = tuple(
                     (index[(g, gp)], v) for gp, v in n.columns[rp]
                 )
                 cols.append(tuple(sorted(col)))
     return cols
+
+
+def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
+    """Column-reduce flat Q columns after the given homotopy columns.
+
+    Returns the surviving reduced columns as graded matrices; only they
+    are unflattened, through one reverse index.
+    """
+    span = ColumnSpan(fld)
+    for col in homotopies:
+        span.insert(col, source=-1)
+    keys = list(index)  # keys[k] is the (g, g') entry at flat position k
+    survivors = []
+    for j, col in enumerate(cols):
+        entry = span.insert(col, source=j)
+        if entry is None:
+            continue
+        blocks = [[] for _ in q_cols]
+        for k, v in entry.column:
+            g, gp = keys[k]
+            blocks[g].append((gp, v))
+        survivors.append(
+            GradedMatrix(
+                fld, q_rows, q_cols, [tuple(sorted(c)) for c in blocks],
+                validate=False,
+            )
+        )
+    return survivors
 
 
 def homotopy_reduce(qs, yp):
@@ -273,39 +281,23 @@ def homotopy_reduce(qs, yp):
     if not qs:
         return []
     n = yp.matrix if isinstance(yp, Presentation) else yp
-    fld = n.field
     q_rows, q_cols = qs[0].rows, qs[0].cols
     for q in qs:
         if q.rows != q_rows or q.cols != q_cols:
             raise DimensionMismatchError("Q matrices with mixed decorations")
+    if len({len(deg) for deg in q_rows + q_cols + n.rows + n.cols}) > 1:
+        raise DimensionMismatchError(
+            "Q matrices and target graded over different posets"
+        )
     index = _flat_index(q_rows, q_cols)
-    hcols = _homotopy_columns(n, q_cols, index)
-    span = ColumnSpan(fld)
-    for col in hcols:
-        span.insert(col, source=-1)
-    survivors = []
-    for j, q in enumerate(qs):
-        entry = span.insert(_flatten_q(q, index), source=j)
-        if entry is not None:
-            survivors.append(
-                _unflatten_q(entry.column, index, q_rows, q_cols, fld)
-            )
-    return survivors
-
-
-def _column_reduce_qs(qs, fld):
-    """Plain column reduction of flattened Q matrices; drops dependents."""
-    if not qs:
-        return []
-    q_rows, q_cols = qs[0].rows, qs[0].cols
-    index = _flat_index(q_rows, q_cols)
-    span = ColumnSpan(fld)
-    out = []
-    for j, q in enumerate(qs):
-        entry = span.insert(_flatten_q(q, index), source=j)
-        if entry is not None:
-            out.append(_unflatten_q(entry.column, index, q_rows, q_cols, fld))
-    return out
+    return _reduce_flat(
+        [_flatten_q(q, index) for q in qs],
+        index,
+        q_rows,
+        q_cols,
+        n.field,
+        _homotopy_columns(n, q_cols, index),
+    )
 
 
 def verify_hom(q, xp, yp, cache=None):
@@ -352,7 +344,13 @@ def _audit(basis_elements, xp, yp, algorithm):
             )
 
 
-def _free_domain_basis(xp, yp, cache):
+def _audited(elements, stats, xp, yp):
+    basis = HomBasis(tuple(elements), "generators", stats.algorithm, stats)
+    _audit(basis.elements, xp, yp, stats.algorithm)
+    return basis
+
+
+def _free_domain_basis(algorithm, xp, yp, cache):
     """Hom(free X, Y): one basis element per generator g and per element
     of the distinguished subset of Y at deg(g)."""
     m, n = xp.matrix, yp.matrix
@@ -368,7 +366,8 @@ def _free_domain_basis(xp, yp, cache):
                     validate=False,
                 )
             )
-    return elements
+    stats = SolveStats(algorithm, len(elements), 0, 0, 0.0, len(elements))
+    return _audited(elements, stats, xp, yp)
 
 
 def _empty_basis(algorithm, coords="generators"):
@@ -376,40 +375,42 @@ def _empty_basis(algorithm, coords="generators"):
     return HomBasis((), coords, algorithm, stats)
 
 
+def _primal_basis(algorithm, xp, yp, system, quotient):
+    """Solve a route's system and reduce the Q parts of its solutions.
+
+    With `quotient` the Q parts are reduced modulo null-homotopies and
+    `homotopy_killed` counts the directions that removed; without it
+    (unique lifts) a plain column reduction drops dependent solutions.
+    """
+    qcols = system.solve()
+    n, fld = yp.matrix, xp.field
+    q_rows, q_cols, index = n.rows, xp.matrix.rows, system.q_index
+    homotopies = _homotopy_columns(n, q_cols, index) if quotient else ()
+    survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
+    killed = 0
+    if quotient:
+        rank = ColumnSpan(fld)
+        for col in qcols:
+            rank.insert(col)
+        killed = rank.rank - len(survivors)
+    stats = SolveStats(
+        algorithm,
+        system.n_variables,
+        system.n_equations,
+        system.entries,
+        system.solve_seconds,
+        solution_dim=len(qcols),
+        homotopy_killed=killed,
+    )
+    return _audited(survivors, stats, xp, yp)
+
+
 def hom_direct(xp, yp):
     """Direct computation: full system, then the homotopy quotient."""
     _check_pair(xp, yp)
     if xp.is_zero_module() or yp.is_zero_module():
         return _empty_basis("direct")
-    system = LinearSystem(xp, yp)
-    t0 = time.perf_counter()
-    solutions = system.solve()
-    elapsed = time.perf_counter() - t0
-    qs = [_q_matrix(qe, xp.matrix, yp.matrix) for qe, _ in solutions]
-    survivors = homotopy_reduce(qs, yp)
-    pre_rank = _rank_of_qs(qs, xp, yp)
-    stats = SolveStats(
-        "direct",
-        system.n_variables,
-        system.n_equations,
-        system.entries,
-        elapsed,
-        solution_dim=len(solutions),
-        homotopy_killed=pre_rank - len(survivors),
-    )
-    basis = HomBasis(tuple(survivors), "generators", "direct", stats)
-    _audit(basis.elements, xp, yp, "direct")
-    return basis
-
-
-def _rank_of_qs(qs, xp, yp):
-    if not qs:
-        return 0
-    index = _flat_index(yp.matrix.rows, xp.matrix.rows)
-    span = ColumnSpan(xp.field)
-    for q in qs:
-        span.insert(_flatten_q(q, index))
-    return span.rank
+    return _primal_basis("direct", xp, yp, LinearSystem(xp, yp), True)
 
 
 def hom_restricted(xp, yp):
@@ -426,33 +427,14 @@ def hom_restricted(xp, yp):
         return _empty_basis("a")
     cache = CokernelCache(yp.matrix)
     if xp.n_relations == 0:
-        elements = _free_domain_basis(xp, yp, cache)
-        stats = SolveStats("a", len(elements), 0, 0, 0.0, len(elements))
-        basis = HomBasis(tuple(elements), "generators", "a", stats)
-        _audit(basis.elements, xp, yp, "a")
-        return basis
+        return _free_domain_basis("a", xp, yp, cache)
     rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
     syzygy = kernel(yp.matrix)
     rs1 = restriction_system(xp.matrix, syzygy, 1)
     q_mask = [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
     p_mask = [rs1.subset(rdeg) for rdeg in xp.matrix.cols]
     system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
-    t0 = time.perf_counter()
-    solutions = system.solve()
-    elapsed = time.perf_counter() - t0
-    qs = [_q_matrix(qe, xp.matrix, yp.matrix) for qe, _ in solutions]
-    survivors = _column_reduce_qs(qs, xp.field)
-    stats = SolveStats(
-        "a",
-        system.n_variables,
-        system.n_equations,
-        system.entries,
-        elapsed,
-        solution_dim=len(solutions),
-    )
-    basis = HomBasis(tuple(survivors), "generators", "a", stats)
-    _audit(basis.elements, xp, yp, "a")
-    return basis
+    return _primal_basis("a", xp, yp, system, False)
 
 
 def hom_mixed(xp, yp):
@@ -462,32 +444,11 @@ def hom_mixed(xp, yp):
         return _empty_basis("mixed")
     cache = CokernelCache(yp.matrix)
     if xp.n_relations == 0:
-        elements = _free_domain_basis(xp, yp, cache)
-        stats = SolveStats("mixed", len(elements), 0, 0, 0.0, len(elements))
-        basis = HomBasis(tuple(elements), "generators", "mixed", stats)
-        _audit(basis.elements, xp, yp, "mixed")
-        return basis
+        return _free_domain_basis("mixed", xp, yp, cache)
     rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
     q_mask = [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
     system = LinearSystem(xp, yp, q_mask=q_mask)
-    t0 = time.perf_counter()
-    solutions = system.solve()
-    elapsed = time.perf_counter() - t0
-    qs = [_q_matrix(qe, xp.matrix, yp.matrix) for qe, _ in solutions]
-    survivors = homotopy_reduce(qs, yp)
-    pre_rank = _rank_of_qs(qs, xp, yp)
-    stats = SolveStats(
-        "mixed",
-        system.n_variables,
-        system.n_equations,
-        system.entries,
-        elapsed,
-        solution_dim=len(solutions),
-        homotopy_killed=pre_rank - len(survivors),
-    )
-    basis = HomBasis(tuple(survivors), "generators", "mixed", stats)
-    _audit(basis.elements, xp, yp, "mixed")
-    return basis
+    return _primal_basis("mixed", xp, yp, system, True)
 
 
 def hom_exact(xp, yp):
@@ -560,9 +521,7 @@ def hom_exact(xp, yp):
     stats = SolveStats(
         "b", total, rows_total, entries, elapsed, solution_dim=len(combos)
     )
-    basis = HomBasis(tuple(elements), "generators", "b", stats)
-    _audit(basis.elements, xp, yp, "b")
-    return basis
+    return _audited(elements, stats, xp, yp)
 
 
 def _block_diagonal(n, shifts, fld):

@@ -132,6 +132,22 @@ def test_malformed_counts_and_indices_exit_code(tmp_path, text):
     assert "parse error" in out.stderr
 
 
+def test_large_prime_header_parses(tmp_path):
+    big = tmp_path / "big.pmod"
+    big.write_text("pmod 2 2305843009213693951\ngens 1\n0 0\nrels 0\n")
+    out = run_cli("minimize", str(big))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "pmod 2 2305843009213693951"
+
+
+def test_prime_at_or_above_2_to_63_exit_code(tmp_path):
+    huge = tmp_path / "huge.pmod"
+    huge.write_text(f"pmod 2 {2**63 + 29}\ngens 1\n0 0\nrels 0\n")
+    out = run_cli("minimize", str(huge))
+    assert out.returncode == 3, out.stderr
+    assert "parse error" in out.stderr and "2^63" in out.stderr
+
+
 def test_kernel_closure_cap_exit_code(fig_files, monkeypatch, capsys):
     from mphom import cli, presentations
 

@@ -1,0 +1,326 @@
+"""The flat Q pipeline of the primal routes against the matrix-per-solution
+chain it replaced, and the public homotopy quotient around it.
+
+The reference below copies the earlier implementation: it builds the system with `deg_leq`, turns every solution's Q part
+into a graded matrix, flattens those again for the homotopy quotient (or
+the plain reduction of route `a`) and a third time for the rank.
+"""
+
+import pytest
+
+from mphom import (
+    ColumnSpan,
+    DimensionMismatchError,
+    GradedMatrix,
+    deg_leq,
+    graded_matrix_from_entries,
+    hom_direct,
+    hom_mixed,
+    hom_restricted,
+    homotopy_reduce,
+)
+from mphom import homspace
+from mphom.generators import random_pair
+from mphom.graded import nullspace_of_columns
+from mphom.localalg import CokernelCache
+
+from conftest import free_module, red_blue, zero_module
+
+ROUTES = {"direct": hom_direct, "mixed": hom_mixed, "a": hom_restricted}
+
+
+# -- reference: the matrix-per-solution chain -------------------------------
+
+
+def old_system(xp, yp, q_mask=None, p_mask=None):
+    m, n = xp.matrix, yp.matrix
+    p = m.field.p
+    q_vars, q_pos = [], {}
+    for g, gdeg in enumerate(m.rows):
+        allowed = (
+            q_mask[g]
+            if q_mask is not None
+            else [gp for gp, gpdeg in enumerate(n.rows) if deg_leq(gpdeg, gdeg)]
+        )
+        for gp in allowed:
+            q_pos[(gp, g)] = len(q_vars)
+            q_vars.append((gp, g))
+    p_vars, p_pos = [], {}
+    for r, rdeg in enumerate(m.cols):
+        allowed = (
+            p_mask[r]
+            if p_mask is not None
+            else [rp for rp, rpdeg in enumerate(n.cols) if deg_leq(rpdeg, rdeg)]
+        )
+        for rp in allowed:
+            p_pos[(rp, r)] = len(p_vars)
+            p_vars.append((rp, r))
+    equations, eq_pos = [], {}
+    for r, rdeg in enumerate(m.cols):
+        for gp, gpdeg in enumerate(n.rows):
+            if deg_leq(gpdeg, rdeg):
+                eq_pos[(gp, r)] = len(equations)
+                equations.append((gp, r))
+    nq = len(q_vars)
+    columns = [[] for _ in range(nq + len(p_vars))]
+    for r in range(m.ncols):
+        for g, mv in m.columns[r]:
+            for gp in range(n.nrows):
+                k = q_pos.get((gp, g))
+                if k is not None and (gp, r) in eq_pos:
+                    columns[k].append((eq_pos[(gp, r)], mv))
+    for (rp, r), k in p_pos.items():
+        for gp, nv in n.columns[rp]:
+            eq = eq_pos.get((gp, r))
+            if eq is not None:
+                columns[nq + k].append((eq, (-nv) % p))
+    return q_vars, p_vars, equations, [tuple(sorted(c)) for c in columns]
+
+
+def old_q_matrix(entries, m, n):
+    cols = [[] for _ in range(m.nrows)]
+    for (gp, g), v in entries.items():
+        cols[g].append((gp, v))
+    return GradedMatrix(
+        m.field, n.rows, m.rows, [tuple(sorted(c)) for c in cols],
+        validate=False,
+    )
+
+
+def old_flat_index(q_rows, q_cols):
+    index = {}
+    for g, gdeg in enumerate(q_cols):
+        for gp, gpdeg in enumerate(q_rows):
+            if deg_leq(gpdeg, gdeg):
+                index[(g, gp)] = len(index)
+    return index
+
+
+def old_flatten_q(qmat, index):
+    col = []
+    for g, entries in enumerate(qmat.columns):
+        for gp, v in entries:
+            col.append((index[(g, gp)], v))
+    return tuple(sorted(col))
+
+
+def old_unflatten_q(col, index, q_rows, q_cols, fld):
+    rev = {k: key for key, k in index.items()}
+    cols = [[] for _ in range(len(q_cols))]
+    for k, v in col:
+        g, gp = rev[k]
+        cols[g].append((gp, v))
+    return GradedMatrix(
+        fld, q_rows, q_cols, [tuple(sorted(c)) for c in cols], validate=False
+    )
+
+
+def old_homotopy_columns(n, q_cols, index):
+    cols = []
+    for g, gdeg in enumerate(q_cols):
+        for rp, rpdeg in enumerate(n.cols):
+            if deg_leq(rpdeg, gdeg):
+                col = tuple((index[(g, gp)], v) for gp, v in n.columns[rp])
+                cols.append(tuple(sorted(col)))
+    return cols
+
+
+def old_homotopy_reduce(qs, yp):
+    if not qs:
+        return []
+    n = yp.matrix
+    q_rows, q_cols = qs[0].rows, qs[0].cols
+    index = old_flat_index(q_rows, q_cols)
+    span = ColumnSpan(n.field)
+    for col in old_homotopy_columns(n, q_cols, index):
+        span.insert(col, source=-1)
+    survivors = []
+    for j, q in enumerate(qs):
+        entry = span.insert(old_flatten_q(q, index), source=j)
+        if entry is not None:
+            survivors.append(
+                old_unflatten_q(entry.column, index, q_rows, q_cols, n.field)
+            )
+    return survivors
+
+
+def old_column_reduce_qs(qs, fld):
+    if not qs:
+        return []
+    q_rows, q_cols = qs[0].rows, qs[0].cols
+    index = old_flat_index(q_rows, q_cols)
+    span = ColumnSpan(fld)
+    out = []
+    for j, q in enumerate(qs):
+        entry = span.insert(old_flatten_q(q, index), source=j)
+        if entry is not None:
+            out.append(old_unflatten_q(entry.column, index, q_rows, q_cols, fld))
+    return out
+
+
+def old_rank_of_qs(qs, xp, yp):
+    if not qs:
+        return 0
+    index = old_flat_index(yp.matrix.rows, xp.matrix.rows)
+    span = ColumnSpan(xp.field)
+    for q in qs:
+        span.insert(old_flatten_q(q, index))
+    return span.rank
+
+
+def old_free_domain_basis(xp, yp):
+    m, n = xp.matrix, yp.matrix
+    cache = CokernelCache(n)
+    return [
+        GradedMatrix(
+            m.field, n.rows, m.rows,
+            [((gp, 1),) if k == g else () for k in range(m.nrows)],
+            validate=False,
+        )
+        for g, gdeg in enumerate(m.rows)
+        for gp in cache.at(gdeg).subset
+    ]
+
+
+def reference(algorithm, xp, yp, masks):
+    """(elements, (variables, equations, entries, solution_dim, killed))."""
+    if xp.is_zero_module() or yp.is_zero_module():
+        return [], (0, 0, 0, 0, 0)
+    if masks is None:  # the route took the free-domain branch
+        elements = old_free_domain_basis(xp, yp)
+        return elements, (len(elements), 0, 0, len(elements), 0)
+    m, n = xp.matrix, yp.matrix
+    q_vars, p_vars, equations, columns = old_system(xp, yp, **masks)
+    nq = len(q_vars)
+    solutions = []
+    for combo in nullspace_of_columns(columns, m.field):
+        solutions.append({q_vars[k]: v for k, v in combo.items() if k < nq})
+    qs = [old_q_matrix(qe, m, n) for qe in solutions]
+    if algorithm == "a":
+        survivors, killed = old_column_reduce_qs(qs, m.field), 0
+    else:
+        survivors = old_homotopy_reduce(qs, yp)
+        killed = old_rank_of_qs(qs, xp, yp) - len(survivors)
+    shape = (
+        nq + len(p_vars),
+        len(equations),
+        sum(len(c) for c in columns),
+        len(solutions),
+        killed,
+    )
+    return survivors, shape
+
+
+# -- inputs -----------------------------------------------------------------
+
+
+def seeded_pairs():
+    for d, n, coord_range in ((1, 6, 8), (2, 6, 8), (3, 4, 5)):
+        for p in (2, 5, 65521):
+            for seed in range(4):
+                yield f"d{d}-p{p}-s{seed}", random_pair(
+                    seed, d=d, gens=n, rels=n, coord_range=coord_range, p=p
+                )
+
+
+def special_pairs():
+    x, y = red_blue(p=5)
+    yield "fig", (x, y)
+    yield "free-domain", (free_module([(2, 2), (6, 1), (0, 0)], p=5), y)
+    yield "free-domain-into-free", (
+        free_module([(3, 3), (1, 4)], p=5), free_module([(0, 0), (1, 1)], p=5)
+    )
+    yield "zero-domain", (zero_module(p=5), y)
+    yield "zero-target", (x, zero_module(p=5))
+
+
+PAIRS = list(seeded_pairs()) + list(special_pairs())
+
+
+def run_recording(monkeypatch, route, xp, yp):
+    """Run a route and return (basis, masks of the system it built)."""
+    built = []
+
+    class Recording(homspace.LinearSystem):
+        def __init__(self, xp, yp, q_mask=None, p_mask=None):
+            built.append({"q_mask": q_mask, "p_mask": p_mask})
+            super().__init__(xp, yp, q_mask=q_mask, p_mask=p_mask)
+
+    monkeypatch.setattr(homspace, "LinearSystem", Recording)
+    basis = route(xp, yp)
+    monkeypatch.undo()
+    assert len(built) <= 1
+    return basis, (built[0] if built else None)
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
+    xp, yp = pair
+    for algorithm, route in ROUTES.items():
+        basis, masks = run_recording(monkeypatch, route, xp, yp)
+        elements, shape = reference(algorithm, xp, yp, masks)
+        s = basis.stats
+        assert list(basis.elements) == elements, algorithm
+        assert (
+            s.variables, s.equations, s.entries, s.solution_dim,
+            s.homotopy_killed,
+        ) == shape, algorithm
+
+
+def test_reference_inputs_exercise_the_quotient():
+    # The equivalence above means little unless homotopies were killed,
+    # solutions were dropped as dependent, and survivors were returned.
+    killed = dropped = survivors = 0
+    for _, (xp, yp) in PAIRS:
+        for route in ROUTES.values():
+            basis = route(xp, yp)
+            killed += basis.stats.homotopy_killed
+            dropped += basis.stats.solution_dim > basis.dim
+            survivors += basis.dim
+    assert killed and dropped and survivors
+
+
+def test_solve_returns_sorted_flat_q_columns():
+    xp, yp = random_pair(4, d=2, gens=6, rels=6, coord_range=8, p=5)
+    system = homspace.LinearSystem(xp, yp)
+    cols = system.solve()
+    assert cols and len(cols) == hom_direct(xp, yp).stats.solution_dim
+    size = len(system.q_index)
+    for col in cols:
+        assert list(col) == sorted(col)
+        assert all(0 <= k < size and 0 < v < 5 for k, v in col)
+
+
+# -- the public homotopy quotient -------------------------------------------
+
+
+def test_homotopy_reduce_rejects_mixed_decorations():
+    xp, yp = red_blue()
+    fld = xp.field
+    q = graded_matrix_from_entries(fld, yp.matrix.rows, xp.matrix.rows, {})
+    other = graded_matrix_from_entries(
+        fld, yp.matrix.rows, [(3, 3)], {(0, 0): 1}
+    )
+    with pytest.raises(DimensionMismatchError):
+        homotopy_reduce([q, other], yp)
+
+
+def test_homotopy_reduce_rejects_a_target_of_other_arity():
+    xp, _ = red_blue()
+    fld = xp.field
+    target = free_module([(0, 0, 0)], p=3)
+    q = graded_matrix_from_entries(fld, [(0, 0)], xp.matrix.rows, {(0, 0): 1})
+    with pytest.raises(DimensionMismatchError):
+        homotopy_reduce([q], target)
+
+
+@pytest.mark.parametrize("name,pair", PAIRS[::3], ids=[n for n, _ in PAIRS[::3]])
+def test_homotopy_reduce_is_idempotent_on_route_survivors(name, pair):
+    xp, yp = pair
+    for route in ROUTES.values():
+        elements = list(route(xp, yp).elements)
+        once = homotopy_reduce(elements, yp)
+        assert homotopy_reduce(once, yp) == once
+        if route is not hom_restricted:
+            # The quotient routes return survivors of this very reduction.
+            assert once == elements

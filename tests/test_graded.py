@@ -1,6 +1,7 @@
 """Field, degree, graded-matrix, and column-reduction behaviour."""
 
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from mphom import (
     submatrix_at_most,
     validate_grading,
 )
+from mphom.graded import _is_prime
 from mphom.gridoracle import rank as dense_rank
 
 from conftest import red_blue
@@ -27,6 +29,44 @@ def test_prime_field_validation():
     for bad in (0, 1, 4, 6, 9, -3):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(100_000))
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7;
+    # 3825123056546413051 to every prime base up to 23.
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_large_prime_field_is_fast():
+    start = time.perf_counter()
+    fld = PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert fld.inv(2) * 2 % fld.p == 1
+
+
+def test_characteristic_must_be_below_2_to_63():
+    assert _is_prime(2**63 + 29)
+    with pytest.raises(ValueError, match="2\\^63"):
+        PrimeField(2**63 + 29)
+    assert PrimeField(2**63 - 25).p == 2**63 - 25
 
 
 def test_inverses_round_trip():
