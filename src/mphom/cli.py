@@ -22,7 +22,12 @@ from .benchmarks import (
     write_csv,
 )
 from .dualhom import dual_context
-from .errors import CheckMismatchError, ParseError, ResourceCapError
+from .errors import (
+    CheckMismatchError,
+    FieldArgumentError,
+    ParseError,
+    ResourceCapError,
+)
 from .formats import (
     parse_firep,
     parse_pmod,
@@ -50,6 +55,16 @@ ALGORITHM_CHOICES = ("direct", "a", "mixed", "b", "a-star", "b-star", "oracle")
 def _read_text(path):
     with open(path) as handle:
         return handle.read()
+
+
+def _field_arg(args, default=None):
+    """The --field value as a PrimeField; `default` when it was not given."""
+    if args.field is None:
+        return default
+    try:
+        return PrimeField(args.field)
+    except ValueError as exc:
+        raise FieldArgumentError(f"--field {args.field}: {exc}") from None
 
 
 def _load_presentation(path, field=None):
@@ -128,7 +143,7 @@ def _append_stats(path, instance, basis, xp, yp):
 
 
 def _cmd_hom(args, endo=False):
-    field = PrimeField(args.field) if args.field else None
+    field = _field_arg(args)
     xp = _load_presentation(args.domain, field)
     yp = xp if endo else _load_presentation(args.target, field)
     if args.check:
@@ -151,21 +166,21 @@ def _cmd_hom(args, endo=False):
 
 
 def _cmd_thickness(args):
-    field = PrimeField(args.field) if args.field else None
+    field = _field_arg(args)
     pres = _load_presentation(args.module, field)
     _write_output(f"{thickness(pres)}\n", args.out)
     return EXIT_OK
 
 
 def _cmd_minimize(args):
-    field = PrimeField(args.field) if args.field else None
+    field = _field_arg(args)
     pres = _load_presentation(args.module, field)
     _write_output(serialize_pmod(pres), args.out)
     return EXIT_OK
 
 
 def _cmd_sparsify(args):
-    field = PrimeField(args.field) if args.field else None
+    field = _field_arg(args)
     pres = _load_presentation(args.module, field)
     _write_output(serialize_pmod(sparsify(pres)), args.out)
     return EXIT_OK
@@ -179,7 +194,7 @@ def _cmd_random(args):
         rels=args.rels,
         coord_range=args.coord_range,
         thickness_hint=args.thickness_hint,
-        p=args.field or 2,
+        p=_field_arg(args, PrimeField(2)).p,
     )
     _write_output(serialize_pmod(pres, d=args.d), args.out)
     return EXIT_OK
@@ -194,7 +209,7 @@ def _cmd_bench(args):
         rels=args.rels,
         coord_range=args.coord_range,
         thickness_hint=args.thickness_hint,
-        p=args.field or 2,
+        p=_field_arg(args, PrimeField(2)).p,
         with_duals=args.duals,
         jobs=args.jobs,
     )

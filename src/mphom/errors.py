@@ -47,6 +47,10 @@ class HeaderError(ParseError):
     """Malformed or missing file header."""
 
 
+class FieldArgumentError(ParseError):
+    """A --field value on the command line is not a prime below 2^63."""
+
+
 class DegreeArityError(ParseError):
     """A degree does not have exactly d coordinates."""
 

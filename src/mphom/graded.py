@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from .errors import (
     DegreeOverflowError,
@@ -309,24 +310,37 @@ def validate_grading(matrix):
     return True
 
 
-def submatrix_at_most(matrix, alpha):
-    """Restrict a graded matrix to rows and columns of degree <= alpha.
+def _slice_at_most(matrix, alpha):
+    """Rows and columns of degree <= alpha, without building a matrix.
 
-    Returns (submatrix, row_indices, col_indices) where the index tuples are
-    the order-preserving injections back into the original row/column sets.
+    Returns (row_idx, col_idx, columns): the order-preserving injections
+    back into the original row/column sets, and the kept columns with
+    their rows renumbered to positions in row_idx.  The arity of alpha is
+    checked once; degrees are then compared inline.
     """
     alpha = tuple(alpha)
     if matrix.dim and len(alpha) != matrix.dim:
         raise DimensionMismatchError(
             f"degree {alpha} has arity {len(alpha)}, matrix has d={matrix.dim}"
         )
-    row_idx = tuple(i for i, r in enumerate(matrix.rows) if deg_leq(r, alpha))
-    col_idx = tuple(j for j, c in enumerate(matrix.cols) if deg_leq(c, alpha))
+    rows, cols = matrix.rows, matrix.cols
+    row_idx = tuple([i for i, r in enumerate(rows) if all(map(le, r, alpha))])
+    col_idx = tuple([j for j, c in enumerate(cols) if all(map(le, c, alpha))])
     renum = {i: k for k, i in enumerate(row_idx)}
-    columns = []
-    for j in col_idx:
-        # Grading guarantees every entry row of a kept column is kept too.
-        columns.append(tuple((renum[i], v) for i, v in matrix.columns[j]))
+    # Grading guarantees every entry row of a kept column is kept too.
+    columns = [
+        tuple((renum[i], v) for i, v in matrix.columns[j]) for j in col_idx
+    ]
+    return row_idx, col_idx, columns
+
+
+def submatrix_at_most(matrix, alpha):
+    """Restrict a graded matrix to rows and columns of degree <= alpha.
+
+    Returns (submatrix, row_indices, col_indices) where the index tuples are
+    the order-preserving injections back into the original row/column sets.
+    """
+    row_idx, col_idx, columns = _slice_at_most(matrix, alpha)
     sub = GradedMatrix(
         matrix.field,
         [matrix.rows[i] for i in row_idx],

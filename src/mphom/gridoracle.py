@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     ResourceCapError,
 )
+from .localalg import _matrix_of
 
 import numpy as np
 
@@ -150,10 +151,6 @@ def nullspace_with_free(matrix, p):
 def nullspace(matrix, p):
     """Columns form a basis of {x : matrix @ x = 0 mod p}."""
     return nullspace_with_free(matrix, p)[0]
-
-
-def _matrix_of(obj):
-    return getattr(obj, "matrix", obj)
 
 
 def _dense_slice(matrix, point):

@@ -29,6 +29,14 @@ Only the surviving columns are turned back into graded matrices.  The
 rank that `homotopy_killed` needs is read off the same flat columns.
 The public `homotopy_reduce` flattens its Q matrices and calls the same
 reducer.
+
+Every route's basis is audited before it is returned (`_audit`): each
+element must respect the grading and pass `verify_hom`.  Basis elements
+are sparse, so the audit forms Q M only in the relations that Q's nonzero
+columns reach, through a generator-to-relations index of M built once per
+audit, and reduces only the nonzero products, against spans of N built
+once per relation degree.  The zero products it skips pass trivially, so
+the audit is exactly as strong as checking every relation.
 """
 
 from __future__ import annotations
@@ -41,10 +49,10 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
+    _slice_at_most,
     column_reduce,
     deg_sub,
     nullspace_of_columns,
-    submatrix_at_most,
     validate_grading,
 )
 from .localalg import CokernelCache, restriction_system, structure_map
@@ -300,39 +308,77 @@ def homotopy_reduce(qs, yp):
     )
 
 
+class _AuditCache:
+    """What the `verify_hom` calls of one audit share.
+
+    `rels_of[g]` lists the relations (r, M_{g,r}) that generator g of X
+    appears in, by increasing r; `spans` maps a relation degree to the
+    column span of N_{<=deg}, built the first time a nonzero product at
+    that degree needs it.
+    """
+
+    __slots__ = ("rels_of", "spans")
+
+    def __init__(self, m):
+        self.rels_of = [[] for _ in range(m.nrows)]
+        for r, col in enumerate(m.columns):
+            for g, mv in col:
+                self.rels_of[g].append((r, mv))
+        self.spans = {}
+
+
 def verify_hom(q, xp, yp, cache=None):
     """Does Q descend to a homomorphism coker M -> coker N?
 
     True iff every column of Q M lies in the column span of N at the
     corresponding relation degree (so that some P with Q M = N P exists).
+
+    Only the relations that Q reaches are formed: each nonzero column g of
+    Q is added, scaled by M_{g,r}, into column r of Q M for every relation
+    r that g appears in, over increasing g.  Zero products pass without
+    being reduced; nonzero ones are reduced against the span of N at
+    their relation degree, which `cache` shares across the calls of one
+    audit.  Raises DimensionMismatchError unless Q has the generator
+    degrees of Y as rows and those of X as columns.
     """
     m = xp.matrix if isinstance(xp, Presentation) else xp
     n = yp.matrix if isinstance(yp, Presentation) else yp
+    if q.rows != n.rows or q.cols != m.rows:
+        raise DimensionMismatchError(
+            "Q must have the target's generator degrees as rows and the "
+            f"domain's as columns; got a {q.nrows}x{q.ncols} matrix for "
+            f"{n.nrows} and {m.nrows} generators"
+        )
+    audit = cache if cache is not None else _AuditCache(m)
     fld = n.field
     p = fld.p
-    spans = cache if cache is not None else {}
-    for r in range(m.ncols):
-        rdeg = m.cols[r]
-        product = []
-        for g, mv in m.columns[r]:
-            product = _axpy(product, q.columns[g], mv, p)
+    products = {}
+    for g, qcol in enumerate(q.columns):
+        if qcol:
+            for r, mv in audit.rels_of[g]:
+                products[r] = _axpy(products.get(r, ()), qcol, mv, p)
+    for r in sorted(products):
+        product = products[r]
         if not product:
             continue
-        span = spans.get(rdeg)
+        rdeg = m.cols[r]
+        span = audit.spans.get(rdeg)
         if span is None:
-            sub, row_idx, _ = submatrix_at_most(n, rdeg)
-            lifted = [
-                tuple((row_idx[i], v) for i, v in col) for col in sub.columns
-            ]
-            span = column_reduce(lifted, fld)
-            spans[rdeg] = span
+            _, col_idx, _ = _slice_at_most(n, rdeg)
+            span = column_reduce([n.columns[j] for j in col_idx], fld)
+            audit.spans[rdeg] = span
         if not span.contains(product):
             return False
     return True
 
 
 def _audit(basis_elements, xp, yp, algorithm):
-    cache = {}
+    """Check every returned element: graded, and a homomorphism.
+
+    The elements share one `_AuditCache`, so the generator-to-relation
+    index and the span at each relation degree are built once per call.
+    """
+    cache = _AuditCache(xp.matrix)
     for q in basis_elements:
         if not validate_grading(q):
             raise GradingError(

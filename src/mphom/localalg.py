@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import column_reduce, deg_leq, submatrix_at_most
+from .graded import _slice_at_most, column_reduce, deg_leq
 
 
 def _matrix_of(obj):
@@ -82,8 +82,8 @@ def local_cokernel(matrix, alpha, field=None):
     matrix = _matrix_of(matrix)
     fld = field or matrix.field
     p = fld.p
-    sub, row_idx, _ = submatrix_at_most(matrix, alpha)
-    span = column_reduce(sub.columns, fld)
+    row_idx, _, columns = _slice_at_most(matrix, alpha)
+    span = column_reduce(columns, fld)
     pivot_of = {}
     for entry in span.reduced:
         pivot_of[entry.pivot] = entry.column

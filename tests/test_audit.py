@@ -1,0 +1,270 @@
+"""The homomorphism audit: `verify_hom` walks only the relations a basis
+element reaches, and must answer exactly as the per-relation check it
+replaced.
+
+The reference below copies the earlier implementation: it forms Q M_r for
+every relation r of X, and reduces each nonzero product against the span
+of N_{<=deg r} cut out by `submatrix_at_most` and lifted back to the
+original row indices.
+"""
+
+import pytest
+
+from mphom import (
+    DimensionMismatchError,
+    GradedMatrix,
+    GradingError,
+    Presentation,
+    PrimeField,
+    graded_matrix_from_entries,
+    hom_direct,
+    hom_exact,
+    hom_mixed,
+    hom_restricted,
+    minimize,
+    submatrix_at_most,
+    verify_hom,
+)
+from mphom.graded import _axpy, column_reduce, deg_leq
+from mphom.generators import random_pair
+from mphom.homspace import _audit, _AuditCache
+
+from conftest import red_blue
+
+ROUTES = {
+    "direct": hom_direct,
+    "a": hom_restricted,
+    "mixed": hom_mixed,
+    "b": hom_exact,
+}
+
+
+# -- reference: the per-relation check --------------------------------------
+
+
+def old_verify_hom(q, xp, yp):
+    m, n = xp.matrix, yp.matrix
+    fld = n.field
+    p = fld.p
+    spans = {}
+    for r in range(m.ncols):
+        rdeg = m.cols[r]
+        product = []
+        for g, mv in m.columns[r]:
+            product = _axpy(product, q.columns[g], mv, p)
+        if not product:
+            continue
+        span = spans.get(rdeg)
+        if span is None:
+            sub, row_idx, _ = submatrix_at_most(n, rdeg)
+            lifted = [
+                tuple((row_idx[i], v) for i, v in col) for col in sub.columns
+            ]
+            span = column_reduce(lifted, fld)
+            spans[rdeg] = span
+        if not span.contains(product):
+            return False
+    return True
+
+
+def old_failing_relations(q, xp, yp):
+    """Relations r whose product Q M_r leaves the span at deg r."""
+    m, n = xp.matrix, yp.matrix
+    p = n.field.p
+    failing = []
+    for r in range(m.ncols):
+        product = []
+        for g, mv in m.columns[r]:
+            product = _axpy(product, q.columns[g], mv, p)
+        sub, row_idx, _ = submatrix_at_most(n, m.cols[r])
+        lifted = [tuple((row_idx[i], v) for i, v in c) for c in sub.columns]
+        if not column_reduce(lifted, n.field).contains(product):
+            failing.append(r)
+    return failing
+
+
+# -- inputs -----------------------------------------------------------------
+
+
+def seeded_pairs():
+    for d, n, coord_range in ((1, 6, 8), (2, 6, 8), (3, 4, 5)):
+        for p in (2, 5, 65521):
+            for seed in range(3):
+                yield f"d{d}-p{p}-s{seed}", random_pair(
+                    seed, d=d, gens=n, rels=n, coord_range=coord_range, p=p
+                )
+
+
+PAIRS = list(seeded_pairs()) + [("fig", red_blue(p=5))]
+
+
+def entries_of(q):
+    return {(i, j): v for j, col in enumerate(q.columns) for i, v in col}
+
+
+def perturbations(q, xp, yp):
+    """Single-entry changes of Q: every admissible entry bumped by one
+    (which adds a missing entry, changes or removes a present one), and
+    one entry per column that breaks the grading."""
+    m, n = xp.matrix, yp.matrix
+    fld = m.field
+    base = entries_of(q)
+    for g, gdeg in enumerate(m.rows):
+        broken = None
+        for gp, gpdeg in enumerate(n.rows):
+            entries = dict(base)
+            entries[(gp, g)] = entries.get((gp, g), 0) + 1
+            if deg_leq(gpdeg, gdeg):
+                yield graded_matrix_from_entries(
+                    fld, n.rows, m.rows, entries
+                )
+            elif broken is None:
+                broken = graded_matrix_from_entries(
+                    fld, n.rows, m.rows, entries, validate=False
+                )
+        if broken is not None:
+            yield broken
+
+
+def zero_q(xp, yp):
+    return graded_matrix_from_entries(
+        xp.field, yp.matrix.rows, xp.matrix.rows, {}
+    )
+
+
+# -- equivalence ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_basis_elements_pass_both_checks(name, pair):
+    xp, yp = pair
+    for algorithm, route in ROUTES.items():
+        basis = route(xp, yp)
+        cache = _AuditCache(xp.matrix)
+        for q in basis.elements:
+            assert old_verify_hom(q, xp, yp), algorithm
+            assert verify_hom(q, xp, yp), algorithm
+            assert verify_hom(q, xp, yp, cache), algorithm
+        _audit(basis.elements, xp, yp, algorithm)
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_perturbed_elements_match_reference(name, pair):
+    xp, yp = pair
+    if xp.is_zero_module() or yp.is_zero_module():
+        pytest.skip("no Q matrices between zero modules")
+    bases = [q for route in ROUTES.values() for q in route(xp, yp).elements]
+    # One shared cache across every candidate, as in an audit.
+    cache = _AuditCache(xp.matrix)
+    answers = []
+    for base in bases[:3] + [zero_q(xp, yp)]:
+        for q in perturbations(base, xp, yp):
+            expected = old_verify_hom(q, xp, yp)
+            assert verify_hom(q, xp, yp) == expected
+            assert verify_hom(q, xp, yp, cache) == expected
+            answers.append(expected)
+    assert answers
+
+
+def test_perturbations_include_non_homomorphisms():
+    rejected = 0
+    for _, (xp, yp) in PAIRS:
+        if xp.is_zero_module() or yp.is_zero_module():
+            continue
+        for q in perturbations(zero_q(xp, yp), xp, yp):
+            rejected += not verify_hom(q, xp, yp)
+    assert rejected > 100
+
+
+def test_zero_q_is_a_homomorphism():
+    for _, (xp, yp) in PAIRS:
+        if xp.is_zero_module() or yp.is_zero_module():
+            continue
+        q = zero_q(xp, yp)
+        assert old_verify_hom(q, xp, yp)
+        assert verify_hom(q, xp, yp)
+        assert verify_hom(q, xp, yp, _AuditCache(xp.matrix))
+
+
+def only_last_relation_fails():
+    """X = k[0,2) + k[0,1) with relations listed at degrees 2 then 1,
+    Y = k[0,2); Q sends both generators of X to the one of Y, which dies
+    at degree 2 but not at degree 1, so only the last relation fails."""
+    fld = PrimeField(3)
+    mx = graded_matrix_from_entries(
+        fld, [(0,), (0,)], [(2,), (1,)], {(0, 0): 1, (1, 1): 1}
+    )
+    my = graded_matrix_from_entries(fld, [(0,)], [(2,)], {(0, 0): 1})
+    xp = minimize(Presentation(mx))
+    yp = minimize(Presentation(my))
+    q = graded_matrix_from_entries(
+        fld, yp.matrix.rows, xp.matrix.rows, {(0, 0): 1, (0, 1): 1}
+    )
+    return q, xp, yp
+
+
+def test_q_failing_only_at_the_last_relation():
+    q, xp, yp = only_last_relation_fails()
+    last = xp.matrix.ncols - 1
+    assert old_failing_relations(q, xp, yp) == [last]
+    assert not old_verify_hom(q, xp, yp)
+    assert not verify_hom(q, xp, yp)
+    cache = _AuditCache(xp.matrix)
+    assert verify_hom(zero_q(xp, yp), xp, yp, cache)
+    assert not verify_hom(q, xp, yp, cache)
+
+
+def test_seeded_q_failing_only_at_the_last_relation():
+    found = 0
+    for _, (xp, yp) in PAIRS:
+        if xp.is_zero_module() or yp.is_zero_module():
+            continue
+        last = xp.matrix.ncols - 1
+        for q in perturbations(zero_q(xp, yp), xp, yp):
+            if old_failing_relations(q, xp, yp) == [last]:
+                found += 1
+                assert not verify_hom(q, xp, yp)
+                assert not verify_hom(q, xp, yp, _AuditCache(xp.matrix))
+    assert found
+
+
+def test_audit_rejects_a_non_homomorphism():
+    q, xp, yp = only_last_relation_fails()
+    with pytest.raises(GradingError, match="fails the homomorphism test"):
+        _audit([zero_q(xp, yp), q], xp, yp, "test")
+
+
+# -- shape check ------------------------------------------------------------
+
+
+def test_q_with_wrong_decorations_is_rejected():
+    xp, yp = red_blue(p=5)
+    m, n = xp.matrix, yp.matrix
+    fld = m.field
+    bad = [
+        # too few columns: Q has no column for the generator of X
+        GradedMatrix(fld, n.rows, [], [], validate=False),
+        # an extra row beyond the generators of Y
+        GradedMatrix(
+            fld, n.rows + ((0, 0),), m.rows, [((2, 1),)], validate=False
+        ),
+        # right shape, wrong row degrees
+        GradedMatrix(
+            fld, [(0, 2), (1, 0)], m.rows, [((0, 1),)], validate=False
+        ),
+        # transposed roles
+        GradedMatrix(fld, m.rows, n.rows, [(), ()], validate=False),
+    ]
+    for q in bad:
+        with pytest.raises(DimensionMismatchError):
+            verify_hom(q, xp, yp)
+        with pytest.raises(DimensionMismatchError):
+            verify_hom(q, xp, yp, _AuditCache(m))
+
+
+def test_verify_hom_accepts_bare_matrices():
+    xp, yp = red_blue(p=5)
+    q = graded_matrix_from_entries(
+        xp.field, yp.matrix.rows, xp.matrix.rows, {(0, 0): 1}
+    )
+    assert verify_hom(q, xp.matrix, yp.matrix)

@@ -182,6 +182,33 @@ def test_field_mismatch_is_an_error(fig_files):
     assert out.returncode != 0
 
 
+@pytest.mark.parametrize("value", ["4", "0", str(2**63 + 29)])
+def test_bad_field_flag_exit_code(fig_files, capsys, value):
+    from mphom import cli
+
+    x, y = fig_files
+    commands = (
+        ["hom", str(x), str(y)],
+        ["end", str(y)],
+        ["thickness", str(x)],
+        ["minimize", str(x)],
+        ["sparsify", str(x)],
+        ["random"],
+        ["bench", "--count", "1"],
+    )
+    for command in commands:
+        assert cli.main(command + ["--field", value]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: --field {value}:"), err
+
+
+def test_field_flag_on_random_sets_the_prime(capsys):
+    from mphom import cli
+
+    assert cli.main(["random", "--field", "5", "--gens", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "pmod 2 5"
+
+
 def test_bench_csv(tmp_path):
     target = tmp_path / "bench.csv"
     out = run_cli(

@@ -17,8 +17,10 @@ from mphom import (
     submatrix_at_most,
     validate_grading,
 )
-from mphom.graded import _is_prime
+from mphom.generators import random_module
+from mphom.graded import _is_prime, _slice_at_most
 from mphom.gridoracle import rank as dense_rank
+from mphom.localalg import evaluation_grid, grid_points
 
 from conftest import red_blue
 
@@ -234,6 +236,48 @@ def test_submatrix_rejects_wrong_arity():
     _, blue = red_blue()
     with pytest.raises(DimensionMismatchError):
         submatrix_at_most(blue.matrix, (1, 1, 1))
+
+
+def _old_submatrix_at_most(matrix, alpha):
+    """The slice as it was cut before `_slice_at_most`: `deg_leq` per row
+    and column, a validated GradedMatrix, and the index injections."""
+    row_idx = tuple(i for i, r in enumerate(matrix.rows) if deg_leq(r, alpha))
+    col_idx = tuple(j for j, c in enumerate(matrix.cols) if deg_leq(c, alpha))
+    renum = {i: k for k, i in enumerate(row_idx)}
+    sub = GradedMatrix(
+        matrix.field,
+        [matrix.rows[i] for i in row_idx],
+        [matrix.cols[j] for j in col_idx],
+        [tuple((renum[i], v) for i, v in matrix.columns[j]) for j in col_idx],
+    )
+    return sub, row_idx, col_idx
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slice_helper_matches_submatrix(d):
+    for seed in range(4):
+        m = random_module(seed, d=d, gens=6, rels=6, coord_range=6, p=5).matrix
+        axes = evaluation_grid(m)
+        below = tuple(a[0] - 1 for a in axes)
+        above = tuple(a[-1] for a in axes)
+        for alpha in [below, above] + list(grid_points(axes))[::5]:
+            sub, row_idx, col_idx = _old_submatrix_at_most(m, alpha)
+            assert _slice_at_most(m, alpha) == (
+                row_idx, col_idx, list(sub.columns)
+            )
+            assert submatrix_at_most(m, alpha) == (sub, row_idx, col_idx)
+        assert _slice_at_most(m, below) == ((), (), [])
+
+
+def test_slice_helper_empty_and_wrong_arity():
+    fld = PrimeField(3)
+    empty = GradedMatrix(fld, [], [], [])
+    assert _slice_at_most(empty, (0, 0)) == ((), (), [])
+    assert submatrix_at_most(empty, (0, 0))[0] == empty
+    _, blue = red_blue()
+    for bad in ((1,), (1, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            _slice_at_most(blue.matrix, bad)
 
 
 def test_degree_overflow_is_an_error():
