@@ -10,10 +10,12 @@ column degrees: at each degree, nullspace vectors of the column slice that
 are not generated by earlier kernel elements become new generators.  The
 closure is enumerated once per distinct column degree, joining it with the
 points found so far (about n * |closure| joins for n columns), and is
-capped at CLOSURE_CAP points.  Each closure point is then reduced from
-scratch, which dominates for large kernels.  For d = 2 this produces the
-usual length-<=2 resolutions; for higher d it is correct but makes no
-complexity claim.
+capped at CLOSURE_CAP points.  For d = 2 one rank-only sweep per distinct
+column x-coordinate gives the kernel dimension at every closure point, and
+only the points where that count shows new generators are reduced (see
+`kernel`); for other d every closure point is reduced from scratch.  For
+d = 2 this produces the usual length-<=2 resolutions; for higher d it is
+correct but makes no complexity claim.
 """
 
 from __future__ import annotations
@@ -210,6 +212,48 @@ def _join_closure(degrees):
     return sorted(closure, key=_degree_sort_key)
 
 
+def _generator_points_2d(matrix, closure):
+    """Closure points of a d=2 matrix at which `kernel` adds generators.
+
+    K(x, y) is the nullspace of the columns of degree <= (x, y).  One
+    rank-only sweep per distinct column x-coordinate x inserts the columns
+    with c_x <= x in (c_y, index) order, so dim K(x, y) is the number of
+    columns zeroed among those with c_y <= y.  Below a closure point
+    alpha = (x, y) the earlier generators span K(x-, y) + K(x, y-), where
+    x- and y- are the previous column coordinates (K is 0 when there is
+    none); its dimension is dim K(x-, y) + dim K(x, y-) - dim K(x-, y-),
+    because K(x-, y) and K(x, y-) intersect in K(x-, y-).  The point adds
+    generators exactly when dim K(alpha) exceeds that, a second difference
+    of the swept nullities.  (For d >= 3 three subspaces meet and
+    inclusion-exclusion fails, so this is d = 2 only.)
+    """
+    fld = matrix.field
+    cols = matrix.cols
+    xs = sorted({c[0] for c in cols})
+    ys = sorted({c[1] for c in cols})
+    by_y = sorted(range(len(cols)), key=lambda j: (cols[j][1], j))
+    nullity = {}  # (x, y) -> dim K(x, y) at column coordinates
+    for x in xs:
+        span = ColumnSpan(fld)
+        zeroed = 0
+        for j in by_y:
+            if cols[j][0] <= x and span.insert(matrix.columns[j]) is None:
+                zeroed += 1
+            # Columns come in c_y order, so the last write per y counts
+            # every column with c_y <= y.
+            nullity[x, cols[j][1]] = zeroed
+    prev_x = dict(zip(xs[1:], xs))
+    prev_y = dict(zip(ys[1:], ys))
+    points = []
+    for x, y in closure:
+        # A missing previous coordinate is None, never a key: K = 0 there.
+        xm, ym = prev_x.get(x), prev_y.get(y)
+        if (nullity[x, y] - nullity.get((xm, y), 0)
+                - nullity.get((x, ym), 0) + nullity.get((xm, ym), 0)):
+            points.append((x, y))
+    return points
+
+
 def kernel(matrix):
     """Graded matrix whose columns generate ker(M: A[R] -> A[G]).
 
@@ -221,18 +265,25 @@ def kernel(matrix):
     is minimal, so resolutions built from this kernel stay minimal.
 
     Cost: building the closure takes about n * |closure| joins (see
-    `_join_closure`).  Each closure point then reduces, from scratch, the
-    columns below it and the earlier generators below it; nullspace
-    vectors are reduced against those generators only until they span
-    the nullspace.
+    `_join_closure`).  For d = 2, one rank-only sweep per distinct column
+    x-coordinate (about n inserts each) finds the closure points that add
+    generators (see `_generator_points_2d`); only those are reduced, and
+    the generators are the ones the full loop finds, since it adds none
+    at the other points.  For other d every closure point is reduced.  A
+    reduced point reduces, from scratch, the columns below it and the
+    earlier generators below it; nullspace vectors are reduced against
+    those generators only until they span the nullspace.
     """
     fld = matrix.field
     n = matrix.ncols
     if n == 0:
         return GradedMatrix(fld, matrix.cols, [], [], validate=False)
     cols = matrix.cols
+    points = _join_closure(cols)
+    if len(points[0]) == 2:
+        points = _generator_points_2d(matrix, points)
     generators = []  # (degree, sparse column over the column indices of M)
-    for alpha in _join_closure(cols):
+    for alpha in points:
         # Every degree here has alpha's arity (the closure checked it).
         cols_le = [j for j in range(n) if all(map(le, cols[j], alpha))]
         if not cols_le:
@@ -405,7 +456,8 @@ def sparsify(presentation):
     for omega in sorted(groups, key=_degree_sort_key):
         batch = groups[omega]
         k = len(batch)
-        others = [j for j in range(len(cols)) if j not in set(batch)]
+        in_batch = set(batch)
+        others = [j for j in range(len(cols)) if j not in in_batch]
         rest = GradedMatrix(
             fld,
             matrix.rows,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mphom import (
+    ColumnSpan,
     DegreeOverflowError,
     DimensionMismatchError,
     GradedMatrix,
@@ -18,19 +19,22 @@ from mphom import (
     graded_matrix_from_entries,
     hilbert_at,
     hom_direct,
+    hom_module_presentation,
     kernel,
     matlis_transpose_shift,
     matmul,
     minimize,
+    nullspace_of_columns,
     sparsify,
     thickness,
     truncate,
     truncation_bound,
     validate_grading,
 )
-from mphom import presentations
+from mphom import homspace, presentations
 from mphom.generators import random_module, random_pair
 from mphom.gridoracle import nullspace as dense_nullspace
+from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
 
 import numpy as np
@@ -201,6 +205,191 @@ def test_kernel_closure_cap(monkeypatch):
     monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
     with pytest.raises(ResourceCapError):
         kernel(blue.matrix)
+
+
+def _kernel_per_point(matrix):
+    """`kernel` reducing every closure point, as for d != 2; the reference
+    for the d=2 sweep, which must give GradedMatrix-equal output."""
+    fld = matrix.field
+    n = matrix.ncols
+    if n == 0:
+        return GradedMatrix(fld, matrix.cols, [], [], validate=False)
+    cols = matrix.cols
+    generators = []
+    for alpha in presentations._join_closure(cols):
+        cols_le = [j for j in range(n)
+                   if all(a <= b for a, b in zip(cols[j], alpha))]
+        if not cols_le:
+            continue
+        combos = nullspace_of_columns([matrix.columns[j] for j in cols_le],
+                                      fld)
+        if not combos:
+            continue
+        span = ColumnSpan(fld)
+        for gdeg, gcol in generators:
+            if all(a <= b for a, b in zip(gdeg, alpha)):
+                span.insert(gcol)
+        for combo in combos:
+            if span.rank == len(combos):
+                break
+            vec = tuple(sorted((cols_le[k], v) for k, v in combo.items()))
+            residual = span.reduce_vector(vec)
+            if residual:
+                residual = tuple(residual)
+                generators.append((alpha, residual))
+                span.insert(residual)
+    return GradedMatrix(fld, matrix.cols, [deg for deg, _ in generators],
+                        [col for _, col in generators], validate=False)
+
+
+def _random_graded_d2(seed, nrows, ncols, coord_range, p):
+    """Seeded d=2 graded matrix with more columns than rows, so its
+    kernel has many generators; it need not be minimal."""
+    rng = random.Random(f"d2-kernel:{seed}:{nrows}:{ncols}:{p}")
+    rows = [(rng.randint(0, coord_range), rng.randint(0, coord_range))
+            for _ in range(nrows)]
+    cols = [(rng.randint(0, coord_range), rng.randint(0, coord_range))
+            for _ in range(ncols)]
+    entries = {(i, j): rng.randrange(1, p)
+               for j in range(ncols) for i in range(nrows)
+               if all(a <= b for a, b in zip(rows[i], cols[j]))
+               and rng.random() < 0.4}
+    return graded_matrix_from_entries(PrimeField(p), rows, cols, entries)
+
+
+def _seeded_d2_matrices():
+    for p in (2, 5, 65521):
+        for seed, (gens, rels) in enumerate(((4, 8), (8, 14), (12, 20),
+                                             (16, 30), (30, 30))):
+            yield random_module(seed, d=2, gens=gens, rels=rels,
+                                coord_range=max(gens, 5), p=p).matrix
+        for seed, (nrows, ncols) in enumerate(((3, 8), (6, 20), (10, 30))):
+            yield _random_graded_d2(seed, nrows, ncols, 8, p)
+
+
+def _hom_module_kernel_inputs(monkeypatch, pairs):
+    """The `combined` and `second` matrices `hom_module_presentation`
+    passes to `kernel`; neither is a minimal presentation."""
+    seen = []
+
+    def recording_kernel(matrix):
+        seen.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(homspace, "kernel", recording_kernel)
+    for x, y in pairs:
+        hom_module_presentation(x, y)
+    monkeypatch.undo()
+    return seen
+
+
+def _edge_case_matrices():
+    fld5 = PrimeField(5)
+    fld2 = PrimeField(2)
+    yield graded_matrix_from_entries(  # duplicate columns
+        fld5, [(0, 0), (1, 0)], [(1, 1), (1, 1), (2, 0), (2, 0), (2, 1)],
+        {(0, 0): 2, (0, 1): 2, (1, 2): 1, (1, 3): 4, (0, 4): 1, (1, 4): 1},
+    )
+    yield GradedMatrix(  # zero columns next to nonzero ones
+        fld2, [(0, 0)], [(0, 3), (1, 1), (2, 0), (1, 1)],
+        [(), ((0, 1),), (), ((0, 1),)],
+    )
+    yield GradedMatrix(fld2, [(0, 0)], [(0, 0)], [()])  # one zero column
+    yield GradedMatrix(fld2, [(0, 0)], [(2, 5)], [((0, 1),)])  # one column
+    yield GradedMatrix(  # all columns at one degree
+        fld5, [(0, 0), (0, 1)], [(3, 3)] * 4,
+        [((0, 1),), ((1, 2),), ((0, 1), (1, 1)), ((0, 3), (1, 4))],
+    )
+    yield graded_matrix_from_entries(  # negative coordinates
+        fld5, [(-4, -2), (-3, -5)],
+        [(-2, -2), (-3, -1), (-1, -5), (0, 0), (-1, -1)],
+        {(0, 0): 1, (0, 1): 3, (1, 2): 1, (0, 3): 1, (1, 3): 2,
+         (0, 4): 4, (1, 4): 1},
+    )
+
+
+def _assert_kernel_matches_per_point(m):
+    k = kernel(m)
+    assert k == _kernel_per_point(m)
+    assert matmul(m, k).nnz() == 0
+    return k
+
+
+def test_d2_kernel_matches_per_point_on_seeded_matrices():
+    for m in _seeded_d2_matrices():
+        k = _assert_kernel_matches_per_point(m)
+        if k.ncols:
+            _assert_kernel_matches_per_point(k)
+
+
+def test_d2_kernel_matches_per_point_on_hom_module_inputs(monkeypatch):
+    pairs = [random_pair(seed, d=2, gens=n, rels=n, coord_range=2 * n, p=p)
+             for seed, n, p in ((0, 5, 2), (1, 6, 5), (2, 7, 2),
+                                (3, 6, 65521))]
+    seen = _hom_module_kernel_inputs(monkeypatch, pairs)
+    assert len(seen) == 2 * len(pairs)
+    for m in seen:
+        _assert_kernel_matches_per_point(m)
+
+
+def test_d2_kernel_matches_per_point_on_edge_cases():
+    for m in _edge_case_matrices():
+        _assert_kernel_matches_per_point(m)
+
+
+def test_kernel_other_d_keeps_per_point_path(monkeypatch):
+    def fail(*_):
+        raise AssertionError("d=2 sweep used for d != 2")
+
+    monkeypatch.setattr(presentations, "_generator_points_2d", fail)
+    for d in (1, 3):
+        for seed in range(4):
+            m = random_module(seed, d=d, gens=7, rels=8, coord_range=6,
+                              p=(2, 5)[seed % 2]).matrix
+            k = _assert_kernel_matches_per_point(m)
+            if k.ncols:
+                _assert_kernel_matches_per_point(k)
+
+
+def _dense_nullity(m, pt):
+    cols = [j for j in range(m.ncols)
+            if all(a <= b for a, b in zip(m.cols[j], pt))]
+    dense = [[0] * len(cols) for _ in range(m.nrows)]
+    for k, j in enumerate(cols):
+        for i, v in m.columns[j]:
+            dense[i][k] = v
+    return len(cols) - dense_rank(dense, m.field.p)
+
+
+def test_d2_second_difference_counts_generators():
+    # At every point of the column-coordinate grid the second difference
+    # of dense nullities equals the number of generators the per-point
+    # kernel adds there, and the sweep picks exactly the points with some.
+    matrices = list(_edge_case_matrices())
+    matrices += [random_module(seed, d=2, gens=n, rels=n, coord_range=n,
+                               p=p).matrix
+                 for seed, n, p in ((0, 6, 2), (1, 9, 5), (2, 12, 2),
+                                    (3, 8, 65521))]
+    matrices += [_random_graded_d2(seed, 6, 20, 6, p)
+                 for seed, p in ((0, 2), (1, 5), (2, 65521))]
+    for m in matrices:
+        xs = sorted({c[0] for c in m.cols})
+        ys = sorted({c[1] for c in m.cols})
+        grid = [(x, y) for x in xs for y in ys]
+        nullity = {pt: _dense_nullity(m, pt) for pt in grid}
+        expected = _kernel_per_point(m).cols
+
+        def dim_k(i, j):
+            return nullity[xs[i], ys[j]] if i >= 0 and j >= 0 else 0
+
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                count = (dim_k(i, j) - dim_k(i - 1, j) - dim_k(i, j - 1)
+                         + dim_k(i - 1, j - 1))
+                assert count == expected.count((x, y)), (m, (x, y))
+        closure = presentations._join_closure(m.cols)
+        points = presentations._generator_points_2d(m, closure)
+        assert points == [a for a in closure if a in expected]
 
 
 def test_free_resolution_injective_length_one():
