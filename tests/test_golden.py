@@ -8,7 +8,13 @@
   every `--alg` choice; the digest covers the exit code and stdout;
 - `presentations`: `serialize_pmod` of `hom_module_presentation` and of
   every differential of `free_resolution` of both modules, on a few seeded
-  d=2 `random_pair`s.
+  d=2 `random_pair`s;
+- `modules`: `mphom minimize`, `sparsify` and `thickness` run in-process
+  on every file in `tests/fixtures` (exit code and stdout);
+- `reducers`: `serialize_pmod` of `minimize` on seeded non-minimal graded
+  matrices with equal-degree units and redundant relations, and of
+  `sparsify` on seeded `random_module`s over several d, p and thickness
+  hints.
 
 Any change to these outputs fails here.  A change meant to alter them
 regenerates the file from a commit whose answers are trusted with
@@ -19,6 +25,7 @@ regenerates the file from a commit whose answers are trusted with
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,7 +35,9 @@ import pytest
 from mphom import Presentation, free_resolution, hom_module_presentation
 from mphom.cli import ALGORITHM_CHOICES, main
 from mphom.formats import serialize_pmod
-from mphom.generators import random_pair
+from mphom.generators import random_module, random_pair
+from mphom.graded import GradedMatrix, PrimeField, deg_join
+from mphom.presentations import minimize, sparsify
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden.json"
@@ -41,6 +50,15 @@ RANDOM_PAIRS = [
     (3, 8, 12, 65521),
     (4, 10, 15, 2),
 ]
+
+
+# Subcommands that read one module, digested on every fixture.
+MODULE_COMMANDS = ("minimize", "sparsify", "thickness")
+
+# Sweep of the seeded reducer inputs.
+REDUCER_DIMS = (1, 2, 3)
+REDUCER_PRIMES = (2, 3, 5, 65521)
+THICKNESS_HINTS = (None, 2, 3, 4)
 
 
 def _sha(text):
@@ -86,11 +104,86 @@ def presentation_digests():
     return out
 
 
+def module_digests():
+    """Digest of exit code and stdout of each one-module subcommand."""
+    out = {}
+    for path in _module_files():
+        for command in MODULE_COMMANDS:
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main([command, str(path)])
+            out[f"{path.name} {command}"] = _sha(f"{code}\n{stdout.getvalue()}")
+    return out
+
+
+def raw_matrix(seed, d, p):
+    """Seeded non-minimal graded matrix.
+
+    Besides relations above the join of their support, about half the
+    columns sit at the degree of one of their rows with a unit there (so
+    `minimize` cancels them), and some repeat an earlier column scaled
+    (so `minimize` drops them as redundant).
+    """
+    rng = random.Random(f"golden-raw:{seed}:{d}:{p}")
+    gens = rng.randint(2, 9)
+    rows = [tuple(rng.randint(0, 5) for _ in range(d)) for _ in range(gens)]
+    cols, columns = [], []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.15 and columns:
+            k = rng.randrange(len(columns))
+            scale = rng.randint(1, p - 1)
+            cdeg = tuple(c + rng.randint(0, 1) for c in cols[k])
+            col = tuple((i, v * scale % p) for i, v in columns[k])
+        else:
+            if kind < 0.6:
+                g = rng.randrange(gens)
+                cdeg = rows[g]
+            else:
+                g = rng.randrange(gens)
+                cdeg = rows[g]
+                for h in rng.sample(range(gens), rng.randint(1, 2)):
+                    cdeg = deg_join(cdeg, rows[h])
+                cdeg = tuple(c + rng.randint(0, 1) for c in cdeg)
+            below = [i for i, r in enumerate(rows)
+                     if all(a <= b for a, b in zip(r, cdeg))]
+            support = set(rng.sample(below, rng.randint(1, min(3, len(below)))))
+            support.add(g)
+            col = tuple((i, rng.randint(1, p - 1)) for i in sorted(support))
+        cols.append(cdeg)
+        columns.append(col)
+    return GradedMatrix(PrimeField(p), rows, cols, columns)
+
+
+def reducer_digests():
+    """Digests of `minimize` and `sparsify` on seeded inputs."""
+    out = {}
+    for d in REDUCER_DIMS:
+        for p in REDUCER_PRIMES:
+            for seed in range(8):
+                pres = Presentation(raw_matrix(seed, d, p))
+                out[f"minimize seed={seed} d={d} p={p}"] = _sha(
+                    serialize_pmod(minimize(pres), d=d)
+                )
+            for hint in THICKNESS_HINTS:
+                for seed in range(3):
+                    x = random_module(seed, d=d, gens=10, rels=10,
+                                      coord_range=6, thickness_hint=hint, p=p)
+                    key = f"sparsify seed={seed} d={d} p={p} hint={hint}"
+                    out[key] = _sha(serialize_pmod(sparsify(x), d=d))
+    return out
+
+
 def all_digests():
     hom = {}
     for alg in ALGORITHM_CHOICES:
         hom.update(hom_digests(alg))
-    return {"hom": hom, "presentations": presentation_digests()}
+    return {
+        "hom": hom,
+        "modules": module_digests(),
+        "presentations": presentation_digests(),
+        "reducers": reducer_digests(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +212,28 @@ def test_hom_cli_outputs_match_golden(golden, alg):
 def test_presentations_match_golden(golden):
     got = presentation_digests()
     assert not _mismatches(got, golden["presentations"])
+
+
+def test_module_cli_outputs_match_golden(golden):
+    assert len(golden["modules"]) == len(_module_files()) * len(MODULE_COMMANDS)
+    assert not _mismatches(module_digests(), golden["modules"])
+
+
+def test_reducers_match_golden(golden):
+    assert not _mismatches(reducer_digests(), golden["reducers"])
+
+
+def test_raw_matrices_exercise_both_minimize_sweeps():
+    """The seeded inputs contain units to cancel and relations to drop."""
+    units = redundant = 0
+    for d in REDUCER_DIMS:
+        for p in REDUCER_PRIMES:
+            for seed in range(8):
+                m = raw_matrix(seed, d, p)
+                out = minimize(Presentation(m)).matrix
+                units += m.nrows - out.nrows
+                redundant += (m.ncols - out.ncols) - (m.nrows - out.nrows)
+    assert units > 0 and redundant > 0
 
 
 if __name__ == "__main__":
