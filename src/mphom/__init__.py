@@ -22,6 +22,7 @@ from .errors import (
     MphomError,
     ParseError,
     ResourceCapError,
+    SizeArgumentError,
     UnsortedRowsError,
     ZeroCoefficientError,
 )

@@ -27,6 +27,7 @@ from .errors import (
     FieldArgumentError,
     ParseError,
     ResourceCapError,
+    SizeArgumentError,
 )
 from .formats import (
     parse_firep,
@@ -38,7 +39,6 @@ from .formats import (
 from .generators import random_module
 from .gridoracle import GRID_CAP_DEFAULT, grid_axes, hom_oracle, realize_grid
 from .graded import PrimeField
-from .homspace import HomBasis, SolveStats
 from .localalg import thickness
 from .presentations import minimize, sparsify
 
@@ -67,6 +67,15 @@ def _field_arg(args, default=None):
         raise FieldArgumentError(f"--field {args.field}: {exc}") from None
 
 
+def _size_args(args, **least):
+    """Reject size flags below their least value, naming the flag."""
+    for name, bound in least.items():
+        value = getattr(args, name)
+        if value < bound:
+            flag = "--" + name.replace("_", "-")
+            raise SizeArgumentError(f"{flag} {value}: must be >= {bound}")
+
+
 def _load_presentation(path, field=None):
     text = _read_text(path)
     head = text.lstrip().split("\n", 1)[0].strip()
@@ -85,33 +94,25 @@ def _write_output(text, out):
             handle.write(text)
 
 
-def _oracle_basis(xp, yp, cap):
+def _oracle(xp, yp, cap):
+    """The oracle's OracleResult for Hom(X, Y) on the pair's joint grid."""
     axes = grid_axes(xp.matrix, yp.matrix)
     gx = realize_grid(xp, axes, cap=cap)
     gy = realize_grid(yp, axes, cap=cap)
-    result = hom_oracle(gx, gy)
-    stats = SolveStats(
-        "oracle",
-        result.variables,
-        result.equations,
-        0,
-        result.solve_seconds,
-        result.dim,
-    )
-    return HomBasis((), "grid", "oracle", stats), result.dim
+    return hom_oracle(gx, gy)
 
 
-def _compute(alg, xp, yp, cap):
-    if alg == "oracle":
-        basis, _ = _oracle_basis(xp, yp, cap)
-        return basis
+def _compute(alg, xp, yp):
     if alg in PRIMAL_ALGORITHMS:
         return PRIMAL_ALGORITHMS[alg](xp, yp)
     return DUAL_ALGORITHMS[alg](xp, yp)
 
 
 def _run_check(xp, yp, cap):
-    """Run every algorithm plus the oracle; return dims per algorithm."""
+    """Run every algorithm plus the oracle and require equal dimensions.
+
+    Returns the dimensions per algorithm and the oracle's result.
+    """
     dims = {}
     for name, func in PRIMAL_ALGORITHMS.items():
         dims[name] = func(xp, yp).dim
@@ -121,10 +122,11 @@ def _run_check(xp, yp, cap):
             dims[name] = func(xp, yp, context=ctx).dim
     else:
         dims["a-star"] = dims["b-star"] = 0
-    _, dims["oracle"] = _oracle_basis(xp, yp, cap)
+    oracle = _oracle(xp, yp, cap)
+    dims["oracle"] = oracle.dim
     if len(set(dims.values())) != 1:
         raise CheckMismatchError(f"algorithms disagree: {dims}")
-    return dims
+    return dims, oracle
 
 
 def _append_stats(path, instance, basis, xp, yp):
@@ -146,18 +148,16 @@ def _cmd_hom(args, endo=False):
     field = _field_arg(args)
     xp = _load_presentation(args.domain, field)
     yp = xp if endo else _load_presentation(args.target, field)
+    oracle = None
     if args.check:
-        dims = _run_check(xp, yp, args.grid_cap)
+        dims, oracle = _run_check(xp, yp, args.grid_cap)
         sys.stderr.write(f"check ok: dim {next(iter(dims.values()))}\n")
     d = xp.matrix.dim or yp.matrix.dim or 1
     if args.alg == "oracle":
-        axes = grid_axes(xp.matrix, yp.matrix)
-        gx = realize_grid(xp, axes, cap=args.grid_cap)
-        gy = realize_grid(yp, axes, cap=args.grid_cap)
-        result = hom_oracle(gx, gy)
-        _write_output(write_oracle_result(result, d, xp.field.p), args.out)
+        oracle = oracle or _oracle(xp, yp, args.grid_cap)
+        _write_output(write_oracle_result(oracle, d, xp.field.p), args.out)
         return EXIT_OK
-    basis = _compute(args.alg, xp, yp, args.grid_cap)
+    basis = _compute(args.alg, xp, yp)
     _write_output(write_hom_basis(basis, d, xp.field.p), args.out)
     if args.stats:
         name = args.domain if endo else f"{args.domain}->{args.target}"
@@ -187,6 +187,7 @@ def _cmd_sparsify(args):
 
 
 def _cmd_random(args):
+    _size_args(args, d=1, gens=0, rels=0, coord_range=0)
     pres = random_module(
         args.seed,
         d=args.d,
@@ -201,6 +202,7 @@ def _cmd_random(args):
 
 
 def _cmd_bench(args):
+    _size_args(args, count=0, d=1, gens=0, rels=0, coord_range=0, jobs=1)
     records = run_bench(
         args.count,
         seed=args.seed,
@@ -302,10 +304,7 @@ def main(argv=None):
         if args.command == "bench":
             return _cmd_bench(args)
         parser.error(f"unknown command {args.command}")
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"file error: {exc}\n")
-        return EXIT_FILE
-    except IsADirectoryError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         sys.stderr.write(f"file error: {exc}\n")
         return EXIT_FILE
     except ParseError as exc:

@@ -15,11 +15,11 @@ coordinates; the `coords` tag on the result makes this explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CheckMismatchError
-from .graded import GradedMatrix, deg_neg
-from .homspace import HomBasis, SolveStats, hom_exact, hom_restricted
+from .graded import GradedMatrix, _transpose, deg_neg
+from .homspace import HomBasis, _empty_basis, hom_exact, hom_restricted
 from .presentations import (
     Presentation,
     free_resolution,
@@ -73,58 +73,33 @@ def dual_context(xp, yp):
     )
 
 
-def _cogenerator_basis(inner, ctx, algorithm):
-    """Transpose the inner basis and decorate with cogenerator degrees.
+def _dual_basis(route, algorithm, xp, yp, context):
+    """Run a primal route on the transposed duals and transpose back.
 
     The inner run computes Hom(DY, DX); transposing each matrix yields
     elements of K^{S' x S}, where the cogenerator of X behind a dual
     generator of degree delta sits at -delta in the original poset.
     """
-    dx, dy = ctx.dual_x.matrix, ctx.dual_y.matrix
-    cogen_x = [deg_neg(d) for d in dx.rows]
-    cogen_y = [deg_neg(d) for d in dy.rows]
-    elements = []
-    for q in inner.elements:
-        transposed = [[] for _ in cogen_x]
-        for j, col in enumerate(q.columns):
-            for i, v in col:
-                transposed[i].append((j, v))
-        elements.append(
-            GradedMatrix(
-                q.field,
-                cogen_y,
-                cogen_x,
-                [tuple(sorted(c)) for c in transposed],
-                validate=False,
-            )
-        )
-    stats = SolveStats(
-        algorithm,
-        inner.stats.variables,
-        inner.stats.equations,
-        inner.stats.entries,
-        inner.stats.solve_seconds,
-        inner.stats.solution_dim,
-        inner.stats.homotopy_killed,
+    if xp.is_zero_module() or yp.is_zero_module():
+        return _empty_basis(algorithm, "cogenerators")
+    ctx = context or dual_context(xp, yp)
+    inner = route(ctx.dual_y, ctx.dual_x)
+    cogen_x = [deg_neg(d) for d in ctx.dual_x.matrix.rows]
+    cogen_y = [deg_neg(d) for d in ctx.dual_y.matrix.rows]
+    elements = tuple(
+        GradedMatrix(q.field, cogen_y, cogen_x,
+                     _transpose(q.columns, len(cogen_x)), validate=False)
+        for q in inner.elements
     )
-    return HomBasis(tuple(elements), "cogenerators", algorithm, stats)
+    stats = replace(inner.stats, algorithm=algorithm)
+    return HomBasis(elements, "cogenerators", algorithm, stats)
 
 
 def hom_restricted_dual(xp, yp, context=None):
     """Algorithm A*: restricted computation on the transposed duals."""
-    if xp.is_zero_module() or yp.is_zero_module():
-        return HomBasis((), "cogenerators", "a-star",
-                        SolveStats("a-star", 0, 0, 0, 0.0, 0))
-    ctx = context or dual_context(xp, yp)
-    inner = hom_restricted(ctx.dual_y, ctx.dual_x)
-    return _cogenerator_basis(inner, ctx, "a-star")
+    return _dual_basis(hom_restricted, "a-star", xp, yp, context)
 
 
 def hom_exact_dual(xp, yp, context=None):
     """Algorithm B*: hom-exactness on the transposed duals."""
-    if xp.is_zero_module() or yp.is_zero_module():
-        return HomBasis((), "cogenerators", "b-star",
-                        SolveStats("b-star", 0, 0, 0, 0.0, 0))
-    ctx = context or dual_context(xp, yp)
-    inner = hom_exact(ctx.dual_y, ctx.dual_x)
-    return _cogenerator_basis(inner, ctx, "b-star")
+    return _dual_basis(hom_exact, "b-star", xp, yp, context)

@@ -51,6 +51,11 @@ class FieldArgumentError(ParseError):
     """A --field value on the command line is not a prime below 2^63."""
 
 
+class SizeArgumentError(ParseError):
+    """A size argument on the command line (--d, --gens, ...) is out of
+    range."""
+
+
 class DegreeArityError(ParseError):
     """A degree does not have exactly d coordinates."""
 

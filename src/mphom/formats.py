@@ -28,14 +28,19 @@ from .errors import (
     CoefficientRangeError,
     DegreeArityError,
     FieldMismatchError,
-    GradingError,
     GradingParseError,
     HeaderError,
     ParseError,
     UnsortedRowsError,
     ZeroCoefficientError,
 )
-from .graded import GradedMatrix, PrimeField, column_reduce, deg_leq
+from .graded import (
+    GradedMatrix,
+    PrimeField,
+    _lift_through,
+    column_reduce,
+    deg_leq,
+)
 from .presentations import Presentation, kernel, minimize
 
 
@@ -259,7 +264,7 @@ def parse_firep(text, field=None):
         col = tuple(sorted((i, v) for i, v in entries.items() if v))
         return deg, col
 
-    top = [parse_row(*line, s) for line in body[:t]]
+    top = [(line[0], *parse_row(*line, s)) for line in body[:t]]
     mid = [parse_row(*line, r) for line in body[t:]]
     # Degrees of the bottom generators are not part of the format; the
     # kernel computation only consumes column degrees, so placeholders
@@ -273,24 +278,25 @@ def parse_firep(text, field=None):
     )
     k1 = kernel(d1)
     # Lift each top column through the kernel generators of degree <= its
-    # own degree; only those may legally carry a coefficient.
+    # own degree; only those may legally carry a coefficient.  A column
+    # that does not lift is no cycle at its degree: either its boundary
+    # is nonzero or it hits middle rows of a higher degree.
     lifted_cols = []
-    for deg, col in top:
+    for lineno, deg, col in top:
         usable = [j for j in range(k1.ncols) if deg_leq(k1.cols[j], deg)]
         span = column_reduce([k1.columns[j] for j in usable], fld,
                              record=True)
-        entry = span.insert(col, source=-2, record=True)
-        if entry is not None:
-            raise GradingError("firep top boundary does not land in ker(d1)")
-        combo = span.zeroed.pop()[1]
-        combo.pop(-2, None)
-        lifted_cols.append(tuple(
-            sorted((usable[idx], (-v) % fld.p) for idx, v in combo.items())
-        ))
+        combo = _lift_through(span, col)
+        if combo is None:
+            raise GradingParseError(
+                f"top boundary does not land in ker(d1) at degree {deg}",
+                line=lineno,
+            )
+        lifted_cols.append(tuple((usable[k], v) for k, v in combo))
     pres = GradedMatrix(
         fld,
         k1.cols,
-        [deg for deg, _ in top],
+        [deg for _, deg, _ in top],
         lifted_cols,
     )
     return minimize(Presentation(pres, minimal=False, label="firep"))

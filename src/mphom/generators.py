@@ -31,6 +31,8 @@ def random_module(
     dimension by stacking roughly that many comparable generators per
     tower before relations trim them.
     """
+    if d < 1:
+        raise ValueError(f"number of parameters must be >= 1, got {d}")
     if gens < 0 or rels < 0:
         raise ValueError("generator and relation counts must be >= 0")
     rng = random.Random(

@@ -449,6 +449,34 @@ def nullspace_of_columns(columns, fld):
     return [combo for _, combo in span.zeroed]
 
 
+def _lift_through(span, column):
+    """Express a column in the input columns of a recorded span.
+
+    Returns the sorted (input index, coefficient) pairs of a combination
+    equal to `column`, or None when the column is outside the span (the
+    span then absorbs its residual, as `insert` does).
+    """
+    if span.insert(column, source=-2, record=True) is not None:
+        return None
+    combo = span.zeroed.pop()[1]
+    combo.pop(-2, None)
+    p = span.field.p
+    return sorted((k, (-v) % p) for k, v in combo.items())
+
+
+def _transpose(columns, n_rows):
+    """Sparse columns of the transpose of a matrix with n_rows rows.
+
+    Entries are appended in increasing column order, so each output
+    column is already sorted.
+    """
+    out = [[] for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, v in col:
+            out[i].append((j, v))
+    return [tuple(col) for col in out]
+
+
 def matmul(a, b):
     """Composite a @ b of graded matrices (cols of a match rows of b)."""
     if a.field != b.field:

@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatchError,
     ResourceCapError,
 )
-from .localalg import _matrix_of
+from .localalg import _matrix_of, evaluation_grid
 
 import numpy as np
 
@@ -235,15 +235,11 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
     maps = {}
     for point in itertools.product(*axes):
         for axis, coords in enumerate(axes):
-            k = coords.index(point[axis])
-            if k + 1 >= len(coords):
+            if point[axis] == coords[-1]:
                 continue
-            succ = tuple(
-                coords[k + 1] if a == axis else point[a]
-                for a in range(len(axes))
-            )
             maps[(point, axis)] = _edge_map(
-                p, gen_rows, free_rows, functionals, point, succ
+                p, gen_rows, free_rows, functionals, point,
+                _successor(axes, point, axis),
             )
     module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, maps)
     _validate_squares(module)
@@ -252,19 +248,7 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
 
 def grid_axes(*matrices):
     """Per-axis sorted unique coordinates across all degree decorations."""
-    axes = None
-    for obj in matrices:
-        m = _matrix_of(obj)
-        for deg in m.rows + m.cols:
-            if axes is None:
-                axes = [set() for _ in deg]
-            if len(deg) != len(axes):
-                raise DimensionMismatchError("mixed arities in oracle axes")
-            for k, c in enumerate(deg):
-                axes[k].add(c)
-    if axes is None:
-        return ()
-    return tuple(tuple(sorted(a)) for a in axes)
+    return evaluation_grid(*matrices)
 
 
 def _edge_map(p, gen_rows, free_rows, functionals, point, succ):

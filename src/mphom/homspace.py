@@ -108,6 +108,7 @@ def _require_minimal(pres, name):
 
 
 def _check_pair(xp, yp):
+    """Validate a route's operands; True when either module is zero."""
     _require_minimal(xp, "domain")
     _require_minimal(yp, "target")
     if xp.field != yp.field:
@@ -115,6 +116,7 @@ def _check_pair(xp, yp):
     dx, dy = xp.matrix.dim, yp.matrix.dim
     if dx and dy and dx != dy:
         raise DimensionMismatchError("presentations graded over different posets")
+    return xp.is_zero_module() or yp.is_zero_module()
 
 
 class LinearSystem:
@@ -451,10 +453,15 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     return _audited(survivors, stats, xp, yp)
 
 
+def _q_mask(xp, yp, cache):
+    """Distinguished generator subsets of Y at the generator degrees of X."""
+    rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
+    return [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
+
+
 def hom_direct(xp, yp):
     """Direct computation: full system, then the homotopy quotient."""
-    _check_pair(xp, yp)
-    if xp.is_zero_module() or yp.is_zero_module():
+    if _check_pair(xp, yp):
         return _empty_basis("direct")
     return _primal_basis("direct", xp, yp, LinearSystem(xp, yp), True)
 
@@ -468,16 +475,13 @@ def hom_restricted(xp, yp):
     X.  Lifts are unique, so the solution space maps isomorphically onto
     Hom(X, Y) and only a plain column reduction is applied.
     """
-    _check_pair(xp, yp)
-    if xp.is_zero_module() or yp.is_zero_module():
+    if _check_pair(xp, yp):
         return _empty_basis("a")
     cache = CokernelCache(yp.matrix)
     if xp.n_relations == 0:
         return _free_domain_basis("a", xp, yp, cache)
-    rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
-    syzygy = kernel(yp.matrix)
-    rs1 = restriction_system(xp.matrix, syzygy, 1)
-    q_mask = [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
+    q_mask = _q_mask(xp, yp, cache)
+    rs1 = restriction_system(xp.matrix, kernel(yp.matrix), 1)
     p_mask = [rs1.subset(rdeg) for rdeg in xp.matrix.cols]
     system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
     return _primal_basis("a", xp, yp, system, False)
@@ -485,15 +489,12 @@ def hom_restricted(xp, yp):
 
 def hom_mixed(xp, yp):
     """Algorithm A-1/2: restrict Q only, keep P free, quotient at the end."""
-    _check_pair(xp, yp)
-    if xp.is_zero_module() or yp.is_zero_module():
+    if _check_pair(xp, yp):
         return _empty_basis("mixed")
     cache = CokernelCache(yp.matrix)
     if xp.n_relations == 0:
         return _free_domain_basis("mixed", xp, yp, cache)
-    rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
-    q_mask = [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
-    system = LinearSystem(xp, yp, q_mask=q_mask)
+    system = LinearSystem(xp, yp, q_mask=_q_mask(xp, yp, cache))
     return _primal_basis("mixed", xp, yp, system, True)
 
 
@@ -506,8 +507,7 @@ def hom_exact(xp, yp):
     g-component as column g of a graded matrix via the distinguished
     generator subsets.
     """
-    _check_pair(xp, yp)
-    if xp.is_zero_module() or yp.is_zero_module():
+    if _check_pair(xp, yp):
         return _empty_basis("b")
     m, n = xp.matrix, yp.matrix
     fld = m.field
@@ -595,13 +595,12 @@ def hom_module_presentation(xp, yp):
     generated by a kernel computation, and a second kernel yields the
     relations among those generators.
     """
-    _check_pair(xp, yp)
+    if _check_pair(xp, yp):
+        return Presentation(
+            GradedMatrix(xp.field, [], [], [], validate=False), minimal=True
+        )
     fld = xp.field
     m, n = xp.matrix, yp.matrix
-    if xp.is_zero_module() or yp.is_zero_module():
-        return Presentation(
-            GradedMatrix(fld, [], [], [], validate=False), minimal=True
-        )
     # Free cover of ⊕_g Y[deg g] and its relation columns.
     f1_rows, n1_cols, n1_columns = _block_diagonal(n, m.rows, fld)
     f2_rows, n2_cols, n2_columns = _block_diagonal(n, m.cols, fld)

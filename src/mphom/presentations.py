@@ -27,6 +27,9 @@ from .errors import DimensionMismatchError, GradingError, ResourceCapError
 from .graded import (
     ColumnSpan,
     GradedMatrix,
+    _axpy,
+    _lift_through,
+    _transpose,
     column_reduce,
     deg_add,
     deg_join,
@@ -77,12 +80,13 @@ def _degree_sort_key(deg):
     return (sum(deg), deg)
 
 
-def _has_equal_degree_unit(matrix):
-    for j, col in enumerate(matrix.columns):
-        cdeg = matrix.cols[j]
-        for i, _ in col:
-            if matrix.rows[i] == cdeg:
-                return i, j
+def _equal_degree_unit(rows, cols, columns):
+    """First (row, column, value) entry, column by column, joining a row
+    and a column of equal degree; None when there is none."""
+    for j, col in enumerate(columns):
+        for i, v in col:
+            if rows[i] == cols[j]:
+                return i, j, v
     return None
 
 
@@ -104,39 +108,16 @@ def minimize(presentation):
     def cancel_units():
         changed = False
         while True:
-            hit = None
-            for j, col in enumerate(columns):
-                for i, v in col:
-                    if rows[i] == cols[j]:
-                        hit = (i, j, v)
-                        break
-                if hit:
-                    break
+            hit = _equal_degree_unit(rows, cols, columns)
             if hit is None:
                 return changed
             i, j, v = hit
             inv = fld.inv(v)
             pivot_col = columns[j]
             for k, col in enumerate(columns):
-                if k == j:
-                    continue
-                coeff = 0
-                for r, w in col:
-                    if r == i:
-                        coeff = w
-                        break
+                coeff = dict(col).get(i) if k != j else None
                 if coeff:
-                    scale = (-coeff * inv) % p
-                    merged = {}
-                    for r, w in col:
-                        merged[r] = w
-                    for r, w in pivot_col:
-                        nv = (merged.get(r, 0) + scale * w) % p
-                        if nv:
-                            merged[r] = nv
-                        else:
-                            merged.pop(r, None)
-                    columns[k] = sorted(merged.items())
+                    columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
             # Drop row i and column j, renumbering entries above i.
             del columns[j]
             del cols[j]
@@ -423,12 +404,7 @@ def matlis_transpose_shift(matrix):
     ones = (1,) * matrix.dim if matrix.dim else ()
     new_rows = [deg_add(deg_neg(c), ones) for c in matrix.cols]
     new_cols = [deg_add(deg_neg(r), ones) for r in matrix.rows]
-    transposed = [[] for _ in new_cols]
-    for j, col in enumerate(matrix.columns):
-        for i, v in col:
-            transposed[i].append((j, v))
-    for col in transposed:
-        col.sort()
+    transposed = _transpose(matrix.columns, matrix.nrows)
     return GradedMatrix(matrix.field, new_rows, new_cols, transposed)
 
 
@@ -446,7 +422,6 @@ def sparsify(presentation):
         presentation = minimize(presentation)
     matrix = presentation.matrix
     fld = matrix.field
-    p = fld.p
     columns = [list(c) for c in matrix.columns]
     cols = list(matrix.cols)
     groups = {}
@@ -470,45 +445,25 @@ def sparsify(presentation):
         dim_x = dim_before - k
         if all(len(columns[j]) <= dim_x + 1 for j in batch):
             continue
-        # Basis of the strictly-lower-generator span of the local slice.
+        # The classes of the strictly lower generators span the batch.
+        # Their surviving columns are a basis; the recorded combinations
+        # reference only those, by position in `lower`.
         lower = [
             g for g in ck.rows_le
             if deg_leq(matrix.rows[g], omega) and matrix.rows[g] != omega
         ]
-        span = ColumnSpan(fld)
-        basis_rows = []
-        for g in lower:
-            coords = ck.coordinates([(g, 1)])
-            col = tuple((t, v) for t, v in enumerate(coords) if v)
-            if span.insert(col) is not None:
-                basis_rows.append(g)
-        # Express the batch classes in that basis.
-        basis_span = column_reduce(
-            [
-                tuple(
-                    (t, v)
-                    for t, v in enumerate(ck.coordinates([(g, 1)]))
-                    if v
-                )
-                for g in basis_rows
-            ],
-            fld,
+        span = column_reduce(
+            [_coordinate_column(ck, [(g, 1)]) for g in lower], fld,
             record=True,
         )
         lifted = []
         for j in batch:
-            coords = ck.coordinates(columns[j])
-            vec = tuple((t, v) for t, v in enumerate(coords) if v)
-            entry = basis_span.insert(vec, source=-2, record=True)
-            if entry is not None:
+            combo = _lift_through(span, _coordinate_column(ck, columns[j]))
+            if combo is None:
                 raise GradingError(
                     "batch relation class escapes the lower-generator span"
                 )
-            combo = basis_span.zeroed.pop()[1]
-            combo.pop(-2, None)
-            lifted.append(
-                sorted((idx, (-v) % p) for idx, v in combo.items())
-            )
+            lifted.append(combo)
         # Reduced column echelon form of the lifted block.
         echelon = _reduced_column_echelon(lifted, fld)
         for slot, j in enumerate(batch):
@@ -516,9 +471,7 @@ def sparsify(presentation):
                 raise GradingError(
                     "dependent relation batch; presentation was not minimal"
                 )
-            columns[j] = [
-                (basis_rows[idx], v) for idx, v in echelon[slot]
-            ]
+            columns[j] = [(lower[idx], v) for idx, v in echelon[slot]]
             if len(columns[j]) > dim_x + 1:
                 raise GradingError("sparsification exceeded the entry bound")
     out = GradedMatrix(
@@ -531,41 +484,31 @@ def sparsify(presentation):
     return Presentation(out, minimal=True, label=presentation.label)
 
 
+def _coordinate_column(ck, column):
+    """Coordinates of a vector in a local cokernel, as a sparse column."""
+    return tuple((t, v) for t, v in enumerate(ck.coordinates(column)) if v)
+
+
 def _reduced_column_echelon(columns, fld):
     """Reduced column echelon form: unit pivots, pivot rows cleared."""
     p = fld.p
-    work = [dict(col) for col in columns]
+    work = [list(col) for col in columns]
     pivots = {}
     for j, col in enumerate(work):
         while col:
-            piv = max(col)
+            piv, lead = col[-1]
             if piv not in pivots:
-                inv = fld.inv(col[piv])
+                inv = fld.inv(lead)
                 if inv != 1:
-                    for r in list(col):
-                        col[r] = (col[r] * inv) % p
+                    col = [(r, (v * inv) % p) for r, v in col]
                 pivots[piv] = j
                 break
-            other = work[pivots[piv]]
-            scale = (-col[piv]) % p
-            for r, v in other.items():
-                nv = (col.get(r, 0) + scale * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
+            col = _axpy(col, work[pivots[piv]], (-lead) % p, p)
+        work[j] = col
     # Clear pivot rows across the other columns.
     for piv, j in pivots.items():
         for k, col in enumerate(work):
-            if k == j:
-                continue
-            coeff = col.get(piv)
+            coeff = dict(col).get(piv) if k != j else None
             if coeff:
-                scale = (-coeff) % p
-                for r, v in work[j].items():
-                    nv = (col.get(r, 0) + scale * v) % p
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-    return [sorted(col.items()) for col in work]
+                work[k] = _axpy(col, work[j], (-coeff) % p, p)
+    return work

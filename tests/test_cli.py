@@ -287,3 +287,77 @@ def test_stats_flag_appends_csv(fig_files, tmp_path):
         rows = list(csv.reader(handle))
     assert len(rows) == 2
     assert rows[1][1] == "b"
+
+
+@pytest.mark.parametrize("text", [
+    # The boundary of the top row is not a cycle.
+    "firep\nx\ny\n1 1 1\n2 2 ; 0\n1 1 ; 0\n",
+    # The top row at (0, 0) hits a middle row of degree (1, 1).
+    "firep\nx\ny\n1 1 0\n0 0 ; 0\n1 1 ;\n",
+])
+def test_firep_top_row_that_does_not_lift_exit_code(tmp_path, capsys, text):
+    from mphom import cli
+
+    path = tmp_path / "bad.firep"
+    path.write_text(text)
+    assert cli.main(["minimize", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 5: top boundary"), err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("random", "--d", "0"),
+    ("random", "--d", "-1"),
+    ("random", "--gens", "-1"),
+    ("random", "--rels", "-2"),
+    ("random", "--coord-range", "-3"),
+    ("bench", "--d", "0"),
+    ("bench", "--gens", "-1"),
+    ("bench", "--rels", "-1"),
+    ("bench", "--coord-range", "-3"),
+    ("bench", "--count", "-1"),
+    ("bench", "--jobs", "0"),
+])
+def test_bad_size_argument_exit_code(tmp_path, capsys, command, flag, value):
+    from mphom import cli
+
+    out = tmp_path / "out"
+    assert cli.main([command, flag, value, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {flag} {value}: must be >="), err
+    assert not out.exists()
+
+
+def test_smallest_size_arguments_are_accepted(capsys):
+    from mphom import cli
+
+    assert cli.main(["random", "--d", "1", "--gens", "0", "--rels", "0",
+                     "--coord-range", "0"]) == 0
+    assert capsys.readouterr().out == "pmod 1 2\ngens 0\nrels 0\n"
+
+
+def test_random_module_rejects_no_parameters():
+    from mphom.generators import random_module
+
+    with pytest.raises(ValueError):
+        random_module(0, d=0)
+
+
+def test_check_with_oracle_output_solves_the_oracle_once(fig_files, monkeypatch,
+                                                         capsys):
+    from mphom import cli
+
+    x, _ = fig_files
+    assert cli.main(["end", str(x), "--alg", "oracle"]) == 0
+    alone = capsys.readouterr().out
+    calls = []
+    solve = cli.hom_oracle
+
+    def counted(gx, gy):
+        calls.append((gx, gy))
+        return solve(gx, gy)
+
+    monkeypatch.setattr(cli, "hom_oracle", counted)
+    assert cli.main(["end", str(x), "--check", "--alg", "oracle"]) == 0
+    assert capsys.readouterr().out == alone
+    assert len(calls) == 1
