@@ -11,6 +11,7 @@ order; timing fields are the only nondeterministic ones.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -137,17 +138,19 @@ def run_bench(
 ):
     """End(X) benchmark over `count` seeded instances; returns records.
 
-    With jobs > 1 the instances run in parallel workers; records are
-    collected and ordered by instance before writing, so the CSV layout
-    is deterministic up to the timing fields.
+    With jobs > 1 the instances run in parallel workers, at most one per
+    instance and per CPU; records are collected and ordered by instance
+    before writing, so the CSV layout is deterministic up to the timing
+    fields.
     """
     tasks = [
         (seed + k, d, gens, rels, coord_range, thickness_hint, p,
          tuple(algorithms), with_duals)
         for k in range(count)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_bench_one, tasks))
     else:
         chunks = [_bench_one(t) for t in tasks]

@@ -111,22 +111,22 @@ def _compute(alg, xp, yp):
 def _run_check(xp, yp, cap):
     """Run every algorithm plus the oracle and require equal dimensions.
 
-    Returns the dimensions per algorithm and the oracle's result.
+    Returns the bases per algorithm (the duals share one `dual_context`)
+    and the oracle's result.
     """
-    dims = {}
-    for name, func in PRIMAL_ALGORITHMS.items():
-        dims[name] = func(xp, yp).dim
-    if not (xp.is_zero_module() or yp.is_zero_module()):
-        ctx = dual_context(xp, yp)
-        for name, func in DUAL_ALGORITHMS.items():
-            dims[name] = func(xp, yp, context=ctx).dim
-    else:
-        dims["a-star"] = dims["b-star"] = 0
+    bases = {name: func(xp, yp) for name, func in PRIMAL_ALGORITHMS.items()}
+    # A dual route returns the empty basis of a zero module without
+    # reading its context.
+    zero = xp.is_zero_module() or yp.is_zero_module()
+    ctx = None if zero else dual_context(xp, yp)
+    for name, func in DUAL_ALGORITHMS.items():
+        bases[name] = func(xp, yp, context=ctx)
     oracle = _oracle(xp, yp, cap)
+    dims = {name: basis.dim for name, basis in bases.items()}
     dims["oracle"] = oracle.dim
     if len(set(dims.values())) != 1:
         raise CheckMismatchError(f"algorithms disagree: {dims}")
-    return dims, oracle
+    return bases, oracle
 
 
 def _append_stats(path, instance, basis, xp, yp):
@@ -148,16 +148,16 @@ def _cmd_hom(args, endo=False):
     field = _field_arg(args)
     xp = _load_presentation(args.domain, field)
     yp = xp if endo else _load_presentation(args.target, field)
-    oracle = None
+    bases, oracle = {}, None
     if args.check:
-        dims, oracle = _run_check(xp, yp, args.grid_cap)
-        sys.stderr.write(f"check ok: dim {next(iter(dims.values()))}\n")
+        bases, oracle = _run_check(xp, yp, args.grid_cap)
+        sys.stderr.write(f"check ok: dim {oracle.dim}\n")
     d = xp.matrix.dim or yp.matrix.dim or 1
     if args.alg == "oracle":
         oracle = oracle or _oracle(xp, yp, args.grid_cap)
         _write_output(write_oracle_result(oracle, d, xp.field.p), args.out)
         return EXIT_OK
-    basis = _compute(args.alg, xp, yp)
+    basis = bases[args.alg] if args.check else _compute(args.alg, xp, yp)
     _write_output(write_hom_basis(basis, d, xp.field.p), args.out)
     if args.stats:
         name = args.domain if endo else f"{args.domain}->{args.target}"

@@ -39,7 +39,7 @@ def _check_arity(alpha, beta):
 def deg_leq(alpha, beta):
     """Coordinate-wise partial order on Z^d."""
     _check_arity(alpha, beta)
-    return all(a <= b for a, b in zip(alpha, beta))
+    return all(map(le, alpha, beta))
 
 
 def deg_join(alpha, beta):
@@ -180,6 +180,9 @@ def _axpy(target, source, scale, p):
 class GradedMatrix:
     """Sparse matrix over GF(p) with row/column degree decorations.
 
+    The public constructor copies its arguments into tuples of ints;
+    `_trusted` is for routes that already hold tuples in that form.
+
     Attributes
     ----------
     field: PrimeField
@@ -201,6 +204,23 @@ class GradedMatrix:
         )
         if validate:
             self._validate()
+
+    @classmethod
+    def _trusted(cls, field, rows, cols, columns):
+        """A matrix over tuples that already have the stored form.
+
+        `rows` and `cols` must be tuples of int tuples and `columns` a
+        tuple of column tuples of (int, int) pairs, as `__init__` would
+        store them.  They are kept as given, neither copied nor checked,
+        so a matrix can share the degree tuples of the matrices it was
+        computed from.
+        """
+        self = cls.__new__(cls)
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
+        return self
 
     def _validate(self):
         p = self.field.p
@@ -310,13 +330,12 @@ def validate_grading(matrix):
     return True
 
 
-def _slice_at_most(matrix, alpha):
-    """Rows and columns of degree <= alpha, without building a matrix.
+def _slice_indices(matrix, alpha):
+    """Indices (row_idx, col_idx) of the rows and columns of degree <= alpha.
 
-    Returns (row_idx, col_idx, columns): the order-preserving injections
-    back into the original row/column sets, and the kept columns with
-    their rows renumbered to positions in row_idx.  The arity of alpha is
-    checked once; degrees are then compared inline.
+    Both are increasing, so they are the order-preserving injections back
+    into the original row/column sets.  The arity of alpha is checked
+    once; degrees are then compared inline.
     """
     alpha = tuple(alpha)
     if matrix.dim and len(alpha) != matrix.dim:
@@ -326,6 +345,17 @@ def _slice_at_most(matrix, alpha):
     rows, cols = matrix.rows, matrix.cols
     row_idx = tuple([i for i, r in enumerate(rows) if all(map(le, r, alpha))])
     col_idx = tuple([j for j, c in enumerate(cols) if all(map(le, c, alpha))])
+    return row_idx, col_idx
+
+
+def _slice_at_most(matrix, alpha):
+    """Rows and columns of degree <= alpha, without building a matrix.
+
+    Returns (row_idx, col_idx, columns): the indices of `_slice_indices`,
+    and the kept columns with their rows renumbered to positions in
+    row_idx.
+    """
+    row_idx, col_idx = _slice_indices(matrix, alpha)
     renum = {i: k for k, i in enumerate(row_idx)}
     # Grading guarantees every entry row of a kept column is kept too.
     columns = [

@@ -36,26 +36,34 @@ are sparse, so the audit forms Q M only in the relations that Q's nonzero
 columns reach, through a generator-to-relations index of M built once per
 audit, and reduces only the nonzero products, against spans of N built
 once per relation degree.  The zero products it skips pass trivially, so
-the audit is exactly as strong as checking every relation.
+the audit is exactly as strong as checking every relation.  `hom_exact`
+has already reduced those slices of N for its local cokernels, and lends
+their spans to its audit instead of reducing them again.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import le
 
 from .errors import DimensionMismatchError, FieldMismatchError, GradingError
 from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
-    _slice_at_most,
+    _slice_indices,
     column_reduce,
     deg_sub,
     nullspace_of_columns,
     validate_grading,
 )
-from .localalg import CokernelCache, restriction_system, structure_map
+from .localalg import (
+    CokernelCache,
+    _matrix_of,
+    restriction_system,
+    structure_map,
+)
 from .presentations import Presentation, kernel, minimize
 
 
@@ -152,7 +160,7 @@ class LinearSystem:
                 else [
                     rp
                     for rp, rpdeg in enumerate(n.cols)
-                    if all(a <= b for a, b in zip(rpdeg, rdeg))
+                    if all(map(le, rpdeg, rdeg))
                 ]
             )
             self.p_vars.extend((rp, r) for rp in allowed)
@@ -161,7 +169,7 @@ class LinearSystem:
         eq_pos = {}
         for r, rdeg in enumerate(m.cols):
             for gp, gpdeg in enumerate(n.rows):
-                if all(a <= b for a, b in zip(gpdeg, rdeg)):
+                if all(map(le, gpdeg, rdeg)):
                     eq_pos[(gp, r)] = len(self.equations)
                     self.equations.append((gp, r))
 
@@ -221,7 +229,7 @@ def _flat_index(q_rows, q_cols):
     index = {}
     for g, gdeg in enumerate(q_cols):
         for gp, gpdeg in enumerate(q_rows):
-            if all(a <= b for a, b in zip(gpdeg, gdeg)):
+            if all(map(le, gpdeg, gdeg)):
                 index[(g, gp)] = len(index)
     return index
 
@@ -244,7 +252,7 @@ def _homotopy_columns(n, q_cols, index):
     cols = []
     for g, gdeg in enumerate(q_cols):
         for rp, rpdeg in enumerate(n.cols):
-            if all(a <= b for a, b in zip(rpdeg, gdeg)):
+            if all(map(le, rpdeg, gdeg)):
                 col = tuple(
                     (index[(g, gp)], v) for gp, v in n.columns[rp]
                 )
@@ -256,7 +264,8 @@ def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
     """Column-reduce flat Q columns after the given homotopy columns.
 
     Returns the surviving reduced columns as graded matrices; only they
-    are unflattened, through one reverse index.
+    are unflattened, through one reverse index.  `q_rows` and `q_cols`
+    must be tuples of degree tuples: every survivor shares them.
     """
     span = ColumnSpan(fld)
     for col in homotopies:
@@ -267,14 +276,15 @@ def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
         entry = span.insert(col, source=j)
         if entry is None:
             continue
+        # The flat order is g-major with g' ascending inside each block,
+        # so every block fills in sorted row order.
         blocks = [[] for _ in q_cols]
         for k, v in entry.column:
             g, gp = keys[k]
             blocks[g].append((gp, v))
         survivors.append(
-            GradedMatrix(
-                fld, q_rows, q_cols, [tuple(sorted(c)) for c in blocks],
-                validate=False,
+            GradedMatrix._trusted(
+                fld, q_rows, q_cols, tuple(map(tuple, blocks))
             )
         )
     return survivors
@@ -290,7 +300,7 @@ def homotopy_reduce(qs, yp):
     """
     if not qs:
         return []
-    n = yp.matrix if isinstance(yp, Presentation) else yp
+    n = _matrix_of(yp)
     q_rows, q_cols = qs[0].rows, qs[0].cols
     for q in qs:
         if q.rows != q_rows or q.cols != q_cols:
@@ -315,18 +325,21 @@ class _AuditCache:
 
     `rels_of[g]` lists the relations (r, M_{g,r}) that generator g of X
     appears in, by increasing r; `spans` maps a relation degree to the
-    column span of N_{<=deg}, built the first time a nonzero product at
-    that degree needs it.
+    column span of N_{<=deg}, in N's own row numbering, built the first
+    time a nonzero product at that degree needs it.  A caller that has
+    already reduced those slices of N lends their spans as `spans`
+    (`hom_exact` passes its `CokernelCache.spans()`); they are the spans
+    the audit would build, computed from N alone.
     """
 
     __slots__ = ("rels_of", "spans")
 
-    def __init__(self, m):
+    def __init__(self, m, spans=None):
         self.rels_of = [[] for _ in range(m.nrows)]
         for r, col in enumerate(m.columns):
             for g, mv in col:
                 self.rels_of[g].append((r, mv))
-        self.spans = {}
+        self.spans = {} if spans is None else spans
 
 
 def verify_hom(q, xp, yp, cache=None):
@@ -343,8 +356,8 @@ def verify_hom(q, xp, yp, cache=None):
     audit.  Raises DimensionMismatchError unless Q has the generator
     degrees of Y as rows and those of X as columns.
     """
-    m = xp.matrix if isinstance(xp, Presentation) else xp
-    n = yp.matrix if isinstance(yp, Presentation) else yp
+    m = _matrix_of(xp)
+    n = _matrix_of(yp)
     if q.rows != n.rows or q.cols != m.rows:
         raise DimensionMismatchError(
             "Q must have the target's generator degrees as rows and the "
@@ -366,7 +379,7 @@ def verify_hom(q, xp, yp, cache=None):
         rdeg = m.cols[r]
         span = audit.spans.get(rdeg)
         if span is None:
-            _, col_idx, _ = _slice_at_most(n, rdeg)
+            _, col_idx = _slice_indices(n, rdeg)
             span = column_reduce([n.columns[j] for j in col_idx], fld)
             audit.spans[rdeg] = span
         if not span.contains(product):
@@ -374,13 +387,14 @@ def verify_hom(q, xp, yp, cache=None):
     return True
 
 
-def _audit(basis_elements, xp, yp, algorithm):
+def _audit(basis_elements, xp, yp, algorithm, spans=None):
     """Check every returned element: graded, and a homomorphism.
 
     The elements share one `_AuditCache`, so the generator-to-relation
-    index and the span at each relation degree are built once per call.
+    index and the span at each relation degree are built once per call;
+    `spans` lends spans of N already reduced, as `_AuditCache` takes them.
     """
-    cache = _AuditCache(xp.matrix)
+    cache = _AuditCache(xp.matrix, spans)
     for q in basis_elements:
         if not validate_grading(q):
             raise GradingError(
@@ -392,9 +406,9 @@ def _audit(basis_elements, xp, yp, algorithm):
             )
 
 
-def _audited(elements, stats, xp, yp):
+def _audited(elements, stats, xp, yp, spans=None):
     basis = HomBasis(tuple(elements), "generators", stats.algorithm, stats)
-    _audit(basis.elements, xp, yp, stats.algorithm)
+    _audit(basis.elements, xp, yp, stats.algorithm, spans)
     return basis
 
 
@@ -405,14 +419,11 @@ def _free_domain_basis(algorithm, xp, yp, cache):
     elements = []
     for g, gdeg in enumerate(m.rows):
         for gp in cache.at(gdeg).subset:
+            columns = tuple(
+                ((gp, 1),) if k == g else () for k in range(m.nrows)
+            )
             elements.append(
-                GradedMatrix(
-                    m.field,
-                    n.rows,
-                    m.rows,
-                    [((gp, 1),) if k == g else () for k in range(m.nrows)],
-                    validate=False,
-                )
+                GradedMatrix._trusted(m.field, n.rows, m.rows, columns)
             )
     stats = SolveStats(algorithm, len(elements), 0, 0, 0.0, len(elements))
     return _audited(elements, stats, xp, yp)
@@ -544,30 +555,27 @@ def hom_exact(xp, yp):
     t0 = time.perf_counter()
     combos = nullspace_of_columns(sys_columns, fld)
     elapsed = time.perf_counter() - t0
-    # Re-express nullvectors as graded matrices.
+    # Re-express nullvectors as graded matrices.  Variables are g-major
+    # with ascending subset rows, so sorting a combination by variable
+    # sorts every column.
     var_info = []
     for g, gdeg in enumerate(m.rows):
-        for s, gp in enumerate(cache.at(gdeg).subset):
+        for gp in cache.at(gdeg).subset:
             var_info.append((g, gp))
     elements = []
     for combo in combos:
         cols = [[] for _ in range(m.nrows)]
-        for k, v in combo.items():
+        for k, v in sorted(combo.items()):
             g, gp = var_info[k]
             cols[g].append((gp, v))
         elements.append(
-            GradedMatrix(
-                fld,
-                n.rows,
-                m.rows,
-                [tuple(sorted(c)) for c in cols],
-                validate=False,
-            )
+            GradedMatrix._trusted(fld, n.rows, m.rows, tuple(map(tuple, cols)))
         )
     stats = SolveStats(
         "b", total, rows_total, entries, elapsed, solution_dim=len(combos)
     )
-    return _audited(elements, stats, xp, yp)
+    # The cache has reduced N_{<=deg r} at every relation degree of X.
+    return _audited(elements, stats, xp, yp, cache.spans())
 
 
 def _block_diagonal(n, shifts, fld):

@@ -15,11 +15,12 @@ fixing the sweep makes results deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import _slice_at_most, column_reduce, deg_leq
+from .graded import ColumnSpan, _slice_indices, column_reduce, deg_leq
 
 
 def _matrix_of(obj):
@@ -40,6 +41,8 @@ class LocalCokernel:
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
         subset positions form the identity.
+    span: the column span of N_{<=alpha} in N's own row numbering, or
+        None; it is not part of equality.
     """
 
     degree: tuple
@@ -47,6 +50,9 @@ class LocalCokernel:
     subset: tuple
     matrix: tuple
     p: int
+    span: ColumnSpan | None = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def dim(self):
@@ -78,53 +84,54 @@ def local_cokernel(matrix, alpha, field=None):
     distinguished subset G_alpha, and the cokernel matrix d_alpha is the
     unique solution of d_alpha * N_{<=alpha} = 0 normalized so that its
     columns at G_alpha are the identity.
+
+    The columns are reduced in N's own row numbering, and the reduced
+    span is returned with the cokernel.  The rows of degree <= alpha keep
+    their order, so the pivots are those of the renumbered slice.
     """
     matrix = _matrix_of(matrix)
     fld = field or matrix.field
     p = fld.p
-    row_idx, _, columns = _slice_at_most(matrix, alpha)
-    span = column_reduce(columns, fld)
-    pivot_of = {}
-    for entry in span.reduced:
-        pivot_of[entry.pivot] = entry.column
-    m = len(row_idx)
-    free_local = [k for k in range(m) if k not in pivot_of]
-    free_pos = {k: t for t, k in enumerate(free_local)}
-    dim = len(free_local)
+    row_idx, col_idx = _slice_indices(matrix, alpha)
+    span = column_reduce([matrix.columns[j] for j in col_idx], fld)
+    pivot_of = {entry.pivot: entry.column for entry in span.reduced}
+    free = [r for r in row_idx if r not in pivot_of]
+    free_pos = {r: t for t, r in enumerate(free)}
+    dim = len(free)
     # Forward substitution in increasing row order: a reduced column has
     # its pivot as last entry, so the pivot coordinate only depends on
     # rows already processed.
-    cols = []
-    for r in range(m):
+    cols = {}
+    for r in row_idx:
+        col = [0] * dim
         if r in free_pos:
-            col = [0] * dim
             col[free_pos[r]] = 1
         else:
             pcol = pivot_of[r]
             lead_inv = fld.inv(pcol[-1][1])
-            col = [0] * dim
             for i, v in pcol[:-1]:
                 scale = (-v * lead_inv) % p
                 prev = cols[i]
                 for t in range(dim):
                     col[t] = (col[t] + scale * prev[t]) % p
-        cols.append(col)
-    rows = tuple(
-        tuple(cols[r][t] for r in range(m)) for t in range(dim)
-    )
+        cols[r] = col
     return LocalCokernel(
         degree=tuple(alpha),
-        rows_le=tuple(row_idx),
-        subset=tuple(row_idx[k] for k in free_local),
-        matrix=rows,
+        rows_le=row_idx,
+        subset=tuple(free),
+        matrix=tuple(zip(*cols.values())),
         p=p,
+        span=span,
     )
 
 
 class CokernelCache:
     """Memoizes local cokernels of one presentation per distinct degree.
 
-    The cache is scoped to a single computation context; contexts are
+    Each cokernel keeps the column span of N_{<=alpha} it was read from;
+    `spans` lends them out, so that a caller that needs those spans
+    (`hom_exact`'s audit) does not reduce the same slices again.  The
+    cache is scoped to a single computation context; contexts are
     independent and may run in parallel.
     """
 
@@ -140,6 +147,10 @@ class CokernelCache:
             hit = local_cokernel(self.matrix, alpha, self.field)
             self._memo[alpha] = hit
         return hit
+
+    def spans(self):
+        """Column span of N_{<=alpha} per degree alpha evaluated so far."""
+        return {alpha: ck.span for alpha, ck in self._memo.items()}
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from mphom import (
     submatrix_at_most,
     verify_hom,
 )
-from mphom.graded import _axpy, column_reduce, deg_leq
+from mphom import homspace
+from mphom.graded import _axpy, _slice_at_most, column_reduce, deg_leq
 from mphom.generators import random_pair
 from mphom.homspace import _audit, _AuditCache
 
@@ -232,6 +233,60 @@ def test_audit_rejects_a_non_homomorphism():
     q, xp, yp = only_last_relation_fails()
     with pytest.raises(GradingError, match="fails the homomorphism test"):
         _audit([zero_q(xp, yp), q], xp, yp, "test")
+
+
+# -- spans lent by route b --------------------------------------------------
+
+
+def lent_spans(xp, yp, monkeypatch):
+    """Run `hom_exact` and return the spans it lends to its audit."""
+    lent = []
+    audit = homspace._audit
+
+    def spy(elements, xp_, yp_, algorithm, spans=None):
+        lent.append(spans)
+        return audit(elements, xp_, yp_, algorithm, spans)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homspace, "_audit", spy)
+        hom_exact(xp, yp)
+    assert len(lent) == 1 and lent[0] is not None
+    return lent[0]
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
+    xp, yp = pair
+    if xp.is_zero_module() or yp.is_zero_module():
+        pytest.skip("route b lends nothing between zero modules")
+    m, n = xp.matrix, yp.matrix
+    spans = lent_spans(xp, yp, monkeypatch)
+    # Every relation degree is covered, by the span the audit would build.
+    for rdeg in m.cols:
+        _, col_idx, _ = _slice_at_most(n, rdeg)
+        fresh = column_reduce([n.columns[j] for j in col_idx], n.field)
+        assert [e.column for e in spans[rdeg].reduced] == [
+            e.column for e in fresh.reduced
+        ]
+    lent = _AuditCache(m, dict(spans))
+    unlent = _AuditCache(m)
+    # The perturbations of the zero Q hold the rejections that
+    # `test_perturbations_include_non_homomorphisms` counts.
+    bases = list(hom_exact(xp, yp).elements)
+    for base in bases[:3] + [zero_q(xp, yp)]:
+        for q in perturbations(base, xp, yp):
+            expected = verify_hom(q, xp, yp, unlent)
+            assert verify_hom(q, xp, yp, lent) == expected
+            if not expected:
+                with pytest.raises(GradingError):
+                    _audit([q], xp, yp, "test", dict(spans))
+
+
+def test_lent_spans_reject_a_non_homomorphism(monkeypatch):
+    q, xp, yp = only_last_relation_fails()
+    spans = lent_spans(xp, yp, monkeypatch)
+    with pytest.raises(GradingError, match="fails the homomorphism test"):
+        _audit([zero_q(xp, yp), q], xp, yp, "test", spans)
 
 
 # -- shape check ------------------------------------------------------------

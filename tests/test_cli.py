@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism of outputs."""
 
 import csv
+import pathlib
 import subprocess
 import sys
 
@@ -361,3 +362,82 @@ def test_check_with_oracle_output_solves_the_oracle_once(fig_files, monkeypatch,
     assert cli.main(["end", str(x), "--check", "--alg", "oracle"]) == 0
     assert capsys.readouterr().out == alone
     assert len(calls) == 1
+
+
+FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
+FIXTURES = sorted(FIXTURE_DIR.iterdir())
+
+
+@pytest.mark.parametrize("alg", ["direct", "a", "mixed", "b", "a-star",
+                                 "b-star"])
+def test_check_runs_each_route_once(monkeypatch, capsys, alg):
+    from mphom import cli
+    from mphom.benchmarks import DUAL_ALGORITHMS, PRIMAL_ALGORITHMS
+
+    path = str(FIXTURE_DIR / "rand_17_gf2.pmod")
+    calls = {}
+
+    def counted(name, func):
+        def run(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return run
+
+    for table in (PRIMAL_ALGORITHMS, DUAL_ALGORITHMS):
+        for name, func in list(table.items()):
+            monkeypatch.setitem(table, name, counted(name, func))
+    monkeypatch.setattr(cli, "dual_context",
+                        counted("dual_context", cli.dual_context))
+    assert cli.main(["end", path, "--check", "--alg", alg]) == 0
+    capsys.readouterr()
+    assert calls == {name: 1 for name in (
+        "direct", "a", "mixed", "b", "dual_context", "a-star", "b-star")}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=[p.name for p in FIXTURES])
+def test_check_writes_the_same_basis(capsys, path):
+    from mphom import cli
+
+    for alg in cli.ALGORITHM_CHOICES:
+        assert cli.main(["end", str(path), "--alg", alg]) == 0
+        alone = capsys.readouterr().out
+        assert cli.main(["end", str(path), "--check", "--alg", alg]) == 0
+        assert capsys.readouterr().out == alone, alg
+
+
+def test_bench_jobs_are_capped(monkeypatch):
+    from mphom import benchmarks
+
+    started = []
+
+    class Recorder:
+        """Stands in for the process pool; runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(benchmarks, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(benchmarks.os, "cpu_count", lambda: 3)
+    small = dict(gens=3, rels=3, coord_range=4, algorithms=("a",))
+    serial = benchmarks.run_bench(4, jobs=1, **small)
+    assert started == []
+    for jobs, count, workers in ((10**6, 4, 3), (10**6, 2, 2), (2, 4, 2)):
+        records = benchmarks.run_bench(count, jobs=jobs, **small)
+        assert started.pop() == workers
+        assert [r.dim_hom for r in records] == [
+            r.dim_hom for r in serial[:count]
+        ]
+    # One job per instance, or a single CPU, runs in-process.
+    assert benchmarks.run_bench(1, jobs=10**6, **small)
+    monkeypatch.setattr(benchmarks.os, "cpu_count", lambda: None)
+    assert benchmarks.run_bench(3, jobs=10**6, **small)
+    assert started == []

@@ -328,3 +328,31 @@ def test_end_identity_on_random_modules():
         )
         assert quotient_rank(list(basis.elements) + [identity], y, y) \
             == basis.dim, seed
+
+
+def seeded_pairs():
+    for d, n, coord_range in ((1, 6, 8), (2, 6, 8), (3, 4, 5)):
+        for p in (2, 5, 65521):
+            for seed in range(2):
+                yield random_pair(
+                    seed, d=d, gens=n, rels=n, coord_range=coord_range, p=p
+                )
+
+
+def test_route_elements_equal_their_validated_copies():
+    """The routes build their elements without copying or checking; each
+    must equal the matrix the checking constructor builds from it, and
+    share the generator degrees of its operands."""
+    seen = 0
+    for x, y in seeded_pairs():
+        for algorithm in ALGORITHMS:
+            for e in algorithm(x, y).elements:
+                checked = GradedMatrix(
+                    e.field, e.rows, e.cols, e.columns, validate=True
+                )
+                assert e == checked
+                assert hash(e) == hash(checked)
+                assert e.rows is y.matrix.rows
+                assert e.cols is x.matrix.rows
+                seen += 1
+    assert seen > 50

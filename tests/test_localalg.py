@@ -20,7 +20,8 @@ from mphom import (
     thickness_at_degrees,
 )
 from mphom.generators import random_module
-from mphom.localalg import evaluation_grid, grid_points
+from mphom.graded import _slice_at_most
+from mphom.localalg import LocalCokernel, evaluation_grid, grid_points
 
 from conftest import free_module, red_blue, staircase_pair
 
@@ -237,3 +238,77 @@ def test_subset_size_sum_bounded_by_b0_times_thickness():
             len(rs0.subset(g)) for g in x.matrix.rows
         )
         assert total <= x.n_generators * thickness(y)
+
+
+def old_local_cokernel(matrix, alpha):
+    """`local_cokernel` as it was before it kept its span: the slice is
+    renumbered, and the cokernel matrix is transposed cell by cell."""
+    fld = matrix.field
+    p = fld.p
+    row_idx, _, columns = _slice_at_most(matrix, alpha)
+    span = column_reduce(columns, fld)
+    pivot_of = {entry.pivot: entry.column for entry in span.reduced}
+    m = len(row_idx)
+    free_local = [k for k in range(m) if k not in pivot_of]
+    free_pos = {k: t for t, k in enumerate(free_local)}
+    dim = len(free_local)
+    cols = []
+    for r in range(m):
+        col = [0] * dim
+        if r in free_pos:
+            col[free_pos[r]] = 1
+        else:
+            pcol = pivot_of[r]
+            lead_inv = fld.inv(pcol[-1][1])
+            for i, v in pcol[:-1]:
+                scale = (-v * lead_inv) % p
+                for t in range(dim):
+                    col[t] = (col[t] + scale * cols[i][t]) % p
+        cols.append(col)
+    rows = tuple(tuple(cols[r][t] for r in range(m)) for t in range(dim))
+    return LocalCokernel(
+        degree=tuple(alpha),
+        rows_le=tuple(row_idx),
+        subset=tuple(row_idx[k] for k in free_local),
+        matrix=rows,
+        p=p,
+    )
+
+
+def assert_matches_old(matrix, alpha):
+    ck = local_cokernel(matrix, alpha)
+    old = old_local_cokernel(matrix, alpha)
+    assert ck == old
+    # The span is that of the slice's columns in the matrix's own rows.
+    _, col_idx, _ = _slice_at_most(matrix, alpha)
+    fresh = column_reduce([matrix.columns[j] for j in col_idx], matrix.field)
+    assert [(e.pivot, e.column) for e in ck.span.reduced] == [
+        (e.pivot, e.column) for e in fresh.reduced
+    ]
+    return ck
+
+
+def test_local_cokernel_matches_the_old_transpose():
+    _, blue = red_blue()
+    # No generator lies below (0, 0): an empty slice.
+    empty = assert_matches_old(blue.matrix, (0, 0))
+    assert empty.rows_le == () and empty.matrix == ()
+    # Both generators die by (5, 1): a zero-dimensional slice of two rows.
+    dead = assert_matches_old(blue.matrix, (5, 1))
+    assert dead.rows_le == (0, 1) and dead.dim == 0 and dead.matrix == ()
+    for seed, p in ((3, 2), (4, 5), (5, 65521)):
+        y = random_module(seed, gens=8, rels=8, coord_range=6, p=p)
+        for alpha in grid_points(evaluation_grid(y)):
+            assert_matches_old(y.matrix, alpha)
+
+
+def test_cokernel_cache_lends_the_spans_it_reduced():
+    _, blue = red_blue()
+    cache = CokernelCache(blue.matrix)
+    assert cache.spans() == {}
+    for alpha in ((2, 2), (5, 1), (2, 2)):
+        cache.at(alpha)
+    spans = cache.spans()
+    assert set(spans) == {(2, 2), (5, 1)}
+    assert spans[(2, 2)] is cache.at((2, 2)).span
+    assert spans[(5, 1)].rank == 2
