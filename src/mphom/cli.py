@@ -53,8 +53,13 @@ ALGORITHM_CHOICES = ("direct", "a", "mixed", "b", "a-star", "b-star", "oracle")
 
 
 def _read_text(path):
-    with open(path) as handle:
-        return handle.read()
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
 
 
 def _field_arg(args, default=None):
@@ -145,6 +150,7 @@ def _append_stats(path, instance, basis, xp, yp):
 
 
 def _cmd_hom(args, endo=False):
+    _size_args(args, grid_cap=1)
     field = _field_arg(args)
     xp = _load_presentation(args.domain, field)
     yp = xp if endo else _load_presentation(args.target, field)
@@ -304,7 +310,7 @@ def main(argv=None):
         if args.command == "bench":
             return _cmd_bench(args)
         parser.error(f"unknown command {args.command}")
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"file error: {exc}\n")
         return EXIT_FILE
     except ParseError as exc:

@@ -410,9 +410,6 @@ class ColumnSpan:
     def rank(self):
         return len(self.reduced)
 
-    def pivots(self):
-        return dict(self._by_pivot)
-
     def insert(self, column, source=-1, record=False):
         """Reduce one column against the span; absorb the residual."""
         p = self.field.p

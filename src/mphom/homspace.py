@@ -34,11 +34,12 @@ Every route's basis is audited before it is returned (`_audit`): each
 element must respect the grading and pass `verify_hom`.  Basis elements
 are sparse, so the audit forms Q M only in the relations that Q's nonzero
 columns reach, through a generator-to-relations index of M built once per
-audit, and reduces only the nonzero products, against spans of N built
-once per relation degree.  The zero products it skips pass trivially, so
-the audit is exactly as strong as checking every relation.  `hom_exact`
-has already reduced those slices of N for its local cokernels, and lends
-their spans to its audit instead of reducing them again.
+audit, and reduces only the nonzero products, against the span of N at
+each relation degree.  The zero products it skips pass trivially, so the
+audit is exactly as strong as checking every relation.  Each route hands
+its audit the `CokernelCache` of N it built, so a slice of N is reduced
+once per route whether the masks, the structure maps or the audit asks
+for it first.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
-    _slice_indices,
-    column_reduce,
     deg_sub,
     nullspace_of_columns,
     validate_grading,
@@ -260,33 +259,36 @@ def _homotopy_columns(n, q_cols, index):
     return cols
 
 
+def _q_matrix(flat, keys, q_rows, q_cols, fld):
+    """Graded Q matrix of a sorted flat column: `keys[k]` is the (g, g')
+    entry at flat position k.  Keys must be g-major with g' ascending
+    inside each block, so every column fills in sorted row order; `q_rows`
+    and `q_cols` must be tuples of degree tuples, which the matrix shares.
+    """
+    blocks = [[] for _ in q_cols]
+    for k, v in flat:
+        g, gp = keys[k]
+        blocks[g].append((gp, v))
+    return GradedMatrix._trusted(
+        fld, q_rows, q_cols, tuple(map(tuple, blocks))
+    )
+
+
 def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
     """Column-reduce flat Q columns after the given homotopy columns.
 
     Returns the surviving reduced columns as graded matrices; only they
-    are unflattened, through one reverse index.  `q_rows` and `q_cols`
-    must be tuples of degree tuples: every survivor shares them.
+    are unflattened.
     """
     span = ColumnSpan(fld)
     for col in homotopies:
         span.insert(col, source=-1)
-    keys = list(index)  # keys[k] is the (g, g') entry at flat position k
+    keys = list(index)
     survivors = []
     for j, col in enumerate(cols):
         entry = span.insert(col, source=j)
-        if entry is None:
-            continue
-        # The flat order is g-major with g' ascending inside each block,
-        # so every block fills in sorted row order.
-        blocks = [[] for _ in q_cols]
-        for k, v in entry.column:
-            g, gp = keys[k]
-            blocks[g].append((gp, v))
-        survivors.append(
-            GradedMatrix._trusted(
-                fld, q_rows, q_cols, tuple(map(tuple, blocks))
-            )
-        )
+        if entry is not None:
+            survivors.append(_q_matrix(entry.column, keys, q_rows, q_cols, fld))
     return survivors
 
 
@@ -324,22 +326,19 @@ class _AuditCache:
     """What the `verify_hom` calls of one audit share.
 
     `rels_of[g]` lists the relations (r, M_{g,r}) that generator g of X
-    appears in, by increasing r; `spans` maps a relation degree to the
-    column span of N_{<=deg}, in N's own row numbering, built the first
-    time a nonzero product at that degree needs it.  A caller that has
-    already reduced those slices of N lends their spans as `spans`
-    (`hom_exact` passes its `CokernelCache.spans()`); they are the spans
-    the audit would build, computed from N alone.
+    appears in, by increasing r; `cokernels` is a `CokernelCache` of N,
+    whose local cokernel at a relation degree holds the column span of N
+    at that degree in N's own row numbering.
     """
 
-    __slots__ = ("rels_of", "spans")
+    __slots__ = ("rels_of", "cokernels")
 
-    def __init__(self, m, spans=None):
+    def __init__(self, m, cokernels):
         self.rels_of = [[] for _ in range(m.nrows)]
         for r, col in enumerate(m.columns):
             for g, mv in col:
                 self.rels_of[g].append((r, mv))
-        self.spans = {} if spans is None else spans
+        self.cokernels = cokernels
 
 
 def verify_hom(q, xp, yp, cache=None):
@@ -364,9 +363,8 @@ def verify_hom(q, xp, yp, cache=None):
             f"domain's as columns; got a {q.nrows}x{q.ncols} matrix for "
             f"{n.nrows} and {m.nrows} generators"
         )
-    audit = cache if cache is not None else _AuditCache(m)
-    fld = n.field
-    p = fld.p
+    audit = cache if cache is not None else _AuditCache(m, CokernelCache(n))
+    p = n.field.p
     products = {}
     for g, qcol in enumerate(q.columns):
         if qcol:
@@ -376,25 +374,19 @@ def verify_hom(q, xp, yp, cache=None):
         product = products[r]
         if not product:
             continue
-        rdeg = m.cols[r]
-        span = audit.spans.get(rdeg)
-        if span is None:
-            _, col_idx = _slice_indices(n, rdeg)
-            span = column_reduce([n.columns[j] for j in col_idx], fld)
-            audit.spans[rdeg] = span
-        if not span.contains(product):
+        if not audit.cokernels.at(m.cols[r]).span.contains(product):
             return False
     return True
 
 
-def _audit(basis_elements, xp, yp, algorithm, spans=None):
+def _audit(basis_elements, xp, yp, algorithm, cokernels):
     """Check every returned element: graded, and a homomorphism.
 
-    The elements share one `_AuditCache`, so the generator-to-relation
-    index and the span at each relation degree are built once per call;
-    `spans` lends spans of N already reduced, as `_AuditCache` takes them.
+    The elements share one `_AuditCache` over `cokernels`, the route's
+    `CokernelCache` of N, so the generator-to-relation index is built once
+    per call and each slice of N is reduced at most once per route.
     """
-    cache = _AuditCache(xp.matrix, spans)
+    cache = _AuditCache(xp.matrix, cokernels)
     for q in basis_elements:
         if not validate_grading(q):
             raise GradingError(
@@ -406,27 +398,10 @@ def _audit(basis_elements, xp, yp, algorithm, spans=None):
             )
 
 
-def _audited(elements, stats, xp, yp, spans=None):
+def _audited(elements, stats, xp, yp, cokernels):
     basis = HomBasis(tuple(elements), "generators", stats.algorithm, stats)
-    _audit(basis.elements, xp, yp, stats.algorithm, spans)
+    _audit(basis.elements, xp, yp, stats.algorithm, cokernels)
     return basis
-
-
-def _free_domain_basis(algorithm, xp, yp, cache):
-    """Hom(free X, Y): one basis element per generator g and per element
-    of the distinguished subset of Y at deg(g)."""
-    m, n = xp.matrix, yp.matrix
-    elements = []
-    for g, gdeg in enumerate(m.rows):
-        for gp in cache.at(gdeg).subset:
-            columns = tuple(
-                ((gp, 1),) if k == g else () for k in range(m.nrows)
-            )
-            elements.append(
-                GradedMatrix._trusted(m.field, n.rows, m.rows, columns)
-            )
-    stats = SolveStats(algorithm, len(elements), 0, 0, 0.0, len(elements))
-    return _audited(elements, stats, xp, yp)
 
 
 def _empty_basis(algorithm, coords="generators"):
@@ -434,12 +409,13 @@ def _empty_basis(algorithm, coords="generators"):
     return HomBasis((), coords, algorithm, stats)
 
 
-def _primal_basis(algorithm, xp, yp, system, quotient):
+def _primal_basis(algorithm, xp, yp, system, quotient, cokernels):
     """Solve a route's system and reduce the Q parts of its solutions.
 
     With `quotient` the Q parts are reduced modulo null-homotopies and
     `homotopy_killed` counts the directions that removed; without it
     (unique lifts) a plain column reduction drops dependent solutions.
+    `cokernels` is the route's `CokernelCache` of N, for the audit.
     """
     qcols = system.solve()
     n, fld = yp.matrix, xp.field
@@ -461,7 +437,7 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
         solution_dim=len(qcols),
         homotopy_killed=killed,
     )
-    return _audited(survivors, stats, xp, yp)
+    return _audited(survivors, stats, xp, yp, cokernels)
 
 
 def _q_mask(xp, yp, cache):
@@ -474,7 +450,9 @@ def hom_direct(xp, yp):
     """Direct computation: full system, then the homotopy quotient."""
     if _check_pair(xp, yp):
         return _empty_basis("direct")
-    return _primal_basis("direct", xp, yp, LinearSystem(xp, yp), True)
+    return _primal_basis(
+        "direct", xp, yp, LinearSystem(xp, yp), True, CokernelCache(yp.matrix)
+    )
 
 
 def hom_restricted(xp, yp):
@@ -484,18 +462,19 @@ def hom_restricted(xp, yp):
     the generator degrees of X; P entries only on the distinguished
     relation subsets of the first syzygy of Y at the relation degrees of
     X.  Lifts are unique, so the solution space maps isomorphically onto
-    Hom(X, Y) and only a plain column reduction is applied.
+    Hom(X, Y) and only a plain column reduction is applied.  A free X has
+    no relations, so the syzygy of Y is not computed.
     """
     if _check_pair(xp, yp):
         return _empty_basis("a")
     cache = CokernelCache(yp.matrix)
-    if xp.n_relations == 0:
-        return _free_domain_basis("a", xp, yp, cache)
     q_mask = _q_mask(xp, yp, cache)
-    rs1 = restriction_system(xp.matrix, kernel(yp.matrix), 1)
-    p_mask = [rs1.subset(rdeg) for rdeg in xp.matrix.cols]
+    p_mask = []
+    if xp.n_relations:
+        rs1 = restriction_system(xp.matrix, kernel(yp.matrix), 1)
+        p_mask = [rs1.subset(rdeg) for rdeg in xp.matrix.cols]
     system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
-    return _primal_basis("a", xp, yp, system, False)
+    return _primal_basis("a", xp, yp, system, False, cache)
 
 
 def hom_mixed(xp, yp):
@@ -503,10 +482,8 @@ def hom_mixed(xp, yp):
     if _check_pair(xp, yp):
         return _empty_basis("mixed")
     cache = CokernelCache(yp.matrix)
-    if xp.n_relations == 0:
-        return _free_domain_basis("mixed", xp, yp, cache)
     system = LinearSystem(xp, yp, q_mask=_q_mask(xp, yp, cache))
-    return _primal_basis("mixed", xp, yp, system, True)
+    return _primal_basis("mixed", xp, yp, system, True, cache)
 
 
 def hom_exact(xp, yp):
@@ -556,26 +533,17 @@ def hom_exact(xp, yp):
     combos = nullspace_of_columns(sys_columns, fld)
     elapsed = time.perf_counter() - t0
     # Re-express nullvectors as graded matrices.  Variables are g-major
-    # with ascending subset rows, so sorting a combination by variable
-    # sorts every column.
-    var_info = []
-    for g, gdeg in enumerate(m.rows):
-        for gp in cache.at(gdeg).subset:
-            var_info.append((g, gp))
-    elements = []
-    for combo in combos:
-        cols = [[] for _ in range(m.nrows)]
-        for k, v in sorted(combo.items()):
-            g, gp = var_info[k]
-            cols[g].append((gp, v))
-        elements.append(
-            GradedMatrix._trusted(fld, n.rows, m.rows, tuple(map(tuple, cols)))
-        )
+    # with ascending subset rows, as `_q_matrix` needs.
+    keys = [(g, gp) for g, gdeg in enumerate(m.rows)
+            for gp in cache.at(gdeg).subset]
+    elements = [
+        _q_matrix(sorted(combo.items()), keys, n.rows, m.rows, fld)
+        for combo in combos
+    ]
     stats = SolveStats(
         "b", total, rows_total, entries, elapsed, solution_dim=len(combos)
     )
-    # The cache has reduced N_{<=deg r} at every relation degree of X.
-    return _audited(elements, stats, xp, yp, cache.spans())
+    return _audited(elements, stats, xp, yp, cache)
 
 
 def _block_diagonal(n, shifts, fld):

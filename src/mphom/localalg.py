@@ -11,11 +11,17 @@ Pivot convention: columns of N_{<=alpha} are reduced left to right with
 lowest-row pivots (largest row index); the distinguished subset collects
 the pivot-free rows in their original order.  Any valid subset would do;
 fixing the sweep makes results deterministic.
+
+A local cokernel keeps the reduced span of N_{<=alpha} it was read from,
+and builds its cokernel matrix when that is first read: a caller that only
+needs the subset or the span (the homomorphism audit, the Q masks) does
+not pay for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -38,25 +44,49 @@ class LocalCokernel:
     rows_le: original indices of the generators of degree <= alpha.
     subset: original indices of the pivot-free generators; their images
         form a basis of Y_alpha, so dim Y_alpha == len(subset).
+    span: the column span of N_{<=alpha} in N's own row numbering; it is
+        not part of equality.
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
-        subset positions form the identity.
-    span: the column span of N_{<=alpha} in N's own row numbering, or
-        None; it is not part of equality.
+        subset positions form the identity; built from `span` when first
+        read, and not part of equality.
     """
 
     degree: tuple
     rows_le: tuple
     subset: tuple
-    matrix: tuple
     p: int
-    span: ColumnSpan | None = dataclasses.field(
-        default=None, compare=False, repr=False
-    )
+    span: ColumnSpan = dataclasses.field(compare=False, repr=False)
 
     @property
     def dim(self):
         return len(self.subset)
+
+    @functools.cached_property
+    def matrix(self):
+        fld = self.span.field
+        p = fld.p
+        pivot_of = {entry.pivot: entry.column for entry in self.span.reduced}
+        free_pos = {r: t for t, r in enumerate(self.subset)}
+        dim = self.dim
+        # Forward substitution in increasing row order: a reduced column
+        # has its pivot as last entry, so the pivot coordinate only
+        # depends on rows already processed.
+        cols = {}
+        for r in self.rows_le:
+            col = [0] * dim
+            if r in free_pos:
+                col[free_pos[r]] = 1
+            else:
+                pcol = pivot_of[r]
+                lead_inv = fld.inv(pcol[-1][1])
+                for i, v in pcol[:-1]:
+                    scale = (-v * lead_inv) % p
+                    prev = cols[i]
+                    for t in range(dim):
+                        col[t] = (col[t] + scale * prev[t]) % p
+            cols[r] = col
+        return tuple(zip(*cols.values()))
 
     def coordinates(self, column):
         """Coordinates in the subset basis of a sparse vector over rows_le.
@@ -77,7 +107,7 @@ class LocalCokernel:
         return [v % self.p for v in out]
 
 
-def local_cokernel(matrix, alpha, field=None):
+def local_cokernel(matrix, alpha):
     """Local cokernel of a presentation at a degree (Algorithm 1).
 
     Reduces the columns of N_{<=alpha}; pivot-free rows become the
@@ -86,41 +116,18 @@ def local_cokernel(matrix, alpha, field=None):
     columns at G_alpha are the identity.
 
     The columns are reduced in N's own row numbering, and the reduced
-    span is returned with the cokernel.  The rows of degree <= alpha keep
+    span is kept with the cokernel.  The rows of degree <= alpha keep
     their order, so the pivots are those of the renumbered slice.
     """
     matrix = _matrix_of(matrix)
-    fld = field or matrix.field
-    p = fld.p
     row_idx, col_idx = _slice_indices(matrix, alpha)
-    span = column_reduce([matrix.columns[j] for j in col_idx], fld)
-    pivot_of = {entry.pivot: entry.column for entry in span.reduced}
-    free = [r for r in row_idx if r not in pivot_of]
-    free_pos = {r: t for t, r in enumerate(free)}
-    dim = len(free)
-    # Forward substitution in increasing row order: a reduced column has
-    # its pivot as last entry, so the pivot coordinate only depends on
-    # rows already processed.
-    cols = {}
-    for r in row_idx:
-        col = [0] * dim
-        if r in free_pos:
-            col[free_pos[r]] = 1
-        else:
-            pcol = pivot_of[r]
-            lead_inv = fld.inv(pcol[-1][1])
-            for i, v in pcol[:-1]:
-                scale = (-v * lead_inv) % p
-                prev = cols[i]
-                for t in range(dim):
-                    col[t] = (col[t] + scale * prev[t]) % p
-        cols[r] = col
+    span = column_reduce([matrix.columns[j] for j in col_idx], matrix.field)
+    pivots = span._by_pivot
     return LocalCokernel(
         degree=tuple(alpha),
         rows_le=row_idx,
-        subset=tuple(free),
-        matrix=tuple(zip(*cols.values())),
-        p=p,
+        subset=tuple([r for r in row_idx if r not in pivots]),
+        p=matrix.field.p,
         span=span,
     )
 
@@ -128,29 +135,24 @@ def local_cokernel(matrix, alpha, field=None):
 class CokernelCache:
     """Memoizes local cokernels of one presentation per distinct degree.
 
-    Each cokernel keeps the column span of N_{<=alpha} it was read from;
-    `spans` lends them out, so that a caller that needs those spans
-    (`hom_exact`'s audit) does not reduce the same slices again.  The
-    cache is scoped to a single computation context; contexts are
+    It is the one memo of N's reduced slices in a computation: a route
+    that builds one for its masks or structure maps hands it to its
+    homomorphism audit, which reads the span at each relation degree.
+    The cache is scoped to a single computation context; contexts are
     independent and may run in parallel.
     """
 
-    def __init__(self, matrix, field=None):
+    def __init__(self, matrix):
         self.matrix = _matrix_of(matrix)
-        self.field = field or self.matrix.field
         self._memo = {}
 
     def at(self, alpha):
         alpha = tuple(alpha)
         hit = self._memo.get(alpha)
         if hit is None:
-            hit = local_cokernel(self.matrix, alpha, self.field)
+            hit = local_cokernel(self.matrix, alpha)
             self._memo[alpha] = hit
         return hit
-
-    def spans(self):
-        """Column span of N_{<=alpha} per degree alpha evaluated so far."""
-        return {alpha: ck.span for alpha, ck in self._memo.items()}
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ class RestrictionSystem:
     equal the local dimensions, so the induced lift is unique.
     """
 
-    stage: int
     subsets: dict
 
     def subset(self, alpha):
@@ -187,7 +188,7 @@ def restriction_system(source, stage_matrix, stage, cache=None):
         alpha = tuple(alpha)
         if alpha not in subsets:
             subsets[alpha] = cache.at(alpha).subset
-    return RestrictionSystem(stage=stage, subsets=subsets)
+    return RestrictionSystem(subsets)
 
 
 def structure_map(matrix, alpha, beta, cache=None):

@@ -324,23 +324,21 @@ class Resolution:
         return self.differentials[-1]
 
 
-def free_resolution(presentation, length=None):
+def free_resolution(presentation):
     """Minimal free resolution d_1 = M, d_{k+1} = kernel(d_k).
 
-    Stops early when a kernel vanishes; `length` caps the number of
-    differentials (default d + 1, which the Hilbert syzygy theorem makes
-    unreachable for minimal inputs).
+    Stops when a kernel vanishes.  For minimal inputs the Hilbert syzygy
+    theorem bounds the number of differentials by max(d, 1); a resolution
+    that would grow past it raises GradingError.
     """
     pres = presentation if presentation.minimal else minimize(presentation)
     d = pres.matrix.dim
     diffs = [pres.matrix]
     while True:
-        if length is not None and len(diffs) >= length:
-            break
         nxt = kernel(diffs[-1])
         if nxt.ncols == 0:
             break
-        if length is None and len(diffs) >= max(d, 1):
+        if len(diffs) >= max(d, 1):
             raise GradingError(
                 f"resolution does not terminate at the syzygy bound {d}"
             )
@@ -440,7 +438,7 @@ def sparsify(presentation):
             [tuple(columns[j]) for j in others],
             validate=False,
         )
-        ck = local_cokernel(rest, omega, fld)
+        ck = local_cokernel(rest, omega)
         dim_before = ck.dim
         dim_x = dim_before - k
         if all(len(columns[j]) <= dim_x + 1 for j in batch):

@@ -1,6 +1,7 @@
 """The homomorphism audit: `verify_hom` walks only the relations a basis
 element reaches, and must answer exactly as the per-relation check it
-replaced.
+replaced.  It reads the spans of N from the `CokernelCache` its route
+hands it.
 
 The reference below copies the earlier implementation: it forms Q M_r for
 every relation r of X, and reduces each nonzero product against the span
@@ -29,6 +30,7 @@ from mphom import homspace
 from mphom.graded import _axpy, _slice_at_most, column_reduce, deg_leq
 from mphom.generators import random_pair
 from mphom.homspace import _audit, _AuditCache
+from mphom.localalg import CokernelCache
 
 from conftest import red_blue
 
@@ -133,6 +135,11 @@ def zero_q(xp, yp):
     )
 
 
+def fresh_cache(xp, yp):
+    """An audit cache over a cokernel cache of N that nothing else read."""
+    return _AuditCache(xp.matrix, CokernelCache(yp.matrix))
+
+
 # -- equivalence ------------------------------------------------------------
 
 
@@ -141,12 +148,12 @@ def test_basis_elements_pass_both_checks(name, pair):
     xp, yp = pair
     for algorithm, route in ROUTES.items():
         basis = route(xp, yp)
-        cache = _AuditCache(xp.matrix)
+        cache = fresh_cache(xp, yp)
         for q in basis.elements:
             assert old_verify_hom(q, xp, yp), algorithm
             assert verify_hom(q, xp, yp), algorithm
             assert verify_hom(q, xp, yp, cache), algorithm
-        _audit(basis.elements, xp, yp, algorithm)
+        _audit(basis.elements, xp, yp, algorithm, CokernelCache(yp.matrix))
 
 
 @pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
@@ -156,7 +163,7 @@ def test_perturbed_elements_match_reference(name, pair):
         pytest.skip("no Q matrices between zero modules")
     bases = [q for route in ROUTES.values() for q in route(xp, yp).elements]
     # One shared cache across every candidate, as in an audit.
-    cache = _AuditCache(xp.matrix)
+    cache = fresh_cache(xp, yp)
     answers = []
     for base in bases[:3] + [zero_q(xp, yp)]:
         for q in perturbations(base, xp, yp):
@@ -184,7 +191,7 @@ def test_zero_q_is_a_homomorphism():
         q = zero_q(xp, yp)
         assert old_verify_hom(q, xp, yp)
         assert verify_hom(q, xp, yp)
-        assert verify_hom(q, xp, yp, _AuditCache(xp.matrix))
+        assert verify_hom(q, xp, yp, fresh_cache(xp, yp))
 
 
 def only_last_relation_fails():
@@ -210,7 +217,7 @@ def test_q_failing_only_at_the_last_relation():
     assert old_failing_relations(q, xp, yp) == [last]
     assert not old_verify_hom(q, xp, yp)
     assert not verify_hom(q, xp, yp)
-    cache = _AuditCache(xp.matrix)
+    cache = fresh_cache(xp, yp)
     assert verify_hom(zero_q(xp, yp), xp, yp, cache)
     assert not verify_hom(q, xp, yp, cache)
 
@@ -225,32 +232,34 @@ def test_seeded_q_failing_only_at_the_last_relation():
             if old_failing_relations(q, xp, yp) == [last]:
                 found += 1
                 assert not verify_hom(q, xp, yp)
-                assert not verify_hom(q, xp, yp, _AuditCache(xp.matrix))
+                assert not verify_hom(q, xp, yp, fresh_cache(xp, yp))
     assert found
 
 
 def test_audit_rejects_a_non_homomorphism():
     q, xp, yp = only_last_relation_fails()
     with pytest.raises(GradingError, match="fails the homomorphism test"):
-        _audit([zero_q(xp, yp), q], xp, yp, "test")
+        _audit(
+            [zero_q(xp, yp), q], xp, yp, "test", CokernelCache(yp.matrix)
+        )
 
 
-# -- spans lent by route b --------------------------------------------------
+# -- spans lent by each route's cokernel cache ------------------------------
 
 
-def lent_spans(xp, yp, monkeypatch):
-    """Run `hom_exact` and return the spans it lends to its audit."""
+def lent_cache(route, xp, yp, monkeypatch):
+    """Run a route and return the `CokernelCache` it hands to its audit."""
     lent = []
     audit = homspace._audit
 
-    def spy(elements, xp_, yp_, algorithm, spans=None):
-        lent.append(spans)
-        return audit(elements, xp_, yp_, algorithm, spans)
+    def spy(elements, xp_, yp_, algorithm, cokernels):
+        lent.append(cokernels)
+        return audit(elements, xp_, yp_, algorithm, cokernels)
 
     with monkeypatch.context() as patch:
         patch.setattr(homspace, "_audit", spy)
-        hom_exact(xp, yp)
-    assert len(lent) == 1 and lent[0] is not None
+        route(xp, yp)
+    assert len(lent) == 1 and isinstance(lent[0], CokernelCache)
     return lent[0]
 
 
@@ -258,35 +267,55 @@ def lent_spans(xp, yp, monkeypatch):
 def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
     xp, yp = pair
     if xp.is_zero_module() or yp.is_zero_module():
-        pytest.skip("route b lends nothing between zero modules")
+        pytest.skip("no route audits anything between zero modules")
     m, n = xp.matrix, yp.matrix
-    spans = lent_spans(xp, yp, monkeypatch)
-    # Every relation degree is covered, by the span the audit would build.
+    lent = {
+        algorithm: lent_cache(route, xp, yp, monkeypatch)
+        for algorithm, route in ROUTES.items()
+    }
+    # At every relation degree the audit reads the span of a fresh
+    # reduction of N_{<=deg r}, in N's own row numbering.
     for rdeg in m.cols:
         _, col_idx, _ = _slice_at_most(n, rdeg)
         fresh = column_reduce([n.columns[j] for j in col_idx], n.field)
-        assert [e.column for e in spans[rdeg].reduced] == [
-            e.column for e in fresh.reduced
-        ]
-    lent = _AuditCache(m, dict(spans))
-    unlent = _AuditCache(m)
+        for algorithm, cache in lent.items():
+            assert [e.column for e in cache.at(rdeg).span.reduced] == [
+                e.column for e in fresh.reduced
+            ], algorithm
+    unlent = fresh_cache(xp, yp)
+    audits = {alg: _AuditCache(m, cache) for alg, cache in lent.items()}
     # The perturbations of the zero Q hold the rejections that
     # `test_perturbations_include_non_homomorphisms` counts.
     bases = list(hom_exact(xp, yp).elements)
     for base in bases[:3] + [zero_q(xp, yp)]:
         for q in perturbations(base, xp, yp):
             expected = verify_hom(q, xp, yp, unlent)
-            assert verify_hom(q, xp, yp, lent) == expected
-            if not expected:
-                with pytest.raises(GradingError):
-                    _audit([q], xp, yp, "test", dict(spans))
+            for algorithm, audit in audits.items():
+                assert verify_hom(q, xp, yp, audit) == expected, algorithm
+                if not expected:
+                    with pytest.raises(GradingError):
+                        _audit([q], xp, yp, "test", lent[algorithm])
 
 
 def test_lent_spans_reject_a_non_homomorphism(monkeypatch):
     q, xp, yp = only_last_relation_fails()
-    spans = lent_spans(xp, yp, monkeypatch)
-    with pytest.raises(GradingError, match="fails the homomorphism test"):
-        _audit([zero_q(xp, yp), q], xp, yp, "test", spans)
+    for algorithm, route in ROUTES.items():
+        lent = lent_cache(route, xp, yp, monkeypatch)
+        with pytest.raises(GradingError, match="fails the homomorphism test"):
+            _audit([zero_q(xp, yp), q], xp, yp, algorithm, lent)
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_audits_build_no_cokernel_matrix(name, pair, monkeypatch):
+    # Routes direct, a and mixed read only subsets and spans of N, so no
+    # local cokernel they cached has built its matrix.
+    xp, yp = pair
+    if xp.is_zero_module() or yp.is_zero_module():
+        pytest.skip("no route audits anything between zero modules")
+    for algorithm in ("direct", "a", "mixed"):
+        cache = lent_cache(ROUTES[algorithm], xp, yp, monkeypatch)
+        for cokernel in cache._memo.values():
+            assert "matrix" not in vars(cokernel), algorithm
 
 
 # -- shape check ------------------------------------------------------------
@@ -314,7 +343,7 @@ def test_q_with_wrong_decorations_is_rejected():
         with pytest.raises(DimensionMismatchError):
             verify_hom(q, xp, yp)
         with pytest.raises(DimensionMismatchError):
-            verify_hom(q, xp, yp, _AuditCache(m))
+            verify_hom(q, xp, yp, fresh_cache(xp, yp))
 
 
 def test_verify_hom_accepts_bare_matrices():

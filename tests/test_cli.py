@@ -104,6 +104,40 @@ def test_missing_file_exit_code():
     assert out.returncode == 2
 
 
+def test_not_a_directory_exit_code(tmp_path, fig_files):
+    x, _ = fig_files
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    out = run_cli("thickness", str(blocker / "in.pmod"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("file error: "), out.stderr
+    target = blocker / "out.txt"
+    out = run_cli("thickness", str(x), "--out", str(target))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("file error: "), out.stderr
+    out = run_cli("end", str(x), "--stats", str(target))
+    assert out.returncode == 2, out.stderr
+
+
+def test_non_utf8_input_exit_code(tmp_path):
+    binary = tmp_path / "binary.pmod"
+    binary.write_bytes(b"pmod 2 3\n\xd0\xff\xfe\x00gens 0\n")
+    out = run_cli("thickness", str(binary))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("parse error: "), out.stderr
+    assert "not UTF-8" in out.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_grid_cap_below_one_exit_code(fig_files, capsys, value):
+    from mphom import cli
+
+    x, _ = fig_files
+    assert cli.main(["end", str(x), "--check", "--grid-cap", value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: --grid-cap {value}: must be >= 1")
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.pmod"
     bad.write_text("pmod 2 4\ngens 0\nrels 0\n")

@@ -3,7 +3,9 @@ chain it replaced, and the public homotopy quotient around it.
 
 The reference below copies the earlier implementation: it builds the system with `deg_leq`, turns every solution's Q part
 into a graded matrix, flattens those again for the homotopy quotient (or
-the plain reduction of route `a`) and a third time for the rank.
+the plain reduction of route `a`) and a third time for the rank.  On a
+free domain, routes `a` and `mixed` must also return the basis that their
+earlier free-domain special case wrote down directly.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from mphom import (
     homotopy_reduce,
 )
 from mphom import homspace
-from mphom.generators import random_pair
+from mphom.generators import random_module, random_pair
 from mphom.graded import nullspace_of_columns
 from mphom.localalg import CokernelCache
 
@@ -186,9 +188,6 @@ def reference(algorithm, xp, yp, masks):
     """(elements, (variables, equations, entries, solution_dim, killed))."""
     if xp.is_zero_module() or yp.is_zero_module():
         return [], (0, 0, 0, 0, 0)
-    if masks is None:  # the route took the free-domain branch
-        elements = old_free_domain_basis(xp, yp)
-        return elements, (len(elements), 0, 0, len(elements), 0)
     m, n = xp.matrix, yp.matrix
     q_vars, p_vars, equations, columns = old_system(xp, yp, **masks)
     nq = len(q_vars)
@@ -223,6 +222,15 @@ def seeded_pairs():
                 )
 
 
+def free_domain_pairs():
+    for d, n, coord_range in ((1, 6, 8), (2, 6, 8), (3, 4, 5)):
+        for p in (2, 5):
+            for seed in range(2):
+                x = random_module(2 * seed + 1, d, n, 0, coord_range, p=p)
+                y = random_module(2 * seed + 2, d, n, n, coord_range, p=p)
+                yield f"free-d{d}-p{p}-s{seed}", (x, y)
+
+
 def special_pairs():
     x, y = red_blue(p=5)
     yield "fig", (x, y)
@@ -234,7 +242,9 @@ def special_pairs():
     yield "zero-target", (x, zero_module(p=5))
 
 
-PAIRS = list(seeded_pairs()) + list(special_pairs())
+PAIRS = (
+    list(seeded_pairs()) + list(special_pairs()) + list(free_domain_pairs())
+)
 
 
 def run_recording(monkeypatch, route, xp, yp):
@@ -265,6 +275,10 @@ def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
             s.variables, s.equations, s.entries, s.solution_dim,
             s.homotopy_killed,
         ) == shape, algorithm
+        if xp.n_relations == 0 and algorithm != "direct":
+            elements = old_free_domain_basis(xp, yp)
+            assert list(basis.elements) == elements, algorithm
+            assert shape == (len(elements), 0, 0, len(elements), 0), algorithm
 
 
 def test_reference_inputs_exercise_the_quotient():
