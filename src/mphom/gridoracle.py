@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .errors import (
     CheckMismatchError,
     DimensionMismatchError,
+    FieldMismatchError,
     ResourceCapError,
 )
 from .localalg import _matrix_of, evaluation_grid
@@ -316,6 +317,8 @@ def hom_oracle(gx, gy):
     nonzero; one equation block per grid edge enforcing
     f_beta . X_edge = Y_edge . f_alpha.
     """
+    if gx.p != gy.p:
+        raise FieldMismatchError("oracle modules over different fields")
     if gx.axes != gy.axes:
         raise DimensionMismatchError("oracle modules live on different grids")
     p = gx.p

@@ -8,8 +8,8 @@ M: A[R] -> A[G] of X and N: A[R'] -> A[G'] of Y:
                   the generator blocks they can hit).
 * hom_restricted  restricts Q to the distinguished generator subsets of Y
                   and P to the distinguished relation subsets of the first
-                  syzygy of Y; lifts are then unique and no homotopy
-                  quotient is needed.
+                  syzygy of Y, read off the reduced slices of N; lifts are
+                  then unique and no homotopy quotient is needed.
 * hom_mixed       restricts Q only; P stays free; homotopy quotient as in
                   the direct route.
 * hom_exact       assembles the block matrix with (r, g) block
@@ -462,17 +462,17 @@ def hom_restricted(xp, yp):
     the generator degrees of X; P entries only on the distinguished
     relation subsets of the first syzygy of Y at the relation degrees of
     X.  Lifts are unique, so the solution space maps isomorphically onto
-    Hom(X, Y) and only a plain column reduction is applied.  A free X has
-    no relations, so the syzygy of Y is not computed.
+    Hom(X, Y) and only a plain column reduction is applied.  Both subsets
+    are read off the route's one `CokernelCache` of N: the relation subset
+    at a degree is the set of columns of N's slice that survive its
+    reduction (`LocalCokernel.syzygy_subset`), so no presentation of the
+    syzygy of Y is computed.
     """
     if _check_pair(xp, yp):
         return _empty_basis("a")
     cache = CokernelCache(yp.matrix)
     q_mask = _q_mask(xp, yp, cache)
-    p_mask = []
-    if xp.n_relations:
-        rs1 = restriction_system(xp.matrix, kernel(yp.matrix), 1)
-        p_mask = [rs1.subset(rdeg) for rdeg in xp.matrix.cols]
+    p_mask = [cache.at(rdeg).syzygy_subset for rdeg in xp.matrix.cols]
     system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
     return _primal_basis("a", xp, yp, system, False, cache)
 

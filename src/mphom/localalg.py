@@ -16,6 +16,16 @@ A local cokernel keeps the reduced span of N_{<=alpha} it was read from,
 and builds its cokernel matrix when that is first read: a caller that only
 needs the subset or the span (the homomorphism audit, the Q masks) does
 not pay for it.
+
+The same sweep gives the distinguished relation subset of the first
+syzygy module of Y at alpha.  That module is presented by kernel(N), whose
+columns of degree <= alpha span K(alpha) = ker N_{<=alpha}.  A vector of
+K(alpha) has its last nonzero entry at relation j exactly when column j of
+N_{<=alpha} is a combination of lower-numbered columns, that is, when the
+sweep zeroes it.  So the pivot-free rows of the local cokernel of
+kernel(N) at alpha are the columns of N_{<=alpha} that survive the sweep
+(`LocalCokernel.syzygy_subset`), and no presentation of the syzygy module
+is needed to read them.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ class LocalCokernel:
     ----------
     degree: the evaluation degree alpha.
     rows_le: original indices of the generators of degree <= alpha.
+    cols_le: original indices of the relations of degree <= alpha, the
+        columns of the slice in sweep order.
     subset: original indices of the pivot-free generators; their images
         form a basis of Y_alpha, so dim Y_alpha == len(subset).
     span: the column span of N_{<=alpha} in N's own row numbering; it is
@@ -54,6 +66,7 @@ class LocalCokernel:
 
     degree: tuple
     rows_le: tuple
+    cols_le: tuple
     subset: tuple
     p: int
     span: ColumnSpan = dataclasses.field(compare=False, repr=False)
@@ -61,6 +74,16 @@ class LocalCokernel:
     @property
     def dim(self):
         return len(self.subset)
+
+    @property
+    def syzygy_subset(self):
+        """Original indices of the relations that survive the sweep.
+
+        In increasing order, these are the pivot-free rows of the local
+        cokernel of kernel(N) at the same degree: the distinguished
+        relation subset of the first syzygy module of Y at alpha.
+        """
+        return tuple([self.cols_le[e.source] for e in self.span.reduced])
 
     @functools.cached_property
     def matrix(self):
@@ -126,6 +149,7 @@ def local_cokernel(matrix, alpha):
     return LocalCokernel(
         degree=tuple(alpha),
         rows_le=row_idx,
+        cols_le=col_idx,
         subset=tuple([r for r in row_idx if r not in pivots]),
         p=matrix.field.p,
         span=span,
@@ -176,7 +200,10 @@ def restriction_system(source, stage_matrix, stage, cache=None):
     (stage 1) of `source`, through `stage_matrix`.
 
     Stage 0 passes the target presentation N itself (slices of Y); stage 1
-    passes O = kernel(N) (slices of the first syzygy module of Y).
+    passes O = kernel(N) (slices of the first syzygy module of Y).  Its
+    stage-1 subsets equal `CokernelCache(N).at(alpha).syzygy_subset`,
+    which `hom_restricted` reads instead, so stage 1 here is the reference
+    that the kernel-free subsets are checked against.
     """
     if stage not in (0, 1):
         raise ValueError("stage must be 0 or 1")

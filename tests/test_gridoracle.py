@@ -1,12 +1,14 @@
 """The dense grid oracle: realization, commutativity, naturality."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mphom import (
     DimensionMismatchError,
+    FieldMismatchError,
     ResourceCapError,
     hilbert_at,
     hom_direct,
@@ -104,6 +106,21 @@ def test_oracle_grid_mismatch(fig_pair):
     gy = realize_grid(y)
     with pytest.raises(DimensionMismatchError):
         hom_oracle(gx, gy)
+
+
+def test_oracle_field_mismatch():
+    x, _ = red_blue(p=2)
+    _, y = red_blue(p=5)
+    axes = grid_axes(x.matrix, y.matrix)
+    gx, gy = realize_grid(x, axes), realize_grid(y, axes)
+    with pytest.raises(FieldMismatchError, match="different fields"):
+        hom_oracle(gx, gy)
+    # Like every route, the CLI's oracle refuses the pair with exit 1.
+    fixtures = Path(__file__).parent / "fixtures"
+    args = [str(fixtures / "rand_17_gf2.pmod"),
+            str(fixtures / "rand_18_gf5.pmod")]
+    for alg in ("oracle", "a"):
+        assert cli.main(["hom", *args, "--alg", alg]) == 1, alg
 
 
 def test_naturality_residual_zero_for_all_engines(fig_pair):

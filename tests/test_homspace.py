@@ -1,6 +1,8 @@
 """The four Hom algorithms, the homotopy quotient, verification, and the
 enriched Hom-module presentation."""
 
+from dataclasses import replace
+
 import pytest
 
 from mphom import (
@@ -10,6 +12,7 @@ from mphom import (
     Presentation,
     PrimeField,
     deg_sub,
+    dual_context,
     graded_matrix_from_entries,
     hilbert_at,
     hom_direct,
@@ -17,6 +20,7 @@ from mphom import (
     hom_mixed,
     hom_module_presentation,
     hom_restricted,
+    hom_restricted_dual,
     homotopy_reduce,
     minimize,
     thickness,
@@ -356,3 +360,35 @@ def test_route_elements_equal_their_validated_copies():
                 assert e.cols is x.matrix.rows
                 seen += 1
     assert seen > 50
+
+
+def _untimed(basis):
+    return basis.elements, basis.coords, replace(basis.stats, solve_seconds=0)
+
+
+def test_route_a_computes_no_kernel(monkeypatch):
+    """Route a reads its relation subsets off N's reduced slices: with
+    every `kernel` patched to raise it returns what it returns unpatched,
+    and so does a-star once its dual context is built."""
+    from mphom import homspace, presentations
+
+    pairs = [red_blue(), staircase_pair(), *seeded_pairs()]
+    expected = []
+    for x, y in pairs:
+        ctx = dual_context(x, y)
+        expected.append((
+            ctx,
+            _untimed(hom_restricted(x, y)),
+            _untimed(hom_restricted_dual(x, y, context=ctx)),
+        ))
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(homspace, "kernel", no_kernel)
+    monkeypatch.setattr(presentations, "kernel", no_kernel)
+    for (x, y), (ctx, primal, dual) in zip(pairs, expected):
+        assert _untimed(hom_restricted(x, y)) == primal
+        assert _untimed(hom_restricted_dual(x, y, context=ctx)) == dual
+    assert sum(len(primal[0]) for _, primal, _ in expected) > 0
+    assert sum(len(dual[0]) for _, _, dual in expected) > 0

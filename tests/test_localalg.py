@@ -19,11 +19,11 @@ from mphom import (
     thickness,
     thickness_at_degrees,
 )
-from mphom.generators import random_module
+from mphom.generators import random_module, random_pair
 from mphom.graded import _slice_at_most
 from mphom.localalg import evaluation_grid, grid_points
 
-from conftest import free_module, red_blue, staircase_pair
+from conftest import free_module, red_blue, staircase_pair, zero_module
 
 
 def test_local_cokernel_blue_at_2_2():
@@ -106,6 +106,46 @@ def test_restriction_system_running_example():
     # dim of the first syzygy of Y at (6,2) is 2: relations 0 and 1 stay,
     # forcing the third P variable to zero.
     assert rs1.subset((6, 2)) == (0, 1)
+
+
+def _assert_syzygy_subsets_match_stage_one(x, y):
+    """`syzygy_subset` of N's slices equals stage 1 over kernel(N) at
+    every relation degree of X and every point of the pair's grid."""
+    cache = CokernelCache(y.matrix)
+    syz = kernel(y.matrix)
+    reference = CokernelCache(syz)
+    rs1 = restriction_system(x.matrix, syz, 1)
+    for rdeg in x.matrix.cols:
+        assert cache.at(rdeg).syzygy_subset == rs1.subset(rdeg), rdeg
+    for alpha in grid_points(evaluation_grid(x, y)):
+        assert cache.at(alpha).syzygy_subset == reference.at(alpha).subset
+
+
+def test_syzygy_subset_running_example():
+    red, blue = red_blue()
+    ck = CokernelCache(blue.matrix).at((6, 2))
+    # Relation 2 is a combination of relations 0 and 1 at (6, 2).
+    assert ck.cols_le == (0, 1, 2)
+    assert ck.syzygy_subset == (0, 1)
+    _assert_syzygy_subsets_match_stage_one(red, blue)
+    x, y = staircase_pair()
+    assert len(CokernelCache(y.matrix).at((4, 4)).syzygy_subset) == 2
+    _assert_syzygy_subsets_match_stage_one(x, y)
+
+
+@pytest.mark.parametrize("p", (2, 5, 65521))
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_syzygy_subset_equals_stage_one_over_the_kernel(d, p):
+    for seed in range(6):
+        n = 3 + (seed * 5 + d) % 8
+        x, y = random_pair(seed, d=d, gens=n, rels=n, coord_range=6, p=p)
+        _assert_syzygy_subsets_match_stage_one(x, y)
+        # A free domain has no relation degrees; a free target has no
+        # relations, so every subset is empty.
+        free = free_module(x.matrix.rows, p=p)
+        _assert_syzygy_subsets_match_stage_one(free, y)
+        _assert_syzygy_subsets_match_stage_one(x, free)
+    _assert_syzygy_subsets_match_stage_one(zero_module(p), y)
 
 
 def test_restriction_system_staircase_fig9():
