@@ -5,17 +5,17 @@ module; it is minimal when no entry connects a row and a column of equal
 degree (so nothing cancels) and no column lies in the span of the shifts
 of the others at its own degree (so no relation is redundant).
 
-The kernel routine works degree by degree over the join closure of the
-column degrees: at each degree, nullspace vectors of the column slice that
-are not generated by earlier kernel elements become new generators.  The
-closure is enumerated once per distinct column degree, joining it with the
-points found so far (about n * |closure| joins for n columns), and is
-capped at CLOSURE_CAP points.  For d = 2 one rank-only sweep per distinct
-column x-coordinate gives the kernel dimension at every closure point, and
-only the points where that count shows new generators are reduced (see
-`kernel`); for other d every closure point is reduced from scratch.  For
-d = 2 this produces the usual length-<=2 resolutions; for higher d it is
-correct but makes no complexity claim.
+For d = 2 the kernel comes from one recording column sweep per distinct
+column x-coordinate: a column's first zeroing gives one generator, so the
+generating set is minimal and no join closure is built (see `kernel`).
+For other d the kernel works degree by degree over the join closure of
+the column degrees: at each degree, nullspace vectors of the column slice
+that are not generated by earlier kernel elements become new generators.
+That closure is enumerated once per distinct column degree, joining it
+with the points found so far (about n * |closure| joins for n columns),
+and is capped at CLOSURE_CAP points.  For d = 2 this produces the usual
+length-<=2 resolutions; for higher d it is correct but makes no
+complexity claim.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from .graded import (
 )
 from .localalg import local_cokernel
 
-# Largest join closure `kernel` enumerates before raising ResourceCapError.
-# The largest closure in the test suite and the benchmark pools has 651
-# points, and a Hom-module presentation at 20 generators reaches 2099.
+# Largest join closure `kernel` enumerates before raising ResourceCapError;
+# only d != 2 kernels build one (the d=2 kernel is a line sweep).
 CLOSURE_CAP = 250_000
 
 
@@ -134,7 +133,8 @@ def minimize(presentation):
         keep = []
         kept_flags = [False] * len(cols)
         for j in order:
-            usable = [k for k in keep if deg_leq(cols[k], cols[j])]
+            # Every degree has the matrix's arity; no per-pair check.
+            usable = [k for k in keep if all(map(le, cols[k], cols[j]))]
             span = column_reduce([tuple(columns[k]) for k in usable], fld)
             if not columns[j] or span.contains(columns[j]):
                 changed = True
@@ -193,78 +193,72 @@ def _join_closure(degrees):
     return sorted(closure, key=_degree_sort_key)
 
 
-def _generator_points_2d(matrix, closure):
-    """Closure points of a d=2 matrix at which `kernel` adds generators.
+def _kernel_sweep_2d(matrix):
+    """`kernel` of a d=2 matrix with n > 0 columns, one sweep per x-line.
 
-    K(x, y) is the nullspace of the columns of degree <= (x, y).  One
-    rank-only sweep per distinct column x-coordinate x inserts the columns
-    with c_x <= x in (c_y, index) order, so dim K(x, y) is the number of
-    columns zeroed among those with c_y <= y.  Below a closure point
-    alpha = (x, y) the earlier generators span K(x-, y) + K(x, y-), where
-    x- and y- are the previous column coordinates (K is 0 when there is
-    none); its dimension is dim K(x-, y) + dim K(x, y-) - dim K(x-, y-),
-    because K(x-, y) and K(x, y-) intersect in K(x-, y-).  The point adds
-    generators exactly when dim K(alpha) exceeds that, a second difference
-    of the swept nullities.  (For d >= 3 three subspaces meet and
-    inclusion-exclusion fails, so this is d = 2 only.)
+    For each distinct column x-coordinate x in increasing order, a
+    recording `ColumnSpan` takes the columns with c_x <= x in (c_y, index)
+    order.  A column zeroed on line x stays zeroed on every later line
+    (the columns before it there are a superset), so later lines skip it;
+    that leaves their spans unchanged.  The first line x that zeroes
+    column j gives one generator: degree (x, c_y(j)), column the recorded
+    dependency.  So dim K(x, y) = #{j : x_first(j) <= x, c_y(j) <= y}, and
+    its second difference at (x, y) counts exactly the j with x_first(j)
+    = x and c_y(j) = y: the generators sit at the Betti degrees, so they
+    are a minimal set.  They generate by induction on j: on a later line
+    the dependency for j differs from the first one by a kernel vector
+    whose last column comes before j.  Arity and coordinate range are
+    checked once per distinct degree, as `_join_closure` does.
     """
-    fld = matrix.field
     cols = matrix.cols
-    xs = sorted({c[0] for c in cols})
-    ys = sorted({c[1] for c in cols})
+    for deg in dict.fromkeys(cols):
+        deg_join(cols[0], deg)  # arity
+        deg_join(deg, deg)  # coordinate range
     by_y = sorted(range(len(cols)), key=lambda j: (cols[j][1], j))
-    nullity = {}  # (x, y) -> dim K(x, y) at column coordinates
-    for x in xs:
-        span = ColumnSpan(fld)
-        zeroed = 0
+    found = []  # (degree, column index, sparse column)
+    zeroed = set()
+    for x in sorted({c[0] for c in cols}):
+        span = ColumnSpan(matrix.field)
         for j in by_y:
-            if cols[j][0] <= x and span.insert(matrix.columns[j]) is None:
-                zeroed += 1
-            # Columns come in c_y order, so the last write per y counts
-            # every column with c_y <= y.
-            nullity[x, cols[j][1]] = zeroed
-    prev_x = dict(zip(xs[1:], xs))
-    prev_y = dict(zip(ys[1:], ys))
-    points = []
-    for x, y in closure:
-        # A missing previous coordinate is None, never a key: K = 0 there.
-        xm, ym = prev_x.get(x), prev_y.get(y)
-        if (nullity[x, y] - nullity.get((xm, y), 0)
-                - nullity.get((x, ym), 0) + nullity.get((xm, ym), 0)):
-            points.append((x, y))
-    return points
+            if cols[j][0] > x or j in zeroed:
+                continue
+            if span.insert(matrix.columns[j], source=j, record=True) is None:
+                zeroed.add(j)
+                combo = sorted(span.zeroed[-1][1].items())
+                found.append(((x, cols[j][1]), j, tuple(combo)))
+    found.sort(key=lambda g: (_degree_sort_key(g[0]), g[1]))
+    return GradedMatrix(matrix.field, cols, [g[0] for g in found],
+                        [g[2] for g in found], validate=False)
 
 
 def kernel(matrix):
     """Graded matrix whose columns generate ker(M: A[R] -> A[G]).
 
-    At each degree alpha in the join closure of the column degrees, the
-    degree-alpha slice of the kernel is the nullspace of the columns of
-    degree <= alpha; generators are the nullspace vectors not spanned by
-    shifts of generators found at earlier degrees.  New generators carry
-    no unit entry at an equal-degree column when the input presentation
-    is minimal, so resolutions built from this kernel stay minimal.
+    The degree-alpha slice of the kernel is the nullspace of the columns
+    of degree <= alpha.  New generators carry no unit entry at an
+    equal-degree column when the input presentation is minimal, so
+    resolutions built from this kernel stay minimal.
 
-    Cost: building the closure takes about n * |closure| joins (see
-    `_join_closure`).  For d = 2, one rank-only sweep per distinct column
-    x-coordinate (about n inserts each) finds the closure points that add
-    generators (see `_generator_points_2d`); only those are reduced, and
-    the generators are the ones the full loop finds, since it adds none
-    at the other points.  For other d every closure point is reduced.  A
-    reduced point reduces, from scratch, the columns below it and the
-    earlier generators below it; nullspace vectors are reduced against
-    those generators only until they span the nullspace.
+    For d = 2 one recording sweep per distinct column x-coordinate (about
+    n inserts each) emits a minimal generating set, with no join closure
+    and no per-point reduction (see `_kernel_sweep_2d`).  For other d the
+    generators at each degree alpha of the join closure of the column
+    degrees (about n * |closure| joins, capped at CLOSURE_CAP points; see
+    `_join_closure`) are the nullspace vectors not spanned by shifts of
+    generators found at earlier degrees.  Each point reduces, from
+    scratch, the columns below it and the earlier generators below it;
+    nullspace vectors are reduced against those generators only until
+    they span the nullspace.
     """
     fld = matrix.field
     n = matrix.ncols
     if n == 0:
         return GradedMatrix(fld, matrix.cols, [], [], validate=False)
     cols = matrix.cols
-    points = _join_closure(cols)
-    if len(points[0]) == 2:
-        points = _generator_points_2d(matrix, points)
+    if len(cols[0]) == 2:
+        return _kernel_sweep_2d(matrix)
     generators = []  # (degree, sparse column over the column indices of M)
-    for alpha in points:
+    for alpha in _join_closure(cols):
         # Every degree here has alpha's arity (the closure checked it).
         cols_le = [j for j in range(n) if all(map(le, cols[j], alpha))]
         if not cols_le:

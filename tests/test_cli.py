@@ -183,10 +183,16 @@ def test_prime_at_or_above_2_to_63_exit_code(tmp_path):
     assert "parse error" in out.stderr and "2^63" in out.stderr
 
 
-def test_kernel_closure_cap_exit_code(fig_files, monkeypatch, capsys):
+def test_kernel_closure_cap_exit_code(tmp_path, monkeypatch, capsys):
     from mphom import cli, presentations
 
-    x, y = fig_files
+    # The running example lifted to d=3: the d=2 kernel builds no join
+    # closure, so only d != 2 inputs can reach the cap.
+    x = tmp_path / "X3.pmod"
+    y = tmp_path / "Y3.pmod"
+    x.write_text("pmod 3 3\ngens 1\n2 2 0\nrels 1\n6 2 0 ; 0:1\n")
+    y.write_text("pmod 3 3\ngens 2\n0 1 0\n1 0 0\nrels 3\n"
+                 "2 2 0 ; 0:1 1:2\n5 0 0 ; 1:1\n5 1 0 ; 0:1\n")
     monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
     # a-star resolves both operands, so it reaches the cap; route a reads
     # its relation subsets off N's slices and builds no kernel.

@@ -16,8 +16,14 @@
   `sparsify` on seeded `random_module`s over several d, p and thickness
   hints.
 
-Any change to these outputs fails here.  A change meant to alter them
-regenerates the file from a commit whose answers are trusted with
+Any change to these outputs fails here.  To list the entries a change
+alters, one `section key` line each (nothing is written; exit 1 when any
+entry differs), run
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+A change meant to alter them regenerates the file from a commit whose
+answers are trusted with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -196,6 +202,14 @@ def _mismatches(got, expected):
                   if got.get(k) != expected.get(k))
 
 
+def golden_diff(got, expected):
+    """(section, key) of every entry that differs between two digest sets."""
+    return [(section, key)
+            for section in sorted(expected.keys() | got.keys())
+            for key in _mismatches(got.get(section, {}),
+                                   expected.get(section, {}))]
+
+
 def test_golden_covers_every_pair_and_algorithm(golden):
     n = len(_module_files())
     assert len(golden["hom"]) == n * n * len(ALGORITHM_CHOICES)
@@ -236,7 +250,29 @@ def test_raw_matrices_exercise_both_minimize_sweeps():
     assert units > 0 and redundant > 0
 
 
+def test_golden_diff_lists_changed_entries(golden):
+    got = {section: dict(entries) for section, entries in golden.items()}
+    key = sorted(got["presentations"])[0]
+    got["presentations"][key] = _sha("changed")
+    got["modules"]["new.pmod minimize"] = _sha("added")
+    del got["reducers"][sorted(got["reducers"])[0]]
+    assert golden_diff(golden, golden) == []
+    assert golden_diff(got, golden) == [
+        ("modules", "new.pmod minimize"),
+        ("presentations", key),
+        ("reducers", sorted(golden["reducers"])[0]),
+    ]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(all_digests(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(
+            json.dumps(all_digests(), indent=1, sort_keys=True) + "\n"
+        )
+    elif sys.argv[1:] == ["--diff"]:
+        changed = golden_diff(all_digests(), json.loads(GOLDEN.read_text()))
+        for section, key in changed:
+            print(section, key)
+        sys.exit(1 if changed else 0)
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --diff")

@@ -31,13 +31,15 @@ from mphom import (
     truncation_bound,
     validate_grading,
 )
-from mphom import homspace, presentations
+from mphom import dual_context, homspace, presentations
 from mphom.generators import random_module, random_pair
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import red_blue
 
@@ -199,17 +201,22 @@ def test_kernel_rejects_out_of_range_column_degree(coord):
 
 
 def test_kernel_closure_cap(monkeypatch):
-    _, blue = red_blue()
-    # Relations at (2,2), (5,0), (5,1): their join closure adds (5,2).
-    assert len(presentations._join_closure(blue.matrix.cols)) == 4
+    # The d=2 kernel builds no closure, so the cap is reached through the
+    # running example's N lifted to d=3: relations at (2,2,0), (5,0,0),
+    # (5,1,0), whose join closure adds (5,2,0).
+    m = GradedMatrix(PrimeField(3), [(0, 1, 0), (1, 0, 0)],
+                     [(2, 2, 0), (5, 0, 0), (5, 1, 0)],
+                     [((0, 1), (1, 2)), ((1, 1),), ((0, 1),)])
+    assert len(presentations._join_closure(m.cols)) == 4
     monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
     with pytest.raises(ResourceCapError):
-        kernel(blue.matrix)
+        kernel(m)
 
 
 def _kernel_per_point(matrix):
     """`kernel` reducing every closure point, as for d != 2; the reference
-    for the d=2 sweep, which must give GradedMatrix-equal output."""
+    for the d=2 sweep, which must give the same Betti degrees and the same
+    slice ranks (its generating set may differ)."""
     fld = matrix.field
     n = matrix.ncols
     if n == 0:
@@ -308,10 +315,33 @@ def _edge_case_matrices():
     )
 
 
+def _dense_rank_below(m, pt):
+    """Number and dense rank of the columns of m of degree <= pt."""
+    cols = [j for j in range(m.ncols)
+            if all(a <= b for a, b in zip(m.cols[j], pt))]
+    dense = [[0] * len(cols) for _ in range(m.nrows)]
+    for k, j in enumerate(cols):
+        for i, v in m.columns[j]:
+            dense[i][k] = v
+    return len(cols), dense_rank(dense, m.field.p) if cols else 0
+
+
+def _dense_nullity(m, pt):
+    count, rank = _dense_rank_below(m, pt)
+    return count - rank
+
+
 def _assert_kernel_matches_per_point(m):
+    """The d=2 kernel against the per-point reference: equal Betti-degree
+    multisets, M.K = 0, and at every closure point its slice has the
+    dense nullity of M's columns below the point."""
     k = kernel(m)
-    assert k == _kernel_per_point(m)
+    assert sorted(k.cols) == sorted(_kernel_per_point(m).cols)
+    assert k.rows == m.cols
     assert matmul(m, k).nnz() == 0
+    if m.ncols:
+        for pt in presentations._join_closure(m.cols):
+            assert _dense_rank_below(k, pt)[1] == _dense_nullity(m, pt), pt
     return k
 
 
@@ -334,37 +364,88 @@ def test_d2_kernel_matches_per_point_on_hom_module_inputs(monkeypatch):
 
 def test_d2_kernel_matches_per_point_on_edge_cases():
     for m in _edge_case_matrices():
-        _assert_kernel_matches_per_point(m)
+        k = _assert_kernel_matches_per_point(m)
+        assert k == _kernel_per_point(m)
+
+
+def test_d2_kernel_builds_no_join_closure(monkeypatch):
+    """With `_join_closure` patched to raise, the d=2 kernel, the
+    Hom-module presentation and the dual context return what they return
+    unpatched."""
+    matrices = [*_edge_case_matrices(), *_seeded_d2_matrices()]
+    pairs = [red_blue(), *(
+        random_pair(seed, d=2, gens=n, rels=n, coord_range=2 * n, p=p)
+        for seed, n, p in ((0, 5, 2), (1, 6, 5), (3, 6, 65521)))]
+    kernels = [kernel(m) for m in matrices]
+    homs = [hom_module_presentation(x, y) for x, y in pairs]
+    duals = [dual_context(x, y) for x, y in pairs]
+
+    def no_closure(*_):
+        raise AssertionError("join closure built for d=2")
+
+    monkeypatch.setattr(presentations, "_join_closure", no_closure)
+    assert [kernel(m) for m in matrices] == kernels
+    assert [hom_module_presentation(x, y) for x, y in pairs] == homs
+    assert [dual_context(x, y) for x, y in pairs] == duals
+    assert sum(k.ncols for k in kernels) > 0
+    assert sum(h.matrix.ncols for h in homs) > 0
+
+
+@st.composite
+def _small_d2_matrices(draw):
+    """Small d=2 graded matrices with tied and negative degrees, zero
+    columns, and entries wherever the grading allows one."""
+    p = draw(st.sampled_from((2, 5, 65521)))
+    coord = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(coord, coord), max_size=4))
+    cols = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=8))
+    entries = {
+        (i, j): draw(st.integers(0, p - 1))
+        for j, c in enumerate(cols) for i, r in enumerate(rows)
+        if all(a <= b for a, b in zip(r, c))
+    }
+    return graded_matrix_from_entries(PrimeField(p), rows, cols, entries)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_small_d2_matrices())
+def _check_small_d2_kernel(m):
+    k = _assert_kernel_matches_per_point(m)
+    if k.ncols:
+        _assert_kernel_matches_per_point(k)
+
+
+def test_d2_kernel_properties_on_small_matrices():
+    # Called from a plain test: on a failing @given test, the hypothesis
+    # pytest plugin imports libcst to suggest a patch, and warnings-as-
+    # errors turns libcst's DeprecationWarning into an internal error that
+    # stops the whole session instead of failing this one test.
+    _check_small_d2_kernel()
 
 
 def test_kernel_other_d_keeps_per_point_path(monkeypatch):
     def fail(*_):
         raise AssertionError("d=2 sweep used for d != 2")
 
-    monkeypatch.setattr(presentations, "_generator_points_2d", fail)
+    monkeypatch.setattr(presentations, "_kernel_sweep_2d", fail)
     for d in (1, 3):
         for seed in range(4):
             m = random_module(seed, d=d, gens=7, rels=8, coord_range=6,
                               p=(2, 5)[seed % 2]).matrix
-            k = _assert_kernel_matches_per_point(m)
+            k = kernel(m)
+            assert k == _kernel_per_point(m)
+            assert matmul(m, k).nnz() == 0
             if k.ncols:
-                _assert_kernel_matches_per_point(k)
-
-
-def _dense_nullity(m, pt):
-    cols = [j for j in range(m.ncols)
-            if all(a <= b for a, b in zip(m.cols[j], pt))]
-    dense = [[0] * len(cols) for _ in range(m.nrows)]
-    for k, j in enumerate(cols):
-        for i, v in m.columns[j]:
-            dense[i][k] = v
-    return len(cols) - dense_rank(dense, m.field.p)
+                kk = kernel(k)
+                assert kk == _kernel_per_point(k)
+                assert matmul(k, kk).nnz() == 0
 
 
 def test_d2_second_difference_counts_generators():
     # At every point of the column-coordinate grid the second difference
     # of dense nullities equals the number of generators the per-point
-    # kernel adds there, and the sweep picks exactly the points with some.
+    # kernel adds there, and the sweep's generators sit exactly at the
+    # closure points where it is nonzero.
     matrices = list(_edge_case_matrices())
     matrices += [random_module(seed, d=2, gens=n, rels=n, coord_range=n,
                                p=p).matrix
@@ -382,14 +463,15 @@ def test_d2_second_difference_counts_generators():
         def dim_k(i, j):
             return nullity[xs[i], ys[j]] if i >= 0 and j >= 0 else 0
 
+        second = {}
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                count = (dim_k(i, j) - dim_k(i - 1, j) - dim_k(i, j - 1)
-                         + dim_k(i - 1, j - 1))
-                assert count == expected.count((x, y)), (m, (x, y))
+                second[x, y] = (dim_k(i, j) - dim_k(i - 1, j)
+                                - dim_k(i, j - 1) + dim_k(i - 1, j - 1))
+                assert second[x, y] == expected.count((x, y)), (m, (x, y))
         closure = presentations._join_closure(m.cols)
-        points = presentations._generator_points_2d(m, closure)
-        assert points == [a for a in closure if a in expected]
+        assert (sorted(set(kernel(m).cols))
+                == sorted(a for a in closure if second[a])), m
 
 
 def test_free_resolution_injective_length_one():
