@@ -28,6 +28,7 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
+    _check_arity,
     _lift_through,
     _transpose,
     column_reduce,
@@ -103,6 +104,10 @@ def minimize(presentation):
     rows = list(matrix.rows)
     cols = list(matrix.cols)
     columns = [list(c) for c in matrix.columns]
+    # One arity check per distinct degree, so drop_redundant can compare
+    # degrees without one per pair.
+    for deg in dict.fromkeys(cols):
+        _check_arity(cols[0], deg)
 
     def cancel_units():
         changed = False
@@ -133,7 +138,6 @@ def minimize(presentation):
         keep = []
         kept_flags = [False] * len(cols)
         for j in order:
-            # Every degree has the matrix's arity; no per-pair check.
             usable = [k for k in keep if all(map(le, cols[k], cols[j]))]
             span = column_reduce([tuple(columns[k]) for k in usable], fld)
             if not columns[j] or span.contains(columns[j]):
@@ -163,6 +167,14 @@ def minimize(presentation):
     return Presentation(out, minimal=True, label=presentation.label)
 
 
+def _check_degrees(distinct):
+    """Check each of the distinct degrees once: mixed arities raise
+    DimensionMismatchError, out-of-range coordinates DegreeOverflowError."""
+    for deg in distinct:
+        deg_join(distinct[0], deg)  # arity
+        deg_join(deg, deg)  # coordinate range
+
+
 def _join_closure(degrees):
     """Closure of a degree set under pairwise joins, in (sum, deg) order.
 
@@ -177,10 +189,9 @@ def _join_closure(degrees):
     ResourceCapError.
     """
     distinct = list(dict.fromkeys(tuple(d) for d in degrees))
+    _check_degrees(distinct)
     closure = set()
     for deg in distinct:
-        deg_join(distinct[0], deg)  # arity
-        deg_join(deg, deg)  # coordinate range
         if deg in closure:
             continue
         closure.update([tuple(map(max, deg, c)) for c in closure])
@@ -208,12 +219,11 @@ def _kernel_sweep_2d(matrix):
     are a minimal set.  They generate by induction on j: on a later line
     the dependency for j differs from the first one by a kernel vector
     whose last column comes before j.  Arity and coordinate range are
-    checked once per distinct degree, as `_join_closure` does.
+    checked once per distinct degree (`_check_degrees`), as
+    `_join_closure` does.
     """
     cols = matrix.cols
-    for deg in dict.fromkeys(cols):
-        deg_join(cols[0], deg)  # arity
-        deg_join(deg, deg)  # coordinate range
+    _check_degrees(list(dict.fromkeys(cols)))
     by_y = sorted(range(len(cols)), key=lambda j: (cols[j][1], j))
     found = []  # (degree, column index, sparse column)
     zeroed = set()
