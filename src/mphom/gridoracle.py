@@ -10,6 +10,14 @@ and nullspaces come from an independent dense row-echelon routine on
 numpy arrays (leftmost-pivot convention), so a bug in the sparse column
 reduction cannot confirm itself.
 
+Two things keep the dense work small.  Many grid points share the same
+slice N_{<=alpha} (the same rows and columns of N lie below them), and
+`realize_grid` reduces each distinct slice once.  Nearly every naturality
+equation has one or two terms, so `hom_oracle` substitutes those first,
+writing each variable as a multiple of a root variable, and row-reduces
+only the longer equations over the roots; its basis spans the same space
+as the plain nullspace but is not the RREF one.
+
 The arithmetic is exact for every prime.  `rref` eliminates in the
 narrowest integer dtype that holds (p-1)^2 + p, the largest magnitude a
 row update produces before it is reduced mod p, and in Python ints
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CheckMismatchError,
@@ -154,26 +162,6 @@ def nullspace(matrix, p):
     return nullspace_with_free(matrix, p)[0]
 
 
-def _dense_slice(matrix, point):
-    """Dense N_{<=alpha} plus the original row indices it keeps."""
-    rows = [
-        i
-        for i, r in enumerate(matrix.rows)
-        if all(a <= b for a, b in zip(r, point))
-    ]
-    cols = [
-        j
-        for j, c in enumerate(matrix.cols)
-        if all(a <= b for a, b in zip(c, point))
-    ]
-    pos = {i: k for k, i in enumerate(rows)}
-    dense = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for k, j in enumerate(cols):
-        for i, v in matrix.columns[j]:
-            dense[pos[i], k] = v
-    return dense, rows
-
-
 @dataclass
 class GridModule:
     """A module realized pointwise on a finite product grid.
@@ -184,7 +172,8 @@ class GridModule:
     vector over the local generators in that basis.  maps[(point, axis)]
     is the dense matrix of the structure map from `point` to its
     successor along `axis`; square-commutativity of the grid diagram is
-    validated at construction.
+    validated at construction.  Points with the same slice share its
+    functionals and edge-map arrays, so treat them as read-only.
     """
 
     p: int
@@ -194,12 +183,22 @@ class GridModule:
     free_rows: dict
     functionals: dict
     maps: dict
+    _next: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._next = tuple(dict(zip(c, c[1:])) for c in self.axes)
 
     def points(self):
         return itertools.product(*self.axes)
 
     def dimension_at(self, point):
         return self.dims[tuple(point)]
+
+    def successor(self, point, axis):
+        """The next grid point after `point` along `axis`."""
+        succ = list(point)
+        succ[axis] = self._next[axis][point[axis]]
+        return tuple(succ)
 
 
 def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
@@ -209,11 +208,17 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
     presentation's own degrees; Hom computations pass the combined axes
     of both operands.  Raises ResourceCapError when the grid has more
     than `cap` points.
+
+    N_{<=alpha} depends only on which rows and columns of N lie below
+    alpha, and many grid points share them, so each distinct slice is
+    reduced once and the edge maps between two slices are built once;
+    every grid point still gets its own entry and every square is checked.
     """
     matrix = _matrix_of(presentation)
     p = matrix.field.p
+    own = grid_axes(matrix)
     if axes is None:
-        axes = grid_axes(matrix)
+        axes = own
     axes = tuple(tuple(sorted(set(a))) for a in axes)
     n_points = 1
     for a in axes:
@@ -222,27 +227,44 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
         raise ResourceCapError(
             f"oracle grid has {n_points} points, cap is {cap}"
         )
+    if own and len(own) != len(axes):
+        raise DimensionMismatchError("oracle grid and module arities differ")
+    # below[axis][c]: bitmasks of the rows and of the columns of N whose
+    # coordinate on `axis` is <= c.
+    below = [
+        {c: (_mask(matrix.rows, axis, c), _mask(matrix.cols, axis, c))
+         for c in coords}
+        for axis, coords in enumerate(axes)
+    ]
+    everything = ((1 << matrix.nrows) - 1, (1 << matrix.ncols) - 1)
+    full = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)
+    for j, col in enumerate(matrix.columns):
+        for i, v in col:
+            full[i, j] = v
+    slices, keys = {}, {}
     dims, gen_rows, free_rows, functionals = {}, {}, {}, {}
     for point in itertools.product(*axes):
-        dense, rows = _dense_slice(matrix, point)
-        if rows:
-            w, free = nullspace_with_free(dense.T, p)
-        else:
-            w, free = np.zeros((0, 0), dtype=np.int64), []
-        dims[point] = w.shape[1]
-        gen_rows[point] = tuple(rows)
-        free_rows[point] = tuple(rows[k] for k in free)
-        functionals[point] = w.T  # one row of functionals per basis element
-    maps = {}
-    for point in itertools.product(*axes):
+        rows, cols = everything
+        for masks, c in zip(below, point):
+            rows, cols = rows & masks[c][0], cols & masks[c][1]
+        key = (rows, cols)
+        keys[point] = key
+        if key not in slices:
+            slices[key] = _realize_slice(full, rows, cols, p)
+        dims[point], gen_rows[point], free_rows[point], functionals[point] = (
+            slices[key]
+        )
+    module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, {})
+    edges = {}
+    for point in module.points():
         for axis, coords in enumerate(axes):
             if point[axis] == coords[-1]:
                 continue
-            maps[(point, axis)] = _edge_map(
-                p, gen_rows, free_rows, functionals, point,
-                _successor(axes, point, axis),
-            )
-    module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, maps)
+            succ = module.successor(point, axis)
+            pair = (keys[point], keys[succ])
+            if pair not in edges:
+                edges[pair] = _edge_map(p, slices[pair[0]], slices[pair[1]])
+            module.maps[(point, axis)] = edges[pair]
     _validate_squares(module)
     return module
 
@@ -252,25 +274,42 @@ def grid_axes(*matrices):
     return evaluation_grid(*matrices)
 
 
-def _edge_map(p, gen_rows, free_rows, functionals, point, succ):
-    """Matrix of the structure map between two comparable grid points.
+def _mask(degrees, axis, c):
+    """Bitmask of the degrees whose coordinate on `axis` is <= c."""
+    return sum(1 << i for i, deg in enumerate(degrees) if deg[axis] <= c)
 
-    The basis vector k at `point` is the class of the unit vector at the
-    generator free_rows[point][k]; its coordinate inclusion into the
-    successor slice is evaluated by the successor's functionals, so the
-    edge map consists of the successor functional columns at those
-    generators.
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _realize_slice(full, row_mask, col_mask, p):
+    """(dim, gen_rows, free_rows, functionals) of the cokernel of the
+    slice of N (given densely as `full`) on the masked rows and columns.
     """
-    w_b = functionals[succ]
-    dim_a = len(free_rows[point])
-    dim_b = w_b.shape[0]
+    rows = _bits(row_mask)
+    if not rows:
+        return 0, (), (), np.zeros((0, 0), dtype=np.int64)
+    w, free = nullspace_with_free(full[rows][:, _bits(col_mask)].T, p)
+    # One row of functionals per basis element.
+    return w.shape[1], tuple(rows), tuple(rows[k] for k in free), w.T
+
+
+def _edge_map(p, source, target):
+    """Matrix of the structure map between two comparable slices.
+
+    The basis vector k of `source` is the class of the unit vector at the
+    generator source free_rows[k]; its coordinate inclusion into the
+    target slice is evaluated by the target's functionals, so the edge
+    map consists of the target functional columns at those generators.
+    """
+    _, _, free_a, _ = source
+    dim_b, rows_b, _, w_b = target
+    dim_a = len(free_a)
     if dim_a == 0 or dim_b == 0:
         return np.zeros((dim_b, dim_a), dtype=np.int64)
-    pos_b = {r: k for k, r in enumerate(gen_rows[succ])}
-    out = np.zeros((dim_b, dim_a), dtype=np.int64)
-    for k, r in enumerate(free_rows[point]):
-        out[:, k] = w_b[:, pos_b[r]]
-    return out % p
+    pos_b = {r: k for k, r in enumerate(rows_b)}
+    return w_b[:, [pos_b[r] for r in free_a]] % p
 
 
 def _validate_squares(module):
@@ -282,22 +321,14 @@ def _validate_squares(module):
                 e2 = module.maps.get((point, ax2))
                 if e1 is None or e2 is None:
                     continue
-                succ1 = _successor(axes, point, ax1)
-                succ2 = _successor(axes, point, ax2)
+                succ1 = module.successor(point, ax1)
+                succ2 = module.successor(point, ax2)
                 top = module.maps[(succ1, ax2)]
                 right = module.maps[(succ2, ax1)]
                 if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
                     raise CheckMismatchError(
                         f"grid square at {point} does not commute"
                     )
-
-
-def _successor(axes, point, axis):
-    coords = axes[axis]
-    k = coords.index(point[axis])
-    return tuple(
-        coords[k + 1] if a == axis else point[a] for a in range(len(axes))
-    )
 
 
 @dataclass(frozen=True)
@@ -315,7 +346,10 @@ def hom_oracle(gx, gy):
 
     One variable per matrix entry of f_alpha wherever both modules are
     nonzero; one equation block per grid edge enforcing
-    f_beta . X_edge = Y_edge . f_alpha.
+    f_beta . X_edge = Y_edge . f_alpha.  The system is assembled densely,
+    and `variables` and `equations` count it as built; the solve then
+    substitutes its one- and two-term rows (`_presolved_nullspace`), so
+    `vectors` is a basis of the solution space but not the RREF one.
     """
     if gx.p != gy.p:
         raise FieldMismatchError("oracle modules over different fields")
@@ -337,7 +371,7 @@ def hom_oracle(gx, gy):
         for axis in range(len(gx.axes)):
             if (point, axis) not in gx.maps:
                 continue
-            succ = _successor(gx.axes, point, axis)
+            succ = gx.successor(point, axis)
             dxa, dyb = gx.dims[point], gy.dims[succ]
             if dxa == 0 or dyb == 0:
                 continue
@@ -372,17 +406,103 @@ def hom_oracle(gx, gy):
             s = np.arange(dxa)
             view[:, s, :, s] = -ymap % p
     t0 = time.perf_counter()
-    basis = nullspace(a, p) if total else np.zeros((0, 0), dtype=np.int64)
+    basis = _presolved_nullspace(a, p)
     elapsed = time.perf_counter() - t0
     vectors = tuple(map(tuple, basis.T.tolist()))
     return OracleResult(
-        dim=basis.shape[1] if total else 0,
+        dim=basis.shape[1],
         vectors=vectors,
         variables=total,
         equations=n_eqs,
         solve_seconds=elapsed,
         var_layout=tuple(layout),
     )
+
+
+def _presolved_nullspace(a, p):
+    """Nullspace basis of `a` mod p, substituting short rows first.
+
+    Nearly every naturality equation has one or two terms.  A row
+    c_u x_u + c_v x_v = 0 fixes x_u as a multiple of x_v and a row
+    c_u x_u = 0 fixes x_u = 0, so a weighted union-find over those rows
+    writes every variable as weight * root; forced-zero variables hang
+    below an extra "zero" node with weight 0.  A row that closes a cycle
+    either holds under the weights or forces its component to zero.  The
+    resulting map P satisfies every short row, and every solution of `a`
+    is P y for exactly one y, so null(a) = P null(a_long P), with a_long
+    the rows of three or more terms.  Column r of a_long P is the
+    weighted sum of the columns of a whose root is r; the dense rref then
+    runs on it without its zero rows.
+    """
+    n_rows, n = a.shape
+    rows, cols = np.nonzero(a)  # row-major: each row's terms are adjacent
+    vals = a[rows, cols]
+    terms = np.bincount(rows, minlength=n_rows)[rows]
+    short = terms <= 2
+    # Node n is the zero node.  It stays a root, and every variable in its
+    # component has weight 0.
+    parent = list(range(n + 1))
+    weight = [1] * (n + 1)  # x_u = weight[u] * x_parent[u]
+
+    def find(u):
+        if parent[parent[u]] == parent[u]:  # u is a root or just below one
+            return parent[u], weight[u]
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        w = 1
+        for v in reversed(path):
+            w = weight[v] * w % p
+            parent[v], weight[v] = u, w
+        return u, w
+
+    col, coef, n_terms = (x[short].tolist() for x in (cols, vals, terms))
+    k = 0
+    while k < len(col):
+        if n_terms[k] == 1:  # x_u = 0 * x_zero
+            u, v, ratio = col[k], n, 0
+        else:  # x_u = -c_v / c_u * x_v
+            u, v = col[k], col[k + 1]
+            ratio = -coef[k + 1] * pow(coef[k], p - 2, p) % p
+        k += n_terms[k]
+        (ru, wu), (rv, wv) = find(u), find(v)
+        if ru == rv:
+            if (wu - ratio * wv) % p:  # an inconsistent cycle: x_ru = 0
+                parent[ru], weight[ru] = n, 0
+        elif wu:
+            parent[ru], weight[ru] = rv, ratio * wv * pow(wu, p - 2, p) % p
+        else:  # u is forced zero, hence so is v
+            parent[rv], weight[rv] = ru, 0
+    # P as one (root index, weight) per variable; index -1 where x_u = 0.
+    root_ids, index, weights = {}, [], []
+    for u in range(n):
+        r, w = find(u)
+        index.append(-1 if r == n else root_ids.setdefault(r, len(root_ids)))
+        weights.append(w)
+    index = np.array(index, dtype=np.int64)
+    # Products are reduced before they are summed, so the int64 sums stay
+    # below n * p; object (Python ints) once (p-1)^2 passes int64.
+    dtype = np.int64 if _work_dtype((p - 1) ** 2) is not object else object
+    weights = np.array(weights, dtype=dtype)
+    long = ~short & (index[cols] >= 0)
+    long_rows, row_of = np.unique(rows[long], return_inverse=True)
+    n_roots = len(root_ids)
+    # Entry (i, r) of a_long P sums the products of row i at root r.
+    key = row_of * n_roots + index[cols[long]]
+    reduced = np.zeros(len(long_rows) * n_roots, dtype=dtype)
+    if key.size:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        products = vals[long].astype(dtype) * weights[cols[long]] % p
+        reduced[key[starts]] = np.add.reduceat(products[order], starts) % p
+    reduced = reduced.reshape(len(long_rows), n_roots)
+    y = nullspace(reduced[(reduced != 0).any(axis=1)], p)
+    basis = np.zeros((n, y.shape[1]), dtype=np.int64)
+    live = index >= 0
+    basis[live] = weights[live, None] * y.astype(dtype)[index[live]] % p
+    return basis
 
 
 def push_to_grid(q, gx, gy):
@@ -415,7 +535,7 @@ def naturality_residual(q, gx, gy):
     f = push_to_grid(q, gx, gy)
     worst = 0
     for (point, axis), xmap in gx.maps.items():
-        succ = _successor(gx.axes, point, axis)
+        succ = gx.successor(point, axis)
         ymap = gy.maps[(point, axis)]
         lhs = _matmul_mod(f[succ], xmap, p)
         rhs = _matmul_mod(ymap, f[point], p)

@@ -1,5 +1,6 @@
 """The dense grid oracle: realization, commutativity, naturality."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -18,11 +19,27 @@ from mphom import (
     naturality_residual,
     realize_grid,
 )
-from mphom import cli, serialize_pmod
-from mphom.gridoracle import grid_axes, hom_oracle, nullspace, rank, rref
+from mphom import (
+    PrimeField,
+    cli,
+    deg_leq,
+    graded_matrix_from_entries,
+    parse_pmod,
+    serialize_pmod,
+)
+from mphom.gridoracle import (
+    grid_axes,
+    hom_oracle,
+    nullspace,
+    nullspace_with_free,
+    rank,
+    rref,
+)
 from mphom.generators import random_module, random_pair
 
-from conftest import free_module, red_blue, zero_module
+from conftest import free_module, red_blue, staircase_pair, zero_module
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_rref_and_rank_basics():
@@ -106,6 +123,10 @@ def test_oracle_grid_mismatch(fig_pair):
     gy = realize_grid(y)
     with pytest.raises(DimensionMismatchError):
         hom_oracle(gx, gy)
+    # A grid of another arity than the module's degrees.
+    for axes in (((0, 1),), ((0,), (1,), (2,))):
+        with pytest.raises(DimensionMismatchError, match="arities"):
+            realize_grid(x, axes)
 
 
 def test_oracle_field_mismatch():
@@ -116,9 +137,8 @@ def test_oracle_field_mismatch():
     with pytest.raises(FieldMismatchError, match="different fields"):
         hom_oracle(gx, gy)
     # Like every route, the CLI's oracle refuses the pair with exit 1.
-    fixtures = Path(__file__).parent / "fixtures"
-    args = [str(fixtures / "rand_17_gf2.pmod"),
-            str(fixtures / "rand_18_gf5.pmod")]
+    args = [str(FIXTURES / "rand_17_gf2.pmod"),
+            str(FIXTURES / "rand_18_gf5.pmod")]
     for alg in ("oracle", "a"):
         assert cli.main(["hom", *args, "--alg", alg]) == 1, alg
 
@@ -231,3 +251,91 @@ def test_end_check_at_large_prime(tmp_path):
     path.write_text(serialize_pmod(
         random_module(5, gens=5, rels=5, coord_range=4, p=2**31 - 1)))
     assert cli.main(["end", str(path), "--check"]) == 0
+
+
+def per_point_realization(matrix, axes):
+    """realize_grid's fields computed from scratch at every grid point."""
+    p = matrix.field.p
+    dims, gen_rows, free_rows, functionals, maps = {}, {}, {}, {}, {}
+    for point in itertools.product(*axes):
+        rows = [i for i, r in enumerate(matrix.rows) if deg_leq(r, point)]
+        cols = [j for j, c in enumerate(matrix.cols) if deg_leq(c, point)]
+        dense = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for k, j in enumerate(cols):
+            for i, v in matrix.columns[j]:
+                dense[rows.index(i), k] = v
+        w, free = (nullspace_with_free(dense.T, p) if rows
+                   else (np.zeros((0, 0), dtype=np.int64), []))
+        dims[point] = w.shape[1]
+        gen_rows[point] = tuple(rows)
+        free_rows[point] = tuple(rows[k] for k in free)
+        functionals[point] = w.T
+    for point in itertools.product(*axes):
+        for axis, coords in enumerate(axes):
+            k = coords.index(point[axis])
+            if k + 1 == len(coords):
+                continue
+            succ = point[:axis] + (coords[k + 1],) + point[axis + 1:]
+            out = np.zeros((dims[succ], dims[point]), dtype=np.int64)
+            for c, r in enumerate(free_rows[point]):
+                out[:, c] = functionals[succ][:, gen_rows[succ].index(r)]
+            maps[(point, axis)] = out % p
+    return dims, gen_rows, free_rows, functionals, maps
+
+
+def assert_realization_matches_per_point(matrix, axes):
+    g = realize_grid(matrix, axes)
+    dims, gen_rows, free_rows, functionals, maps = per_point_realization(
+        matrix, g.axes)
+    assert g.dims == dims
+    assert g.gen_rows == gen_rows
+    assert g.free_rows == free_rows
+    for want, got in ((functionals, g.functionals), (maps, g.maps)):
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert got[key].shape == w.shape, key
+            assert (got[key] == w).all(), key
+
+
+def negative_degree_module(rng, p):
+    """A random d=2 presentation with negative and tied coordinates."""
+    rows = [(rng.randint(-3, 2), rng.randint(-3, 2))
+            for _ in range(rng.randint(0, 4))]
+    cols = []
+    for _ in range(rng.randint(0, 5) if rows else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        cols.append(tuple(max(u, v) + rng.randint(0, 2)
+                          for u, v in zip(a, b)))
+    entries = {
+        (i, j): rng.randrange(p)
+        for j, c in enumerate(cols) for i, r in enumerate(rows)
+        if deg_leq(r, c)
+    }
+    return graded_matrix_from_entries(PrimeField(p), rows, cols, entries)
+
+
+def test_realize_grid_matches_per_point_reference():
+    fixtures = [parse_pmod(f.read_text()).matrix
+                for f in sorted(FIXTURES.glob("*.pmod"))]
+    fixtures += [m.matrix for m in (*red_blue(), *staircase_pair(),
+                                    free_module([(0, 0), (1, -1)]))]
+    for m in fixtures:
+        assert_realization_matches_per_point(m, None)
+    for x, y in itertools.combinations(fixtures, 2):
+        axes = grid_axes(x, y)
+        if len(axes) == 2:
+            assert_realization_matches_per_point(x, axes)
+            assert_realization_matches_per_point(y, axes)
+    rng = random.Random("realize-grid-reference")
+    for p in (2, 5, 65521):
+        for seed in range(8):
+            x, y = random_pair(300 + seed, d=2, gens=4, rels=4,
+                               coord_range=4, p=p)
+            axes = grid_axes(x.matrix, y.matrix)
+            assert_realization_matches_per_point(x.matrix, axes)
+            assert_realization_matches_per_point(y.matrix, axes)
+        for _ in range(12):
+            x, y = negative_degree_module(rng, p), negative_degree_module(rng, p)
+            axes = grid_axes(x, y)
+            assert_realization_matches_per_point(x, axes)
+            assert_realization_matches_per_point(y, axes)

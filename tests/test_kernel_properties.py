@@ -30,15 +30,7 @@ def _small_d2_matrices(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_small_d2_matrices())
-def _check_small_d2_kernel(m):
+def test_d2_kernel_properties_on_small_matrices(m):
     k = _assert_kernel_matches_per_point(m)
     if k.ncols:
         _assert_kernel_matches_per_point(k)
-
-
-def test_d2_kernel_properties_on_small_matrices():
-    # Called from a plain test: on a failing @given test, the hypothesis
-    # pytest plugin imports libcst to suggest a patch, and warnings-as-
-    # errors turns libcst's DeprecationWarning into an internal error that
-    # stops the whole session instead of failing this one test.
-    _check_small_d2_kernel()
