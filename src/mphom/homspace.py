@@ -298,13 +298,16 @@ def homotopy_reduce(qs, yp):
     Column-reduces [N-bar | flattened Qs] and returns the surviving,
     reduced Q columns as graded matrices.  Idempotent: the survivors have
     pivots distinct from the homotopy columns and from each other, so a
-    second pass returns them unchanged.
+    second pass returns them unchanged.  Raises FieldMismatchError unless
+    every Q shares the target's field.
     """
     if not qs:
         return []
     n = _matrix_of(yp)
     q_rows, q_cols = qs[0].rows, qs[0].cols
     for q in qs:
+        if q.field != n.field:
+            raise FieldMismatchError("Q matrix and target over different fields")
         if q.rows != q_rows or q.cols != q_cols:
             raise DimensionMismatchError("Q matrices with mixed decorations")
     if len({len(deg) for deg in q_rows + q_cols + n.rows + n.cols}) > 1:
@@ -352,11 +355,14 @@ def verify_hom(q, xp, yp, cache=None):
     r that g appears in, over increasing g.  Zero products pass without
     being reduced; nonzero ones are reduced against the span of N at
     their relation degree, which `cache` shares across the calls of one
-    audit.  Raises DimensionMismatchError unless Q has the generator
-    degrees of Y as rows and those of X as columns.
+    audit.  Raises FieldMismatchError unless Q, X and Y share one field,
+    and DimensionMismatchError unless Q has the generator degrees of Y as
+    rows and those of X as columns.
     """
     m = _matrix_of(xp)
     n = _matrix_of(yp)
+    if not q.field == m.field == n.field:
+        raise FieldMismatchError("Q matrix and operands over different fields")
     if q.rows != n.rows or q.cols != m.rows:
         raise DimensionMismatchError(
             "Q must have the target's generator degrees as rows and the "

@@ -5,17 +5,17 @@ module; it is minimal when no entry connects a row and a column of equal
 degree (so nothing cancels) and no column lies in the span of the shifts
 of the others at its own degree (so no relation is redundant).
 
-For d = 2 the kernel comes from one recording column sweep per distinct
-column x-coordinate: a column's first zeroing gives one generator, so the
-generating set is minimal and no join closure is built (see `kernel`).
-For other d the kernel works degree by degree over the join closure of
-the column degrees: at each degree, nullspace vectors of the column slice
-that are not generated by earlier kernel elements become new generators.
-That closure is enumerated once per distinct column degree, joining it
-with the points found so far (about n * |closure| joins for n columns),
-and is capped at CLOSURE_CAP points.  For d = 2 this produces the usual
-length-<=2 resolutions; for higher d it is correct but makes no
-complexity claim.
+The kernel comes from one recording column sweep per line, for every d:
+the lines are the join closure of the columns' first d - 1 coordinates,
+and on each line the columns below it are reduced in order of their last
+coordinate.  A column's first zeroing on a line gives one generator.  For
+d <= 2 the lines form a chain and the generating set is minimal; for
+d >= 3 generators spanned by earlier ones are dropped, with the same
+filter that `minimize` uses for redundant relations (see `kernel`).  The
+line closure is enumerated once per distinct line degree, joining it with
+the points found so far, and is capped at CLOSURE_CAP points.  For d = 2
+this produces the usual length-<=2 resolutions; for higher d it is
+correct but makes no complexity claim.
 """
 
 from __future__ import annotations
@@ -23,8 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from .errors import DimensionMismatchError, GradingError, ResourceCapError
+from .errors import (
+    DegreeOverflowError,
+    DimensionMismatchError,
+    GradingError,
+    ResourceCapError,
+)
 from .graded import (
+    _COORD_LIMIT,
     ColumnSpan,
     GradedMatrix,
     _axpy,
@@ -37,12 +43,11 @@ from .graded import (
     deg_leq,
     deg_neg,
     matmul,
-    nullspace_of_columns,
 )
 from .localalg import local_cokernel
 
-# Largest join closure `kernel` enumerates before raising ResourceCapError;
-# only d != 2 kernels build one (the d=2 kernel is a line sweep).
+# Largest join closure `kernel` enumerates before raising ResourceCapError:
+# the closure of the columns' first d - 1 coordinates, one point per line.
 CLOSURE_CAP = 250_000
 
 
@@ -90,6 +95,22 @@ def _equal_degree_unit(rows, cols, columns):
     return None
 
 
+def _irredundant(degrees, columns, fld):
+    """Indices, increasing, of the columns left after dropping, in (sum,
+    degree) order, each one that is zero or lies in the span of the
+    columns kept before it of degree <= its own.  The arities of the
+    degrees must already agree."""
+    order = sorted(range(len(degrees)),
+                   key=lambda j: _degree_sort_key(degrees[j]))
+    keep = []
+    for j in order:
+        usable = [k for k in keep if all(map(le, degrees[k], degrees[j]))]
+        span = column_reduce([columns[k] for k in usable], fld)
+        if columns[j] and not span.contains(columns[j]):
+            keep.append(j)
+    return sorted(keep)
+
+
 def minimize(presentation):
     """Minimal presentation of an isomorphic module.
 
@@ -133,23 +154,12 @@ def minimize(presentation):
             changed = True
 
     def drop_redundant():
-        changed = False
-        order = sorted(range(len(cols)), key=lambda j: _degree_sort_key(cols[j]))
-        keep = []
-        kept_flags = [False] * len(cols)
-        for j in order:
-            usable = [k for k in keep if all(map(le, cols[k], cols[j]))]
-            span = column_reduce([tuple(columns[k]) for k in usable], fld)
-            if not columns[j] or span.contains(columns[j]):
-                changed = True
-                continue
-            keep.append(j)
-            kept_flags[j] = True
-        if changed:
-            survivors = [j for j in range(len(cols)) if kept_flags[j]]
-            cols[:] = [cols[j] for j in survivors]
-            columns[:] = [columns[j] for j in survivors]
-        return changed
+        keep = _irredundant(cols, columns, fld)
+        if len(keep) == len(cols):
+            return False
+        cols[:] = [cols[j] for j in keep]
+        columns[:] = [columns[j] for j in keep]
+        return True
 
     while True:
         c1 = cancel_units()
@@ -171,8 +181,9 @@ def _check_degrees(distinct):
     """Check each of the distinct degrees once: mixed arities raise
     DimensionMismatchError, out-of-range coordinates DegreeOverflowError."""
     for deg in distinct:
-        deg_join(distinct[0], deg)  # arity
-        deg_join(deg, deg)  # coordinate range
+        _check_arity(distinct[0], deg)
+        if deg and max(max(deg), -min(deg)) >= _COORD_LIMIT:
+            raise DegreeOverflowError(f"degree {deg} out of range")
 
 
 def _join_closure(degrees):
@@ -182,16 +193,12 @@ def _join_closure(degrees):
     the closure of S, plus g, plus g joined with each point of it.  That
     is exact for every d because the join is associative, commutative and
     idempotent, and costs one join per (distinct degree, closure point)
-    pair, about n * |closure| in all.  Arity and coordinate range are
-    checked once per distinct degree, so mixed arities raise
-    DimensionMismatchError and out-of-range coordinates raise
-    DegreeOverflowError.  A closure larger than CLOSURE_CAP points raises
-    ResourceCapError.
+    pair, about n * |closure| in all.  The degrees must share one arity
+    and lie in range (`_check_degrees`).  A closure larger than
+    CLOSURE_CAP points raises ResourceCapError.
     """
-    distinct = list(dict.fromkeys(tuple(d) for d in degrees))
-    _check_degrees(distinct)
     closure = set()
-    for deg in distinct:
+    for deg in dict.fromkeys(degrees):
         if deg in closure:
             continue
         closure.update([tuple(map(max, deg, c)) for c in closure])
@@ -204,102 +211,68 @@ def _join_closure(degrees):
     return sorted(closure, key=_degree_sort_key)
 
 
-def _kernel_sweep_2d(matrix):
-    """`kernel` of a d=2 matrix with n > 0 columns, one sweep per x-line.
-
-    For each distinct column x-coordinate x in increasing order, a
-    recording `ColumnSpan` takes the columns with c_x <= x in (c_y, index)
-    order.  A column zeroed on line x stays zeroed on every later line
-    (the columns before it there are a superset), so later lines skip it;
-    that leaves their spans unchanged.  The first line x that zeroes
-    column j gives one generator: degree (x, c_y(j)), column the recorded
-    dependency.  So dim K(x, y) = #{j : x_first(j) <= x, c_y(j) <= y}, and
-    its second difference at (x, y) counts exactly the j with x_first(j)
-    = x and c_y(j) = y: the generators sit at the Betti degrees, so they
-    are a minimal set.  They generate by induction on j: on a later line
-    the dependency for j differs from the first one by a kernel vector
-    whose last column comes before j.  Arity and coordinate range are
-    checked once per distinct degree (`_check_degrees`), as
-    `_join_closure` does.
-    """
-    cols = matrix.cols
-    _check_degrees(list(dict.fromkeys(cols)))
-    by_y = sorted(range(len(cols)), key=lambda j: (cols[j][1], j))
-    found = []  # (degree, column index, sparse column)
-    zeroed = set()
-    for x in sorted({c[0] for c in cols}):
-        span = ColumnSpan(matrix.field)
-        for j in by_y:
-            if cols[j][0] > x or j in zeroed:
-                continue
-            if span.insert(matrix.columns[j], source=j, record=True) is None:
-                zeroed.add(j)
-                combo = sorted(span.zeroed[-1][1].items())
-                found.append(((x, cols[j][1]), j, tuple(combo)))
-    found.sort(key=lambda g: (_degree_sort_key(g[0]), g[1]))
-    return GradedMatrix(matrix.field, cols, [g[0] for g in found],
-                        [g[2] for g in found], validate=False)
-
-
 def kernel(matrix):
     """Graded matrix whose columns generate ker(M: A[R] -> A[G]).
 
     The degree-alpha slice of the kernel is the nullspace of the columns
-    of degree <= alpha.  New generators carry no unit entry at an
+    of degree <= alpha.  It is read off one recording column sweep per
+    line.  The lines are the join closure of the columns' first d - 1
+    coordinates (`_join_closure`, capped at CLOSURE_CAP points): for d = 2
+    the distinct x values, for d <= 1 one empty line.  They are walked in
+    (sum, degree) order.  On line a, a `ColumnSpan` takes the columns whose
+    first d - 1 coordinates lie below a, in (last coordinate, index)
+    order.  A column zeroed on a line a' <= a is zeroed again on a (the
+    columns before it there are a superset), so line a skips it, which
+    leaves its span unchanged.  A column the span zeroes gives one
+    generator: degree a + (c_d(j),), column the recorded dependency.
+
+    They generate: at (a, z), each column j with c_d(j) <= z that line a
+    zeroes or skips has a generator of degree <= (a, z) whose last column
+    in line a's order is j, so these span the nullspace of the slice.  For
+    d <= 2 the lines form a chain, each column gives at most one
+    generator, and the set is minimal.  For d >= 3 a column can first
+    vanish on incomparable lines, so each generator spanned by earlier
+    ones of degree <= its own is dropped (`_irredundant`, as `minimize`
+    drops redundant relations).  New generators carry no unit entry at an
     equal-degree column when the input presentation is minimal, so
     resolutions built from this kernel stay minimal.
-
-    For d = 2 one recording sweep per distinct column x-coordinate (about
-    n inserts each) emits a minimal generating set, with no join closure
-    and no per-point reduction (see `_kernel_sweep_2d`).  For other d the
-    generators at each degree alpha of the join closure of the column
-    degrees (about n * |closure| joins, capped at CLOSURE_CAP points; see
-    `_join_closure`) are the nullspace vectors not spanned by shifts of
-    generators found at earlier degrees.  Each point reduces, from
-    scratch, the columns below it and the earlier generators below it;
-    nullspace vectors are reduced against those generators only until
-    they span the nullspace.
     """
     fld = matrix.field
-    n = matrix.ncols
-    if n == 0:
-        return GradedMatrix(fld, matrix.cols, [], [], validate=False)
     cols = matrix.cols
-    if len(cols[0]) == 2:
-        return _kernel_sweep_2d(matrix)
-    generators = []  # (degree, sparse column over the column indices of M)
-    for alpha in _join_closure(cols):
-        # Every degree here has alpha's arity (the closure checked it).
-        cols_le = [j for j in range(n) if all(map(le, cols[j], alpha))]
-        if not cols_le:
-            continue
-        combos = nullspace_of_columns(
-            [matrix.columns[j] for j in cols_le], fld
-        )
-        if not combos:
-            continue
+    if not cols:
+        return GradedMatrix(fld, cols, [], [], validate=False)
+    _check_degrees(list(dict.fromkeys(cols)))
+    heads = list(dict.fromkeys(c[:-1] for c in cols))
+    head_of = {h: i for i, h in enumerate(heads)}
+    order = sorted(range(len(cols)), key=lambda j: (cols[j][-1:], j))
+    sweep = [(j, head_of[cols[j][:-1]], matrix.columns[j]) for j in order]
+    found = []  # (degree, column index, sparse column)
+    gave = []  # (line, the columns that gave a generator on it)
+    for line in _join_closure(heads):
+        below = [all(map(le, h, line)) for h in heads]
+        dead = set()
+        for earlier, js in gave:
+            if all(map(le, earlier, line)):
+                dead.update(js)
         span = ColumnSpan(fld)
-        for gdeg, gcol in generators:
-            if all(map(le, gdeg, alpha)):
-                span.insert(gcol)
-        for combo in combos:
-            # The span lies in this nullspace; once it has the nullspace's
-            # dimension, every remaining combo would reduce to zero.
-            if span.rank == len(combos):
-                break
-            vec = tuple(sorted((cols_le[k], v) for k, v in combo.items()))
-            residual = span.reduce_vector(vec)
-            if residual:
-                residual = tuple(residual)
-                generators.append((alpha, residual))
-                span.insert(residual)
-    return GradedMatrix(
-        fld,
-        matrix.cols,
-        [deg for deg, _ in generators],
-        [col for _, col in generators],
-        validate=False,
-    )
+        zeroed = []
+        for j, h, column in sweep:
+            if not below[h] or j in dead:
+                continue
+            if span.insert(column, source=j, record=True) is None:
+                zeroed.append(j)
+                combo = sorted(span.zeroed[-1][1].items())
+                found.append((line + cols[j][-1:], j, tuple(combo)))
+        if zeroed:
+            gave.append((line, zeroed))
+    found.sort(key=lambda g: (_degree_sort_key(g[0]), g[1]))
+    degrees = [g[0] for g in found]
+    columns = [g[2] for g in found]
+    if len(cols[0]) >= 3:
+        keep = _irredundant(degrees, columns, fld)
+        degrees = [degrees[k] for k in keep]
+        columns = [columns[k] for k in keep]
+    return GradedMatrix(fld, cols, degrees, columns, validate=False)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@
 - `presentations`: `serialize_pmod` of `hom_module_presentation` and of
   every differential of `free_resolution` of both modules, on a few seeded
   d=2 `random_pair`s;
+- `other_d`: `serialize_pmod` of every differential of `free_resolution`
+  of both modules, and `write_hom_basis` of the `a-star` and `b-star`
+  routes, on a few seeded d=1 and d=3 `random_pair`s;
 - `modules`: `mphom minimize`, `sparsify` and `thickness` run in-process
   on every file in `tests/fixtures` (exit code and stdout);
 - `reducers`: `serialize_pmod` of `minimize` on seeded non-minimal graded
@@ -38,9 +41,16 @@ from pathlib import Path
 
 import pytest
 
-from mphom import Presentation, free_resolution, hom_module_presentation
+from mphom import (
+    Presentation,
+    dual_context,
+    free_resolution,
+    hom_exact_dual,
+    hom_module_presentation,
+    hom_restricted_dual,
+)
 from mphom.cli import ALGORITHM_CHOICES, main
-from mphom.formats import serialize_pmod
+from mphom.formats import serialize_pmod, write_hom_basis
 from mphom.generators import random_module, random_pair
 from mphom.graded import GradedMatrix, PrimeField, deg_join
 from mphom.presentations import minimize, sparsify
@@ -55,6 +65,18 @@ RANDOM_PAIRS = [
     (2, 7, 10, 5),
     (3, 8, 12, 65521),
     (4, 10, 15, 2),
+]
+
+
+# (d, seed, gens = rels, coord_range, p) of the seeded d != 2 pairs.
+OTHER_D_PAIRS = [
+    (1, 0, 6, 8, 2),
+    (1, 1, 7, 10, 5),
+    (1, 2, 8, 12, 65521),
+    (3, 0, 4, 4, 2),
+    (3, 1, 5, 4, 3),
+    (3, 2, 5, 5, 65521),
+    (3, 3, 6, 5, 2),
 ]
 
 
@@ -91,6 +113,16 @@ def hom_digests(alg):
     return out
 
 
+def _add_resolution_digests(out, tag, x, y, d):
+    """Digest every differential of `free_resolution` of x and of y."""
+    for name, pres in (("x", x), ("y", y)):
+        res = free_resolution(pres)
+        for k, diff in enumerate(res.differentials, start=1):
+            out[f"{tag} {name} d_{k}"] = _sha(
+                serialize_pmod(Presentation(diff), d=d)
+            )
+
+
 def presentation_digests():
     """Digests of Hom-module presentations and resolution differentials."""
     out = {}
@@ -101,12 +133,24 @@ def presentation_digests():
         out[f"{tag} hom-module"] = _sha(
             serialize_pmod(hom_module_presentation(x, y), d=2)
         )
-        for name, pres in (("x", x), ("y", y)):
-            res = free_resolution(pres)
-            for k, diff in enumerate(res.differentials, start=1):
-                out[f"{tag} {name} d_{k}"] = _sha(
-                    serialize_pmod(Presentation(diff), d=2)
-                )
+        _add_resolution_digests(out, tag, x, y, d=2)
+    return out
+
+
+def other_d_digests():
+    """Digests of d != 2 resolution differentials and dual-route bases."""
+    out = {}
+    for d, seed, size, coord_range, p in OTHER_D_PAIRS:
+        x, y = random_pair(seed, d=d, gens=size, rels=size,
+                           coord_range=coord_range, p=p)
+        tag = f"d={d} seed={seed} n={size} p={p}"
+        _add_resolution_digests(out, tag, x, y, d)
+        ctx = dual_context(x, y)
+        for alg, route in (("a-star", hom_restricted_dual),
+                           ("b-star", hom_exact_dual)):
+            out[f"{tag} {alg}"] = _sha(
+                write_hom_basis(route(x, y, context=ctx), d, p)
+            )
     return out
 
 
@@ -187,6 +231,7 @@ def all_digests():
     return {
         "hom": hom,
         "modules": module_digests(),
+        "other_d": other_d_digests(),
         "presentations": presentation_digests(),
         "reducers": reducer_digests(),
     }
@@ -226,6 +271,11 @@ def test_hom_cli_outputs_match_golden(golden, alg):
 def test_presentations_match_golden(golden):
     got = presentation_digests()
     assert not _mismatches(got, golden["presentations"])
+
+
+def test_other_d_match_golden(golden):
+    got = other_d_digests()
+    assert not _mismatches(got, golden["other_d"])
 
 
 def test_module_cli_outputs_match_golden(golden):

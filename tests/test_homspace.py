@@ -8,6 +8,7 @@ import pytest
 from mphom import (
     CokernelCache,
     ColumnSpan,
+    FieldMismatchError,
     GradedMatrix,
     Presentation,
     PrimeField,
@@ -17,6 +18,7 @@ from mphom import (
     hilbert_at,
     hom_direct,
     hom_exact,
+    hom_exact_dual,
     hom_mixed,
     hom_module_presentation,
     hom_restricted,
@@ -198,6 +200,39 @@ def test_verify_hom_rejects_non_homomorphism():
         assert algorithm(x, y).dim == 0
 
 
+def _quotient_by_x(p):
+    """A/(x) at d=2 and A, both over GF(p)."""
+    fld = PrimeField(p)
+    x = Presentation(graded_matrix_from_entries(
+        fld, [(0, 0)], [(1, 0)], {(0, 0): 1}), minimal=True)
+    return x, free_module([(0, 0)], p=p)
+
+
+def _twice_identity_gf3():
+    return graded_matrix_from_entries(PrimeField(3), [(0, 0)], [(0, 0)],
+                                      {(0, 0): 2})
+
+
+def test_verify_hom_rejects_q_over_another_field():
+    # 2 * id: A/(x) -> A is no homomorphism over GF(3); over GF(2) the
+    # coefficient 2 must not be read as 0.
+    q = _twice_identity_gf3()
+    assert not verify_hom(q, *_quotient_by_x(3))
+    with pytest.raises(FieldMismatchError):
+        verify_hom(q, *_quotient_by_x(2))
+    x3, _ = _quotient_by_x(3)
+    with pytest.raises(FieldMismatchError):
+        verify_hom(q, x3, free_module([(0, 0)], p=2))
+
+
+def test_homotopy_reduce_rejects_q_over_another_field():
+    q = _twice_identity_gf3()
+    assert homotopy_reduce([q], free_module([(0, 0)], p=3))[0].columns \
+        == (((0, 2),),)
+    with pytest.raises(FieldMismatchError):
+        homotopy_reduce([q], free_module([(0, 0)], p=2))
+
+
 def test_end_contains_identity(fig_pair):
     _, y = fig_pair
     basis = hom_restricted(y, y)
@@ -311,11 +346,18 @@ def test_one_parameter_interval_homs():
 
 
 def test_three_parameter_agreement():
-    for seed in (1, 2, 3):
-        x, y = random_pair(seed, d=3, gens=4, rels=4, coord_range=3, p=2)
-        dims = {algorithm(x, y).dim for algorithm in ALGORITHMS}
-        dims.add(oracle_dim(x, y))
-        assert len(dims) == 1, seed
+    # The primal routes, the duals (whose resolutions run the d=3 kernel),
+    # the Hom-module presentation at the origin and the oracle agree.
+    for p in (2, 5):
+        for seed in (1, 2, 3):
+            x, y = random_pair(seed, d=3, gens=4, rels=4, coord_range=3, p=p)
+            dims = {algorithm(x, y).dim for algorithm in ALGORITHMS}
+            ctx = dual_context(x, y)
+            dims.add(hom_restricted_dual(x, y, context=ctx).dim)
+            dims.add(hom_exact_dual(x, y, context=ctx).dim)
+            dims.add(hilbert_at(hom_module_presentation(x, y), (0, 0, 0)))
+            dims.add(oracle_dim(x, y))
+            assert len(dims) == 1, (p, seed, dims)
 
 
 def test_end_identity_on_random_modules():

@@ -208,22 +208,24 @@ def test_kernel_rejects_out_of_range_column_degree(coord):
 
 
 def test_kernel_closure_cap(monkeypatch):
-    # The d=2 kernel builds no closure, so the cap is reached through the
-    # running example's N lifted to d=3: relations at (2,2,0), (5,0,0),
-    # (5,1,0), whose join closure adds (5,2,0).
+    # The cap bounds the lines, the join closure of the columns' first
+    # d - 1 coordinates.  The running example's N lifted to d=3 has
+    # relations at (2,2,0), (5,0,0), (5,1,0): its lines (2,2), (5,0),
+    # (5,1) close to four with (5,2).
     m = GradedMatrix(PrimeField(3), [(0, 1, 0), (1, 0, 0)],
                      [(2, 2, 0), (5, 0, 0), (5, 1, 0)],
                      [((0, 1), (1, 2)), ((1, 1),), ((0, 1),)])
-    assert len(presentations._join_closure(m.cols)) == 4
+    assert len(presentations._join_closure([c[:-1] for c in m.cols])) == 4
     monkeypatch.setattr(presentations, "CLOSURE_CAP", 3)
     with pytest.raises(ResourceCapError):
         kernel(m)
 
 
 def _kernel_per_point(matrix):
-    """`kernel` reducing every closure point, as for d != 2; the reference
-    for the d=2 sweep, which must give the same Betti degrees and the same
-    slice ranks (its generating set may differ)."""
+    """The kernel reduced from scratch at every point of the join closure
+    of the column degrees; the reference for the line sweep of `kernel`,
+    which must give the same Betti degrees and the same slice ranks (its
+    generating set may differ)."""
     fld = matrix.field
     n = matrix.ncols
     if n == 0:
@@ -256,13 +258,13 @@ def _kernel_per_point(matrix):
                         [col for _, col in generators], validate=False)
 
 
-def _random_graded_d2(seed, nrows, ncols, coord_range, p):
-    """Seeded d=2 graded matrix with more columns than rows, so its
-    kernel has many generators; it need not be minimal."""
-    rng = random.Random(f"d2-kernel:{seed}:{nrows}:{ncols}:{p}")
-    rows = [(rng.randint(0, coord_range), rng.randint(0, coord_range))
+def _random_graded(seed, nrows, ncols, coord_range, p, d=2):
+    """Seeded graded matrix with more columns than rows, so its kernel
+    has many generators; it need not be minimal."""
+    rng = random.Random(f"d{d}-kernel:{seed}:{nrows}:{ncols}:{p}")
+    rows = [tuple(rng.randint(0, coord_range) for _ in range(d))
             for _ in range(nrows)]
-    cols = [(rng.randint(0, coord_range), rng.randint(0, coord_range))
+    cols = [tuple(rng.randint(0, coord_range) for _ in range(d))
             for _ in range(ncols)]
     entries = {(i, j): rng.randrange(1, p)
                for j in range(ncols) for i in range(nrows)
@@ -278,12 +280,13 @@ def _seeded_d2_matrices():
             yield random_module(seed, d=2, gens=gens, rels=rels,
                                 coord_range=max(gens, 5), p=p).matrix
         for seed, (nrows, ncols) in enumerate(((3, 8), (6, 20), (10, 30))):
-            yield _random_graded_d2(seed, nrows, ncols, 8, p)
+            yield _random_graded(seed, nrows, ncols, 8, p)
 
 
-def _hom_module_kernel_inputs(monkeypatch, pairs):
-    """The `combined` and `second` matrices `hom_module_presentation`
-    passes to `kernel`; neither is a minimal presentation."""
+def _kernel_inputs(monkeypatch, pairs, route=hom_module_presentation):
+    """The matrices `route` passes to `kernel` on each pair.  For
+    `hom_module_presentation` these are its `combined` and `second`
+    matrices, neither a minimal presentation."""
     seen = []
 
     def recording_kernel(matrix):
@@ -291,8 +294,9 @@ def _hom_module_kernel_inputs(monkeypatch, pairs):
         return kernel(matrix)
 
     monkeypatch.setattr(homspace, "kernel", recording_kernel)
+    monkeypatch.setattr(presentations, "kernel", recording_kernel)
     for x, y in pairs:
-        hom_module_presentation(x, y)
+        route(x, y)
     monkeypatch.undo()
     return seen
 
@@ -338,14 +342,27 @@ def _dense_nullity(m, pt):
     return count - rank
 
 
+def _assert_minimal_generators(k):
+    """No column of k lies in the span of the others of degree <= its
+    own."""
+    for j, deg in enumerate(k.cols):
+        span = ColumnSpan(k.field)
+        for i, other in enumerate(k.cols):
+            if i != j and all(a <= b for a, b in zip(other, deg)):
+                span.insert(k.columns[i])
+        assert not span.contains(k.columns[j]), (j, deg)
+
+
 def _assert_kernel_matches_per_point(m):
-    """The d=2 kernel against the per-point reference: equal Betti-degree
-    multisets, M.K = 0, and at every closure point its slice has the
-    dense nullity of M's columns below the point."""
+    """The kernel against the per-point reference: equal Betti-degree
+    multisets, M.K = 0, a minimal generating set, and at every closure
+    point its slice has the dense nullity of M's columns below the
+    point."""
     k = kernel(m)
     assert sorted(k.cols) == sorted(_kernel_per_point(m).cols)
     assert k.rows == m.cols
     assert matmul(m, k).nnz() == 0
+    _assert_minimal_generators(k)
     if m.ncols:
         for pt in presentations._join_closure(m.cols):
             assert _dense_rank_below(k, pt)[1] == _dense_nullity(m, pt), pt
@@ -363,7 +380,7 @@ def test_d2_kernel_matches_per_point_on_hom_module_inputs(monkeypatch):
     pairs = [random_pair(seed, d=2, gens=n, rels=n, coord_range=2 * n, p=p)
              for seed, n, p in ((0, 5, 2), (1, 6, 5), (2, 7, 2),
                                 (3, 6, 65521))]
-    seen = _hom_module_kernel_inputs(monkeypatch, pairs)
+    seen = _kernel_inputs(monkeypatch, pairs)
     assert len(seen) == 2 * len(pairs)
     for m in seen:
         _assert_kernel_matches_per_point(m)
@@ -375,45 +392,83 @@ def test_d2_kernel_matches_per_point_on_edge_cases():
         assert k == _kernel_per_point(m)
 
 
-def test_d2_kernel_builds_no_join_closure(monkeypatch):
-    """With `_join_closure` patched to raise, the d=2 kernel, the
-    Hom-module presentation and the dual context return what they return
-    unpatched."""
-    matrices = [*_edge_case_matrices(), *_seeded_d2_matrices()]
-    pairs = [red_blue(), *(
-        random_pair(seed, d=2, gens=n, rels=n, coord_range=2 * n, p=p)
-        for seed, n, p in ((0, 5, 2), (1, 6, 5), (3, 6, 65521)))]
-    kernels = [kernel(m) for m in matrices]
-    homs = [hom_module_presentation(x, y) for x, y in pairs]
-    duals = [dual_context(x, y) for x, y in pairs]
-
-    def no_closure(*_):
-        raise AssertionError("join closure built for d=2")
-
-    monkeypatch.setattr(presentations, "_join_closure", no_closure)
-    assert [kernel(m) for m in matrices] == kernels
-    assert [hom_module_presentation(x, y) for x, y in pairs] == homs
-    assert [dual_context(x, y) for x, y in pairs] == duals
-    assert sum(k.ncols for k in kernels) > 0
-    assert sum(h.matrix.ncols for h in homs) > 0
-
-
-def test_kernel_other_d_keeps_per_point_path(monkeypatch):
-    def fail(*_):
-        raise AssertionError("d=2 sweep used for d != 2")
-
-    monkeypatch.setattr(presentations, "_kernel_sweep_2d", fail)
-    for d in (1, 3):
+def _other_d_matrices():
+    """Seeded d = 1, 3, 4 presentations and wide graded matrices."""
+    for d, rels, coord_range in ((1, 8, 6), (3, 8, 4), (4, 6, 3)):
         for seed in range(4):
-            m = random_module(seed, d=d, gens=7, rels=8, coord_range=6,
-                              p=(2, 5)[seed % 2]).matrix
-            k = kernel(m)
-            assert k == _kernel_per_point(m)
-            assert matmul(m, k).nnz() == 0
-            if k.ncols:
-                kk = kernel(k)
-                assert kk == _kernel_per_point(k)
-                assert matmul(k, kk).nnz() == 0
+            p = (2, 5, 3, 65521)[seed]
+            yield random_module(seed, d=d, gens=7, rels=rels,
+                                coord_range=coord_range, p=p).matrix
+            yield _random_graded(seed, 4, 10, coord_range, p, d=d)
+
+
+def test_kernel_matches_per_point_other_d():
+    seen = 0
+    for m in _other_d_matrices():
+        k = _assert_kernel_matches_per_point(m)
+        if k.ncols:
+            seen += 1
+            _assert_kernel_matches_per_point(k)
+    assert seen >= 10
+
+
+def test_kernel_drops_generator_spanned_across_incomparable_lines():
+    # Column 5 first vanishes on the incomparable lines (0, 2) and (2, 1),
+    # giving generators at (0, 2, 2) and (2, 1, 2).  On their join (2, 2)
+    # column 3 vanishes with a dependency that is the sum of those two,
+    # so the sweep's third generator, at (2, 2, 2), is dropped.
+    m = GradedMatrix(
+        PrimeField(2), [(0, 0, 0)] * 4,
+        [(2, 1, 1), (1, 1, 2), (1, 0, 2), (1, 1, 2), (0, 2, 0), (0, 1, 2)],
+        [((0, 1), (1, 1), (2, 1), (3, 1)), ((0, 1),), ((1, 1),),
+         ((2, 1),), ((3, 1),), ((3, 1),)],
+    )
+    k = _assert_kernel_matches_per_point(m)
+    assert k.cols == ((0, 2, 2), (2, 1, 2))
+    assert k.columns == (((4, 1), (5, 1)),
+                         ((0, 1), (1, 1), (2, 1), (3, 1), (5, 1)))
+
+
+def test_kernel_matches_per_point_on_other_d_route_inputs(monkeypatch):
+    """The dual contexts and Hom-module presentations of d = 3, 4 pairs
+    hand `kernel` matrices on which the redundancy filter drops
+    generators."""
+    pairs = [random_pair(seed, d=d, gens=4, rels=4, coord_range=3, p=p)
+             for d, seed, p in ((3, 0, 2), (3, 1, 5), (3, 3, 5), (4, 0, 2))]
+    seen = [*_kernel_inputs(monkeypatch, pairs, dual_context),
+            *_kernel_inputs(monkeypatch, pairs)]
+    dropped = []
+    irredundant = presentations._irredundant
+
+    def recording_irredundant(degrees, columns, fld):
+        keep = irredundant(degrees, columns, fld)
+        dropped.append(len(degrees) - len(keep))
+        return keep
+
+    monkeypatch.setattr(presentations, "_irredundant",
+                        recording_irredundant)
+    for m in seen:
+        _assert_kernel_matches_per_point(m)
+    assert sum(dropped) > 0
+
+
+def test_kernel_hands_join_closure_line_degrees(monkeypatch):
+    """`kernel` builds the join closure of the columns' first d - 1
+    coordinates only."""
+    arities = []
+    closure = presentations._join_closure
+
+    def recording_closure(degrees):
+        degrees = list(degrees)
+        arities.append({len(deg) for deg in degrees})
+        return closure(degrees)
+
+    monkeypatch.setattr(presentations, "_join_closure", recording_closure)
+    matrices = [*_edge_case_matrices(), *_other_d_matrices()]
+    for m in matrices:
+        del arities[:]
+        kernel(m)
+        assert arities == [{m.dim - 1}], m
 
 
 def test_d2_second_difference_counts_generators():
@@ -426,7 +481,7 @@ def test_d2_second_difference_counts_generators():
                                p=p).matrix
                  for seed, n, p in ((0, 6, 2), (1, 9, 5), (2, 12, 2),
                                     (3, 8, 65521))]
-    matrices += [_random_graded_d2(seed, 6, 20, 6, p)
+    matrices += [_random_graded(seed, 6, 20, 6, p)
                  for seed, p in ((0, 2), (1, 5), (2, 65521))]
     for m in matrices:
         xs = sorted({c[0] for c in m.cols})
