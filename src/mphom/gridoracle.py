@@ -2,21 +2,25 @@
 
 A presentation is realized as vector spaces and structure maps on the
 product grid of its degree coordinates; Hom(X, Y) is then computed as the
-space of natural transformations by solving one global dense linear
-system, one equation block per grid edge.
+space of natural transformations by solving one global linear system,
+one equation block per grid edge.
 
 Everything here is deliberately redundant with the sparse engine: ranks
 and nullspaces come from an independent dense row-echelon routine on
 numpy arrays (leftmost-pivot convention), so a bug in the sparse column
 reduction cannot confirm itself.
 
-Two things keep the dense work small.  Many grid points share the same
+Three things keep the dense work small.  Many grid points share the same
 slice N_{<=alpha} (the same rows and columns of N lie below them), and
-`realize_grid` reduces each distinct slice once.  Nearly every naturality
-equation has one or two terms, so `hom_oracle` substitutes those first,
-writing each variable as a multiple of a root variable, and row-reduces
-only the longer equations over the roots; its basis spans the same space
-as the plain nullspace but is not the RREF one.
+`realize_grid` reduces each distinct slice once.  Points with the same
+slices of X and of Y are joined by identity maps, so `hom_oracle` gives
+each such class one block of variables and each pair of adjacent classes
+one block of equations, built as sparse triplets rather than a dense
+array.  Nearly every naturality equation has one or two terms, so it
+substitutes those first, writing each variable as a multiple of a root
+variable, and row-reduces only the longer equations over the roots; its
+basis spans the same space as the plain nullspace but is not the RREF
+one.
 
 The arithmetic is exact for every prime.  `rref` eliminates in the
 narrowest integer dtype that holds (p-1)^2 + p, the largest magnitude a
@@ -43,9 +47,11 @@ from .localalg import _matrix_of, evaluation_grid
 import numpy as np
 
 GRID_CAP_DEFAULT = 10_000
-# Largest equation matrix hom_oracle allocates, in bytes of the rref
-# working dtype (rref copies it once more).  The largest system the test
-# suite and the benchmark pools build is 17.9 M cells over GF(2), 18 MB.
+# Largest grid naturality system hom_oracle accepts, sized as a dense
+# equations x variables matrix in bytes of the rref working dtype; the
+# solve works on a sparse quotient and never allocates it.  The largest
+# system the test suite and the benchmark pools ask for is 17.9 M cells
+# over GF(2), 18 MB.
 SYSTEM_BYTES_CAP = 768 << 20
 
 _INT_DTYPES = tuple(
@@ -83,15 +89,15 @@ def rref(matrix, p):
     """Reduced row echelon form over GF(p) with leftmost pivots.
 
     Returns (R, pivot_cols); R is a fresh int64 array (object for p at
-    or above 2^63).  Each pivot is scaled to 1 by its Fermat inverse and
-    its column is cleared in one vectorised update of every other row
-    that is nonzero there.  The update touches only the columns where
-    the pivot row is nonzero, all at or right of the pivot, since the
-    pivot row is zero to its left.  The pivot row of a column is its
-    first nonzero row that holds no earlier pivot; RREF is unique, so
-    the choice does not change R.  The work array takes the narrowest
-    dtype that holds (p-1)^2 + p, the largest magnitude of an update
-    before its reduction, so no step can overflow.
+    or above 2^63).  Each pivot row is the first row at or below the
+    current echelon position that is nonzero in its column; it is swapped
+    into that position, scaled to 1 by its Fermat inverse, and its column
+    is cleared in one vectorised update of every other row that is
+    nonzero there.  The update touches only the columns where the pivot
+    row is nonzero, all at or right of the pivot, since the pivot row is
+    zero to its left.  The work array takes the narrowest dtype that
+    holds (p-1)^2 + p, the largest magnitude of an update before its
+    reduction, so no step can overflow.
     """
     dtype = _rref_dtype(p)
     r = np.asarray(matrix)
@@ -99,35 +105,29 @@ def rref(matrix, p):
         r = r.astype(object) % p
     r = r.astype(dtype)
     n_rows, n_cols = r.shape
-    # Rows are not swapped: each pivot row is recorded and the rows are
-    # put in echelon order once at the end.  Every other row ends zero.
-    is_pivot_row = np.zeros(n_rows, dtype=bool)
-    pivot_rows, pivot_cols = [], []
+    pivot_cols = []
     for col in range(n_cols):
-        if len(pivot_rows) == n_rows:
+        k = len(pivot_cols)
+        if k == n_rows:
             break
-        # astype(bool) first: nonzero() is several times faster on bools.
-        nonzero = r[:, col].astype(bool).nonzero()[0]
-        candidates = nonzero[~is_pivot_row[nonzero]]
-        if candidates.size == 0:
+        hits = r[k:, col].nonzero()[0]
+        if hits.size == 0:
             continue
-        row = candidates[0]
-        support = col + r[row, col:].astype(bool).nonzero()[0]
-        piv = int(r[row, col])
+        if hits[0]:
+            r[[k, k + hits[0]]] = r[[k + hits[0], k]]
+        support = col + r[k, col:].nonzero()[0]
+        piv = int(r[k, col])
         if piv != 1:
-            r[row, support] = r[row, support] * pow(piv, p - 2, p) % p
-        others = nonzero[nonzero != row]
+            r[k, support] = r[k, support] * pow(piv, p - 2, p) % p
+        others = r[:, col].nonzero()[0]
+        others = others[others != k]
         if others.size:
             block = (others[:, None], support)
-            r[block] = (r[block] - r[block[0], col] * r[row, support]) % p
-        is_pivot_row[row] = True
-        pivot_rows.append(row)
+            r[block] = (r[block] - r[others, col, None] * r[k, support]) % p
         pivot_cols.append(col)
-    out = np.zeros_like(r)
-    out[: len(pivot_rows)] = r[pivot_rows]
     if p <= _INT64_MAX:
-        out = out.astype(np.int64, copy=False)
-    return out, pivot_cols
+        r = r.astype(np.int64, copy=False)
+    return r, pivot_cols
 
 
 def rank(matrix, p):
@@ -172,8 +172,10 @@ class GridModule:
     vector over the local generators in that basis.  maps[(point, axis)]
     is the dense matrix of the structure map from `point` to its
     successor along `axis`; square-commutativity of the grid diagram is
-    validated at construction.  Points with the same slice share its
-    functionals and edge-map arrays, so treat them as read-only.
+    validated at construction.  `slice_index[point]` numbers the distinct
+    slices N_{<=point} in grid order.  Points with the same slice share
+    its functionals, and edges between the same two slices share one
+    edge-map array, so treat them as read-only.
     """
 
     p: int
@@ -183,6 +185,7 @@ class GridModule:
     free_rows: dict
     functionals: dict
     maps: dict
+    slice_index: dict
     _next: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -241,27 +244,29 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
     for j, col in enumerate(matrix.columns):
         for i, v in col:
             full[i, j] = v
-    slices, keys = {}, {}
+    slices, number, slice_index = [], {}, {}
     dims, gen_rows, free_rows, functionals = {}, {}, {}, {}
     for point in itertools.product(*axes):
         rows, cols = everything
         for masks, c in zip(below, point):
             rows, cols = rows & masks[c][0], cols & masks[c][1]
         key = (rows, cols)
-        keys[point] = key
-        if key not in slices:
-            slices[key] = _realize_slice(full, rows, cols, p)
+        if key not in number:
+            number[key] = len(slices)
+            slices.append(_realize_slice(full, rows, cols, p))
+        slice_index[point] = k = number[key]
         dims[point], gen_rows[point], free_rows[point], functionals[point] = (
-            slices[key]
+            slices[k]
         )
-    module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, {})
+    module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, {},
+                        slice_index)
     edges = {}
     for point in module.points():
         for axis, coords in enumerate(axes):
             if point[axis] == coords[-1]:
                 continue
             succ = module.successor(point, axis)
-            pair = (keys[point], keys[succ])
+            pair = (slice_index[point], slice_index[succ])
             if pair not in edges:
                 edges[pair] = _edge_map(p, slices[pair[0]], slices[pair[1]])
             module.maps[(point, axis)] = edges[pair]
@@ -313,7 +318,13 @@ def _edge_map(p, source, target):
 
 
 def _validate_squares(module):
+    """Raise CheckMismatchError unless every grid square commutes.
+
+    Edge maps are shared arrays, so a square is keyed by the identities
+    of its four maps and each distinct square is multiplied out once.
+    """
     axes, p = module.axes, module.p
+    checked = set()
     for point in module.points():
         for ax1 in range(len(axes)):
             for ax2 in range(ax1 + 1, len(axes)):
@@ -325,6 +336,10 @@ def _validate_squares(module):
                 succ2 = module.successor(point, ax2)
                 top = module.maps[(succ1, ax2)]
                 right = module.maps[(succ2, ax1)]
+                square = (id(e1), id(e2), id(top), id(right))
+                if square in checked:
+                    continue
+                checked.add(square)
                 if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
                     raise CheckMismatchError(
                         f"grid square at {point} does not commute"
@@ -346,72 +361,84 @@ def hom_oracle(gx, gy):
 
     One variable per matrix entry of f_alpha wherever both modules are
     nonzero; one equation block per grid edge enforcing
-    f_beta . X_edge = Y_edge . f_alpha.  The system is assembled densely,
-    and `variables` and `equations` count it as built; the solve then
-    substitutes its one- and two-term rows (`_presolved_nullspace`), so
-    `vectors` is a basis of the solution space but not the RREF one.
+    f_beta . X_edge = Y_edge . f_alpha.  `variables`, `equations`,
+    `var_layout` and SYSTEM_BYTES_CAP count that grid system, but it is
+    solved over the slice quotient: points with the same pair of slices
+    (X's and Y's) form a convex class holding its least element, and
+    consecutive points of a class are joined by identity edge maps, so
+    f is constant on a class.  Each class gets one variable block and
+    each distinct pair of adjacent classes one equation block, emitted as
+    sparse triplets; `_presolved_nullspace` then substitutes the one- and
+    two-term rows, so `vectors` (the class blocks copied back to every
+    point) is a basis of the solution space but not the RREF one.
     """
     if gx.p != gy.p:
         raise FieldMismatchError("oracle modules over different fields")
     if gx.axes != gy.axes:
         raise DimensionMismatchError("oracle modules live on different grids")
     p = gx.p
-    layout = []
-    offsets = {}
-    total = 0
+    layout, total = [], 0
+    # offset[point]: the first variable of the block of the point's class;
+    # shift[k]: that offset minus the point's first variable in the grid
+    # system, for the k-th point of `layout`.
+    offset, classes, shift, n_vars = {}, {}, [], 0
     for point in gx.points():
         dx, dy = gx.dims[point], gy.dims[point]
         if dx and dy:
-            offsets[point] = total
+            key = (gx.slice_index[point], gy.slice_index[point])
+            if key not in classes:
+                classes[key] = n_vars
+                n_vars += dx * dy
+            offset[point] = classes[key]
+            shift.append(offset[point] - total)
             layout.append((point, dy, dx))
             total += dx * dy
     n_eqs = 0
-    blocks = []
-    for point in gx.points():
-        for axis in range(len(gx.axes)):
-            if (point, axis) not in gx.maps:
-                continue
-            succ = gx.successor(point, axis)
-            dxa, dyb = gx.dims[point], gy.dims[succ]
-            if dxa == 0 or dyb == 0:
-                continue
-            blocks.append((point, succ, axis, n_eqs))
-            n_eqs += dxa * dyb
-    # Entries lie in [0, p): build the matrix in the dtype rref works in.
-    dtype = _rref_dtype(p)
-    size = n_eqs * total * np.dtype(dtype).itemsize
+    blocks = {}
+    for point, axis in gx.maps:
+        succ = gx.successor(point, axis)
+        dxa, dyb = gx.dims[point], gy.dims[succ]
+        if dxa == 0 or dyb == 0:
+            continue
+        n_eqs += dxa * dyb
+        pair = (gx.slice_index[point], gy.slice_index[point],
+                gx.slice_index[succ], gy.slice_index[succ])
+        # Within a class both edge maps are identities: f_succ = f_point.
+        if pair[:2] != pair[2:] and pair not in blocks:
+            blocks[pair] = (point, succ, axis)
+    size = n_eqs * total * np.dtype(_rref_dtype(p)).itemsize
     if size > SYSTEM_BYTES_CAP:
         raise ResourceCapError(
             f"oracle system of {n_eqs} equations x {total} variables needs "
             f"{size} bytes, cap is {SYSTEM_BYTES_CAP}"
         )
-    a = np.zeros((n_eqs, total), dtype=dtype)
-    for point, succ, axis, eq in blocks:
-        # Row (t, s) of the block equates entry (t, s) of f_succ . X_edge
-        # and of Y_edge . f_point.  The block is kron(I_dyb, X_edge^T) on
-        # the variables of f_succ and -kron(Y_edge, I_dxa) on those of
-        # f_point, written through 4-d views of `a`.
+    # Row (t, s) of a block equates entry (t, s) of f_succ . X_edge and of
+    # Y_edge . f_point, so the block is -kron(Y_edge, I_dxa) on the
+    # variables of f_point and kron(I_dyb, X_edge^T) on those of f_succ.
+    factors, entries, parts = {}, [], []
+    eq = 0
+    for point, succ, axis in blocks.values():
         xmap = gx.maps[(point, axis)]  # dxb x dxa
         ymap = gy.maps[(point, axis)]  # dyb x dya
-        (dxb, dxa), (dyb, dya) = xmap.shape, ymap.shape
-        rows = slice(eq, eq + dyb * dxa)
-        if succ in offsets:
-            base = offsets[succ]
-            view = a[rows, base : base + dyb * dxb].reshape(dyb, dxa, dyb, dxb)
-            t = np.arange(dyb)
-            view[t, :, t, :] = xmap.T
-        if point in offsets:
-            base = offsets[point]
-            view = a[rows, base : base + dya * dxa].reshape(dyb, dxa, dya, dxa)
-            s = np.arange(dxa)
-            view[:, s, :, s] = -ymap % p
+        (dxb, dxa), dyb = xmap.shape, ymap.shape[0]
+        if point in offset:
+            entries.append(_kron_factor(factors, ymap, p, True))
+            parts.append((eq, offset[point], dxa, dxa, 1, 1))
+        if succ in offset:
+            entries.append(_kron_factor(factors, xmap, p, False))
+            parts.append((eq, offset[succ], 1, dyb, dxa, dxb))
+        eq += dyb * dxa
+    rows, cols, vals = _kron_triplets(entries, parts)
     t0 = time.perf_counter()
-    basis = _presolved_nullspace(a, p)
+    quotient = _presolved_nullspace(rows, cols, vals, (eq, n_vars), p)
     elapsed = time.perf_counter() - t0
-    vectors = tuple(map(tuple, basis.T.tolist()))
+    # Copy each class block back to every point of the class.
+    sizes = [dy * dx for _, dy, dx in layout]
+    shift = np.repeat(np.array(shift, dtype=np.int64), sizes)
+    basis = quotient[np.arange(total) + shift]
     return OracleResult(
         dim=basis.shape[1],
-        vectors=vectors,
+        vectors=tuple(map(tuple, basis.T.tolist())),
         variables=total,
         equations=n_eqs,
         solve_seconds=elapsed,
@@ -419,8 +446,50 @@ def hom_oracle(gx, gy):
     )
 
 
-def _presolved_nullspace(a, p):
-    """Nullspace basis of `a` mod p, substituting short rows first.
+def _kron_factor(cache, edge_map, p, of_y):
+    """Nonzeros (row, col, value) of the factor an edge map puts in its
+    block's Kronecker product, -Y_edge mod p for a map of Y and X_edge^T
+    for a map of X, as one 3 x nnz array.  Edge maps are shared arrays, so
+    each is read once, keyed by identity.
+    """
+    key = (id(edge_map), of_y)
+    if key not in cache:
+        rows, cols = edge_map.nonzero()
+        vals = edge_map[rows, cols]
+        cache[key] = np.array(
+            [rows, cols, -vals % p] if of_y else [cols, rows, vals])
+    return cache[key]
+
+
+def _kron_triplets(entries, parts):
+    """Triplets (rows, cols, vals) of the Kronecker blocks, sorted by row
+    and then column.
+
+    parts[k] = (row0, col0, scale, times, row_step, col_step) places each
+    nonzero (a, b, v) of entries[k] at (row0 + a * scale, col0 + b * scale)
+    and `times` times in all, moving by (row_step, col_step) each time:
+    kron(A, I_m) at (row0, col0) is (row0, col0, m, m, 1, 1), and
+    kron(I_m, B) is (row0, col0, 1, m, B rows, B columns).
+    """
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    a, b, v = np.concatenate(entries, axis=1)
+    row0, col0, scale, times, row_step, col_step = np.repeat(
+        np.array(parts, dtype=np.int64).T, [e.shape[1] for e in entries],
+        axis=1)
+    # k: which copy of its nonzero each triplet is.
+    k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
+    rows = np.repeat(row0 + a * scale, times) + k * np.repeat(row_step, times)
+    cols = np.repeat(col0 + b * scale, times) + k * np.repeat(col_step, times)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.repeat(v, times)[order]
+
+
+def _presolved_nullspace(rows, cols, vals, shape, p):
+    """Nullspace basis mod p of the matrix `a` of the given shape whose
+    nonzeros are the triplets (rows[k], cols[k], vals[k]), values in
+    [0, p), listed row by row with columns ascending.
 
     Nearly every naturality equation has one or two terms.  A row
     c_u x_u + c_v x_v = 0 fixes x_u as a multiple of x_v and a row
@@ -434,9 +503,9 @@ def _presolved_nullspace(a, p):
     weighted sum of the columns of a whose root is r; the dense rref then
     runs on it without its zero rows.
     """
-    n_rows, n = a.shape
-    rows, cols = np.nonzero(a)  # row-major: each row's terms are adjacent
-    vals = a[rows, cols]
+    n_rows, n = shape
+    rows, cols, vals = (
+        np.asarray(x, dtype=np.int64) for x in (rows, cols, vals))
     terms = np.bincount(rows, minlength=n_rows)[rows]
     short = terms <= 2
     # Node n is the zero node.  It stays a root, and every variable in its

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mphom import (
+    CheckMismatchError,
     DimensionMismatchError,
     FieldMismatchError,
     ResourceCapError,
@@ -27,7 +28,9 @@ from mphom import (
     parse_pmod,
     serialize_pmod,
 )
+from mphom import gridoracle
 from mphom.gridoracle import (
+    _validate_squares,
     grid_axes,
     hom_oracle,
     nullspace,
@@ -233,7 +236,9 @@ def test_rref_matches_reference(p):
         assert r.tolist() == want
 
 
-@pytest.mark.parametrize("p", (65521, 2**31 - 1, 4294967291))
+# 2^63 - 25 is the largest prime the parser accepts.
+@pytest.mark.parametrize(
+    "p", (65521, 2**31 - 1, 4294967291, 9223372036854775783))
 def test_oracle_matches_direct_at_large_primes(p):
     dims = []
     for s in range(12):
@@ -339,3 +344,110 @@ def test_realize_grid_matches_per_point_reference():
             axes = grid_axes(x, y)
             assert_realization_matches_per_point(x, axes)
             assert_realization_matches_per_point(y, axes)
+
+
+def dense_grid_system(gx, gy):
+    """(A, var_layout) of the full naturality system on the grid: every
+    point with both modules nonzero gets its own variables, every edge its
+    own equation block, with no slice quotient, as one dense object array.
+    Row (t, s) of an edge's block equates entry (t, s) of f_succ . X_edge
+    and of Y_edge . f_point.
+    """
+    p = gx.p
+    layout, offsets, total = [], {}, 0
+    for point in gx.points():
+        dx, dy = gx.dims[point], gy.dims[point]
+        if dx and dy:
+            offsets[point] = total
+            layout.append((point, dy, dx))
+            total += dx * dy
+    blocks, n_eqs = [], 0
+    for (point, axis), xmap in gx.maps.items():
+        ymap = gy.maps[(point, axis)]
+        if xmap.shape[1] and ymap.shape[0]:
+            succ = gx.successor(point, axis)
+            blocks.append((point, succ, xmap, ymap, n_eqs))
+            n_eqs += xmap.shape[1] * ymap.shape[0]
+    a = np.zeros((n_eqs, total), dtype=object)
+    for point, succ, xmap, ymap, eq in blocks:
+        (dxb, dxa), (dyb, dya) = xmap.shape, ymap.shape
+        rows = slice(eq, eq + dyb * dxa)
+        if succ in offsets:
+            base = offsets[succ]
+            a[rows, base:base + dyb * dxb] = np.kron(
+                np.eye(dyb, dtype=np.int64), xmap.T)
+        if point in offsets:
+            base = offsets[point]
+            a[rows, base:base + dya * dxa] = np.kron(
+                -ymap % p, np.eye(dxa, dtype=np.int64))
+    return a, tuple(layout)
+
+
+def assert_oracle_matches_dense_system(x, y):
+    axes = grid_axes(x.matrix, y.matrix)
+    gx, gy = realize_grid(x, axes), realize_grid(y, axes)
+    p = gx.p
+    result = hom_oracle(gx, gy)
+    a, layout = dense_grid_system(gx, gy)
+    assert result.var_layout == layout
+    assert (result.equations, result.variables) == a.shape
+    assert result.dim == nullspace(a, p).shape[1]
+    assert len(result.vectors) == result.dim
+    if result.dim:
+        vectors = np.array(result.vectors, dtype=object).T
+        assert not ((a @ vectors) % p).any()
+        assert rank(vectors, p) == result.dim
+    return result
+
+
+def test_oracle_matches_dense_grid_system():
+    fixtures = [parse_pmod(f.read_text())
+                for f in sorted(FIXTURES.glob("*.pmod"))]
+    fixtures += [*red_blue(), *staircase_pair(),
+                 free_module([(0, 0), (1, -1)])]
+    for x in fixtures:
+        assert_oracle_matches_dense_system(x, x)
+    for x, y in itertools.permutations(fixtures, 2):
+        if x.field.p == y.field.p:
+            assert_oracle_matches_dense_system(x, y)
+    dims = []
+    for d in (1, 2, 3):
+        for p in (2, 5, 65521, 9223372036854775783):
+            for seed in range(4):
+                x, y = random_pair(400 + seed, d=d, gens=4, rels=4,
+                                   coord_range=4, p=p)
+                dims.append(assert_oracle_matches_dense_system(x, y).dim)
+    assert any(dims)
+
+
+def test_validate_squares_rejects_a_perturbed_map():
+    # A free module of rank one: every edge map is the one shared 1 x 1
+    # identity, so all squares but those at a perturbed copy are alike.
+    g = realize_grid(free_module([(0, 0)]), ((0, 1, 2), (0, 1, 2)))
+    _validate_squares(g)
+    g.maps[((1, 1), 0)] = (g.maps[((1, 1), 0)] + 1) % g.p
+    with pytest.raises(CheckMismatchError, match=r"\(1, 0\)"):
+        _validate_squares(g)
+
+
+def test_realize_grid_rejects_a_corrupted_slice_pair(monkeypatch):
+    # Generators at (0,0) and (1,1) give two slices on this grid; doubling
+    # the 1 x 1 identity between points of the first one breaks the square
+    # at (1,0), whose other path runs through the second slice.
+    module = free_module([(0, 0), (1, 1)])
+    axes = ((0, 1, 2), (0, 1, 2))
+    realize_grid(module, axes)
+    edge_map = gridoracle._edge_map
+    corrupted = []
+
+    def corrupt(p, source, target):
+        out = edge_map(p, source, target)
+        if source is target and source[0] == 1:
+            corrupted.append(source)
+            return 2 * out % p
+        return out
+
+    monkeypatch.setattr(gridoracle, "_edge_map", corrupt)
+    with pytest.raises(CheckMismatchError, match="does not commute"):
+        realize_grid(module, axes)
+    assert len(corrupted) == 1

@@ -1,9 +1,9 @@
 """Property test of the oracle's presolved solve against the plain one.
 
-`hom_oracle` substitutes the one- and two-term rows of its system before
-the dense solve; here that solve must span the same nullspace as
-`nullspace(a, p)` on random sparse systems.  Needs hypothesis (the `dev`
-extra).
+`hom_oracle` hands its system to `_presolved_nullspace` as sparse
+triplets, which substitutes the one- and two-term rows before the dense
+solve; here that solve must span the same nullspace as `nullspace(a, p)`
+on random sparse systems.  Needs hypothesis (the `dev` extra).
 """
 
 import numpy as np
@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 
 from mphom.gridoracle import _presolved_nullspace, _rref_dtype, nullspace, rank
 
-# Small primes, the largest prime whose products (p-1)^2 fit int64, and
-# one whose products need Python ints.
-PRIMES = (2, 5, 65521, 3037000493, 4294967291)
+# Small primes, the largest prime whose products (p-1)^2 fit int64, one
+# whose products need Python ints, and the largest prime the parser
+# accepts, 2^63 - 25.
+PRIMES = (2, 5, 65521, 3037000493, 4294967291, 9223372036854775783)
 
 
 @st.composite
 def _sparse_systems(draw):
     """Systems of zero, one-, two- and many-term rows, plus triangles of
     two-term rows whose closing ratio is drawn freely (so usually
-    inconsistent), in the dtype `hom_oracle` assembles them in."""
+    inconsistent), as dense arrays in the dtype `rref` works in."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(0, 9))
     coef = st.integers(1, p - 1)
@@ -55,7 +56,8 @@ def _sparse_systems(draw):
 @given(_sparse_systems())
 def test_presolved_nullspace_matches_dense_nullspace(system):
     a, p = system
-    basis = _presolved_nullspace(a, p)
+    rows, cols = np.nonzero(a)  # row by row, columns ascending
+    basis = _presolved_nullspace(rows, cols, a[rows, cols], a.shape, p)
     dim = nullspace(a, p).shape[1]
     assert basis.shape == (a.shape[1], dim)
     assert dim == a.shape[1] - rank(a, p)
