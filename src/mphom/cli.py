@@ -2,8 +2,9 @@
 
 Subcommands: hom, end, thickness, minimize, sparsify, bench, random.
 Presentations are read from pmod files (firep files are detected by
-their header and converted); inputs are minimized after parsing, since
-every algorithm expects minimal presentations.
+their header and converted); inputs are minimized, since every algorithm
+expects minimal presentations: pmod files after parsing, firep files by
+their converter.
 
 Exit codes: 0 success, 2 file error, 3 parse error, 4 resource cap
 exceeded, 5 cross-check mismatch, 1 anything else.
@@ -49,7 +50,7 @@ EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 EXIT_CHECK = 5
 
-ALGORITHM_CHOICES = ("direct", "a", "mixed", "b", "a-star", "b-star", "oracle")
+ALGORITHM_CHOICES = (*PRIMAL_ALGORITHMS, *DUAL_ALGORITHMS, "oracle")
 
 
 def _read_text(path):
@@ -85,10 +86,8 @@ def _load_presentation(path, field=None):
     text = _read_text(path)
     head = text.lstrip().split("\n", 1)[0].strip()
     if head == "firep":
-        pres = parse_firep(text, field)
-    else:
-        pres = parse_pmod(text, field)
-    return minimize(pres)
+        return parse_firep(text, field)  # already minimal
+    return minimize(parse_pmod(text, field))
 
 
 def _write_output(text, out):
@@ -103,7 +102,8 @@ def _oracle(xp, yp, cap):
     """The oracle's OracleResult for Hom(X, Y) on the pair's joint grid."""
     axes = grid_axes(xp.matrix, yp.matrix)
     gx = realize_grid(xp, axes, cap=cap)
-    gy = realize_grid(yp, axes, cap=cap)
+    # `hom_oracle` only reads its grids, so End(X) shares one.
+    gy = gx if yp is xp else realize_grid(yp, axes, cap=cap)
     return hom_oracle(gx, gy)
 
 
@@ -171,24 +171,16 @@ def _cmd_hom(args, endo=False):
     return EXIT_OK
 
 
-def _cmd_thickness(args):
-    field = _field_arg(args)
-    pres = _load_presentation(args.module, field)
-    _write_output(f"{thickness(pres)}\n", args.out)
-    return EXIT_OK
-
-
-def _cmd_minimize(args):
-    field = _field_arg(args)
-    pres = _load_presentation(args.module, field)
-    _write_output(serialize_pmod(pres), args.out)
-    return EXIT_OK
-
-
-def _cmd_sparsify(args):
-    field = _field_arg(args)
-    pres = _load_presentation(args.module, field)
-    _write_output(serialize_pmod(sparsify(pres)), args.out)
+def _cmd_module(args):
+    """thickness, minimize or sparsify: the text each writes for its
+    minimized input."""
+    transform = {
+        "thickness": lambda pres: f"{thickness(pres)}\n",
+        "minimize": serialize_pmod,
+        "sparsify": lambda pres: serialize_pmod(sparsify(pres)),
+    }[args.command]
+    pres = _load_presentation(args.module, _field_arg(args))
+    _write_output(transform(pres), args.out)
     return EXIT_OK
 
 
@@ -255,17 +247,12 @@ def build_parser():
     p_end.add_argument("domain")
     common(p_end, needs_alg=True)
 
-    p_thick = sub.add_parser("thickness", help="maximum pointwise dimension")
-    p_thick.add_argument("module")
-    common(p_thick)
-
-    p_min = sub.add_parser("minimize", help="write a minimal presentation")
-    p_min.add_argument("module")
-    common(p_min)
-
-    p_sp = sub.add_parser("sparsify", help="thin out relation columns")
-    p_sp.add_argument("module")
-    common(p_sp)
+    for name, text in (("thickness", "maximum pointwise dimension"),
+                       ("minimize", "write a minimal presentation"),
+                       ("sparsify", "thin out relation columns")):
+        p_mod = sub.add_parser(name, help=text)
+        p_mod.add_argument("module")
+        common(p_mod)
 
     p_rand = sub.add_parser("random", help="write a random module")
     p_rand.add_argument("--seed", type=int, default=0)
@@ -294,22 +281,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "hom": _cmd_hom,
+        "end": lambda args: _cmd_hom(args, endo=True),
+        "thickness": _cmd_module,
+        "minimize": _cmd_module,
+        "sparsify": _cmd_module,
+        "random": _cmd_random,
+        "bench": _cmd_bench,
+    }
     try:
-        if args.command == "hom":
-            return _cmd_hom(args)
-        if args.command == "end":
-            return _cmd_hom(args, endo=True)
-        if args.command == "thickness":
-            return _cmd_thickness(args)
-        if args.command == "minimize":
-            return _cmd_minimize(args)
-        if args.command == "sparsify":
-            return _cmd_sparsify(args)
-        if args.command == "random":
-            return _cmd_random(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command}")
+        return commands[args.command](args)
     except OSError as exc:
         sys.stderr.write(f"file error: {exc}\n")
         return EXIT_FILE
@@ -325,7 +307,6 @@ def main(argv=None):
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_OTHER
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -124,12 +124,6 @@ class PrimeField:
         else:
             self._inv = None
 
-    def normalize(self, value):
-        return value % self.p
-
-    def neg(self, value):
-        return (-value) % self.p
-
     def inv(self, value):
         value %= self.p
         if value == 0:

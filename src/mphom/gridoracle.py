@@ -194,9 +194,6 @@ class GridModule:
     def points(self):
         return itertools.product(*self.axes)
 
-    def dimension_at(self, point):
-        return self.dims[tuple(point)]
-
     def successor(self, point, axis):
         """The next grid point after `point` along `axis`."""
         succ = list(point)

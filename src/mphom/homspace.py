@@ -57,12 +57,7 @@ from .graded import (
     nullspace_of_columns,
     validate_grading,
 )
-from .localalg import (
-    CokernelCache,
-    _matrix_of,
-    restriction_system,
-    structure_map,
-)
+from .localalg import CokernelCache, _matrix_of, structure_map
 from .presentations import Presentation, kernel, minimize
 
 
@@ -446,10 +441,9 @@ def _primal_basis(algorithm, xp, yp, system, quotient, cokernels):
     return _audited(survivors, stats, xp, yp, cokernels)
 
 
-def _q_mask(xp, yp, cache):
+def _q_mask(xp, cache):
     """Distinguished generator subsets of Y at the generator degrees of X."""
-    rs0 = restriction_system(xp.matrix, yp.matrix, 0, cache)
-    return [rs0.subset(gdeg) for gdeg in xp.matrix.rows]
+    return [cache.at(gdeg).subset for gdeg in xp.matrix.rows]
 
 
 def hom_direct(xp, yp):
@@ -477,7 +471,7 @@ def hom_restricted(xp, yp):
     if _check_pair(xp, yp):
         return _empty_basis("a")
     cache = CokernelCache(yp.matrix)
-    q_mask = _q_mask(xp, yp, cache)
+    q_mask = _q_mask(xp, cache)
     p_mask = [cache.at(rdeg).syzygy_subset for rdeg in xp.matrix.cols]
     system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
     return _primal_basis("a", xp, yp, system, False, cache)
@@ -488,7 +482,7 @@ def hom_mixed(xp, yp):
     if _check_pair(xp, yp):
         return _empty_basis("mixed")
     cache = CokernelCache(yp.matrix)
-    system = LinearSystem(xp, yp, q_mask=_q_mask(xp, yp, cache))
+    system = LinearSystem(xp, yp, q_mask=_q_mask(xp, cache))
     return _primal_basis("mixed", xp, yp, system, True, cache)
 
 

@@ -26,6 +26,11 @@ sweep zeroes it.  So the pivot-free rows of the local cokernel of
 kernel(N) at alpha are the columns of N_{<=alpha} that survive the sweep
 (`LocalCokernel.syzygy_subset`), and no presentation of the syzygy module
 is needed to read them.
+
+The primal routes read both masks straight off one `CokernelCache` of N:
+`subset` at the generator degrees of X (the Q mask) and `syzygy_subset`
+at its relation degrees (the P mask).  `restriction_system` gathers the
+same subsets per degree and is kept as their reference.
 """
 
 from __future__ import annotations
@@ -201,9 +206,10 @@ def restriction_system(source, stage_matrix, stage, cache=None):
 
     Stage 0 passes the target presentation N itself (slices of Y); stage 1
     passes O = kernel(N) (slices of the first syzygy module of Y).  Its
-    stage-1 subsets equal `CokernelCache(N).at(alpha).syzygy_subset`,
-    which `hom_restricted` reads instead, so stage 1 here is the reference
-    that the kernel-free subsets are checked against.
+    stage-0 subsets are `CokernelCache(N).at(alpha).subset` and its stage-1
+    subsets equal `CokernelCache(N).at(alpha).syzygy_subset`; the primal
+    routes read those instead, so this is the reference that their masks
+    are checked against.
     """
     if stage not in (0, 1):
         raise ValueError("stage must be 0 or 1")

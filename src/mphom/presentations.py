@@ -114,10 +114,14 @@ def _irredundant(degrees, columns, fld):
 def minimize(presentation):
     """Minimal presentation of an isomorphic module.
 
-    Alternates two sweeps to a fixpoint: cancel (row, column) pairs joined
-    by an entry at equal degree, and drop columns that the shifts of the
-    other columns already span at their own degree.  The Hilbert function
-    of the cokernel is unchanged.
+    Runs two sweeps once each: cancel (row, column) pairs joined by an
+    entry at equal degree until none is left, then drop the columns that
+    the shifts of the columns kept before them already span at their own
+    degree (`_irredundant`).  That is a fixpoint: dropping columns makes
+    no new equal-degree unit, and `_irredundant` run on its own output
+    visits the kept columns in the same order, each against the same
+    earlier kept columns, so it keeps them all.  The Hilbert function of
+    the cokernel is unchanged.
     """
     matrix = presentation.matrix
     fld = matrix.field
@@ -125,53 +129,33 @@ def minimize(presentation):
     rows = list(matrix.rows)
     cols = list(matrix.cols)
     columns = [list(c) for c in matrix.columns]
-    # One arity check per distinct degree, so drop_redundant can compare
+    # One arity check per distinct degree, so `_irredundant` can compare
     # degrees without one per pair.
     for deg in dict.fromkeys(cols):
         _check_arity(cols[0], deg)
 
-    def cancel_units():
-        changed = False
-        while True:
-            hit = _equal_degree_unit(rows, cols, columns)
-            if hit is None:
-                return changed
-            i, j, v = hit
-            inv = fld.inv(v)
-            pivot_col = columns[j]
-            for k, col in enumerate(columns):
-                coeff = dict(col).get(i) if k != j else None
-                if coeff:
-                    columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
-            # Drop row i and column j, renumbering entries above i.
-            del columns[j]
-            del cols[j]
-            del rows[i]
-            for k, col in enumerate(columns):
-                columns[k] = [
-                    (r - 1 if r > i else r, w) for r, w in col if r != i
-                ]
-            changed = True
+    while (hit := _equal_degree_unit(rows, cols, columns)) is not None:
+        i, j, v = hit
+        inv = fld.inv(v)
+        pivot_col = columns[j]
+        for k, col in enumerate(columns):
+            coeff = dict(col).get(i) if k != j else None
+            if coeff:
+                columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
+        # Drop row i and column j (the only one still holding row i),
+        # renumbering entries above i.
+        del columns[j]
+        del cols[j]
+        del rows[i]
+        for k, col in enumerate(columns):
+            columns[k] = [(r - 1 if r > i else r, w) for r, w in col]
 
-    def drop_redundant():
-        keep = _irredundant(cols, columns, fld)
-        if len(keep) == len(cols):
-            return False
-        cols[:] = [cols[j] for j in keep]
-        columns[:] = [columns[j] for j in keep]
-        return True
-
-    while True:
-        c1 = cancel_units()
-        c2 = drop_redundant()
-        if not (c1 or c2):
-            break
-
+    keep = _irredundant(cols, columns, fld)
     out = GradedMatrix(
         fld,
         rows,
-        cols,
-        [tuple(c) for c in columns],
+        [cols[j] for j in keep],
+        [tuple(columns[j]) for j in keep],
         validate=False,
     )
     return Presentation(out, minimal=True, label=presentation.label)
@@ -423,10 +407,7 @@ def sparsify(presentation):
         # The classes of the strictly lower generators span the batch.
         # Their surviving columns are a basis; the recorded combinations
         # reference only those, by position in `lower`.
-        lower = [
-            g for g in ck.rows_le
-            if deg_leq(matrix.rows[g], omega) and matrix.rows[g] != omega
-        ]
+        lower = [g for g in ck.rows_le if matrix.rows[g] != omega]
         span = column_reduce(
             [_coordinate_column(ck, [(g, 1)]) for g in lower], fld,
             record=True,

@@ -411,6 +411,46 @@ FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.iterdir())
 
 
+def test_end_check_realizes_one_grid(monkeypatch, capsys):
+    from mphom import cli
+
+    x = FIXTURE_DIR / "fig_blue.pmod"
+    calls = []
+    realize = cli.realize_grid
+
+    def counted(pres, axes, cap):
+        calls.append(pres)
+        return realize(pres, axes, cap=cap)
+
+    monkeypatch.setattr(cli, "realize_grid", counted)
+    assert cli.main(["hom", str(x), str(x), "--check", "--alg", "oracle"]) == 0
+    hom = capsys.readouterr().out
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.main(["end", str(x), "--check", "--alg", "oracle"]) == 0
+    assert capsys.readouterr().out == hom
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["rectangle.firep", "fig_blue.pmod"])
+def test_input_is_minimized_once(monkeypatch, capsys, name):
+    from mphom import cli, formats
+
+    calls = []
+    minimize = cli.minimize
+
+    def counted(pres):
+        calls.append(pres)
+        return minimize(pres)
+
+    # `parse_firep` minimizes what it builds; the CLI minimizes pmod input.
+    monkeypatch.setattr(formats, "minimize", counted)
+    monkeypatch.setattr(cli, "minimize", counted)
+    assert cli.main(["minimize", str(FIXTURE_DIR / name)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("alg", ["direct", "a", "mixed", "b", "a-star",
                                  "b-star"])
 def test_check_runs_each_route_once(monkeypatch, capsys, alg):

@@ -1,4 +1,5 @@
-"""Property test of the kernel's line sweep against the per-point kernel.
+"""Property tests of the kernel's line sweep against the per-point kernel,
+and of `minimize` reaching its fixpoint in one round.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -7,7 +8,14 @@ test_presentations.py so that module collects without it.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mphom import PrimeField, graded_matrix_from_entries
+from mphom import (
+    Presentation,
+    PrimeField,
+    graded_matrix_from_entries,
+    minimize,
+)
+from mphom.localalg import CokernelCache, evaluation_grid, grid_points
+from mphom.presentations import _equal_degree_unit, _irredundant
 
 from test_presentations import _assert_kernel_matches_per_point
 
@@ -35,3 +43,16 @@ def test_kernel_properties_on_small_matrices(m):
     k = _assert_kernel_matches_per_point(m)
     if k.ncols:
         _assert_kernel_matches_per_point(k)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_small_matrices())
+def test_minimize_is_a_fixpoint_after_one_round(m):
+    out = minimize(Presentation(m)).matrix
+    assert _equal_degree_unit(out.rows, out.cols, out.columns) is None
+    assert _irredundant(out.cols, out.columns, out.field) == list(
+        range(out.ncols))
+    assert minimize(Presentation(out)).matrix == out
+    cache_m, cache_out = CokernelCache(m), CokernelCache(out)
+    for pt in grid_points(evaluation_grid(m)):
+        assert cache_out.at(pt).dim == cache_m.at(pt).dim, pt

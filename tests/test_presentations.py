@@ -107,6 +107,31 @@ def test_minimize_idempotent():
         assert again.matrix == pres.matrix
 
 
+def test_minimize_runs_the_redundancy_sweep_once(monkeypatch):
+    # One cancel sweep then one redundancy sweep is already a fixpoint,
+    # so no input gets a second round, even one that both sweeps change.
+    from test_golden import REDUCER_DIMS, REDUCER_PRIMES, raw_matrix
+
+    sweep = presentations._irredundant
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(presentations, "_irredundant", counted)
+    changed = 0
+    for d in REDUCER_DIMS:
+        for p in REDUCER_PRIMES:
+            for seed in range(8):
+                m = raw_matrix(seed, d, p)
+                calls.clear()
+                out = minimize(Presentation(m)).matrix
+                assert len(calls) == 1, (seed, d, p)
+                changed += (out.nrows, out.ncols) != (m.nrows, m.ncols)
+    assert changed
+
+
 def test_kernel_of_injective_map_is_empty():
     red, _ = red_blue()
     assert kernel(red.matrix).ncols == 0
