@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     FieldArgumentError,
     FieldMismatchError,
+    FlagConflictError,
     GradingError,
     GradingParseError,
     HeaderError,

@@ -13,28 +13,12 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .dualhom import dual_context, hom_exact_dual, hom_restricted_dual
 from .generators import random_module
 from .homspace import hom_direct, hom_exact, hom_mixed, hom_restricted
 from .localalg import CokernelCache, thickness, thickness_at_degrees
-
-CSV_COLUMNS = (
-    "instance",
-    "algorithm",
-    "variables",
-    "equations",
-    "avg_entries",
-    "time_s",
-    "dim_hom",
-    "thick_target",
-    "thick_target_betti",
-    "b0_source",
-    "b1_source",
-    "b0_target",
-    "b1_target",
-)
 
 PRIMAL_ALGORITHMS = {
     "direct": hom_direct,
@@ -51,12 +35,14 @@ DUAL_ALGORITHMS = {
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row: its fields, in order, with their `format` specs."""
+
     instance: str
     algorithm: str
     variables: int
     equations: int
-    avg_entries: float
-    time_s: float
+    avg_entries: float = field(metadata={"format": ".4f"})
+    time_s: float = field(metadata={"format": ".6f"})
     dim_hom: int
     thick_target: int
     thick_target_betti: int
@@ -66,21 +52,11 @@ class BenchRecord:
     b1_target: int
 
     def row(self):
-        return [
-            self.instance,
-            self.algorithm,
-            self.variables,
-            self.equations,
-            f"{self.avg_entries:.4f}",
-            f"{self.time_s:.6f}",
-            self.dim_hom,
-            self.thick_target,
-            self.thick_target_betti,
-            self.b0_source,
-            self.b1_source,
-            self.b0_target,
-            self.b1_target,
-        ]
+        return [format(getattr(self, f.name), f.metadata.get("format", ""))
+                for f in fields(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def record_from_basis(instance, basis, xp, yp, target_cache=None):
@@ -159,9 +135,16 @@ def run_bench(
     return records
 
 
+def write_rows(handle, records):
+    """Write the records as CSV rows to an open text handle, after the
+    header when the handle is at the start of its file (so a handle
+    opened for appending gets the header only in a new or empty file)."""
+    writer = csv.writer(handle)
+    if handle.tell() == 0:
+        writer.writerow(CSV_COLUMNS)
+    writer.writerows(rec.row() for rec in records)
+
+
 def write_csv(records, path):
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        write_rows(handle, records)

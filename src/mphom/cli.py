@@ -21,11 +21,13 @@ from .benchmarks import (
     record_from_basis,
     run_bench,
     write_csv,
+    write_rows,
 )
 from .dualhom import dual_context
 from .errors import (
     CheckMismatchError,
     FieldArgumentError,
+    FlagConflictError,
     ParseError,
     ResourceCapError,
     SizeArgumentError,
@@ -134,23 +136,12 @@ def _run_check(xp, yp, cap):
     return bases, oracle
 
 
-def _append_stats(path, instance, basis, xp, yp):
-    import csv
-    import os
-
-    from .benchmarks import CSV_COLUMNS
-
-    record = record_from_basis(instance, basis, xp, yp)
-    new = not os.path.exists(path)
-    with open(path, "a", newline="") as handle:
-        writer = csv.writer(handle)
-        if new:
-            writer.writerow(CSV_COLUMNS)
-        writer.writerow(record.row())
-
-
 def _cmd_hom(args, endo=False):
     _size_args(args, grid_cap=1)
+    if args.stats and args.alg == "oracle":
+        raise FlagConflictError(
+            "--stats with --alg oracle: the oracle has no bench CSV row"
+        )
     field = _field_arg(args)
     xp = _load_presentation(args.domain, field)
     yp = xp if endo else _load_presentation(args.target, field)
@@ -167,7 +158,8 @@ def _cmd_hom(args, endo=False):
     _write_output(write_hom_basis(basis, d, xp.field.p), args.out)
     if args.stats:
         name = args.domain if endo else f"{args.domain}->{args.target}"
-        _append_stats(args.stats, name, basis, xp, yp)
+        with open(args.stats, "a", newline="") as handle:
+            write_rows(handle, [record_from_basis(name, basis, xp, yp)])
     return EXIT_OK
 
 

@@ -56,6 +56,10 @@ class SizeArgumentError(ParseError):
     range."""
 
 
+class FlagConflictError(ParseError):
+    """Two command-line flags that cannot be used together."""
+
+
 class DegreeArityError(ParseError):
     """A degree does not have exactly d coordinates."""
 

@@ -404,26 +404,31 @@ class ColumnSpan:
     def rank(self):
         return len(self.reduced)
 
-    def insert(self, column, source=-1, record=False):
-        """Reduce one column against the span; absorb the residual."""
+    def _reduce(self, col, combo=None):
+        """Reduce the list `col` by the reduced columns until its pivot is
+        free; return the residual.  Each step's multiple of a recorded
+        column's combination is added to `combo` when one is given."""
         p = self.field.p
-        col = list(column)
-        combo = {source: 1} if record else None
         while col:
-            pivot = col[-1][0]
-            slot = self._by_pivot.get(pivot)
+            slot = self._by_pivot.get(col[-1][0])
             if slot is None:
                 break
             other = self.reduced[slot]
             scale = (-col[-1][1] * self.field.inv(other.column[-1][1])) % p
             col = _axpy(col, other.column, scale, p)
-            if record and other.combo is not None:
+            if combo is not None and other.combo is not None:
                 for k, v in other.combo.items():
                     nv = (combo.get(k, 0) + scale * v) % p
                     if nv:
                         combo[k] = nv
                     else:
                         combo.pop(k, None)
+        return col
+
+    def insert(self, column, source=-1, record=False):
+        """Reduce one column against the span; absorb the residual."""
+        combo = {source: 1} if record else None
+        col = self._reduce(list(column), combo)
         if col:
             entry = ReducedColumn(col[-1][0], tuple(col), source, combo)
             self._by_pivot[col[-1][0]] = len(self.reduced)
@@ -434,17 +439,7 @@ class ColumnSpan:
 
     def reduce_vector(self, column):
         """Residual of a sparse column modulo the current span."""
-        p = self.field.p
-        col = list(column)
-        while col:
-            pivot = col[-1][0]
-            slot = self._by_pivot.get(pivot)
-            if slot is None:
-                break
-            other = self.reduced[slot]
-            scale = (-col[-1][1] * self.field.inv(other.column[-1][1])) % p
-            col = _axpy(col, other.column, scale, p)
-        return col
+        return self._reduce(list(column))
 
     def contains(self, column):
         return not self.reduce_vector(column)

@@ -5,16 +5,18 @@ module; it is minimal when no entry connects a row and a column of equal
 degree (so nothing cancels) and no column lies in the span of the shifts
 of the others at its own degree (so no relation is redundant).
 
-The kernel comes from one recording column sweep per line, for every d:
-the lines are the join closure of the columns' first d - 1 coordinates,
-and on each line the columns below it are reduced in order of their last
-coordinate.  A column's first zeroing on a line gives one generator.  For
-d <= 2 the lines form a chain and the generating set is minimal; for
-d >= 3 generators spanned by earlier ones are dropped, with the same
-filter that `minimize` uses for redundant relations (see `kernel`).  The
-line closure is enumerated once per distinct line degree, joining it with
-the points found so far, and is capped at CLOSURE_CAP points.  For d = 2
-this produces the usual length-<=2 resolutions; for higher d it is
+Both column filters walk lines.  A column's head is its first d - 1
+coordinates; on a line (a head degree) the columns whose head lies below
+it are reduced, by `ColumnSpan`, in order of their last coordinate.
+`minimize` keeps a relation when it enlarges the span on its own line,
+one rank-only sweep per distinct head (`_irredundant`).  The kernel makes
+one recording sweep per point of the join closure of the heads, and a
+column's first zeroing on a line gives one generator.  For d <= 2 the
+lines form a chain and the generating set is minimal; for d >= 3
+generators spanned by earlier ones are dropped by `_irredundant` (see
+`kernel`).  The closure is enumerated once per distinct head, joining it
+with the points found so far, and is capped at CLOSURE_CAP points.  For
+d = 2 this produces the usual length-<=2 resolutions; for higher d it is
 correct but makes no complexity claim.
 """
 
@@ -99,29 +101,62 @@ def _irredundant(degrees, columns, fld):
     """Indices, increasing, of the columns left after dropping, in (sum,
     degree) order, each one that is zero or lies in the span of the
     columns kept before it of degree <= its own.  The arities of the
-    degrees must already agree."""
-    order = sorted(range(len(degrees)),
-                   key=lambda j: _degree_sort_key(degrees[j]))
+    degrees must already agree.
+
+    One rank-only sweep per distinct head h: walking the columns in (last
+    coordinate, head, index) order up to the last one of head h, a fresh
+    `ColumnSpan` takes each one of head <= h, and keeps those of head h
+    that enlarge it.  On line head(j) the columns before j are exactly
+    those of degree <= deg j before j in (sum, degree) order, and each
+    dropped one lies in the span of kept ones, so the test is the same.
+    """
+    heads = list(dict.fromkeys(deg[:-1] for deg in degrees))
+    head_of = {h: i for i, h in enumerate(heads)}
+    order = sorted(range(len(degrees)), key=lambda j: (
+        degrees[j][-1:], _degree_sort_key(degrees[j][:-1]), j))
+    sweep = [(j, head_of[degrees[j][:-1]], columns[j]) for j in order]
+    last = {h: pos for pos, (_, h, _) in enumerate(sweep)}
     keep = []
-    for j in order:
-        usable = [k for k in keep if all(map(le, degrees[k], degrees[j]))]
-        span = column_reduce([columns[k] for k in usable], fld)
-        if columns[j] and not span.contains(columns[j]):
-            keep.append(j)
+    for line, stop in last.items():
+        below = [all(map(le, h, heads[line])) for h in heads]
+        span = ColumnSpan(fld)
+        for j, h, column in sweep[:stop + 1]:
+            if below[h] and span.insert(column) is not None and h == line:
+                keep.append(j)
     return sorted(keep)
+
+
+def _clear_row(columns, i, j, inv, p):
+    """Clear row i from every column but j by adding multiples of column
+    j, whose row-i entry has inverse `inv`."""
+    pivot_col = columns[j]
+    for k, col in enumerate(columns):
+        coeff = dict(col).get(i) if k != j else None
+        if coeff:
+            columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
+
+
+def _check_degrees(distinct):
+    """Check each of the distinct degrees once: mixed arities raise
+    DimensionMismatchError, out-of-range coordinates DegreeOverflowError."""
+    for deg in distinct:
+        _check_arity(distinct[0], deg)
+        if deg and max(max(deg), -min(deg)) >= _COORD_LIMIT:
+            raise DegreeOverflowError(f"degree {deg} out of range")
 
 
 def minimize(presentation):
     """Minimal presentation of an isomorphic module.
 
     Runs two sweeps once each: cancel (row, column) pairs joined by an
-    entry at equal degree until none is left, then drop the columns that
-    the shifts of the columns kept before them already span at their own
-    degree (`_irredundant`).  That is a fixpoint: dropping columns makes
-    no new equal-degree unit, and `_irredundant` run on its own output
-    visits the kept columns in the same order, each against the same
-    earlier kept columns, so it keeps them all.  The Hilbert function of
-    the cokernel is unchanged.
+    entry at equal degree until none is left (`_clear_row`), then drop
+    the columns that the shifts of the columns kept before them already
+    span at their own degree (`_irredundant`, one rank-only sweep per
+    line).  That is a fixpoint: dropping columns makes no new
+    equal-degree unit, and `_irredundant` run on its own output visits
+    the kept columns in the same order, each against the same earlier
+    kept columns, so it keeps them all.  The Hilbert function of the
+    cokernel is unchanged.
     """
     matrix = presentation.matrix
     fld = matrix.field
@@ -129,19 +164,13 @@ def minimize(presentation):
     rows = list(matrix.rows)
     cols = list(matrix.cols)
     columns = [list(c) for c in matrix.columns]
-    # One arity check per distinct degree, so `_irredundant` can compare
-    # degrees without one per pair.
-    for deg in dict.fromkeys(cols):
-        _check_arity(cols[0], deg)
+    # Checked once per distinct degree, so `_irredundant` can compare
+    # degrees without an arity check per pair.
+    _check_degrees(list(dict.fromkeys(cols)))
 
     while (hit := _equal_degree_unit(rows, cols, columns)) is not None:
         i, j, v = hit
-        inv = fld.inv(v)
-        pivot_col = columns[j]
-        for k, col in enumerate(columns):
-            coeff = dict(col).get(i) if k != j else None
-            if coeff:
-                columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
+        _clear_row(columns, i, j, fld.inv(v), p)
         # Drop row i and column j (the only one still holding row i),
         # renumbering entries above i.
         del columns[j]
@@ -159,15 +188,6 @@ def minimize(presentation):
         validate=False,
     )
     return Presentation(out, minimal=True, label=presentation.label)
-
-
-def _check_degrees(distinct):
-    """Check each of the distinct degrees once: mixed arities raise
-    DimensionMismatchError, out-of-range coordinates DegreeOverflowError."""
-    for deg in distinct:
-        _check_arity(distinct[0], deg)
-        if deg and max(max(deg), -min(deg)) >= _COORD_LIMIT:
-            raise DegreeOverflowError(f"degree {deg} out of range")
 
 
 def _join_closure(degrees):
@@ -216,10 +236,11 @@ def kernel(matrix):
     d <= 2 the lines form a chain, each column gives at most one
     generator, and the set is minimal.  For d >= 3 a column can first
     vanish on incomparable lines, so each generator spanned by earlier
-    ones of degree <= its own is dropped (`_irredundant`, as `minimize`
-    drops redundant relations).  New generators carry no unit entry at an
-    equal-degree column when the input presentation is minimal, so
-    resolutions built from this kernel stay minimal.
+    ones of degree <= its own is dropped by `_irredundant`, the line
+    sweep with which `minimize` drops redundant relations.  New generators
+    carry no unit entry at an equal-degree column when the input
+    presentation is minimal, so resolutions built from this kernel stay
+    minimal.
     """
     fld = matrix.field
     cols = matrix.cols
@@ -446,25 +467,14 @@ def _coordinate_column(ck, column):
 
 
 def _reduced_column_echelon(columns, fld):
-    """Reduced column echelon form: unit pivots, pivot rows cleared."""
+    """Reduced column echelon form: unit pivots, pivot rows cleared in
+    sweep order; a column dependent on earlier ones comes back empty."""
     p = fld.p
-    work = [list(col) for col in columns]
-    pivots = {}
-    for j, col in enumerate(work):
-        while col:
-            piv, lead = col[-1]
-            if piv not in pivots:
-                inv = fld.inv(lead)
-                if inv != 1:
-                    col = [(r, (v * inv) % p) for r, v in col]
-                pivots[piv] = j
-                break
-            col = _axpy(col, work[pivots[piv]], (-lead) % p, p)
-        work[j] = col
-    # Clear pivot rows across the other columns.
-    for piv, j in pivots.items():
-        for k, col in enumerate(work):
-            coeff = dict(col).get(piv) if k != j else None
-            if coeff:
-                work[k] = _axpy(col, work[j], (-coeff) % p, p)
+    span = column_reduce(columns, fld)
+    work = [[] for _ in columns]
+    for entry in span.reduced:
+        inv = fld.inv(entry.column[-1][1])
+        work[entry.source] = [(r, v * inv % p) for r, v in entry.column]
+    for entry in span.reduced:
+        _clear_row(work, entry.pivot, entry.source, 1, p)
     return work

@@ -333,6 +333,42 @@ def test_stats_flag_appends_csv(fig_files, tmp_path):
     assert rows[1][1] == "b"
 
 
+@pytest.mark.parametrize("command", ["hom", "end"])
+def test_stats_with_oracle_is_rejected_before_reading_input(
+        tmp_path, capsys, command):
+    # The oracle writes no bench CSV row, so the flags conflict; the
+    # missing inputs would give exit 2 if they were read.
+    from mphom import cli
+
+    missing = str(tmp_path / "missing.pmod")
+    inputs = [missing] * (2 if command == "hom" else 1)
+    stats = tmp_path / "stats.csv"
+    argv = [command, *inputs, "--alg", "oracle", "--stats", str(stats)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: --stats with --alg oracle"), err
+    assert not stats.exists()
+
+
+def test_bench_csv_header_and_row_text(tmp_path):
+    from mphom.benchmarks import BenchRecord, write_csv, write_rows
+
+    record = BenchRecord("end-0", "b", 12, 30, 2.5, 0.001234, 1, 2, 2,
+                         3, 4, 3, 4)
+    header = ("instance,algorithm,variables,equations,avg_entries,time_s,"
+              "dim_hom,thick_target,thick_target_betti,b0_source,"
+              "b1_source,b0_target,b1_target\r\n")
+    row = "end-0,b,12,30,2.5000,0.001234,1,2,2,3,4,3,4\r\n"
+    path = tmp_path / "bench.csv"
+    write_csv([record], path)
+    assert path.read_bytes().decode() == header + row
+    # Appending, as `--stats` does, writes the header only to a new file.
+    for expected in (header + row, header + row + row):
+        with open(tmp_path / "stats.csv", "a", newline="") as handle:
+            write_rows(handle, [record])
+        assert (tmp_path / "stats.csv").read_bytes().decode() == expected
+
+
 @pytest.mark.parametrize("text", [
     # The boundary of the top row is not a cycle.
     "firep\nx\ny\n1 1 1\n2 2 ; 0\n1 1 ; 0\n",

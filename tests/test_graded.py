@@ -6,6 +6,7 @@ import time
 import pytest
 
 from mphom import (
+    ColumnSpan,
     DimensionMismatchError,
     GradedMatrix,
     GradingError,
@@ -200,6 +201,23 @@ def test_column_reduce_log_on_random_input():
         assert _apply_combo(entry.combo, cols, 3) == entry.column
     for _, combo in span.zeroed:
         assert _apply_combo(combo, cols, 3) == ()
+
+
+def test_reduce_vector_is_the_residual_insert_absorbs():
+    rng = random.Random(21)
+    for p in (2, 3, 65521):
+        for record in (False, True):
+            span = ColumnSpan(PrimeField(p))
+            for j in range(15):
+                support = sorted(rng.sample(range(6), rng.randint(0, 4)))
+                col = tuple((i, rng.randint(1, p - 1)) for i in support)
+                residual = span.reduce_vector(col)
+                entry = span.insert(col, source=j, record=record)
+                if residual:
+                    assert entry.column == tuple(residual)
+                else:
+                    assert entry is None
+                assert span.contains(col)
 
 
 def test_submatrix_at_most_fig_example():

@@ -1,5 +1,6 @@
 """Property tests of the kernel's line sweep against the per-point kernel,
-and of `minimize` reaching its fixpoint in one round.
+of `minimize` reaching its fixpoint in one round, and of `_irredundant`'s
+line sweep against the per-column reference.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -17,15 +18,19 @@ from mphom import (
 from mphom.localalg import CokernelCache, evaluation_grid, grid_points
 from mphom.presentations import _equal_degree_unit, _irredundant
 
-from test_presentations import _assert_kernel_matches_per_point
+from test_presentations import (
+    _assert_kernel_matches_per_point,
+    _irredundant_per_column,
+)
 
 
 @st.composite
 def _small_matrices(draw):
-    """Small d = 1, 2, 3 graded matrices with tied and negative degrees,
-    zero columns, and entries wherever the grading allows one."""
-    d = draw(st.sampled_from((1, 2, 3)))
-    p = draw(st.sampled_from((2, 5, 65521)))
+    """Small d = 1 to 4 graded matrices with tied and negative degrees,
+    zero columns, and entries wherever the grading allows one, over
+    primes up to the largest the parser accepts."""
+    d = draw(st.sampled_from((1, 2, 3, 4)))
+    p = draw(st.sampled_from((2, 3, 5, 65521, 2**31 - 1, 2**63 - 25)))
     deg = st.tuples(*[st.integers(-3, 3)] * d)
     rows = draw(st.lists(deg, max_size=4))
     cols = draw(st.lists(deg, min_size=1, max_size=8))
@@ -56,3 +61,10 @@ def test_minimize_is_a_fixpoint_after_one_round(m):
     cache_m, cache_out = CokernelCache(m), CokernelCache(out)
     for pt in grid_points(evaluation_grid(m)):
         assert cache_out.at(pt).dim == cache_m.at(pt).dim, pt
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_small_matrices())
+def test_irredundant_line_sweep_matches_per_column_reference(m):
+    assert _irredundant(m.cols, m.columns, m.field) == (
+        _irredundant_per_column(m.cols, m.columns, m.field))

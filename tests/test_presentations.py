@@ -14,7 +14,9 @@ from mphom import (
     Presentation,
     PrimeField,
     ResourceCapError,
+    column_reduce,
     deg_join,
+    deg_leq,
     free_resolution,
     graded_matrix_from_entries,
     hilbert_at,
@@ -33,6 +35,7 @@ from mphom import (
 )
 from mphom import dual_context, homspace, presentations
 from mphom.generators import random_module, random_pair
+from mphom.graded import _axpy
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
@@ -130,6 +133,122 @@ def test_minimize_runs_the_redundancy_sweep_once(monkeypatch):
                 assert len(calls) == 1, (seed, d, p)
                 changed += (out.nrows, out.ncols) != (m.nrows, m.ncols)
     assert changed
+
+
+def _irredundant_per_column(degrees, columns, fld):
+    """Reference for `_irredundant`: in (sum, degree) order, one fresh
+    `column_reduce` per column over the columns kept before it of degree
+    <= its own."""
+    order = sorted(range(len(degrees)),
+                   key=lambda j: (sum(degrees[j]), degrees[j]))
+    keep = []
+    for j in order:
+        usable = [k for k in keep if deg_leq(degrees[k], degrees[j])]
+        span = column_reduce([columns[k] for k in usable], fld)
+        if columns[j] and not span.contains(columns[j]):
+            keep.append(j)
+    return sorted(keep)
+
+
+def test_irredundant_matches_per_column_reference_on_route_inputs(
+        monkeypatch):
+    """Every `_irredundant` call made by `minimize` on raw matrices and
+    by the d = 2, 3 kernels of Hom-module presentations and dual
+    contexts."""
+    from test_golden import REDUCER_DIMS, REDUCER_PRIMES, raw_matrix
+
+    sweep = presentations._irredundant
+    calls = []
+
+    def recording(degrees, columns, fld):
+        calls.append((degrees, columns, fld))
+        return sweep(degrees, columns, fld)
+
+    monkeypatch.setattr(presentations, "_irredundant", recording)
+    for d in REDUCER_DIMS:
+        for p in REDUCER_PRIMES:
+            for seed in range(4):
+                minimize(Presentation(raw_matrix(seed, d, p)))
+    for d, seed, p in ((2, 0, 2), (2, 1, 5), (3, 0, 2), (3, 1, 5)):
+        x, y = random_pair(seed, d=d, gens=5, rels=5, coord_range=4, p=p)
+        hom_module_presentation(x, y)
+        dual_context(x, y)
+    monkeypatch.undo()
+    assert any(len(set(degrees)) > 1 for degrees, _, _ in calls)
+    for degrees, columns, fld in calls:
+        assert sweep(degrees, columns, fld) == _irredundant_per_column(
+            degrees, columns, fld)
+
+
+def test_irredundant_builds_one_span_per_distinct_head(monkeypatch):
+    spans = []
+
+    def counted(fld):
+        spans.append(fld)
+        return ColumnSpan(fld)
+
+    monkeypatch.setattr(presentations, "ColumnSpan", counted)
+    rng = random.Random(16)
+    fld = PrimeField(3)
+    for d in (1, 2, 3):
+        for _ in range(20):
+            degrees = [tuple(rng.randint(0, 2) for _ in range(d))
+                       for _ in range(rng.randint(0, 9))]
+            columns = [tuple((i, rng.randint(1, 2))
+                             for i in sorted(rng.sample(range(4), 2)))
+                       for _ in degrees]
+            del spans[:]
+            keep = presentations._irredundant(degrees, columns, fld)
+            assert len(spans) == len({deg[:-1] for deg in degrees})
+            assert keep == _irredundant_per_column(degrees, columns, fld)
+
+
+def _reduced_column_echelon_loop(columns, fld):
+    """Reference for `_reduced_column_echelon`: its own elimination loop,
+    unit pivots set as they are found, then pivot rows cleared."""
+    p = fld.p
+    work = [list(col) for col in columns]
+    pivots = {}
+    for j, col in enumerate(work):
+        while col:
+            piv, lead = col[-1]
+            if piv not in pivots:
+                inv = fld.inv(lead)
+                col = [(r, (v * inv) % p) for r, v in col]
+                pivots[piv] = j
+                break
+            col = _axpy(col, work[pivots[piv]], (-lead) % p, p)
+        work[j] = col
+    for piv, j in pivots.items():
+        for k, col in enumerate(work):
+            coeff = dict(col).get(piv) if k != j else None
+            if coeff:
+                work[k] = _axpy(col, work[j], (-coeff) % p, p)
+    return work
+
+
+def test_reduced_column_echelon_matches_elimination_loop():
+    echelon = presentations._reduced_column_echelon
+    # The third column is the sum of the first two: it comes back empty.
+    fld = PrimeField(5)
+    batch = [[(0, 2), (2, 1)], [(1, 3), (2, 4)], [(0, 2), (1, 3)]]
+    assert echelon(batch, fld) == [[(0, 2), (2, 1)], [(0, 4), (1, 1)], []]
+    assert echelon(batch, fld) == _reduced_column_echelon_loop(batch, fld)
+    rng = random.Random(48)
+    for p in (2, 3, 65521):
+        fld = PrimeField(p)
+        for _ in range(60):
+            columns = []
+            for _ in range(rng.randint(0, 7)):
+                if columns and rng.random() < 0.3:
+                    a, b = rng.choice(columns), rng.choice(columns)
+                    columns.append(_axpy(a, b, rng.randint(1, p - 1), p))
+                else:
+                    support = sorted(rng.sample(range(6), rng.randint(0, 4)))
+                    columns.append([(i, rng.randint(1, p - 1))
+                                    for i in support])
+            assert echelon(columns, fld) == _reduced_column_echelon_loop(
+                columns, fld)
 
 
 def test_kernel_of_injective_map_is_empty():
