@@ -223,9 +223,12 @@ def parse_firep(text, field=None):
     The module is ker(d1)/im(d2): the kernel of the middle boundary is
     computed as a graded matrix, the top boundary is lifted through it
     column by column, and the lifted matrix (rows: kernel generators)
-    presents the homology module.  Only d = 2 inputs are supported.
+    presents the homology module.  Only d = 2 inputs over GF(2) are
+    supported; another `field` raises FieldMismatchError.
     """
-    fld = field or PrimeField(2)
+    fld = PrimeField(2)
+    if field is not None and field != fld:
+        raise FieldMismatchError(f"file is over GF(2), expected GF({field.p})")
     # (source line number, text) of every line that is not blank or a
     # comment, so errors point at the line in the file.
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
@@ -277,22 +280,20 @@ def parse_firep(text, field=None):
         validate=False,
     )
     k1 = kernel(d1)
-    # Lift each top column through the kernel generators of degree <= its
-    # own degree; only those may legally carry a coefficient.  A column
-    # that does not lift is no cycle at its degree: either its boundary
-    # is nonzero or it hits middle rows of a higher degree.
+    # At d = 2 the kernel is free, so its minimal generators are linearly
+    # independent and a top column lifts through them in at most one way.
+    # A column whose lift is missing or uses a generator above its degree
+    # is no cycle there: a nonzero boundary, or a middle row of higher degree.
+    span = column_reduce(k1.columns, fld, record=True)
     lifted_cols = []
     for lineno, deg, col in top:
-        usable = [j for j in range(k1.ncols) if deg_leq(k1.cols[j], deg)]
-        span = column_reduce([k1.columns[j] for j in usable], fld,
-                             record=True)
         combo = _lift_through(span, col)
-        if combo is None:
+        if combo is None or not all(deg_leq(k1.cols[k], deg) for k, _ in combo):
             raise GradingParseError(
                 f"top boundary does not land in ker(d1) at degree {deg}",
                 line=lineno,
             )
-        lifted_cols.append(tuple((usable[k], v) for k, v in combo))
+        lifted_cols.append(tuple(combo))
     pres = GradedMatrix(
         fld,
         k1.cols,

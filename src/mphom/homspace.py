@@ -18,7 +18,10 @@ M: A[R] -> A[G] of X and N: A[R'] -> A[G'] of Y:
 
 The three equation-based routes share one sparse linear-system builder
 that differs only in the variable-admissibility masks, so their reported
-system statistics are directly comparable.
+system statistics are directly comparable.  Admissibility is read from
+the route's one `CokernelCache` of N: the generators and relations of Y
+below a degree of X are the `rows_le` and `cols_le` of the slice there,
+which is reduced only when its span or subset is first read.
 
 They also share one flat pipeline after the solve.  `LinearSystem.solve`
 returns each solution's Q part as a single sparse column indexed by the
@@ -28,7 +31,7 @@ for `direct` and `mixed`, on their own for `a`, whose lifts are unique.
 Only the surviving columns are turned back into graded matrices.  The
 rank that `homotopy_killed` needs is read off the same flat columns.
 The public `homotopy_reduce` flattens its Q matrices and calls the same
-reducer.
+reducer, over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
 element must respect the grading and pass `verify_hom`.  Basis elements
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import le
 
 from .errors import DimensionMismatchError, FieldMismatchError, GradingError
 from .graded import (
@@ -124,48 +126,34 @@ def _check_pair(xp, yp):
 class LinearSystem:
     """The sparse system Q M = N P with pluggable admissibility masks.
 
-    Variables are the admissible entries of Q and P; there is one
-    equation per pair (g', r) with deg(g') <= deg(r).  Masks map a
-    generator (relation) index of X to the tuple of allowed Y-side row
-    indices; `None` means every degree-admissible index is allowed.
-    Degrees are compared without arity checks: callers pass a pair that
-    `_check_pair` accepted.
+    N is the matrix of `cache`, the route's `CokernelCache`.  Variables
+    are the admissible entries of Q and P; there is one equation per pair
+    (g', r) with g' in `cache.at(deg r).rows_le`.  Masks map a generator
+    (relation) index of X to the tuple of allowed Y-side row indices;
+    `None` means the degree-admissible ones, `rows_le` (`cols_le`) of the
+    slice at that degree.
     """
 
-    def __init__(self, xp, yp, q_mask=None, p_mask=None):
-        m, n = xp.matrix, yp.matrix
+    def __init__(self, xp, cache, q_mask=None, p_mask=None):
+        m, n = xp.matrix, cache.matrix
         self.field = m.field
-        self.m = m
-        self.n = n
+        self.cache = cache
         p = self.field.p
 
         # Flat positions of the admissible Q entries; solve() and the
         # homotopy quotient share this order.
-        self.q_index = _flat_index(n.rows, m.rows)
+        self.q_index = _flat_index(cache, m.rows)
         if q_mask is None:
             self.q_vars = [(gp, g) for g, gp in self.q_index]
         else:
             self.q_vars = [(gp, g) for g in range(m.nrows) for gp in q_mask[g]]
-        self.p_vars = []
+        self.p_vars, self.equations = [], []
         for r, rdeg in enumerate(m.cols):
-            allowed = (
-                p_mask[r]
-                if p_mask is not None
-                else [
-                    rp
-                    for rp, rpdeg in enumerate(n.cols)
-                    if all(map(le, rpdeg, rdeg))
-                ]
-            )
+            ck = cache.at(rdeg)
+            allowed = ck.cols_le if p_mask is None else p_mask[r]
             self.p_vars.extend((rp, r) for rp in allowed)
-
-        self.equations = []
-        eq_pos = {}
-        for r, rdeg in enumerate(m.cols):
-            for gp, gpdeg in enumerate(n.rows):
-                if all(map(le, gpdeg, rdeg)):
-                    eq_pos[(gp, r)] = len(self.equations)
-                    self.equations.append((gp, r))
+            self.equations.extend((gp, r) for gp in ck.rows_le)
+        eq_pos = {eq: k for k, eq in enumerate(self.equations)}
 
         nq = len(self.q_vars)
         columns = [[] for _ in range(nq + len(self.p_vars))]
@@ -188,19 +176,11 @@ class LinearSystem:
         self.columns = [tuple(sorted(col)) for col in columns]
         self.entries = sum(len(c) for c in self.columns)
 
-    @property
-    def n_variables(self):
-        return len(self.q_vars) + len(self.p_vars)
-
-    @property
-    def n_equations(self):
-        return len(self.equations)
-
     def solve(self):
         """Q parts of a basis of the solution space, as flat columns.
 
         Each solution's Q part is one sparse column sorted by its position
-        in `q_index` (the `_flat_index(n.rows, m.rows)` order), ready for
+        in `q_index` (the `_flat_index(cache, m.rows)` order), ready for
         the homotopy quotient without building a matrix per solution.  The
         P parts are dropped.  Solutions with Q = 0 give empty columns, so
         the list length is the dimension of the solution space.  The
@@ -218,13 +198,12 @@ class LinearSystem:
         ]
 
 
-def _flat_index(q_rows, q_cols):
-    """Order on the admissible Q entries {(g, g') : deg g' <= deg g}."""
+def _flat_index(cache, q_cols):
+    """Order on the admissible Q entries (g, g'), g' in N's slice at deg g."""
     index = {}
     for g, gdeg in enumerate(q_cols):
-        for gp, gpdeg in enumerate(q_rows):
-            if all(map(le, gpdeg, gdeg)):
-                index[(g, gp)] = len(index)
+        for gp in cache.at(gdeg).rows_le:
+            index[(g, gp)] = len(index)
     return index
 
 
@@ -236,21 +215,19 @@ def _flatten_q(qmat, index):
     return tuple(sorted(col))
 
 
-def _homotopy_columns(n, q_cols, index):
+def _homotopy_columns(cache, q_cols, index):
     """Flattened columns of N placed into each generator block they reach.
 
-    One column per pair (r', g) with deg(r') <= deg(g): the g-block holds
-    the r'-th column of N, every other block is zero.  These span exactly
-    the flattened null-homotopies N H.
+    One column per pair (r', g) with r' in the slice of N at deg(g), in
+    `cache`: the g-block holds the r'-th column of N, every other block is
+    zero.  These span exactly the flattened null-homotopies N H.
     """
+    columns = cache.matrix.columns
     cols = []
     for g, gdeg in enumerate(q_cols):
-        for rp, rpdeg in enumerate(n.cols):
-            if all(map(le, rpdeg, gdeg)):
-                col = tuple(
-                    (index[(g, gp)], v) for gp, v in n.columns[rp]
-                )
-                cols.append(tuple(sorted(col)))
+        for rp in cache.at(gdeg).cols_le:
+            col = tuple((index[(g, gp)], v) for gp, v in columns[rp])
+            cols.append(tuple(sorted(col)))
     return cols
 
 
@@ -294,29 +271,34 @@ def homotopy_reduce(qs, yp):
     reduced Q columns as graded matrices.  Idempotent: the survivors have
     pivots distinct from the homotopy columns and from each other, so a
     second pass returns them unchanged.  Raises FieldMismatchError unless
-    every Q shares the target's field.
+    every Q shares the target's field, and DimensionMismatchError unless
+    every Q has the target's generator degrees as rows and one set of
+    columns.
     """
     if not qs:
         return []
     n = _matrix_of(yp)
-    q_rows, q_cols = qs[0].rows, qs[0].cols
+    q_cols = qs[0].cols
     for q in qs:
         if q.field != n.field:
             raise FieldMismatchError("Q matrix and target over different fields")
-        if q.rows != q_rows or q.cols != q_cols:
-            raise DimensionMismatchError("Q matrices with mixed decorations")
-    if len({len(deg) for deg in q_rows + q_cols + n.rows + n.cols}) > 1:
+        if q.rows != n.rows or q.cols != q_cols:
+            raise DimensionMismatchError(
+                "Q matrices with mixed decorations or foreign rows"
+            )
+    if len({len(deg) for deg in q_cols + n.rows + n.cols}) > 1:
         raise DimensionMismatchError(
             "Q matrices and target graded over different posets"
         )
-    index = _flat_index(q_rows, q_cols)
+    cache = CokernelCache(n)
+    index = _flat_index(cache, q_cols)
     return _reduce_flat(
         [_flatten_q(q, index) for q in qs],
         index,
-        q_rows,
+        n.rows,
         q_cols,
         n.field,
-        _homotopy_columns(n, q_cols, index),
+        _homotopy_columns(cache, q_cols, index),
     )
 
 
@@ -410,18 +392,18 @@ def _empty_basis(algorithm, coords="generators"):
     return HomBasis((), coords, algorithm, stats)
 
 
-def _primal_basis(algorithm, xp, yp, system, quotient, cokernels):
+def _primal_basis(algorithm, xp, yp, system, quotient):
     """Solve a route's system and reduce the Q parts of its solutions.
 
     With `quotient` the Q parts are reduced modulo null-homotopies and
     `homotopy_killed` counts the directions that removed; without it
     (unique lifts) a plain column reduction drops dependent solutions.
-    `cokernels` is the route's `CokernelCache` of N, for the audit.
+    The system's `CokernelCache` of N also serves the audit.
     """
     qcols = system.solve()
-    n, fld = yp.matrix, xp.field
-    q_rows, q_cols, index = n.rows, xp.matrix.rows, system.q_index
-    homotopies = _homotopy_columns(n, q_cols, index) if quotient else ()
+    cache, fld = system.cache, xp.field
+    q_rows, q_cols, index = cache.matrix.rows, xp.matrix.rows, system.q_index
+    homotopies = _homotopy_columns(cache, q_cols, index) if quotient else ()
     survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
     killed = 0
     if quotient:
@@ -431,14 +413,14 @@ def _primal_basis(algorithm, xp, yp, system, quotient, cokernels):
         killed = rank.rank - len(survivors)
     stats = SolveStats(
         algorithm,
-        system.n_variables,
-        system.n_equations,
+        len(system.q_vars) + len(system.p_vars),
+        len(system.equations),
         system.entries,
         system.solve_seconds,
         solution_dim=len(qcols),
         homotopy_killed=killed,
     )
-    return _audited(survivors, stats, xp, yp, cokernels)
+    return _audited(survivors, stats, xp, yp, cache)
 
 
 def _q_mask(xp, cache):
@@ -450,9 +432,8 @@ def hom_direct(xp, yp):
     """Direct computation: full system, then the homotopy quotient."""
     if _check_pair(xp, yp):
         return _empty_basis("direct")
-    return _primal_basis(
-        "direct", xp, yp, LinearSystem(xp, yp), True, CokernelCache(yp.matrix)
-    )
+    system = LinearSystem(xp, CokernelCache(yp.matrix))
+    return _primal_basis("direct", xp, yp, system, True)
 
 
 def hom_restricted(xp, yp):
@@ -473,8 +454,8 @@ def hom_restricted(xp, yp):
     cache = CokernelCache(yp.matrix)
     q_mask = _q_mask(xp, cache)
     p_mask = [cache.at(rdeg).syzygy_subset for rdeg in xp.matrix.cols]
-    system = LinearSystem(xp, yp, q_mask=q_mask, p_mask=p_mask)
-    return _primal_basis("a", xp, yp, system, False, cache)
+    system = LinearSystem(xp, cache, q_mask=q_mask, p_mask=p_mask)
+    return _primal_basis("a", xp, yp, system, False)
 
 
 def hom_mixed(xp, yp):
@@ -482,8 +463,8 @@ def hom_mixed(xp, yp):
     if _check_pair(xp, yp):
         return _empty_basis("mixed")
     cache = CokernelCache(yp.matrix)
-    system = LinearSystem(xp, yp, q_mask=_q_mask(xp, cache))
-    return _primal_basis("mixed", xp, yp, system, True, cache)
+    system = LinearSystem(xp, cache, q_mask=_q_mask(xp, cache))
+    return _primal_basis("mixed", xp, yp, system, True)
 
 
 def hom_exact(xp, yp):

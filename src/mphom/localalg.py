@@ -12,10 +12,12 @@ lowest-row pivots (largest row index); the distinguished subset collects
 the pivot-free rows in their original order.  Any valid subset would do;
 fixing the sweep makes results deterministic.
 
-A local cokernel keeps the reduced span of N_{<=alpha} it was read from,
-and builds its cokernel matrix when that is first read: a caller that only
-needs the subset or the span (the homomorphism audit, the Q masks) does
-not pay for it.
+A local cokernel knows at once which generators and relations of N lie
+below alpha (`rows_le`, `cols_le`); it reduces N_{<=alpha} when its span
+or subset is first read, and builds its cokernel matrix when that is
+first read.  So reading the slice indices (the primal routes' equations
+and variables) reduces nothing, and reading the subset or the span (the
+homomorphism audit, the Q masks) builds no matrix.
 
 The same sweep gives the distinguished relation subset of the first
 syzygy module of Y at alpha.  That module is presented by kernel(N), whose
@@ -27,21 +29,21 @@ kernel(N) at alpha are the columns of N_{<=alpha} that survive the sweep
 (`LocalCokernel.syzygy_subset`), and no presentation of the syzygy module
 is needed to read them.
 
-The primal routes read both masks straight off one `CokernelCache` of N:
-`subset` at the generator degrees of X (the Q mask) and `syzygy_subset`
-at its relation degrees (the P mask).  `restriction_system` gathers the
-same subsets per degree and is kept as their reference.
+The primal routes read everything they know about N's degrees off one
+`CokernelCache` of N: which entries are admissible (`rows_le` and
+`cols_le` at the degrees of X), and both masks, `subset` at the generator
+degrees of X (the Q mask) and `syzygy_subset` at its relation degrees
+(the P mask).  `restriction_system` gathers the same subsets per degree
+and is kept as their reference.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import ColumnSpan, _slice_indices, column_reduce, deg_leq
+from .graded import _slice_indices, column_reduce, deg_leq
 
 
 def _matrix_of(obj):
@@ -49,32 +51,59 @@ def _matrix_of(obj):
     return getattr(obj, "matrix", obj)
 
 
-@dataclass(frozen=True)
 class LocalCokernel:
     """Cokernel of N_{<=alpha} with a distinguished generator subset.
+
+    The slice indices are set when the object is built.  The slice is
+    reduced when `span`, `subset` (so `dim`, `syzygy_subset`) or `matrix`
+    is first read, and each is kept once computed.
 
     Attributes
     ----------
     degree: the evaluation degree alpha.
-    rows_le: original indices of the generators of degree <= alpha.
-    cols_le: original indices of the relations of degree <= alpha, the
-        columns of the slice in sweep order.
+    rows_le: original indices of the generators of degree <= alpha, in
+        increasing order.
+    cols_le: original indices of the relations of degree <= alpha, in
+        increasing order: the columns of the slice in sweep order.
+    positions: {r: position of r in rows_le}.
     subset: original indices of the pivot-free generators; their images
         form a basis of Y_alpha, so dim Y_alpha == len(subset).
-    span: the column span of N_{<=alpha} in N's own row numbering; it is
-        not part of equality.
+    span: the column span of N_{<=alpha} in N's own row numbering.
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
-        subset positions form the identity; built from `span` when first
-        read, and not part of equality.
+        subset positions form the identity; built from `span`.
     """
 
-    degree: tuple
-    rows_le: tuple
-    cols_le: tuple
-    subset: tuple
-    p: int
-    span: ColumnSpan = dataclasses.field(compare=False, repr=False)
+    __slots__ = ("degree", "rows_le", "cols_le", "p", "_source",
+                 "_positions", "_span", "_subset", "_matrix")
+
+    def __init__(self, matrix, alpha):
+        self.degree = tuple(alpha)
+        self.rows_le, self.cols_le = _slice_indices(matrix, alpha)
+        self.p = matrix.field.p
+        self._source = matrix
+        self._positions = self._span = self._subset = self._matrix = None
+
+    @property
+    def positions(self):
+        if self._positions is None:
+            self._positions = {r: k for k, r in enumerate(self.rows_le)}
+        return self._positions
+
+    @property
+    def span(self):
+        if self._span is None:
+            n = self._source
+            cols = [n.columns[j] for j in self.cols_le]
+            self._span = column_reduce(cols, n.field)
+        return self._span
+
+    @property
+    def subset(self):
+        if self._subset is None:
+            pivots = self.span._by_pivot
+            self._subset = tuple([r for r in self.rows_le if r not in pivots])
+        return self._subset
 
     @property
     def dim(self):
@@ -90,13 +119,15 @@ class LocalCokernel:
         """
         return tuple([self.cols_le[e.source] for e in self.span.reduced])
 
-    @functools.cached_property
+    @property
     def matrix(self):
+        if self._matrix is not None:
+            return self._matrix
         fld = self.span.field
         p = fld.p
         pivot_of = {entry.pivot: entry.column for entry in self.span.reduced}
         free_pos = {r: t for t, r in enumerate(self.subset)}
-        dim = self.dim
+        dim = len(free_pos)
         # Forward substitution in increasing row order: a reduced column
         # has its pivot as last entry, so the pivot coordinate only
         # depends on rows already processed.
@@ -114,7 +145,8 @@ class LocalCokernel:
                     for t in range(dim):
                         col[t] = (col[t] + scale * prev[t]) % p
             cols[r] = col
-        return tuple(zip(*cols.values()))
+        self._matrix = tuple(zip(*cols.values()))
+        return self._matrix
 
     def coordinates(self, column):
         """Coordinates in the subset basis of a sparse vector over rows_le.
@@ -122,51 +154,40 @@ class LocalCokernel:
         The vector indexes rows by their *original* row numbers; a row
         whose degree is not <= the evaluation degree raises GradingError.
         """
-        pos = {r: k for k, r in enumerate(self.rows_le)}
-        out = [0] * self.dim
+        pos, rows = self.positions, self.matrix
+        out = [0] * len(rows)
         for r, v in column:
             local = pos.get(r)
             if local is None:
                 raise GradingError(
                     f"row {r} is not a generator of degree <= {self.degree}"
                 )
-            for t in range(self.dim):
-                out[t] += self.matrix[t][local] * v
+            for t, row in enumerate(rows):
+                out[t] += row[local] * v
         return [v % self.p for v in out]
 
 
 def local_cokernel(matrix, alpha):
     """Local cokernel of a presentation at a degree (Algorithm 1).
 
-    Reduces the columns of N_{<=alpha}; pivot-free rows become the
-    distinguished subset G_alpha, and the cokernel matrix d_alpha is the
-    unique solution of d_alpha * N_{<=alpha} = 0 normalized so that its
-    columns at G_alpha are the identity.
-
-    The columns are reduced in N's own row numbering, and the reduced
-    span is kept with the cokernel.  The rows of degree <= alpha keep
-    their order, so the pivots are those of the renumbered slice.
+    The columns of N_{<=alpha} are reduced, in N's own row numbering,
+    when the result's span, subset or matrix is first read.  Pivot-free
+    rows become the distinguished subset G_alpha, and the cokernel matrix
+    d_alpha is the unique solution of d_alpha * N_{<=alpha} = 0
+    normalized so that its columns at G_alpha are the identity.  The rows
+    of degree <= alpha keep their order, so the pivots are those of the
+    renumbered slice.
     """
-    matrix = _matrix_of(matrix)
-    row_idx, col_idx = _slice_indices(matrix, alpha)
-    span = column_reduce([matrix.columns[j] for j in col_idx], matrix.field)
-    pivots = span._by_pivot
-    return LocalCokernel(
-        degree=tuple(alpha),
-        rows_le=row_idx,
-        cols_le=col_idx,
-        subset=tuple([r for r in row_idx if r not in pivots]),
-        p=matrix.field.p,
-        span=span,
-    )
+    return LocalCokernel(_matrix_of(matrix), alpha)
 
 
 class CokernelCache:
     """Memoizes local cokernels of one presentation per distinct degree.
 
-    It is the one memo of N's reduced slices in a computation: a route
-    that builds one for its masks or structure maps hands it to its
-    homomorphism audit, which reads the span at each relation degree.
+    It is the one memo of N's slices in a computation: a route reads its
+    system's admissible entries, its masks or its structure maps from one
+    and hands it to its homomorphism audit, which reads the span at each
+    relation degree.
     The cache is scoped to a single computation context; contexts are
     independent and may run in parallel.
     """
@@ -234,14 +255,10 @@ def structure_map(matrix, alpha, beta, cache=None):
     if not deg_leq(alpha, beta):
         raise DimensionMismatchError(f"{alpha} is not <= {beta}")
     cache = cache or CokernelCache(matrix)
-    ck_a = cache.at(alpha)
+    subset_a = cache.at(alpha).subset
     ck_b = cache.at(beta)
-    pos_b = {r: k for k, r in enumerate(ck_b.rows_le)}
-    out = []
-    for t in range(ck_b.dim):
-        row_t = ck_b.matrix[t]
-        out.append(tuple(row_t[pos_b[g]] for g in ck_a.subset))
-    return tuple(out)
+    cols = [ck_b.positions[g] for g in subset_a]
+    return tuple(tuple(row[k] for k in cols) for row in ck_b.matrix)
 
 
 def hilbert_at(presentation, alpha, cache=None):

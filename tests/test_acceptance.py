@@ -50,9 +50,10 @@ def oracle_dim(xp, yp):
 def homotopy_quotient_rank(qs, yp, xp):
     if not qs:
         return 0
-    index = _flat_index(yp.matrix.rows, xp.matrix.rows)
+    cache = CokernelCache(yp.matrix)
+    index = _flat_index(cache, xp.matrix.rows)
     span = ColumnSpan(xp.field)
-    for col in _homotopy_columns(yp.matrix, xp.matrix.rows, index):
+    for col in _homotopy_columns(cache, xp.matrix.rows, index):
         span.insert(col)
     base = span.rank
     for q in qs:

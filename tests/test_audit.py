@@ -307,15 +307,19 @@ def test_lent_spans_reject_a_non_homomorphism(monkeypatch):
 
 @pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
 def test_audits_build_no_cokernel_matrix(name, pair, monkeypatch):
-    # Routes direct, a and mixed read only subsets and spans of N, so no
-    # local cokernel they cached has built its matrix.
+    # Routes direct, a and mixed read only slice indices, subsets and
+    # spans of N, so no local cokernel they cached has built its matrix;
+    # and direct reads spans only at the relation degrees of X, so it
+    # reduces no other slice.
     xp, yp = pair
     if xp.is_zero_module() or yp.is_zero_module():
         pytest.skip("no route audits anything between zero modules")
     for algorithm in ("direct", "a", "mixed"):
         cache = lent_cache(ROUTES[algorithm], xp, yp, monkeypatch)
-        for cokernel in cache._memo.values():
-            assert "matrix" not in vars(cokernel), algorithm
+        for alpha, cokernel in cache._memo.items():
+            assert cokernel._matrix is None, algorithm
+            if algorithm == "direct" and alpha not in xp.matrix.cols:
+                assert cokernel._span is None and cokernel._subset is None
 
 
 # -- shape check ------------------------------------------------------------

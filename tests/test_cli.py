@@ -322,6 +322,17 @@ def test_firep_input_is_detected(tmp_path):
     assert out.stdout.strip() == "1"
 
 
+def test_field_flag_on_firep_input_is_a_field_mismatch(capsys):
+    # firep files are GF(2) incidence data, like a pmod header over GF(2).
+    from mphom import cli
+
+    firep = pathlib.Path(__file__).parent / "fixtures" / "rectangle.firep"
+    assert cli.main(["end", str(firep), "--field", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: file is over GF(2), expected GF(5)"), err
+    assert cli.main(["end", str(firep), "--field", "2", "--check"]) == 0
+
+
 def test_stats_flag_appends_csv(fig_files, tmp_path):
     x, y = fig_files
     stats = tmp_path / "stats.csv"

@@ -248,26 +248,27 @@ PAIRS = (
 
 
 def run_recording(monkeypatch, route, xp, yp):
-    """Run a route and return (basis, masks of the system it built)."""
+    """Run a route and return (basis, masks of the system it built, the
+    system)."""
     built = []
 
     class Recording(homspace.LinearSystem):
-        def __init__(self, xp, yp, q_mask=None, p_mask=None):
-            built.append({"q_mask": q_mask, "p_mask": p_mask})
-            super().__init__(xp, yp, q_mask=q_mask, p_mask=p_mask)
+        def __init__(self, xp, cache, q_mask=None, p_mask=None):
+            super().__init__(xp, cache, q_mask=q_mask, p_mask=p_mask)
+            built.append(({"q_mask": q_mask, "p_mask": p_mask}, self))
 
     monkeypatch.setattr(homspace, "LinearSystem", Recording)
     basis = route(xp, yp)
     monkeypatch.undo()
     assert len(built) <= 1
-    return basis, (built[0] if built else None)
+    return (basis, *built[0]) if built else (basis, None, None)
 
 
 @pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
 def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
     xp, yp = pair
     for algorithm, route in ROUTES.items():
-        basis, masks = run_recording(monkeypatch, route, xp, yp)
+        basis, masks, _ = run_recording(monkeypatch, route, xp, yp)
         elements, shape = reference(algorithm, xp, yp, masks)
         s = basis.stats
         assert list(basis.elements) == elements, algorithm
@@ -279,6 +280,21 @@ def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
             elements = old_free_domain_basis(xp, yp)
             assert list(basis.elements) == elements, algorithm
             assert shape == (len(elements), 0, 0, len(elements), 0), algorithm
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_system_matches_the_degree_scans(monkeypatch, name, pair):
+    # The slices of the route's cache give the variables and equations,
+    # in the order and with the columns that the pairwise scans gave.
+    xp, yp = pair
+    for algorithm, route in ROUTES.items():
+        _, masks, system = run_recording(monkeypatch, route, xp, yp)
+        if system is None:
+            assert xp.is_zero_module() or yp.is_zero_module(), algorithm
+            continue
+        assert (
+            system.q_vars, system.p_vars, system.equations, system.columns,
+        ) == old_system(xp, yp, **masks), algorithm
 
 
 def test_reference_inputs_exercise_the_quotient():
@@ -296,7 +312,7 @@ def test_reference_inputs_exercise_the_quotient():
 
 def test_solve_returns_sorted_flat_q_columns():
     xp, yp = random_pair(4, d=2, gens=6, rels=6, coord_range=8, p=5)
-    system = homspace.LinearSystem(xp, yp)
+    system = homspace.LinearSystem(xp, CokernelCache(yp.matrix))
     cols = system.solve()
     assert cols and len(cols) == hom_direct(xp, yp).stats.solution_dim
     size = len(system.q_index)
@@ -317,6 +333,17 @@ def test_homotopy_reduce_rejects_mixed_decorations():
     )
     with pytest.raises(DimensionMismatchError):
         homotopy_reduce([q, other], yp)
+
+
+def test_homotopy_reduce_rejects_q_rows_other_than_the_targets():
+    # Q rows index the target's generators: fewer rows, or the same
+    # degrees in another order, would be read against the wrong ones.
+    xp, yp = red_blue()
+    fld = xp.field
+    for rows in ([(0, 0)], list(reversed(yp.matrix.rows))):
+        q = graded_matrix_from_entries(fld, rows, xp.matrix.rows, {(0, 0): 1})
+        with pytest.raises(DimensionMismatchError, match="foreign rows"):
+            homotopy_reduce([q], yp)
 
 
 def test_homotopy_reduce_rejects_a_target_of_other_arity():

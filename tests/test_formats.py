@@ -1,22 +1,33 @@
 """pmod round-trips, named parse errors, firep import, random generator."""
 
+import random
+
 import pytest
 
 from mphom import (
     CoefficientRangeError,
     DegreeArityError,
+    FieldMismatchError,
+    GradedMatrix,
     GradingParseError,
     HeaderError,
     ParseError,
     UnsortedRowsError,
     ZeroCoefficientError,
     hilbert_at,
+    Presentation,
+    PrimeField,
+    column_reduce,
+    deg_leq,
+    kernel,
+    minimize,
     parse_firep,
     parse_pmod,
     serialize_pmod,
     thickness,
 )
 from mphom.generators import random_module
+from mphom.graded import _lift_through
 
 from conftest import red_blue
 
@@ -150,6 +161,99 @@ def test_firep_two_relations():
     assert pres.matrix.ncols == 1
     assert hilbert_at(pres, (2, 2)) == 2
     assert hilbert_at(pres, (3, 3)) == 1
+
+
+def test_firep_is_read_over_gf2_only():
+    with pytest.raises(FieldMismatchError, match=r"over GF\(2\), expected GF\(5\)"):
+        parse_firep(FIREP_RECTANGLE, PrimeField(5))
+    # The field is checked before anything is parsed.
+    with pytest.raises(FieldMismatchError):
+        parse_firep("nope\n", PrimeField(3))
+    assert parse_firep(FIREP_RECTANGLE, PrimeField(2)).matrix == \
+        parse_firep(FIREP_RECTANGLE).matrix
+
+
+def reference_firep(top, mid, r):
+    """The firep conversion with one recorded reduction per top row, over
+    the kernel generators of degree <= the row's degree.
+
+    Returns the minimized presentation, or the index of the first top row
+    that does not lift."""
+    fld = PrimeField(2)
+    d1 = GradedMatrix(fld, [(0, 0)] * r, [deg for deg, _ in mid],
+                      [col for _, col in mid], validate=False)
+    k1 = kernel(d1)
+    lifted = []
+    for i, (deg, col) in enumerate(top):
+        usable = [j for j in range(k1.ncols) if deg_leq(k1.cols[j], deg)]
+        span = column_reduce([k1.columns[j] for j in usable], fld,
+                             record=True)
+        combo = _lift_through(span, col)
+        if combo is None:
+            return i
+        lifted.append(tuple((usable[k], v) for k, v in combo))
+    pres = GradedMatrix(fld, k1.cols, [deg for deg, _ in top], lifted)
+    return minimize(Presentation(pres, minimal=False))
+
+
+def gf2_sum(columns):
+    total = {}
+    for col in columns:
+        for i, _ in col:
+            total[i] = total.get(i, 0) ^ 1
+    return tuple((i, 1) for i in sorted(total) if total[i])
+
+
+def random_firep(seed):
+    """(text, top, mid, r): a random firep complex whose top rows are
+    mostly cycles, some declared below the kernel generators they use,
+    and, on odd seeds, a last row whose boundary is nonzero."""
+    rng = random.Random(seed)
+    r = rng.randint(1, 3)
+    mid = []
+    for _ in range(rng.randint(2, 6)):
+        deg = (rng.randint(0, 4), rng.randint(0, 4))
+        rows = sorted(rng.sample(range(r), rng.randint(0, r)))
+        mid.append((deg, tuple((i, 1) for i in rows)))
+    k1 = kernel(GradedMatrix(PrimeField(2), [(0, 0)] * r,
+                             [deg for deg, _ in mid],
+                             [col for _, col in mid], validate=False))
+    top = []
+    for _ in range(rng.randint(1, 4)):
+        deg = (rng.randint(0, 6), rng.randint(0, 6))
+        pool = [j for j in range(k1.ncols)
+                if rng.random() < 0.2 or deg_leq(k1.cols[j], deg)]
+        top.append((deg, gf2_sum(k1.columns[j] for j in pool
+                                 if rng.random() < 0.6)))
+    if seed % 2:
+        picks = rng.sample(range(len(mid)), rng.randint(1, len(mid)))
+        col = tuple((j, 1) for j in sorted(picks))
+        if gf2_sum(mid[j][1] for j in picks):
+            top.append(((6, 6), col))
+    lines = ["firep", "x", "y", f"{len(top)} {len(mid)} {r}"]
+    for deg, col in top + mid:
+        indices = " ".join(str(i) for i, _ in col)
+        lines.append(f"{deg[0]} {deg[1]} ; {indices}")
+    return "\n".join(lines) + "\n", top, mid, r
+
+
+def test_firep_lift_matches_the_per_row_reference():
+    lifted = rejected = not_a_cycle = 0
+    for seed in range(60):
+        text, top, mid, r = random_firep(seed)
+        expected = reference_firep(top, mid, r)
+        if isinstance(expected, int):
+            rejected += 1
+            not_a_cycle += bool(
+                gf2_sum(mid[i][1] for i, _ in top[expected][1]))
+            with pytest.raises(GradingParseError) as err:
+                parse_firep(text)
+            assert err.value.line == 5 + expected, seed
+        else:
+            lifted += 1
+            assert parse_firep(text).matrix == expected.matrix, seed
+    # Both outcomes, and both kinds of rejection, occur.
+    assert lifted and not_a_cycle and rejected > not_a_cycle
 
 
 def test_firep_rejects_bad_header():

@@ -49,9 +49,10 @@ def quotient_rank(qs, yp, xp):
     """Rank of the flattened family mod null-homotopies."""
     if not qs:
         return 0
-    index = _flat_index(yp.matrix.rows, xp.matrix.rows)
+    cache = CokernelCache(yp.matrix)
+    index = _flat_index(cache, xp.matrix.rows)
     span = ColumnSpan(xp.field)
-    for col in _homotopy_columns(yp.matrix, xp.matrix.rows, index):
+    for col in _homotopy_columns(cache, xp.matrix.rows, index):
         span.insert(col)
     base = span.rank
     for q in qs:

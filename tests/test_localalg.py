@@ -19,6 +19,7 @@ from mphom import (
     thickness,
     thickness_at_degrees,
 )
+from mphom import localalg
 from mphom.generators import random_module, random_pair
 from mphom.graded import _slice_at_most
 from mphom.localalg import evaluation_grid, grid_points
@@ -356,6 +357,29 @@ def test_cokernel_cache_lends_the_spans_it_reduced():
         ]
     assert cache.at((5, 1)).span.rank == 2
     # The cokernel matrix is built on first read, and only once.
-    assert "matrix" not in vars(first)
+    assert first._matrix is None
     assert first.matrix is first.matrix
-    assert "matrix" in vars(first)
+    assert first._matrix is first.matrix
+
+
+def test_reading_slice_indices_reduces_nothing(monkeypatch):
+    calls = []
+    reduce = localalg.column_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(localalg, "column_reduce", counting)
+    _, blue = red_blue()
+    cache = CokernelCache(blue.matrix)
+    ck = cache.at((6, 2))
+    assert (ck.rows_le, ck.cols_le) == ((0, 1), (0, 1, 2))
+    for alpha in grid_points(evaluation_grid(blue)):
+        row_idx, col_idx, _ = _slice_at_most(blue.matrix, alpha)
+        ck_alpha = cache.at(alpha)
+        assert (ck_alpha.rows_le, ck_alpha.cols_le) == (row_idx, col_idx)
+    assert calls == []
+    # The first read of the subset reduces the slice, once.
+    assert ck.subset == ck.subset
+    assert len(calls) == 1
