@@ -19,7 +19,13 @@ from dataclasses import dataclass, replace
 
 from .errors import CheckMismatchError
 from .graded import GradedMatrix, _transpose, deg_neg
-from .homspace import HomBasis, _empty_basis, hom_exact, hom_restricted
+from .homspace import (
+    HomBasis,
+    _check_pair,
+    _empty_basis,
+    hom_exact,
+    hom_restricted,
+)
 from .presentations import (
     Presentation,
     free_resolution,
@@ -76,11 +82,14 @@ def dual_context(xp, yp):
 def _dual_basis(route, algorithm, xp, yp, context):
     """Run a primal route on the transposed duals and transpose back.
 
-    The inner run computes Hom(DY, DX); transposing each matrix yields
+    The operands are checked as the primal routes check theirs (both
+    minimal, one field, one arity) before anything else, so a zero module
+    on either side gives the empty basis only for a valid pair.  The
+    inner run computes Hom(DY, DX); transposing each matrix yields
     elements of K^{S' x S}, where the cogenerator of X behind a dual
     generator of degree delta sits at -delta in the original poset.
     """
-    if xp.is_zero_module() or yp.is_zero_module():
+    if _check_pair(xp, yp):
         return _empty_basis(algorithm, "cogenerators")
     ctx = context or dual_context(xp, yp)
     inner = route(ctx.dual_y, ctx.dual_x)

@@ -47,6 +47,7 @@ for it first.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
+    _transpose,
     deg_sub,
     nullspace_of_columns,
     validate_grading,
@@ -305,19 +307,17 @@ def homotopy_reduce(qs, yp):
 class _AuditCache:
     """What the `verify_hom` calls of one audit share.
 
-    `rels_of[g]` lists the relations (r, M_{g,r}) that generator g of X
-    appears in, by increasing r; `cokernels` is a `CokernelCache` of N,
-    whose local cokernel at a relation degree holds the column span of N
-    at that degree in N's own row numbering.
+    `rels_of` is the transpose of M: `rels_of[g]` lists the relations
+    (r, M_{g,r}) that generator g of X appears in, by increasing r.
+    `cokernels` is a `CokernelCache` of N, whose local cokernel at a
+    relation degree holds the column span of N at that degree in N's own
+    row numbering.
     """
 
     __slots__ = ("rels_of", "cokernels")
 
     def __init__(self, m, cokernels):
-        self.rels_of = [[] for _ in range(m.nrows)]
-        for r, col in enumerate(m.columns):
-            for g, mv in col:
-                self.rels_of[g].append((r, mv))
+        self.rels_of = _transpose(m.columns, m.nrows)
         self.cokernels = cokernels
 
 
@@ -482,16 +482,17 @@ def hom_exact(xp, yp):
     fld = m.field
     p = fld.p
     cache = CokernelCache(n)
-    col_offsets = []
-    total = 0
-    for gdeg in m.rows:
-        col_offsets.append(total)
-        total += cache.at(gdeg).dim
-    row_offsets = []
-    rows_total = 0
-    for rdeg in m.cols:
-        row_offsets.append(rows_total)
-        rows_total += cache.at(rdeg).dim
+    # Variables are g-major with ascending subset rows, as `_q_matrix`
+    # needs: keys[k] is the (g, g') entry of variable k.
+    keys, col_offsets = [], []
+    for g, gdeg in enumerate(m.rows):
+        col_offsets.append(len(keys))
+        for gp in cache.at(gdeg).subset:
+            keys.append((g, gp))
+    total = len(keys)
+    row_offsets = list(itertools.accumulate(
+        [cache.at(rdeg).dim for rdeg in m.cols], initial=0))
+    rows_total = row_offsets[-1]
     columns = [[] for _ in range(total)]
     entries = 0
     for r, rdeg in enumerate(m.cols):
@@ -513,10 +514,7 @@ def hom_exact(xp, yp):
     t0 = time.perf_counter()
     combos = nullspace_of_columns(sys_columns, fld)
     elapsed = time.perf_counter() - t0
-    # Re-express nullvectors as graded matrices.  Variables are g-major
-    # with ascending subset rows, as `_q_matrix` needs.
-    keys = [(g, gp) for g, gdeg in enumerate(m.rows)
-            for gp in cache.at(gdeg).subset]
+    # Re-express nullvectors as graded matrices.
     elements = [
         _q_matrix(sorted(combo.items()), keys, n.rows, m.rows, fld)
         for combo in combos
@@ -527,7 +525,7 @@ def hom_exact(xp, yp):
     return _audited(elements, stats, xp, yp, cache)
 
 
-def _block_diagonal(n, shifts, fld):
+def _block_diagonal(n, shifts):
     """Presentation of ⊕_k Y[shift_k]: one copy of N per shift, with all
     degrees translated down by the shift.  Returns (rows, cols, columns)
     where basis indices are (k, original index) pairs flattened k-major."""
@@ -559,14 +557,11 @@ def hom_module_presentation(xp, yp):
     fld = xp.field
     m, n = xp.matrix, yp.matrix
     # Free cover of ⊕_g Y[deg g] and its relation columns.
-    f1_rows, n1_cols, n1_columns = _block_diagonal(n, m.rows, fld)
-    f2_rows, n2_cols, n2_columns = _block_diagonal(n, m.cols, fld)
+    f1_rows, n1_cols, n1_columns = _block_diagonal(n, m.rows)
+    f2_rows, n2_cols, n2_columns = _block_diagonal(n, m.cols)
     ng = n.nrows
     # Lift of the block map: block (r, g) is M_{g,r} times the identity.
-    row_hits = [[] for _ in range(m.nrows)]
-    for r in range(m.ncols):
-        for g, mv in m.columns[r]:
-            row_hits[g].append((r, mv))
+    row_hits = _transpose(m.columns, m.nrows)
     qhat_columns = []
     for g in range(m.nrows):
         for gp in range(ng):

@@ -295,11 +295,9 @@ def grid_points(axes):
 def thickness(presentation, cache=None):
     """Maximum pointwise dimension over the evaluation grid."""
     matrix = _matrix_of(presentation)
-    axes = evaluation_grid(matrix)
-    if not axes:
-        return 0
-    cache = cache or CokernelCache(matrix)
-    return max(cache.at(alpha).dim for alpha in grid_points(axes))
+    return thickness_at_degrees(
+        matrix, grid_points(evaluation_grid(matrix)), cache
+    )
 
 
 def thickness_at_degrees(presentation, degrees, cache=None):

@@ -37,7 +37,6 @@ from .graded import (
     GradedMatrix,
     _axpy,
     _check_arity,
-    _lift_through,
     _transpose,
     column_reduce,
     deg_add,
@@ -391,79 +390,58 @@ def matlis_transpose_shift(matrix):
 def sparsify(presentation):
     """Re-express relations so every column has <= thick(X) + 1 entries.
 
-    Works batch by batch over equal-degree groups of relations: the batch
-    classes are lifted to coordinates in a basis of the local slice built
-    from generators of strictly smaller degree (they span everything the
-    batch can hit), brought to reduced column echelon form, and written
-    back.  Batches already inside the bound are left untouched.  The
-    module, its Hilbert function, and minimality are preserved.
+    Works batch by batch over equal-degree groups of relations.  A batch
+    at omega is read in the subset basis of the local cokernel, at omega,
+    of the other relations: the input is minimal, so the batch has no
+    entry at a generator of degree omega, and every other relation below
+    omega has entries only at generators of smaller degree, so the batch's
+    coordinates lie on subset generators of smaller degree.  Those
+    coordinate columns are brought to reduced column echelon form and
+    written back.  Batches already inside the bound are left untouched.
+    The module, its Hilbert function, and minimality are preserved.
     """
     if not presentation.minimal:
         presentation = minimize(presentation)
     matrix = presentation.matrix
     fld = matrix.field
     columns = [list(c) for c in matrix.columns]
-    cols = list(matrix.cols)
     groups = {}
-    for j, deg in enumerate(cols):
+    for j, deg in enumerate(matrix.cols):
         groups.setdefault(deg, []).append(j)
 
     for omega in sorted(groups, key=_degree_sort_key):
         batch = groups[omega]
-        k = len(batch)
-        in_batch = set(batch)
-        others = [j for j in range(len(cols)) if j not in in_batch]
-        rest = GradedMatrix(
+        rest = [j for j, deg in enumerate(matrix.cols) if deg != omega]
+        ck = local_cokernel(GradedMatrix(
             fld,
             matrix.rows,
-            [cols[j] for j in others],
-            [tuple(columns[j]) for j in others],
+            [matrix.cols[j] for j in rest],
+            [tuple(columns[j]) for j in rest],
             validate=False,
-        )
-        ck = local_cokernel(rest, omega)
-        dim_before = ck.dim
-        dim_x = dim_before - k
+        ), omega)
+        dim_x = ck.dim - len(batch)
         if all(len(columns[j]) <= dim_x + 1 for j in batch):
             continue
-        # The classes of the strictly lower generators span the batch.
-        # Their surviving columns are a basis; the recorded combinations
-        # reference only those, by position in `lower`.
-        lower = [g for g in ck.rows_le if matrix.rows[g] != omega]
-        span = column_reduce(
-            [_coordinate_column(ck, [(g, 1)]) for g in lower], fld,
-            record=True,
-        )
-        lifted = []
+        coordinates = []
         for j in batch:
-            combo = _lift_through(span, _coordinate_column(ck, columns[j]))
-            if combo is None:
+            coords = ck.coordinates(columns[j])
+            col = [(g, v) for g, v in zip(ck.subset, coords) if v]
+            if any(matrix.rows[g] == omega for g, _ in col):
                 raise GradingError(
                     "batch relation class escapes the lower-generator span"
                 )
-            lifted.append(combo)
-        # Reduced column echelon form of the lifted block.
-        echelon = _reduced_column_echelon(lifted, fld)
+            coordinates.append(col)
+        echelon = _reduced_column_echelon(coordinates, fld)
         for slot, j in enumerate(batch):
             if not echelon[slot]:
                 raise GradingError(
                     "dependent relation batch; presentation was not minimal"
                 )
-            columns[j] = [(lower[idx], v) for idx, v in echelon[slot]]
+            columns[j] = echelon[slot]
             if len(columns[j]) > dim_x + 1:
                 raise GradingError("sparsification exceeded the entry bound")
-    out = GradedMatrix(
-        fld,
-        matrix.rows,
-        cols,
-        [tuple(sorted(c)) for c in columns],
-        validate=False,
-    )
+    out = GradedMatrix(fld, matrix.rows, matrix.cols, columns, validate=False)
     return Presentation(out, minimal=True, label=presentation.label)
-
-
-def _coordinate_column(ck, column):
-    """Coordinates of a vector in a local cokernel, as a sparse column."""
-    return tuple((t, v) for t, v in enumerate(ck.coordinates(column)) if v)
 
 
 def _reduced_column_echelon(columns, fld):

@@ -524,6 +524,19 @@ def test_check_runs_each_route_once(monkeypatch, capsys, alg):
         "direct", "a", "mixed", "b", "dual_context", "a-star", "b-star")}
 
 
+@pytest.mark.parametrize("alg", ["a-star", "b-star"])
+def test_dual_routes_reject_a_zero_module_over_another_field(capsys, alg):
+    from mphom import cli
+
+    empty = str(FIXTURE_DIR / "empty.pmod")  # over GF(3)
+    other = str(FIXTURE_DIR / "rand_17_gf2.pmod")
+    for pair in ((empty, other), (other, empty)):
+        assert cli.main(["hom", *pair, "--alg", alg]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: presentations over different fields")
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=[p.name for p in FIXTURES])
 def test_check_writes_the_same_basis(capsys, path):
     from mphom import cli

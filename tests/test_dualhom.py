@@ -3,6 +3,7 @@
 import pytest
 
 from mphom import (
+    FieldMismatchError,
     Presentation,
     PrimeField,
     dual_context,
@@ -64,6 +65,17 @@ def test_dual_into_zero_module(fig_pair):
     z = zero_module()
     assert hom_restricted_dual(x, z).dim == 0
     assert hom_exact_dual(z, x).dim == 0
+
+
+@pytest.mark.parametrize("route", [hom_restricted_dual, hom_exact_dual])
+def test_dual_rejects_a_zero_module_over_another_field(fig_pair, route):
+    x, _ = fig_pair
+    z = zero_module(p=2)
+    assert x.field != z.field
+    with pytest.raises(FieldMismatchError):
+        route(x, z)
+    with pytest.raises(FieldMismatchError):
+        route(z, x)
 
 
 def test_dual_context_validates_involution(fig_pair):

@@ -1,6 +1,7 @@
 """Property tests of the kernel's line sweep against the per-point kernel,
-of `minimize` reaching its fixpoint in one round, and of `_irredundant`'s
-line sweep against the per-column reference.
+of `minimize` reaching its fixpoint in one round, of `_irredundant`'s
+line sweep against the per-column reference, and of `sparsify` against
+the lift-based reference and its thick + 1 entry bound.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -14,6 +15,8 @@ from mphom import (
     PrimeField,
     graded_matrix_from_entries,
     minimize,
+    sparsify,
+    thickness,
 )
 from mphom.localalg import CokernelCache, evaluation_grid, grid_points
 from mphom.presentations import _equal_degree_unit, _irredundant
@@ -21,6 +24,7 @@ from mphom.presentations import _equal_degree_unit, _irredundant
 from test_presentations import (
     _assert_kernel_matches_per_point,
     _irredundant_per_column,
+    _reference_sparsify,
 )
 
 
@@ -68,3 +72,12 @@ def test_minimize_is_a_fixpoint_after_one_round(m):
 def test_irredundant_line_sweep_matches_per_column_reference(m):
     assert _irredundant(m.cols, m.columns, m.field) == (
         _irredundant_per_column(m.cols, m.columns, m.field))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_small_matrices())
+def test_sparsify_matches_the_lift_reference_on_small_matrices(m):
+    out = sparsify(Presentation(m)).matrix
+    assert out == _reference_sparsify(Presentation(m)).matrix
+    bound = thickness(out) + 1
+    assert all(len(c) <= bound for c in out.columns)

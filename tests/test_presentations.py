@@ -35,10 +35,10 @@ from mphom import (
 )
 from mphom import dual_context, homspace, presentations
 from mphom.generators import random_module, random_pair
-from mphom.graded import _axpy
+from mphom.graded import _axpy, _lift_through
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
-from mphom.localalg import evaluation_grid, grid_points
+from mphom.localalg import evaluation_grid, grid_points, local_cokernel
 
 import numpy as np
 
@@ -800,3 +800,98 @@ def test_sparsify_bound_and_hilbert_on_random_modules():
         axes = evaluation_grid(pres.matrix)
         for pt in grid_points(axes):
             assert hilbert_at(out, pt) == hilbert_at(pres, pt), (seed, pt)
+
+
+def _reference_sparsify(presentation):
+    """Sparsification by lifting each batch through a recorded reduction
+    of the lower generators' coordinates: the reference that `sparsify`,
+    which reads the subset coordinates of its local cokernel directly,
+    must reproduce byte for byte."""
+    if not presentation.minimal:
+        presentation = minimize(presentation)
+    matrix = presentation.matrix
+    fld = matrix.field
+    columns = [list(c) for c in matrix.columns]
+    cols = list(matrix.cols)
+    groups = {}
+    for j, deg in enumerate(cols):
+        groups.setdefault(deg, []).append(j)
+
+    def coordinate_column(ck, column):
+        return tuple((t, v) for t, v in enumerate(ck.coordinates(column)) if v)
+
+    for omega in sorted(groups, key=presentations._degree_sort_key):
+        batch = groups[omega]
+        in_batch = set(batch)
+        others = [j for j in range(len(cols)) if j not in in_batch]
+        rest = GradedMatrix(
+            fld, matrix.rows, [cols[j] for j in others],
+            [tuple(columns[j]) for j in others], validate=False,
+        )
+        ck = local_cokernel(rest, omega)
+        dim_x = ck.dim - len(batch)
+        if all(len(columns[j]) <= dim_x + 1 for j in batch):
+            continue
+        lower = [g for g in ck.rows_le if matrix.rows[g] != omega]
+        span = column_reduce(
+            [coordinate_column(ck, [(g, 1)]) for g in lower], fld,
+            record=True,
+        )
+        lifted = []
+        for j in batch:
+            combo = _lift_through(span, coordinate_column(ck, columns[j]))
+            if combo is None:
+                raise GradingError(
+                    "batch relation class escapes the lower-generator span"
+                )
+            lifted.append(combo)
+        echelon = presentations._reduced_column_echelon(lifted, fld)
+        for slot, j in enumerate(batch):
+            if not echelon[slot]:
+                raise GradingError(
+                    "dependent relation batch; presentation was not minimal"
+                )
+            columns[j] = [(lower[idx], v) for idx, v in echelon[slot]]
+            if len(columns[j]) > dim_x + 1:
+                raise GradingError("sparsification exceeded the entry bound")
+    out = GradedMatrix(fld, matrix.rows, cols,
+                       [tuple(sorted(c)) for c in columns], validate=False)
+    return Presentation(out, minimal=True, label=presentation.label)
+
+
+def test_sparsify_matches_the_lift_reference_on_random_modules():
+    rewritten = total = 0
+    for d in (1, 2, 3):
+        for p in (2, 3, 5, 65521):
+            for hint in (None, 2, 3, 4):
+                for seed in range(4):
+                    pres = random_module(seed, d=d, gens=8, rels=8,
+                                         coord_range=5, thickness_hint=hint,
+                                         p=p)
+                    out = sparsify(pres)
+                    assert out.matrix == _reference_sparsify(pres).matrix, (
+                        d, p, hint, seed)
+                    total += 1
+                    rewritten += out.matrix != pres.matrix
+    assert 0 < rewritten < total
+
+
+def test_sparsify_reduces_once_per_rewritten_batch(monkeypatch):
+    calls = {"column_reduce": 0, "echelon": 0}
+
+    def counted(name, func):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(presentations, "column_reduce",
+                        counted("column_reduce", presentations.column_reduce))
+    monkeypatch.setattr(
+        presentations, "_reduced_column_echelon",
+        counted("echelon", presentations._reduced_column_echelon))
+    for seed in range(6):
+        sparsify(random_module(seed, gens=10, rels=10, coord_range=6,
+                               thickness_hint=3, p=5))
+    assert calls["echelon"] > 0
+    assert calls["column_reduce"] == calls["echelon"]
