@@ -11,8 +11,9 @@ presentation.
 from __future__ import annotations
 
 import random
+from operator import le
 
-from .graded import GradedMatrix, PrimeField, deg_join, deg_leq
+from .graded import GradedMatrix, PrimeField, deg_join
 from .presentations import Presentation, minimize
 
 
@@ -71,7 +72,9 @@ def random_module(
             rdeg = tuple(
                 min(c + rng.randint(0, 2), coord_range + 2) for c in rdeg
             )
-            admissible = [g for g in range(gens) if deg_leq(rows[g], rdeg)]
+            admissible = [
+                g for g in range(gens) if all(map(le, rows[g], rdeg))
+            ]
             k = rng.randint(1, min(4, len(admissible)))
             support = sorted(rng.sample(admissible, k))
             col = tuple(

@@ -7,6 +7,13 @@ as a list of sparse columns, each column a tuple of (row index, coefficient)
 pairs in strictly increasing row order; this favours the column reductions
 used everywhere downstream.
 
+Every column reduction runs through `ColumnSpan`.  Each reduced column
+stores the inverse of its pivot entry, computed once when it is inserted,
+so an elimination step asks the field for no inverse.  Over GF(2) a step
+is a sorted symmetric difference of rows (`_xor`) with no scale and no
+`%`; the span chooses it from the field, and it gives the same columns
+and combinations, in the same order, as the generic `_axpy` step.
+
 All values are immutable after construction and safe to share between
 threads.
 """
@@ -238,7 +245,7 @@ class GradedMatrix:
                     raise ValueError(f"column {j}: row index {i} out of range")
                 if not 1 <= v < p:
                     raise ValueError(f"column {j}: coefficient {v} not in [1,{p})")
-                if not deg_leq(self.rows[i], self.cols[j]):
+                if not all(map(le, self.rows[i], self.cols[j])):
                     raise GradingError(
                         f"entry ({i},{j}): row degree {self.rows[i]} "
                         f"not <= column degree {self.cols[j]}"
@@ -375,17 +382,44 @@ def submatrix_at_most(matrix, alpha):
     return sub, row_idx, col_idx
 
 
-@dataclass
+@dataclass(slots=True)
 class ReducedColumn:
-    """One nonzero output column of a reduction sweep."""
+    """One nonzero output column of a reduction sweep.
+
+    `inv` is the inverse of the pivot entry `column[-1][1]`, computed once
+    when the column is inserted.
+    """
 
     pivot: int
     column: tuple
     source: int
     combo: dict | None = None
+    inv: int = 1
 
 
-@dataclass
+def _xor(target, source):
+    """target + source for sparse GF(2) columns: the sorted symmetric
+    difference of their rows, every coefficient being 1."""
+    out = []
+    i = j = 0
+    nt, ns = len(target), len(source)
+    while i < nt and j < ns:
+        ri, rj = target[i][0], source[j][0]
+        if ri < rj:
+            out.append(target[i])
+            i += 1
+        elif ri > rj:
+            out.append(source[j])
+            j += 1
+        else:
+            i += 1
+            j += 1
+    out.extend(target[i:])
+    out.extend(source[j:])
+    return out
+
+
+@dataclass(slots=True)
 class ColumnSpan:
     """Result of a left-to-right column reduction with lowest-row pivots.
 
@@ -393,6 +427,7 @@ class ColumnSpan:
     `zeroed` holds, for columns that vanished, the recorded combination of
     original columns that witnesses the dependency (so the zeroed combos are
     a basis of the nullspace of the input, when recording is on).
+    `_by_pivot` maps each pivot row to its entry of `reduced`.
     """
 
     field: PrimeField
@@ -405,16 +440,30 @@ class ColumnSpan:
         return len(self.reduced)
 
     def _reduce(self, col, combo=None):
-        """Reduce the list `col` by the reduced columns until its pivot is
-        free; return the residual.  Each step's multiple of a recorded
-        column's combination is added to `combo` when one is given."""
+        """Reduce the sparse column `col` by the reduced columns until its
+        pivot is free; return the residual, `col` itself when no step was
+        taken.  Each step's multiple of a recorded column's combination is
+        added to `combo` when one is given.
+
+        Over GF(2) every coefficient is 1, so a step adds the column and
+        toggles the combination's keys; a toggled key that comes back is
+        appended, as the generic update appends it.
+        """
         p = self.field.p
+        by_pivot = self._by_pivot
         while col:
-            slot = self._by_pivot.get(col[-1][0])
-            if slot is None:
+            row, lead = col[-1]
+            other = by_pivot.get(row)
+            if other is None:
                 break
-            other = self.reduced[slot]
-            scale = (-col[-1][1] * self.field.inv(other.column[-1][1])) % p
+            if p == 2:
+                col = _xor(col, other.column)
+                if combo is not None and other.combo is not None:
+                    for k in other.combo:
+                        if not combo.pop(k, 0):
+                            combo[k] = 1
+                continue
+            scale = -lead * other.inv % p
             col = _axpy(col, other.column, scale, p)
             if combo is not None and other.combo is not None:
                 for k, v in other.combo.items():
@@ -428,21 +477,23 @@ class ColumnSpan:
     def insert(self, column, source=-1, record=False):
         """Reduce one column against the span; absorb the residual."""
         combo = {source: 1} if record else None
-        col = self._reduce(list(column), combo)
+        col = self._reduce(column, combo)
         if col:
-            entry = ReducedColumn(col[-1][0], tuple(col), source, combo)
-            self._by_pivot[col[-1][0]] = len(self.reduced)
+            pivot, lead = col[-1]
+            entry = ReducedColumn(pivot, tuple(col), source, combo,
+                                  self.field.inv(lead))
+            self._by_pivot[pivot] = entry
             self.reduced.append(entry)
             return entry
         self.zeroed.append((source, combo))
         return None
 
     def reduce_vector(self, column):
-        """Residual of a sparse column modulo the current span."""
-        return self._reduce(list(column))
+        """Residual of a sparse column modulo the current span, as a list."""
+        return list(self._reduce(column))
 
     def contains(self, column):
-        return not self.reduce_vector(column)
+        return not self._reduce(column)
 
 
 def column_reduce(columns, fld, record=False):

@@ -35,11 +35,18 @@ The primal routes read everything they know about N's degrees off one
 degrees of X (the Q mask) and `syzygy_subset` at its relation degrees
 (the P mask).  `restriction_system` gathers the same subsets per degree
 and is kept as their reference.
+
+A `CokernelCache` indexes N's row degrees and column degrees once, per
+axis (`_DegreeIndex`): the sorted distinct coordinates, each with the bit
+mask of the degrees at or below it.  The slice indices at alpha are then
+one bisection and one AND per axis instead of a scan of every degree of
+N.  A `local_cokernel` call made outside a cache scans (`_slice_indices`).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
@@ -77,9 +84,9 @@ class LocalCokernel:
     __slots__ = ("degree", "rows_le", "cols_le", "p", "_source",
                  "_positions", "_span", "_subset", "_matrix")
 
-    def __init__(self, matrix, alpha):
+    def __init__(self, matrix, alpha, rows_le, cols_le):
         self.degree = tuple(alpha)
-        self.rows_le, self.cols_le = _slice_indices(matrix, alpha)
+        self.rows_le, self.cols_le = rows_le, cols_le
         self.p = matrix.field.p
         self._source = matrix
         self._positions = self._span = self._subset = self._matrix = None
@@ -123,9 +130,8 @@ class LocalCokernel:
     def matrix(self):
         if self._matrix is not None:
             return self._matrix
-        fld = self.span.field
-        p = fld.p
-        pivot_of = {entry.pivot: entry.column for entry in self.span.reduced}
+        p = self.p
+        pivot_of = self.span._by_pivot
         free_pos = {r: t for t, r in enumerate(self.subset)}
         dim = len(free_pos)
         # Forward substitution in increasing row order: a reduced column
@@ -137,10 +143,9 @@ class LocalCokernel:
             if r in free_pos:
                 col[free_pos[r]] = 1
             else:
-                pcol = pivot_of[r]
-                lead_inv = fld.inv(pcol[-1][1])
-                for i, v in pcol[:-1]:
-                    scale = (-v * lead_inv) % p
+                entry = pivot_of[r]
+                for i, v in entry.column[:-1]:
+                    scale = (-v * entry.inv) % p
                     prev = cols[i]
                     for t in range(dim):
                         col[t] = (col[t] + scale * prev[t]) % p
@@ -167,7 +172,7 @@ class LocalCokernel:
         return [v % self.p for v in out]
 
 
-def local_cokernel(matrix, alpha):
+def local_cokernel(matrix, alpha, _index=None):
     """Local cokernel of a presentation at a degree (Algorithm 1).
 
     The columns of N_{<=alpha} are reduced, in N's own row numbering,
@@ -177,8 +182,59 @@ def local_cokernel(matrix, alpha):
     normalized so that its columns at G_alpha are the identity.  The rows
     of degree <= alpha keep their order, so the pivots are those of the
     renumbered slice.
+
+    The slice indices are found by a scan of N's degrees, unless a
+    `CokernelCache` passes its `_DegreeIndex` of N's rows and of its
+    columns in `_index`; alpha's arity must then be checked already.
     """
-    return LocalCokernel(_matrix_of(matrix), alpha)
+    matrix = _matrix_of(matrix)
+    if _index is None:
+        rows_le, cols_le = _slice_indices(matrix, alpha)
+    else:
+        rows, cols = _index
+        rows_le, cols_le = rows.at_most(alpha), cols.at_most(alpha)
+    return LocalCokernel(matrix, alpha, rows_le, cols_le)
+
+
+class _DegreeIndex:
+    """The degrees of N's rows or of its columns, indexed per axis.
+
+    Axis k keeps the sorted distinct k-th coordinates, each with the bit
+    mask of the degrees whose k-th coordinate is at or below it.  The
+    degrees <= alpha are those in the AND over the axes of the mask at
+    the largest coordinate <= alpha_k, found by bisection.
+    """
+
+    __slots__ = ("axes", "full")
+
+    def __init__(self, degrees, d):
+        self.full = (1 << len(degrees)) - 1
+        self.axes = []
+        for k in range(d):
+            at_coord = {}
+            for i, deg in enumerate(degrees):
+                at_coord[deg[k]] = at_coord.get(deg[k], 0) | 1 << i
+            coords = sorted(at_coord)
+            masks, acc = [], 0
+            for c in coords:
+                acc |= at_coord[c]
+                masks.append(acc)
+            self.axes.append((coords, masks))
+
+    def at_most(self, alpha):
+        """Increasing indices of the degrees <= alpha."""
+        mask = self.full
+        for (coords, masks), a in zip(self.axes, alpha):
+            t = bisect_right(coords, a)
+            if not t:
+                return ()
+            mask &= masks[t - 1]
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
 
 class CokernelCache:
@@ -190,17 +246,29 @@ class CokernelCache:
     relation degree.
     The cache is scoped to a single computation context; contexts are
     independent and may run in parallel.
+
+    On a miss `local_cokernel` reads the slice indices off a
+    `_DegreeIndex` of N's rows and one of its columns, built once with the
+    cache, instead of scanning every degree of N; they equal
+    `_slice_indices`.  A degree of the wrong arity raises
+    DimensionMismatchError.
     """
 
     def __init__(self, matrix):
-        self.matrix = _matrix_of(matrix)
+        self.matrix = m = _matrix_of(matrix)
+        self._index = _DegreeIndex(m.rows, m.dim), _DegreeIndex(m.cols, m.dim)
         self._memo = {}
 
     def at(self, alpha):
         alpha = tuple(alpha)
         hit = self._memo.get(alpha)
         if hit is None:
-            hit = local_cokernel(self.matrix, alpha)
+            d = self.matrix.dim
+            if d and len(alpha) != d:
+                raise DimensionMismatchError(
+                    f"degree {alpha} has arity {len(alpha)}, matrix has d={d}"
+                )
+            hit = local_cokernel(self.matrix, alpha, self._index)
             self._memo[alpha] = hit
         return hit
 

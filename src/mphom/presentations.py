@@ -412,12 +412,11 @@ def sparsify(presentation):
     for omega in sorted(groups, key=_degree_sort_key):
         batch = groups[omega]
         rest = [j for j, deg in enumerate(matrix.cols) if deg != omega]
-        ck = local_cokernel(GradedMatrix(
+        ck = local_cokernel(GradedMatrix._trusted(
             fld,
             matrix.rows,
-            [matrix.cols[j] for j in rest],
-            [tuple(columns[j]) for j in rest],
-            validate=False,
+            tuple([matrix.cols[j] for j in rest]),
+            tuple([tuple(columns[j]) for j in rest]),
         ), omega)
         dim_x = ck.dim - len(batch)
         if all(len(columns[j]) <= dim_x + 1 for j in batch):
@@ -451,8 +450,7 @@ def _reduced_column_echelon(columns, fld):
     span = column_reduce(columns, fld)
     work = [[] for _ in columns]
     for entry in span.reduced:
-        inv = fld.inv(entry.column[-1][1])
-        work[entry.source] = [(r, v * inv % p) for r, v in entry.column]
+        work[entry.source] = [(r, v * entry.inv % p) for r, v in entry.column]
     for entry in span.reduced:
         _clear_row(work, entry.pivot, entry.source, 1, p)
     return work

@@ -19,7 +19,7 @@ from mphom import (
     validate_grading,
 )
 from mphom.generators import random_module
-from mphom.graded import _is_prime, _slice_at_most
+from mphom.graded import _is_prime, _lift_through, _slice_at_most, _xor
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
 
@@ -303,3 +303,151 @@ def test_degree_overflow_is_an_error():
 
     with pytest.raises(DegreeOverflowError):
         deg_join((1 << 62, 0), (0, 0))
+
+
+def _reference_axpy(target, source, scale, p):
+    """target + scale * source for sparse columns, as one sorted merge."""
+    out = []
+    i = j = 0
+    while i < len(target) and j < len(source):
+        ri, rj = target[i][0], source[j][0]
+        if ri < rj:
+            out.append(target[i])
+            i += 1
+        elif ri > rj:
+            c = (scale * source[j][1]) % p
+            if c:
+                out.append((rj, c))
+            j += 1
+        else:
+            c = (target[i][1] + scale * source[j][1]) % p
+            if c:
+                out.append((ri, c))
+            i += 1
+            j += 1
+    out.extend(target[i:])
+    for rj, v in source[j:]:
+        c = (scale * v) % p
+        if c:
+            out.append((rj, c))
+    return out
+
+
+class _ReferenceSpan:
+    """The column sweep with one generic step for every prime: each step
+    asks the field for the pivot's inverse, and `_reference_axpy` adds the
+    scaled column.  Entries are (pivot, column, source, combo) tuples."""
+
+    def __init__(self, fld):
+        self.field = fld
+        self.reduced = []
+        self.zeroed = []
+        self._by_pivot = {}
+
+    def _reduce(self, col, combo=None):
+        p = self.field.p
+        while col:
+            slot = self._by_pivot.get(col[-1][0])
+            if slot is None:
+                break
+            pivot, column, _, other = self.reduced[slot]
+            scale = (-col[-1][1] * self.field.inv(column[-1][1])) % p
+            col = _reference_axpy(col, column, scale, p)
+            if combo is not None and other is not None:
+                for k, v in other.items():
+                    nv = (combo.get(k, 0) + scale * v) % p
+                    if nv:
+                        combo[k] = nv
+                    else:
+                        combo.pop(k, None)
+        return col
+
+    def insert(self, column, source=-1, record=False):
+        combo = {source: 1} if record else None
+        col = self._reduce(list(column), combo)
+        if col:
+            self._by_pivot[col[-1][0]] = len(self.reduced)
+            self.reduced.append((col[-1][0], tuple(col), source, combo))
+            return self.reduced[-1]
+        self.zeroed.append((source, combo))
+        return None
+
+    def reduce_vector(self, column):
+        return self._reduce(list(column))
+
+
+def _ordered(combo):
+    return None if combo is None else list(combo.items())
+
+
+def _entry_view(entry):
+    if entry is None:
+        return None
+    if isinstance(entry, tuple):
+        pivot, column, source, combo = entry
+    else:
+        pivot, column, source, combo = (
+            entry.pivot, entry.column, entry.source, entry.combo)
+    return pivot, column, source, _ordered(combo)
+
+
+def _span_view(span):
+    return (
+        [_entry_view(e) for e in span.reduced],
+        [(s, _ordered(c)) for s, c in span.zeroed],
+    )
+
+
+def _random_columns(rng, p, count, rows=9):
+    """Sparse columns with zero, repeated and dependent ones mixed in."""
+    cols = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            col = ()
+        elif kind < 0.25 and cols:
+            col = rng.choice(cols)
+        elif kind < 0.45 and len(cols) >= 2:
+            acc = []
+            for other in rng.sample(cols, rng.randint(2, min(3, len(cols)))):
+                acc = _reference_axpy(acc, other, rng.randint(1, p - 1), p)
+            col = tuple(acc)
+        else:
+            support = sorted(rng.sample(range(rows), rng.randint(1, 5)))
+            col = tuple((i, rng.randint(1, p - 1)) for i in support)
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**63 - 25])
+@pytest.mark.parametrize("record", [False, True])
+def test_column_span_matches_the_generic_reference(p, record):
+    """Both paths of `ColumnSpan._reduce` (the GF(2) merge and the stored
+    pivot inverse) give the reference's entries, combination key order
+    included, residuals, membership answers and lifts."""
+    fld = PrimeField(p)
+    rng = random.Random(f"core:{p}:{record}")
+    for _ in range(30):
+        cols = _random_columns(rng, p, rng.randint(1, 25))
+        span, ref = ColumnSpan(fld), _ReferenceSpan(fld)
+        probes = _random_columns(rng, p, 6)
+        for j, col in enumerate(cols):
+            probe = rng.choice(probes + cols)
+            assert span.reduce_vector(probe) == ref.reduce_vector(probe)
+            assert span.contains(probe) == (not ref.reduce_vector(probe))
+            assert _entry_view(span.insert(col, source=j, record=record)) \
+                == _entry_view(ref.insert(col, source=j, record=record))
+            if record and rng.random() < 0.3:
+                probe = rng.choice(probes + cols)
+                assert _lift_through(span, probe) == _lift_through(ref, probe)
+        assert _span_view(span) == _span_view(ref)
+        for entry in span.reduced:
+            assert entry.column[-1][1] * entry.inv % p == 1
+
+
+def test_gf2_merge_is_the_generic_step():
+    rng = random.Random("xor")
+    cols = _random_columns(rng, 2, 200)
+    for _ in range(500):
+        a, b = rng.choice(cols), rng.choice(cols)
+        assert _xor(a, b) == _reference_axpy(a, b, 1, 2)

@@ -8,8 +8,10 @@ from mphom import (
     CokernelCache,
     DimensionMismatchError,
     GradingError,
+    PrimeField,
     column_reduce,
     deg_leq,
+    graded_matrix_from_entries,
     hilbert_at,
     kernel,
     local_cokernel,
@@ -21,7 +23,7 @@ from mphom import (
 )
 from mphom import localalg
 from mphom.generators import random_module, random_pair
-from mphom.graded import _slice_at_most
+from mphom.graded import _slice_at_most, _slice_indices
 from mphom.localalg import evaluation_grid, grid_points
 
 from conftest import free_module, red_blue, staircase_pair, zero_module
@@ -383,3 +385,35 @@ def test_reading_slice_indices_reduces_nothing(monkeypatch):
     # The first read of the subset reduces the slice, once.
     assert ck.subset == ck.subset
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_degree_index_matches_the_slice_scan(d):
+    """The cache's per-axis degree index gives the slice indices that
+    `_slice_indices` scans for, on tied and negative coordinates, with no
+    rows or no columns, and below and above every degree of N; a degree
+    of the wrong arity raises from `CokernelCache.at`."""
+    rng = random.Random(f"degree-index:{d}")
+    fld = PrimeField(2)
+
+    def degrees(count):
+        return [tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(count)]
+
+    shapes = [(0, 0), (0, 5), (5, 0)] + [
+        (rng.randint(1, 12), rng.randint(1, 12)) for _ in range(12)
+    ]
+    for n_rows, n_cols in shapes:
+        m = graded_matrix_from_entries(
+            fld, degrees(n_rows), degrees(n_cols), {})
+        cache = CokernelCache(m)
+        alphas = degrees(20) + list(m.rows) + list(m.cols) + [
+            (-4,) * d, (4,) * d, (-4,) * (d - 1) + (4,), (4,) * (d - 1) + (-4,),
+        ]
+        for alpha in alphas:
+            ck = cache.at(alpha)
+            assert (ck.rows_le, ck.cols_le) == _slice_indices(m, alpha)
+        if m.dim:
+            for bad in ((0,) * (d + 1), (0,) * (d - 1)):
+                with pytest.raises(DimensionMismatchError):
+                    cache.at(bad)
