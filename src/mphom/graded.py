@@ -7,12 +7,25 @@ as a list of sparse columns, each column a tuple of (row index, coefficient)
 pairs in strictly increasing row order; this favours the column reductions
 used everywhere downstream.
 
-Every column reduction runs through `ColumnSpan`.  Each reduced column
-stores the inverse of its pivot entry, computed once when it is inserted,
-so an elimination step asks the field for no inverse.  Over GF(2) a step
-is a sorted symmetric difference of rows (`_xor`) with no scale and no
-`%`; the span chooses it from the field, and it gives the same columns
-and combinations, in the same order, as the generic `_axpy` step.
+Column reductions run through `ColumnSpan`, except three whole sweeps
+over GF(2).  Each reduced column of a `ColumnSpan` stores the inverse of
+its pivot entry, computed once when it is inserted, so an elimination
+step asks the field for no inverse.  Over GF(2) a step is a sorted
+symmetric difference of rows (`_xor`) with no scale and no `%`; the span
+chooses it from the field, and it gives the same columns and
+combinations, in the same order, as the generic `_axpy` step.
+
+The sweeps that insert many columns and read back only ranks or zeroed
+combinations (`nullspace_of_columns`, and `kernel` and `_irredundant` in
+`presentations`) use `_Gf2Span` over GF(2) instead.  It packs each
+column once per call into an int whose bit r is row r, eliminates by
+`^`, reads the pivot off `bit_length()`, and keeps combinations as int
+bitsets over the sources; only the zeroed combinations are unpacked.  A
+zeroed combination is its source plus the column's unique expression in
+the columns kept before it, so both spans return the same one.  The
+one-shot reductions (local cokernel spans, the homotopy quotient, the
+audit's membership test, lifts) stay on `ColumnSpan`: there packing a
+column costs as much as the XOR saves.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -28,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     GradingError,
+    UnsortedRowsError,
 )
 
 # Degrees are plain tuples of ints; the helpers below enforce equal arity.
@@ -448,6 +462,10 @@ class ColumnSpan:
         Over GF(2) every coefficient is 1, so a step adds the column and
         toggles the combination's keys; a toggled key that comes back is
         appended, as the generic update appends it.
+
+        Each step must lower the pivot row.  One that does not can only
+        come from a column whose rows do not increase, and would loop
+        forever, so it raises UnsortedRowsError.
         """
         p = self.field.p
         by_pivot = self._by_pivot
@@ -462,16 +480,21 @@ class ColumnSpan:
                     for k in other.combo:
                         if not combo.pop(k, 0):
                             combo[k] = 1
-                continue
-            scale = -lead * other.inv % p
-            col = _axpy(col, other.column, scale, p)
-            if combo is not None and other.combo is not None:
-                for k, v in other.combo.items():
-                    nv = (combo.get(k, 0) + scale * v) % p
-                    if nv:
-                        combo[k] = nv
-                    else:
-                        combo.pop(k, None)
+            else:
+                scale = -lead * other.inv % p
+                col = _axpy(col, other.column, scale, p)
+                if combo is not None and other.combo is not None:
+                    for k, v in other.combo.items():
+                        nv = (combo.get(k, 0) + scale * v) % p
+                        if nv:
+                            combo[k] = nv
+                        else:
+                            combo.pop(k, None)
+            if col and col[-1][0] >= row:
+                raise UnsortedRowsError(
+                    f"reducing at row {row} left row {col[-1][0]} last: "
+                    "column rows are not strictly increasing"
+                )
         return col
 
     def insert(self, column, source=-1, record=False):
@@ -495,6 +518,70 @@ class ColumnSpan:
     def contains(self, column):
         return not self._reduce(column)
 
+    @staticmethod
+    def combination(combo):
+        """A recorded combination as sorted (source, coefficient) pairs."""
+        return tuple(sorted(combo.items()))
+
+
+def _bits(packed):
+    """Indices of the set bits of a packed int, increasing."""
+    out = []
+    while packed:
+        low = packed & -packed
+        out.append(low.bit_length() - 1)
+        packed ^= low
+    return out
+
+
+class _Gf2Span:
+    """A GF(2) column span over packed columns, for sweeps that insert
+    many columns and read back only ranks and zeroed combinations.
+
+    `pack` turns a sparse column into an int whose bit r is row r; the
+    callers pack each column once per sweep and insert the ints.  A step
+    XORs a stored column into the residual, and the pivot, the lowest
+    row, is `bit_length() - 1`, as in `ColumnSpan`.  When recording, each
+    stored column carries its combination of sources as an int, bit j for
+    source j, and each zeroed column appends (source, combination) to
+    `zeroed`; `combination` unpacks one.  The interface is the part of
+    `ColumnSpan`'s that the sweeps use, so a sweep takes either span.
+    """
+
+    __slots__ = ("_by_pivot", "zeroed")
+
+    def __init__(self, fld=None):
+        self._by_pivot = {}
+        self.zeroed = []
+
+    @staticmethod
+    def pack(column):
+        bits = 0
+        for r, _ in column:
+            bits |= 1 << r
+        return bits
+
+    def insert(self, bits, source=-1, record=False):
+        """Reduce a packed column against the span.  True when it is
+        kept, enlarging the span; False when it vanishes."""
+        combo = 1 << source if record else 0
+        by_pivot = self._by_pivot
+        while bits:
+            pivot = bits.bit_length() - 1
+            other = by_pivot.get(pivot)
+            if other is None:
+                by_pivot[pivot] = (bits, combo)
+                return True
+            bits ^= other[0]
+            combo ^= other[1]
+        if record:
+            self.zeroed.append((source, combo))
+        return False
+
+    @staticmethod
+    def combination(combo):
+        return tuple([(k, 1) for k in _bits(combo)])
+
 
 def column_reduce(columns, fld, record=False):
     """Column-reduce a sparse matrix given as a sequence of columns.
@@ -511,9 +598,18 @@ def column_reduce(columns, fld, record=False):
 
 
 def nullspace_of_columns(columns, fld):
-    """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts."""
-    span = column_reduce(columns, fld, record=True)
-    return [combo for _, combo in span.zeroed]
+    """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
+
+    One recording sweep: by `_Gf2Span` over GF(2), else by `ColumnSpan`.
+    """
+    if fld.p != 2:
+        span = column_reduce(columns, fld, record=True)
+        return [combo for _, combo in span.zeroed]
+    span = _Gf2Span()
+    pack = span.pack
+    for idx, col in enumerate(columns):
+        span.insert(pack(col), idx, True)
+    return [dict.fromkeys(_bits(combo), 1) for _, combo in span.zeroed]
 
 
 def _lift_through(span, column):

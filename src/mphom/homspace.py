@@ -29,7 +29,9 @@ admissible Q entries in `_flat_index` order, and `_reduce_flat`
 column-reduces those columns once: after the flattened null-homotopies
 for `direct` and `mixed`, on their own for `a`, whose lifts are unique.
 Only the surviving columns are turned back into graded matrices.  The
-rank that `homotopy_killed` needs is read off the same flat columns.
+rank that `homotopy_killed` needs is the solution count less the
+solutions with Q = 0, which the ranks of N's slices at the relation
+degrees of X count, so no Q column is reduced a second time.
 The public `homotopy_reduce` flattens its Q matrices and calls the same
 reducer, over a `CokernelCache` of its target.
 
@@ -396,7 +398,8 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     """Solve a route's system and reduce the Q parts of its solutions.
 
     With `quotient` the Q parts are reduced modulo null-homotopies and
-    `homotopy_killed` counts the directions that removed; without it
+    `homotopy_killed` counts the directions that removed, read off the
+    ranks of N's slices at the relation degrees of X; without it
     (unique lifts) a plain column reduction drops dependent solutions.
     The system's `CokernelCache` of N also serves the audit.
     """
@@ -407,10 +410,15 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
     killed = 0
     if quotient:
-        rank = ColumnSpan(fld)
-        for col in qcols:
-            rank.insert(col)
-        killed = rank.rank - len(survivors)
+        # The solutions with Q = 0 are the (0, P) with N P = 0; column r of
+        # P is free over the slice of N at deg r, so they span
+        # sum_r (len(cols_le) - rank) dimensions, and the Q parts span the
+        # rest of the len(qcols) solutions.
+        q_zero = 0
+        for rdeg in xp.matrix.cols:
+            ck = cache.at(rdeg)
+            q_zero += len(ck.cols_le) - ck.span.rank
+        killed = len(qcols) - q_zero - len(survivors)
     stats = SolveStats(
         algorithm,
         len(system.q_vars) + len(system.p_vars),

@@ -7,7 +7,9 @@ of the others at its own degree (so no relation is redundant).
 
 Both column filters walk lines.  A column's head is its first d - 1
 coordinates; on a line (a head degree) the columns whose head lies below
-it are reduced, by `ColumnSpan`, in order of their last coordinate.
+it are reduced in order of their last coordinate.  Over GF(2) the
+columns are packed into ints once per call and reduced by `_Gf2Span` on
+every line; over other primes `ColumnSpan` reduces them (`_line_span`).
 `minimize` keeps a relation when it enlarges the span on its own line,
 one rank-only sweep per distinct head (`_irredundant`).  The kernel makes
 one recording sweep per point of the join closure of the heads, and a
@@ -36,6 +38,7 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
+    _Gf2Span,
     _check_arity,
     _transpose,
     column_reduce,
@@ -96,6 +99,15 @@ def _equal_degree_unit(rows, cols, columns):
     return None
 
 
+def _line_span(fld):
+    """(span type, column packing) of the line sweeps over fld: over GF(2)
+    `_Gf2Span`, whose columns a sweep packs once per call and reuses on
+    every line, else `ColumnSpan` on the columns as tuples."""
+    if fld.p == 2:
+        return _Gf2Span, _Gf2Span.pack
+    return ColumnSpan, tuple
+
+
 def _irredundant(degrees, columns, fld):
     """Indices, increasing, of the columns left after dropping, in (sum,
     degree) order, each one that is zero or lies in the span of the
@@ -104,23 +116,26 @@ def _irredundant(degrees, columns, fld):
 
     One rank-only sweep per distinct head h: walking the columns in (last
     coordinate, head, index) order up to the last one of head h, a fresh
-    `ColumnSpan` takes each one of head <= h, and keeps those of head h
-    that enlarge it.  On line head(j) the columns before j are exactly
-    those of degree <= deg j before j in (sum, degree) order, and each
-    dropped one lies in the span of kept ones, so the test is the same.
+    span takes each one of head <= h, and keeps those of head h that
+    enlarge it.  On line head(j) the columns before j are exactly those
+    of degree <= deg j before j in (sum, degree) order, and each dropped
+    one lies in the span of kept ones, so the test is the same.  Over
+    GF(2) the span is a `_Gf2Span` and each column is packed once for all
+    lines (`_line_span`); over other primes it is a `ColumnSpan`.
     """
+    span_type, pack = _line_span(fld)
     heads = list(dict.fromkeys(deg[:-1] for deg in degrees))
     head_of = {h: i for i, h in enumerate(heads)}
     order = sorted(range(len(degrees)), key=lambda j: (
         degrees[j][-1:], _degree_sort_key(degrees[j][:-1]), j))
-    sweep = [(j, head_of[degrees[j][:-1]], columns[j]) for j in order]
+    sweep = [(j, head_of[degrees[j][:-1]], pack(columns[j])) for j in order]
     last = {h: pos for pos, (_, h, _) in enumerate(sweep)}
     keep = []
     for line, stop in last.items():
         below = [all(map(le, h, heads[line])) for h in heads]
-        span = ColumnSpan(fld)
+        span = span_type(fld)
         for j, h, column in sweep[:stop + 1]:
-            if below[h] and span.insert(column) is not None and h == line:
+            if below[h] and span.insert(column) and h == line:
                 keep.append(j)
     return sorted(keep)
 
@@ -222,11 +237,13 @@ def kernel(matrix):
     line.  The lines are the join closure of the columns' first d - 1
     coordinates (`_join_closure`, capped at CLOSURE_CAP points): for d = 2
     the distinct x values, for d <= 1 one empty line.  They are walked in
-    (sum, degree) order.  On line a, a `ColumnSpan` takes the columns whose
+    (sum, degree) order.  On line a, a fresh span takes the columns whose
     first d - 1 coordinates lie below a, in (last coordinate, index)
-    order.  A column zeroed on a line a' <= a is zeroed again on a (the
-    columns before it there are a superset), so line a skips it, which
-    leaves its span unchanged.  A column the span zeroes gives one
+    order: over GF(2) a `_Gf2Span`, on columns packed once for all lines
+    (`_line_span`), else a `ColumnSpan`.  Both record the same zeroed
+    combinations.  A column zeroed on a line a' <= a is zeroed again on a
+    (the columns before it there are a superset), so line a skips it,
+    which leaves its span unchanged.  A column the span zeroes gives one
     generator: degree a + (c_d(j),), column the recorded dependency.
 
     They generate: at (a, z), each column j with c_d(j) <= z that line a
@@ -246,10 +263,12 @@ def kernel(matrix):
     if not cols:
         return GradedMatrix(fld, cols, [], [], validate=False)
     _check_degrees(list(dict.fromkeys(cols)))
+    span_type, pack = _line_span(fld)
     heads = list(dict.fromkeys(c[:-1] for c in cols))
     head_of = {h: i for i, h in enumerate(heads)}
     order = sorted(range(len(cols)), key=lambda j: (cols[j][-1:], j))
-    sweep = [(j, head_of[cols[j][:-1]], matrix.columns[j]) for j in order]
+    sweep = [(j, head_of[cols[j][:-1]], pack(matrix.columns[j]))
+             for j in order]
     found = []  # (degree, column index, sparse column)
     gave = []  # (line, the columns that gave a generator on it)
     for line in _join_closure(heads):
@@ -258,15 +277,15 @@ def kernel(matrix):
         for earlier, js in gave:
             if all(map(le, earlier, line)):
                 dead.update(js)
-        span = ColumnSpan(fld)
+        span = span_type(fld)
         zeroed = []
         for j, h, column in sweep:
             if not below[h] or j in dead:
                 continue
-            if span.insert(column, source=j, record=True) is None:
+            if not span.insert(column, source=j, record=True):
                 zeroed.append(j)
-                combo = sorted(span.zeroed[-1][1].items())
-                found.append((line + cols[j][-1:], j, tuple(combo)))
+                combo = span.combination(span.zeroed[-1][1])
+                found.append((line + cols[j][-1:], j, combo))
         if zeroed:
             gave.append((line, zeroed))
     found.sort(key=lambda g: (_degree_sort_key(g[0]), g[1]))

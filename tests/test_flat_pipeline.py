@@ -365,3 +365,29 @@ def test_homotopy_reduce_is_idempotent_on_route_survivors(name, pair):
         if route is not hom_restricted:
             # The quotient routes return survivors of this very reduction.
             assert once == elements
+
+
+def random_quotient_pairs():
+    for d, n, coord_range, p in ((2, 12, 18, 2), (2, 16, 24, 5),
+                                 (2, 20, 30, 2), (3, 6, 6, 2), (3, 7, 6, 3)):
+        for seed in range(3):
+            yield random_pair(seed, d=d, gens=n, rels=n,
+                              coord_range=coord_range, p=p)
+
+
+def test_homotopy_killed_matches_the_rank_sweep(monkeypatch):
+    """`homotopy_killed`, read off the ranks of N's slices, equals the
+    rank of the solutions' Q parts, found by a sweep over them, less the
+    survivors."""
+    killed = 0
+    for xp, yp in random_quotient_pairs():
+        for algorithm in ("direct", "mixed"):
+            basis, _, system = run_recording(
+                monkeypatch, ROUTES[algorithm], xp, yp)
+            rank = ColumnSpan(xp.field)
+            for col in system.solve():
+                rank.insert(col)
+            assert basis.stats.homotopy_killed == rank.rank - basis.dim, (
+                algorithm)
+            killed += basis.stats.homotopy_killed
+    assert killed

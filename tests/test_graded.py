@@ -11,6 +11,7 @@ from mphom import (
     GradedMatrix,
     GradingError,
     PrimeField,
+    UnsortedRowsError,
     column_reduce,
     deg_join,
     deg_leq,
@@ -19,7 +20,13 @@ from mphom import (
     validate_grading,
 )
 from mphom.generators import random_module
-from mphom.graded import _is_prime, _lift_through, _slice_at_most, _xor
+from mphom.graded import (
+    _Gf2Span,
+    _is_prime,
+    _lift_through,
+    _slice_at_most,
+    _xor,
+)
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
 
@@ -451,3 +458,30 @@ def test_gf2_merge_is_the_generic_step():
     for _ in range(500):
         a, b = rng.choice(cols), rng.choice(cols)
         assert _xor(a, b) == _reference_axpy(a, b, 1, 2)
+
+
+def test_gf2_span_matches_the_generic_reference():
+    """The packed span keeps the columns the reference keeps, and records
+    the same zeroed combinations, as sets of sources."""
+    fld = PrimeField(2)
+    rng = random.Random("packed")
+    for _ in range(40):
+        cols = _random_columns(rng, 2, rng.randint(0, 30), rows=70)
+        span, ref = _Gf2Span(), _ReferenceSpan(fld)
+        for j, col in enumerate(cols):
+            kept = span.insert(span.pack(col), source=j, record=True)
+            assert kept == (ref.insert(col, source=j, record=True) is not None)
+        assert [(s, dict(span.combination(c))) for s, c in span.zeroed] \
+            == [(s, c) for s, c in ref.zeroed]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_unsorted_column_raises_instead_of_looping(p):
+    """A column whose rows do not increase would leave its pivot row in
+    place on every step; the span raises a typed error instead."""
+    span = ColumnSpan(PrimeField(p))
+    span.insert(((1, 1), (0, 1)))
+    with pytest.raises(UnsortedRowsError):
+        span.insert(((0, 1),))
+    with pytest.raises(UnsortedRowsError):
+        span.contains(((0, p - 1),))

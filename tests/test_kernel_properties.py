@@ -1,7 +1,9 @@
 """Property tests of the kernel's line sweep against the per-point kernel,
 of `minimize` reaching its fixpoint in one round, of `_irredundant`'s
 line sweep against the per-column reference, and of `sparsify` against
-the lift-based reference and its thick + 1 entry bound.
+the lift-based reference and its thick + 1 entry bound.  GF(2) draws
+also compare the packed `kernel`, `_irredundant` and
+`nullspace_of_columns` with the generic sweep.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -14,13 +16,20 @@ from mphom import (
     Presentation,
     PrimeField,
     graded_matrix_from_entries,
+    kernel,
     minimize,
+    nullspace_of_columns,
     sparsify,
     thickness,
 )
 from mphom.localalg import CokernelCache, evaluation_grid, grid_points
 from mphom.presentations import _equal_degree_unit, _irredundant
 
+from test_packed_sweeps import (
+    generic_irredundant,
+    generic_kernel,
+    generic_nullspace,
+)
 from test_presentations import (
     _assert_kernel_matches_per_point,
     _irredundant_per_column,
@@ -52,6 +61,12 @@ def test_kernel_properties_on_small_matrices(m):
     k = _assert_kernel_matches_per_point(m)
     if k.ncols:
         _assert_kernel_matches_per_point(k)
+    if m.field.p == 2:
+        assert k == generic_kernel(m)
+        assert nullspace_of_columns(m.columns, m.field) == (
+            generic_nullspace(m.columns, m.field))
+        if k.ncols:
+            assert kernel(k) == generic_kernel(k)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -70,8 +85,10 @@ def test_minimize_is_a_fixpoint_after_one_round(m):
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_small_matrices())
 def test_irredundant_line_sweep_matches_per_column_reference(m):
-    assert _irredundant(m.cols, m.columns, m.field) == (
-        _irredundant_per_column(m.cols, m.columns, m.field))
+    keep = _irredundant(m.cols, m.columns, m.field)
+    assert keep == _irredundant_per_column(m.cols, m.columns, m.field)
+    if m.field.p == 2:
+        assert keep == generic_irredundant(m.cols, m.columns, m.field)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
