@@ -14,6 +14,7 @@ from .errors import (
     DegreeArityError,
     DegreeOverflowError,
     DimensionMismatchError,
+    EmptyPresentationError,
     FieldArgumentError,
     FieldMismatchError,
     FlagConflictError,

@@ -93,11 +93,11 @@ def _dual_basis(route, algorithm, xp, yp, context):
         return _empty_basis(algorithm, "cogenerators")
     ctx = context or dual_context(xp, yp)
     inner = route(ctx.dual_y, ctx.dual_x)
-    cogen_x = [deg_neg(d) for d in ctx.dual_x.matrix.rows]
-    cogen_y = [deg_neg(d) for d in ctx.dual_y.matrix.rows]
+    cogen_x = tuple([deg_neg(d) for d in ctx.dual_x.matrix.rows])
+    cogen_y = tuple([deg_neg(d) for d in ctx.dual_y.matrix.rows])
     elements = tuple(
-        GradedMatrix(q.field, cogen_y, cogen_x,
-                     _transpose(q.columns, len(cogen_x)), validate=False)
+        GradedMatrix._trusted(q.field, cogen_y, cogen_x,
+                              tuple(_transpose(q.columns, len(cogen_x))))
         for q in inner.elements
     )
     stats = replace(inner.stats, algorithm=algorithm)

@@ -21,6 +21,11 @@ class GradingError(MphomError):
     """A matrix entry violates the row-degree <= column-degree constraint."""
 
 
+class EmptyPresentationError(MphomError, ValueError):
+    """An operation that reads degrees got presentations with none (no
+    generator and no relation), so there is no bound to take."""
+
+
 class FieldMismatchError(MphomError):
     """Two objects over different prime fields were combined."""
 

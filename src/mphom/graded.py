@@ -7,23 +7,24 @@ as a list of sparse columns, each column a tuple of (row index, coefficient)
 pairs in strictly increasing row order; this favours the column reductions
 used everywhere downstream.
 
-Column reductions run through `ColumnSpan`, except three whole sweeps
-over GF(2).  Each reduced column of a `ColumnSpan` stores the inverse of
-its pivot entry, computed once when it is inserted, so an elimination
+Column reductions run through `ColumnSpan`, except the nullspace sweep
+over GF(2) and the line sweeps of `presentations`, which carry their own
+reductions.  Each reduced column of a `ColumnSpan` stores the inverse
+of its pivot entry, computed once when it is inserted, so an elimination
 step asks the field for no inverse.  Over GF(2) a step is a sorted
 symmetric difference of rows (`_xor`) with no scale and no `%`; the span
 chooses it from the field, and it gives the same columns and
 combinations, in the same order, as the generic `_axpy` step.
 
-The sweeps that insert many columns and read back only ranks or zeroed
-combinations (`nullspace_of_columns`, and `kernel` and `_irredundant` in
-`presentations`) use `_Gf2Span` over GF(2) instead.  It packs each
-column once per call into an int whose bit r is row r, eliminates by
-`^`, reads the pivot off `bit_length()`, and keeps combinations as int
-bitsets over the sources; only the zeroed combinations are unpacked.  A
-zeroed combination is its source plus the column's unique expression in
-the columns kept before it, so both spans return the same one.  The
-one-shot reductions (local cokernel spans, the homotopy quotient, the
+`nullspace_of_columns` inserts many columns and reads back only the
+zeroed combinations, so over GF(2) it uses `_Gf2Span` instead.  It packs
+each column once per call into an int whose bit r is row r, eliminates
+by `^`, reads the pivot off `bit_length()`, and keeps combinations as
+int bitsets over the sources; only the zeroed combinations are unpacked
+(`_bits`).  A zeroed combination is its source plus the column's
+unique expression in the columns kept before it, so both spans return
+the same one.  The GF(2) line sweeps of `presentations` pack and unpack
+their columns and combinations the same way.  The one-shot reductions (local cokernel spans, the homotopy quotient, the
 audit's membership test, lifts) stay on `ColumnSpan`: there packing a
 column costs as much as the XOR saves.
 
@@ -518,11 +519,6 @@ class ColumnSpan:
     def contains(self, column):
         return not self._reduce(column)
 
-    @staticmethod
-    def combination(combo):
-        """A recorded combination as sorted (source, coefficient) pairs."""
-        return tuple(sorted(combo.items()))
-
 
 def _bits(packed):
     """Indices of the set bits of a packed int, increasing."""
@@ -535,8 +531,8 @@ def _bits(packed):
 
 
 class _Gf2Span:
-    """A GF(2) column span over packed columns, for sweeps that insert
-    many columns and read back only ranks and zeroed combinations.
+    """A GF(2) column span over packed columns, for a sweep that inserts
+    many columns and reads back only zeroed combinations.
 
     `pack` turns a sparse column into an int whose bit r is row r; the
     callers pack each column once per sweep and insert the ints.  A step
@@ -544,8 +540,7 @@ class _Gf2Span:
     row, is `bit_length() - 1`, as in `ColumnSpan`.  When recording, each
     stored column carries its combination of sources as an int, bit j for
     source j, and each zeroed column appends (source, combination) to
-    `zeroed`; `combination` unpacks one.  The interface is the part of
-    `ColumnSpan`'s that the sweeps use, so a sweep takes either span.
+    `zeroed`; `_bits` unpacks one.
     """
 
     __slots__ = ("_by_pivot", "zeroed")
@@ -577,10 +572,6 @@ class _Gf2Span:
         if record:
             self.zeroed.append((source, combo))
         return False
-
-    @staticmethod
-    def combination(combo):
-        return tuple([(k, 1) for k in _bits(combo)])
 
 
 def column_reduce(columns, fld, record=False):

@@ -6,38 +6,50 @@ degree (so nothing cancels) and no column lies in the span of the shifts
 of the others at its own degree (so no relation is redundant).
 
 Both column filters walk lines.  A column's head is its first d - 1
-coordinates; on a line (a head degree) the columns whose head lies below
-it are reduced in order of their last coordinate.  Over GF(2) the
-columns are packed into ints once per call and reduced by `_Gf2Span` on
-every line; over other primes `ColumnSpan` reduces them (`_line_span`).
-`minimize` keeps a relation when it enlarges the span on its own line,
-one rank-only sweep per distinct head (`_irredundant`).  The kernel makes
-one recording sweep per point of the join closure of the heads, and a
-column's first zeroing on a line gives one generator.  For d <= 2 the
-lines form a chain and the generating set is minimal; for d >= 3
-generators spanned by earlier ones are dropped by `_irredundant` (see
-`kernel`).  The closure is enumerated once per distinct head, joining it
-with the points found so far, and is capped at CLOSURE_CAP points.  For
-d = 2 this produces the usual length-<=2 resolutions; for higher d it is
-correct but makes no complexity claim.
+coordinates; on a line (a head degree) the active columns are those
+whose head lies below it, ranked by their last coordinate.  The lines
+that differ only in their last coordinate form a chain, and
+`_line_sweep` carries one left-to-right column reduction along each
+chain (the kernel reduction of Lesnick and Wright, arXiv:1902.05708, as
+in mpfree): on each line it activates the columns new there and reduces,
+by a heap in rank order, only those and the columns they displace from
+their pivots.  A zero column stays zero up the chain.  At d = 2 all
+lines form one chain; at d <= 1 there is one line.  Over GF(2) columns
+are packed ints (`_Gf2Chain`), over other primes sparse lists
+(`_FieldChain`).
+
+`minimize` cancels equal-degree units in one pass over a heap of
+candidates (`_cancel_units`), then keeps a relation when it is nonzero
+on its own head's line (`_irredundant`, the distinct heads as lines).
+The kernel's lines are the join closure of the heads (`_join_closure`,
+enumerated chain by chain and capped at CLOSURE_CAP points); a column
+first reaching zero on a line gives one generator, its combination
+normalised to the line's greedy basis.  For d <= 2 the generating set
+is minimal; for d >= 3 generators spanned by earlier ones are dropped
+by `_irredundant` (see `kernel`).  For d = 2 this produces the usual
+length-<=2 resolutions; for higher d it is correct but makes no
+complexity claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from operator import le
 
 from .errors import (
     DegreeOverflowError,
     DimensionMismatchError,
+    EmptyPresentationError,
     GradingError,
     ResourceCapError,
+    UnsortedRowsError,
 )
 from .graded import (
     _COORD_LIMIT,
-    ColumnSpan,
     GradedMatrix,
     _axpy,
+    _bits,
     _Gf2Span,
     _check_arity,
     _transpose,
@@ -89,23 +101,234 @@ def _degree_sort_key(deg):
     return (sum(deg), deg)
 
 
-def _equal_degree_unit(rows, cols, columns):
-    """First (row, column, value) entry, column by column, joining a row
-    and a column of equal degree; None when there is none."""
-    for j, col in enumerate(columns):
-        for i, v in col:
-            if rows[i] == cols[j]:
-                return i, j, v
-    return None
+class _Chain:
+    """A column reduction carried along one chain of lines.
+
+    Columns are known by their sweep rank.  `activate` adds columns;
+    `settle` reduces, in rank order by a heap, the columns added since the
+    last call and those displaced from their pivot (the lowest row), and
+    returns (rank, combination) for each column that reached zero, in
+    rank order.  A column whose pivot is held by a column to its left is
+    reduced by it; one whose pivot is held by a column to its right takes
+    the pivot and the right column goes back on the heap.  So every
+    nonzero column holds its own pivot, and a column is zero exactly when
+    it lies in the span of the active columns to its left.  Activating
+    columns only adds columns, so a zero column stays zero for the rest
+    of the chain.
+
+    When recording, each column carries its combination of ranks.  A
+    column reaching zero is normalised by adding in the stored
+    combination of each zero column it uses, highest rank first, and
+    stores the result: its own rank plus the unique combination of the
+    nonzero columns to its left that cancels it, which is what a fresh
+    left-to-right reduction of the line records (`_pairs` reads it).
+    Without recording the combination is None.
+    """
+
+    __slots__ = ("field", "record", "cols", "combos", "owner", "heap",
+                 "stored")
+
+    def __init__(self, fld, record):
+        self.field = fld
+        self.record = record
+        self.cols = {}  # rank -> reduced column, for the nonzero columns
+        self.combos = {}  # rank -> its combination
+        self.owner = {}  # pivot row -> rank holding it
+        self.heap = []
+        self.stored = {}  # rank -> normalised combination of a zero column
+
+    def activate(self, ranks, packed):
+        """Add the columns of these ranks, `packed` indexed by rank; the
+        next `settle` reduces them."""
+        cols, combos, unit = self.cols, self.combos, self.unit
+        record = self.record
+        for r in ranks:
+            cols[r] = packed[r]
+            combos[r] = unit(r) if record else None
+        self.heap += ranks
 
 
-def _line_span(fld):
-    """(span type, column packing) of the line sweeps over fld: over GF(2)
-    `_Gf2Span`, whose columns a sweep packs once per call and reuses on
-    every line, else `ColumnSpan` on the columns as tuples."""
-    if fld.p == 2:
-        return _Gf2Span, _Gf2Span.pack
-    return ColumnSpan, tuple
+class _Gf2Chain(_Chain):
+    """`_Chain` over GF(2): columns are packed ints (bit r = row r),
+    eliminated by `^`, and combinations ints with bit k for rank k."""
+
+    __slots__ = ("zero",)
+
+    pack = staticmethod(_Gf2Span.pack)
+
+    def __init__(self, fld, record):
+        super().__init__(fld, record)
+        self.zero = 0  # the zero ranks, as bits
+
+    @staticmethod
+    def unit(rank):
+        return 1 << rank
+
+    def settle(self):
+        cols, combos, owner, heap = self.cols, self.combos, self.owner, \
+            self.heap
+        record = self.record
+        heapify(heap)
+        died = []
+        while heap:
+            r = heappop(heap)
+            bits, combo = cols[r], combos[r]
+            while bits:
+                pivot = bits.bit_length() - 1
+                other = owner.get(pivot)
+                if other is None or other > r:
+                    owner[pivot] = r
+                    if other is not None:
+                        heappush(heap, other)
+                    break
+                bits ^= cols[other]
+                if record:
+                    combo ^= combos[other]
+            if bits:
+                cols[r], combos[r] = bits, combo
+                continue
+            del cols[r], combos[r]
+            if record:
+                stored, zero = self.stored, self.zero
+                while used := combo & zero:
+                    combo ^= stored[used.bit_length() - 1]
+                stored[r] = combo
+                self.zero = zero | 1 << r
+            died.append((r, combo))
+        return died
+
+
+class _FieldChain(_Chain):
+    """`_Chain` over any prime: columns are sparse (row, coefficient)
+    lists, combined by `_axpy` with field scaling, each pivot's inverse
+    is stored when it is taken, and combinations are dicts from rank to
+    coefficient, updated in place as `ColumnSpan` updates its own."""
+
+    __slots__ = ("inv",)
+
+    pack = staticmethod(tuple)
+
+    def __init__(self, fld, record):
+        super().__init__(fld, record)
+        self.inv = {}  # rank -> inverse of its pivot entry
+
+    @staticmethod
+    def unit(rank):
+        return {rank: 1}
+
+    def settle(self):
+        fld = self.field
+        p = fld.p
+        cols, combos, owner, inv, heap = self.cols, self.combos, \
+            self.owner, self.inv, self.heap
+        heapify(heap)
+        died = []
+        while heap:
+            r = heappop(heap)
+            col, combo = cols[r], combos[r]
+            while col:
+                row, lead = col[-1]
+                other = owner.get(row)
+                if other is None or other > r:
+                    owner[row] = r
+                    inv[r] = fld.inv(lead)
+                    if other is not None:
+                        heappush(heap, other)
+                    break
+                scale = -lead * inv[other] % p
+                col = _axpy(col, cols[other], scale, p)
+                if col and col[-1][0] >= row:
+                    raise UnsortedRowsError(
+                        f"reducing at row {row} left row {col[-1][0]} "
+                        "last: column rows are not strictly increasing"
+                    )
+                if combo is not None:
+                    _add_into(combo, combos[other], scale, p)
+            if col:
+                cols[r] = col
+                continue
+            del cols[r], combos[r]
+            if combo is not None:
+                self._normalise(combo)
+                self.stored[r] = combo
+            died.append((r, combo))
+        return died
+
+    def _normalise(self, combo):
+        """Add in the stored combination of each zero rank the combination
+        uses, highest first, by a heap of those ranks."""
+        stored, p = self.stored, self.field.p
+        todo = [-k for k in combo if k in stored]
+        heapify(todo)
+        while todo:
+            k = -heappop(todo)
+            v = combo.get(k)
+            if v:
+                for new in _add_into(combo, stored[k], p - v, p):
+                    if new in stored:
+                        heappush(todo, -new)
+
+
+def _add_into(combo, other, scale, p):
+    """combo += scale * other for dict combinations, in place; return
+    the keys that were not in combo before."""
+    new = []
+    get = combo.get
+    for k, v in other.items():
+        old = get(k, 0)
+        nv = (old + scale * v) % p
+        if nv:
+            combo[k] = nv
+            if not old:
+                new.append(k)
+        else:
+            del combo[k]
+    return new
+
+
+def _pairs(combo):
+    """A combination `settle` recorded, as (rank, coefficient) pairs."""
+    if isinstance(combo, int):
+        return [(k, 1) for k in _bits(combo)]
+    return combo.items()
+
+
+def _line_sweep(lines, heads, columns, fld, record=False):
+    """Walk `lines`, given in (sum, degree) order, by chains of lines,
+    carrying one column reduction along each chain; yield (line, died)
+    per line on which a column becomes active, `died` as
+    `_Chain.settle` returns it (on the other lines no column reaches
+    zero).
+
+    Column r, its sweep rank, has head `heads[r]` and is active on a line
+    when its head lies below the line.  The lines are grouped by all but
+    their last coordinate; the groups are taken in (sum, degree) order,
+    so every line below a line of a later group comes first, and each
+    group is walked in increasing last coordinate, which at d = 2 is one
+    chain of every line.  On each line the columns that become active
+    there are activated.  Over GF(2) the reduction is a `_Gf2Chain` on
+    columns packed once per call, else a `_FieldChain`.
+    """
+    chain_type = _Gf2Chain if fld.p == 2 else _FieldChain
+    packed = [chain_type.pack(c) for c in columns]
+    ranks_of = {}
+    for r, h in enumerate(heads):
+        ranks_of.setdefault(h, []).append(r)
+    chains = {}
+    for line in lines:
+        chains.setdefault(line[:-1], []).append(line)
+    by_last = sorted(ranks_of, key=lambda h: h[-1:])
+    for key in sorted(chains, key=_degree_sort_key):
+        below = [h for h in by_last if all(map(le, h[:-1], key))]
+        chain = chain_type(fld, record)
+        nxt = 0
+        for line in chains[key]:
+            start = nxt
+            while nxt < len(below) and below[nxt][-1:] <= line[-1:]:
+                chain.activate(ranks_of[below[nxt]], packed)
+                nxt += 1
+            if nxt > start:
+                yield line, chain.settle()
 
 
 def _irredundant(degrees, columns, fld):
@@ -114,30 +337,27 @@ def _irredundant(degrees, columns, fld):
     columns kept before it of degree <= its own.  The arities of the
     degrees must already agree.
 
-    One rank-only sweep per distinct head h: walking the columns in (last
-    coordinate, head, index) order up to the last one of head h, a fresh
-    span takes each one of head <= h, and keeps those of head h that
-    enlarge it.  On line head(j) the columns before j are exactly those
-    of degree <= deg j before j in (sum, degree) order, and each dropped
-    one lies in the span of kept ones, so the test is the same.  Over
-    GF(2) the span is a `_Gf2Span` and each column is packed once for all
-    lines (`_line_span`); over other primes it is a `ColumnSpan`.
+    The lines are the distinct heads h, a column's head being its first
+    d - 1 coordinates.  The columns are ranked in (last coordinate, head,
+    index) order, and `_line_sweep` carries one reduction along each
+    chain of lines; a column is dropped when it reaches zero on its own
+    head's line.  There the columns to its left are exactly those of
+    degree <= its own that come before it in (sum, degree) order, and
+    each dropped one lies in the span of kept ones, so the test is the
+    same.
     """
-    span_type, pack = _line_span(fld)
-    heads = list(dict.fromkeys(deg[:-1] for deg in degrees))
-    head_of = {h: i for i, h in enumerate(heads)}
+    heads = [deg[:-1] for deg in degrees]
     order = sorted(range(len(degrees)), key=lambda j: (
-        degrees[j][-1:], _degree_sort_key(degrees[j][:-1]), j))
-    sweep = [(j, head_of[degrees[j][:-1]], pack(columns[j])) for j in order]
-    last = {h: pos for pos, (_, h, _) in enumerate(sweep)}
-    keep = []
-    for line, stop in last.items():
-        below = [all(map(le, h, heads[line])) for h in heads]
-        span = span_type(fld)
-        for j, h, column in sweep[:stop + 1]:
-            if below[h] and span.insert(column) and h == line:
-                keep.append(j)
-    return sorted(keep)
+        degrees[j][-1:], _degree_sort_key(heads[j]), j))
+    ranked = [heads[j] for j in order]
+    lines = sorted(set(heads), key=_degree_sort_key)
+    dropped = {
+        order[r]
+        for line, died in _line_sweep(lines, ranked,
+                                      [columns[j] for j in order], fld)
+        for r, _ in died if ranked[r] == line
+    }
+    return [j for j in range(len(degrees)) if j not in dropped]
 
 
 def _clear_row(columns, i, j, inv, p):
@@ -159,47 +379,86 @@ def _check_degrees(distinct):
             raise DegreeOverflowError(f"degree {deg} out of range")
 
 
+def _cancel_units(rows, cols, columns, fld):
+    """Cancel (row, column) pairs joined by an entry at equal degree
+    until none is left; return the kept row ids, the kept column ids and
+    the columns, renumbered to the kept rows.
+
+    Each step takes the first unit in column-then-row order, clears its
+    row from every other column by adding multiples of its column, and
+    drops the row and the column.  Rows and columns keep their original
+    ids until the end, so that order is the order of the ids.  A heap
+    holds the (column, row) unit candidates and a row -> columns index
+    finds the columns to clear; a column gets new candidates only where
+    a step adds a row to it, and a popped candidate whose column no
+    longer holds its row is skipped.
+    """
+    p = fld.p
+    holders = {}  # row -> ids of the live columns holding it
+    cancelled_rows, cancelled_cols = set(), set()
+    heap = []
+    for j, col in enumerate(columns):
+        for i, _ in col:
+            holders.setdefault(i, set()).add(j)
+            if rows[i] == cols[j]:
+                heap.append((j, i))
+    heapify(heap)
+    while heap:
+        j, i = heappop(heap)
+        if j not in holders.get(i, ()):
+            continue
+        pivot_col = columns[j]
+        inv = fld.inv(dict(pivot_col)[i])
+        for k in holders[i] - {j}:
+            col = columns[k]
+            new = _axpy(col, pivot_col, -dict(col)[i] * inv % p, p)
+            columns[k] = new
+            before = {r for r, _ in col}
+            after = {r for r, _ in new}
+            for r in before - after:
+                holders[r].discard(k)
+            for r in after - before:
+                holders.setdefault(r, set()).add(k)
+                if rows[r] == cols[k]:
+                    heappush(heap, (k, r))
+        for r, _ in pivot_col:
+            holders[r].discard(j)
+        cancelled_rows.add(i)
+        cancelled_cols.add(j)
+    kept_rows = [i for i in range(len(rows)) if i not in cancelled_rows]
+    renumber = {i: k for k, i in enumerate(kept_rows)}
+    kept_cols = [j for j in range(len(cols)) if j not in cancelled_cols]
+    return kept_rows, kept_cols, [
+        [(renumber[r], v) for r, v in columns[j]] for j in kept_cols]
+
+
 def minimize(presentation):
     """Minimal presentation of an isomorphic module.
 
     Runs two sweeps once each: cancel (row, column) pairs joined by an
-    entry at equal degree until none is left (`_clear_row`), then drop
-    the columns that the shifts of the columns kept before them already
-    span at their own degree (`_irredundant`, one rank-only sweep per
-    line).  That is a fixpoint: dropping columns makes no new
-    equal-degree unit, and `_irredundant` run on its own output visits
-    the kept columns in the same order, each against the same earlier
-    kept columns, so it keeps them all.  The Hilbert function of the
-    cokernel is unchanged.
+    entry at equal degree until none is left (`_cancel_units`, one pass
+    over a heap of candidates), then drop the columns that the shifts of
+    the columns kept before them already span at their own degree
+    (`_irredundant`, one reduction carried along each chain of lines).
+    That is a fixpoint: dropping columns makes no new equal-degree unit,
+    and `_irredundant` run on its own output visits the kept columns in
+    the same order, each against the same earlier kept columns, so it
+    keeps them all.  The Hilbert function of the cokernel is unchanged.
     """
     matrix = presentation.matrix
     fld = matrix.field
-    p = fld.p
-    rows = list(matrix.rows)
-    cols = list(matrix.cols)
-    columns = [list(c) for c in matrix.columns]
     # Checked once per distinct degree, so `_irredundant` can compare
     # degrees without an arity check per pair.
-    _check_degrees(list(dict.fromkeys(cols)))
-
-    while (hit := _equal_degree_unit(rows, cols, columns)) is not None:
-        i, j, v = hit
-        _clear_row(columns, i, j, fld.inv(v), p)
-        # Drop row i and column j (the only one still holding row i),
-        # renumbering entries above i.
-        del columns[j]
-        del cols[j]
-        del rows[i]
-        for k, col in enumerate(columns):
-            columns[k] = [(r - 1 if r > i else r, w) for r, w in col]
-
+    _check_degrees(list(dict.fromkeys(matrix.cols)))
+    kept_rows, kept_cols, columns = _cancel_units(
+        matrix.rows, matrix.cols, list(matrix.columns), fld)
+    cols = [matrix.cols[j] for j in kept_cols]
     keep = _irredundant(cols, columns, fld)
-    out = GradedMatrix(
+    out = GradedMatrix._trusted(
         fld,
-        rows,
-        [cols[j] for j in keep],
-        [tuple(columns[j]) for j in keep],
-        validate=False,
+        tuple([matrix.rows[i] for i in kept_rows]),
+        tuple([cols[j] for j in keep]),
+        tuple([tuple(columns[j]) for j in keep]),
     )
     return Presentation(out, minimal=True, label=presentation.label)
 
@@ -207,87 +466,101 @@ def minimize(presentation):
 def _join_closure(degrees):
     """Closure of a degree set under pairwise joins, in (sum, deg) order.
 
-    Enumerated one distinct degree at a time: the closure of S + {g} is
-    the closure of S, plus g, plus g joined with each point of it.  That
-    is exact for every d because the join is associative, commutative and
-    idempotent, and costs one join per (distinct degree, closure point)
-    pair, about n * |closure| in all.  The degrees must share one arity
-    and lie in range (`_check_degrees`).  A closure larger than
-    CLOSURE_CAP points raises ResourceCapError.
+    A point lies in the closure exactly when it is the join of the
+    degrees below it.  So the closure of the degrees' first k coordinates
+    is built from that of their first k - 1, chain by chain: for each
+    point g of it, walk the degrees whose first k - 1 coordinates lie
+    below g in increasing k-th coordinate, joining those first
+    coordinates; from the degree where the join reaches g on, each
+    distinct k-th coordinate y gives the point (g, y).  That is one pass
+    over the degrees per chain instead of one join per (degree, closure
+    point) pair.  The degrees must share one arity and lie in range
+    (`_check_degrees`).  A closure larger than CLOSURE_CAP points raises
+    ResourceCapError.
     """
-    closure = set()
-    for deg in dict.fromkeys(degrees):
-        if deg in closure:
-            continue
-        closure.update([tuple(map(max, deg, c)) for c in closure])
-        closure.add(deg)
-        if len(closure) > CLOSURE_CAP:
-            raise ResourceCapError(
-                f"join closure of the column degrees exceeds "
-                f"{CLOSURE_CAP} points"
-            )
-    return sorted(closure, key=_degree_sort_key)
+    distinct = list(dict.fromkeys(degrees))
+    points = list(dict.fromkeys(deg[:1] for deg in distinct))
+    k, arity = 1, len(distinct[0]) if distinct else 0
+    while k < arity and len(points) <= CLOSURE_CAP:
+        k += 1
+        by_last = sorted(dict.fromkeys(deg[:k] for deg in distinct),
+                         key=lambda deg: deg[-1])
+        chains, points = points, []
+        for g in chains:
+            join = last = None
+            for deg in by_last:
+                prefix = deg[:-1]
+                if not all(map(le, prefix, g)):
+                    continue
+                if join != g:
+                    join = prefix if join is None else tuple(
+                        map(max, join, prefix))
+                    if join != g:
+                        continue
+                if deg[-1] != last:
+                    last = deg[-1]
+                    points.append(g + (last,))
+            if len(points) > CLOSURE_CAP:
+                break
+    if len(points) > CLOSURE_CAP:
+        raise ResourceCapError(
+            f"join closure of the column degrees exceeds {CLOSURE_CAP} points"
+        )
+    return sorted(points, key=_degree_sort_key)
 
 
 def kernel(matrix):
     """Graded matrix whose columns generate ker(M: A[R] -> A[G]).
 
     The degree-alpha slice of the kernel is the nullspace of the columns
-    of degree <= alpha.  It is read off one recording column sweep per
-    line.  The lines are the join closure of the columns' first d - 1
-    coordinates (`_join_closure`, capped at CLOSURE_CAP points): for d = 2
-    the distinct x values, for d <= 1 one empty line.  They are walked in
-    (sum, degree) order.  On line a, a fresh span takes the columns whose
-    first d - 1 coordinates lie below a, in (last coordinate, index)
-    order: over GF(2) a `_Gf2Span`, on columns packed once for all lines
-    (`_line_span`), else a `ColumnSpan`.  Both record the same zeroed
-    combinations.  A column zeroed on a line a' <= a is zeroed again on a
-    (the columns before it there are a superset), so line a skips it,
-    which leaves its span unchanged.  A column the span zeroes gives one
-    generator: degree a + (c_d(j),), column the recorded dependency.
+    of degree <= alpha.  The lines are the join closure of the columns'
+    heads, their first d - 1 coordinates (`_join_closure`, capped at
+    CLOSURE_CAP points): for d = 2 the distinct x values, for d <= 1 one
+    empty line.  The columns are ranked in (last coordinate, index)
+    order, and `_line_sweep` carries one recording reduction along each
+    chain of lines, those that differ only in their last coordinate; on
+    line a the active columns are those whose head lies below a.  A
+    column reaching zero on line a lies in the span of the columns to its
+    left there, and gives one generator: degree a + (c_d(j),), column its
+    normalised combination, which is the column itself plus the unique
+    combination of line a's greedy basis to its left (the columns not in
+    the span of those before them) that cancels it, so it does not
+    depend on how the chain reached line a.  A column that already gave
+    a generator on a line a' <= a gives none on a: the one at
+    a' + (c_d(j),) lies below, and `_irredundant` would drop the second.
 
-    They generate: at (a, z), each column j with c_d(j) <= z that line a
-    zeroes or skips has a generator of degree <= (a, z) whose last column
-    in line a's order is j, so these span the nullspace of the slice.  For
-    d <= 2 the lines form a chain, each column gives at most one
-    generator, and the set is minimal.  For d >= 3 a column can first
-    vanish on incomparable lines, so each generator spanned by earlier
-    ones of degree <= its own is dropped by `_irredundant`, the line
-    sweep with which `minimize` drops redundant relations.  New generators
-    carry no unit entry at an equal-degree column when the input
-    presentation is minimal, so resolutions built from this kernel stay
-    minimal.
+    They generate: at (a, z), each column j with c_d(j) <= z that is in
+    the span of the columns to its left on line a has a generator of
+    degree <= (a, z) whose last column in the rank order is j, so these
+    span the nullspace of the slice.  For d <= 2 the lines form one
+    chain, each column gives at most one generator, and the set is
+    minimal.  For d >= 3 a column can first vanish on incomparable lines,
+    so each generator spanned by earlier ones of degree <= its own is
+    dropped by `_irredundant`, the line sweep with which `minimize` drops
+    redundant relations.  New generators carry no unit entry at an
+    equal-degree column when the input presentation is minimal, so
+    resolutions built from this kernel stay minimal.
     """
     fld = matrix.field
     cols = matrix.cols
     if not cols:
-        return GradedMatrix(fld, cols, [], [], validate=False)
+        return GradedMatrix._trusted(fld, cols, (), ())
     _check_degrees(list(dict.fromkeys(cols)))
-    span_type, pack = _line_span(fld)
-    heads = list(dict.fromkeys(c[:-1] for c in cols))
-    head_of = {h: i for i, h in enumerate(heads)}
     order = sorted(range(len(cols)), key=lambda j: (cols[j][-1:], j))
-    sweep = [(j, head_of[cols[j][:-1]], pack(matrix.columns[j]))
-             for j in order]
+    heads = [cols[j][:-1] for j in order]
     found = []  # (degree, column index, sparse column)
-    gave = []  # (line, the columns that gave a generator on it)
-    for line in _join_closure(heads):
-        below = [all(map(le, h, line)) for h in heads]
-        dead = set()
-        for earlier, js in gave:
-            if all(map(le, earlier, line)):
-                dead.update(js)
-        span = span_type(fld)
-        zeroed = []
-        for j, h, column in sweep:
-            if not below[h] or j in dead:
+    gave = {}  # column index -> the lines it gave a generator on
+    for line, died in _line_sweep(
+            _join_closure(list(dict.fromkeys(heads))), heads,
+            [matrix.columns[j] for j in order], fld, record=True):
+        for r, combo in died:
+            j = order[r]
+            lines = gave.setdefault(j, [])
+            if any(all(map(le, earlier, line)) for earlier in lines):
                 continue
-            if not span.insert(column, source=j, record=True):
-                zeroed.append(j)
-                combo = span.combination(span.zeroed[-1][1])
-                found.append((line + cols[j][-1:], j, combo))
-        if zeroed:
-            gave.append((line, zeroed))
+            lines.append(line)
+            found.append((line + cols[j][-1:], j, tuple(sorted(
+                [(order[k], v) for k, v in _pairs(combo)]))))
     found.sort(key=lambda g: (_degree_sort_key(g[0]), g[1]))
     degrees = [g[0] for g in found]
     columns = [g[2] for g in found]
@@ -295,7 +568,7 @@ def kernel(matrix):
         keep = _irredundant(degrees, columns, fld)
         degrees = [degrees[k] for k in keep]
         columns = [columns[k] for k in keep]
-    return GradedMatrix(fld, cols, degrees, columns, validate=False)
+    return GradedMatrix._trusted(fld, cols, tuple(degrees), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -348,14 +621,17 @@ def free_resolution(presentation):
 
 def truncation_bound(*presentations):
     """Shared truncation degree: coordinate-wise max of all generator and
-    relation degrees of the operands, plus one on every axis."""
+    relation degrees of the operands, plus one on every axis.  Operands
+    with no degree at all raise EmptyPresentationError."""
     join = None
     for pres in presentations:
         m = getattr(pres, "matrix", pres)
         for deg in m.rows + m.cols:
             join = deg if join is None else deg_join(join, deg)
     if join is None:
-        raise ValueError("cannot bound a family of empty presentations")
+        raise EmptyPresentationError(
+            "cannot bound a family of empty presentations"
+        )
     return tuple(c + 1 for c in join)
 
 
@@ -397,13 +673,19 @@ def matlis_transpose_shift(matrix):
 
     Rows and columns swap roles; applying the operation twice returns the
     original matrix.  Used to turn the last stage of a projective
-    resolution into a presentation of the Matlis dual.
+    resolution into a presentation of the Matlis dual.  The transpose of
+    a valid matrix is valid (entries keep their values, columns come out
+    sorted, and negating reverses the order), so the result is built
+    with `GradedMatrix._trusted`; `deg_add` still raises
+    DegreeOverflowError for a shifted degree out of range.
     """
     ones = (1,) * matrix.dim if matrix.dim else ()
-    new_rows = [deg_add(deg_neg(c), ones) for c in matrix.cols]
-    new_cols = [deg_add(deg_neg(r), ones) for r in matrix.rows]
-    transposed = _transpose(matrix.columns, matrix.nrows)
-    return GradedMatrix(matrix.field, new_rows, new_cols, transposed)
+    return GradedMatrix._trusted(
+        matrix.field,
+        tuple([deg_add(deg_neg(c), ones) for c in matrix.cols]),
+        tuple([deg_add(deg_neg(r), ones) for r in matrix.rows]),
+        tuple(_transpose(matrix.columns, matrix.nrows)),
+    )
 
 
 def sparsify(presentation):

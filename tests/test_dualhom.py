@@ -3,7 +3,9 @@
 import pytest
 
 from mphom import (
+    EmptyPresentationError,
     FieldMismatchError,
+    MphomError,
     Presentation,
     PrimeField,
     dual_context,
@@ -65,6 +67,19 @@ def test_dual_into_zero_module(fig_pair):
     z = zero_module()
     assert hom_restricted_dual(x, z).dim == 0
     assert hom_exact_dual(z, x).dim == 0
+
+
+def test_dual_context_of_two_empty_presentations_is_a_typed_error():
+    """Two zero modules with no relations have no degree to bound; the
+    routes return the empty basis before asking, `dual_context` raises
+    a typed error (an MphomError, still a ValueError)."""
+    z = zero_module()
+    assert hom_restricted_dual(z, z).dim == 0
+    for call in (lambda: dual_context(z, z), lambda: truncation_bound(z)):
+        with pytest.raises(EmptyPresentationError) as info:
+            call()
+        assert isinstance(info.value, MphomError)
+        assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("route", [hom_restricted_dual, hom_exact_dual])

@@ -1,9 +1,10 @@
-"""Property tests of the kernel's line sweep against the per-point kernel,
-of `minimize` reaching its fixpoint in one round, of `_irredundant`'s
-line sweep against the per-column reference, and of `sparsify` against
-the lift-based reference and its thick + 1 entry bound.  GF(2) draws
-also compare the packed `kernel`, `_irredundant` and
-`nullspace_of_columns` with the generic sweep.
+"""Property tests of the kernel's line sweep against the per-point kernel
+and the per-line loop, of `minimize` reaching its fixpoint in one round
+and matching the rescanning loop, of `_irredundant`'s line sweep against
+the per-column reference and the per-line loop, and of `sparsify`
+against the lift-based reference and its thick + 1 entry bound.  GF(2)
+draws also compare the packed `kernel`, `_irredundant` and
+`nullspace_of_columns` with the generic sweeps.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -23,16 +24,19 @@ from mphom import (
     thickness,
 )
 from mphom.localalg import CokernelCache, evaluation_grid, grid_points
-from mphom.presentations import _equal_degree_unit, _irredundant
+from mphom.presentations import _irredundant
 
 from test_packed_sweeps import (
-    generic_irredundant,
-    generic_kernel,
+    field_chains,
     generic_nullspace,
+    per_line_irredundant,
+    per_line_kernel,
 )
 from test_presentations import (
     _assert_kernel_matches_per_point,
+    _equal_degree_unit,
     _irredundant_per_column,
+    _minimize_by_scan,
     _reference_sparsify,
 )
 
@@ -61,18 +65,21 @@ def test_kernel_properties_on_small_matrices(m):
     k = _assert_kernel_matches_per_point(m)
     if k.ncols:
         _assert_kernel_matches_per_point(k)
+    assert k == per_line_kernel(m)
+    if k.ncols:
+        assert kernel(k) == per_line_kernel(k)
     if m.field.p == 2:
-        assert k == generic_kernel(m)
+        with field_chains():
+            assert kernel(m) == k
         assert nullspace_of_columns(m.columns, m.field) == (
             generic_nullspace(m.columns, m.field))
-        if k.ncols:
-            assert kernel(k) == generic_kernel(k)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_small_matrices())
 def test_minimize_is_a_fixpoint_after_one_round(m):
     out = minimize(Presentation(m)).matrix
+    assert out == _minimize_by_scan(Presentation(m))
     assert _equal_degree_unit(out.rows, out.cols, out.columns) is None
     assert _irredundant(out.cols, out.columns, out.field) == list(
         range(out.ncols))
@@ -87,8 +94,10 @@ def test_minimize_is_a_fixpoint_after_one_round(m):
 def test_irredundant_line_sweep_matches_per_column_reference(m):
     keep = _irredundant(m.cols, m.columns, m.field)
     assert keep == _irredundant_per_column(m.cols, m.columns, m.field)
+    assert keep == per_line_irredundant(m.cols, m.columns, m.field)
     if m.field.p == 2:
-        assert keep == generic_irredundant(m.cols, m.columns, m.field)
+        with field_chains():
+            assert _irredundant(m.cols, m.columns, m.field) == keep
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

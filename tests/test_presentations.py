@@ -180,14 +180,13 @@ def test_irredundant_matches_per_column_reference_on_route_inputs(
             degrees, columns, fld)
 
 
-def test_irredundant_builds_one_span_per_distinct_head(monkeypatch):
-    spans = []
+def test_irredundant_carries_one_reduction_per_chain(monkeypatch):
+    """One carried reduction per chain of heads (those that differ only
+    in their last coordinate), each column activated at most once in
+    it, where the per-line loop built one span per distinct head."""
+    from test_packed_sweeps import _counted_chains, per_line_irredundant
 
-    def counted(fld):
-        spans.append(fld)
-        return ColumnSpan(fld)
-
-    monkeypatch.setattr(presentations, "ColumnSpan", counted)
+    chains = _counted_chains(monkeypatch)
     rng = random.Random(16)
     fld = PrimeField(3)
     for d in (1, 2, 3):
@@ -197,10 +196,86 @@ def test_irredundant_builds_one_span_per_distinct_head(monkeypatch):
             columns = [tuple((i, rng.randint(1, 2))
                              for i in sorted(rng.sample(range(4), 2)))
                        for _ in degrees]
-            del spans[:]
+            del chains[:]
             keep = presentations._irredundant(degrees, columns, fld)
-            assert len(spans) == len({deg[:-1] for deg in degrees})
+            assert len(chains) == len({deg[:-2] for deg in degrees})
+            assert all(len(set(ranks)) == len(ranks) for _, ranks in chains)
             assert keep == _irredundant_per_column(degrees, columns, fld)
+            assert keep == per_line_irredundant(degrees, columns, fld)
+
+
+def _equal_degree_unit(rows, cols, columns):
+    """First (row, column, value) entry, column by column, joining a row
+    and a column of equal degree; None when there is none."""
+    for j, col in enumerate(columns):
+        for i, v in col:
+            if rows[i] == cols[j]:
+                return i, j, v
+    return None
+
+
+def _minimize_by_scan(presentation):
+    """Reference for `minimize`: the loop that rescans every column for
+    the first equal-degree unit, clears its row, and renumbers every
+    column per cancelled unit; then `_irredundant`."""
+    matrix = presentation.matrix
+    fld = matrix.field
+    p = fld.p
+    rows = list(matrix.rows)
+    cols = list(matrix.cols)
+    columns = [list(c) for c in matrix.columns]
+    while (hit := _equal_degree_unit(rows, cols, columns)) is not None:
+        i, j, v = hit
+        inv = fld.inv(v)
+        pivot_col = columns[j]
+        for k, col in enumerate(columns):
+            coeff = dict(col).get(i) if k != j else None
+            if coeff:
+                columns[k] = _axpy(col, pivot_col, (-coeff * inv) % p, p)
+        del columns[j]
+        del cols[j]
+        del rows[i]
+        for k, col in enumerate(columns):
+            columns[k] = [(r - 1 if r > i else r, w) for r, w in col]
+    keep = presentations._irredundant(cols, columns, fld)
+    return GradedMatrix(fld, rows, [cols[j] for j in keep],
+                        [tuple(columns[j]) for j in keep], validate=False)
+
+
+def test_minimize_matches_the_scan_loop():
+    """The heap of unit candidates cancels the same units, in the same
+    order, as the rescanning loop: equal matrices on the golden raw
+    matrices, on random ones with many tied degrees over d = 1 to 4, and
+    on the raw Hom-module presentations of n = 20 pairs."""
+    from test_golden import REDUCER_DIMS, REDUCER_PRIMES, raw_matrix
+    from test_packed_sweeps import _random_matrix
+
+    inputs = [raw_matrix(seed, d, p) for d in REDUCER_DIMS
+              for p in REDUCER_PRIMES for seed in range(8)]
+    rng = random.Random("cancel-units")
+    for p in (2, 5, 65521):
+        fld = PrimeField(p)
+        for d in (1, 2, 3, 4):
+            for _ in range(12):
+                inputs.append(_random_matrix(
+                    rng, fld, d, rng.randint(0, 12), rng.randint(1, 30),
+                    rng.randint(0, 2)))
+    seen = []
+    real = presentations.minimize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homspace, "minimize",
+                   lambda pres: seen.append(pres.matrix) or real(pres))
+        for p in (2, 5):
+            hom_module_presentation(*random_pair(
+                11, d=2, gens=20, rels=20, coord_range=30, p=p))
+    assert seen
+    inputs += seen
+    cancelled = 0
+    for m in inputs:
+        out = minimize(Presentation(m)).matrix
+        assert out == _minimize_by_scan(Presentation(m))
+        cancelled += m.nrows - out.nrows
+    assert cancelled
 
 
 def _reduced_column_echelon_loop(columns, fld):
@@ -323,6 +398,25 @@ def test_join_closure_matches_fixpoint():
     for degrees in cases:
         got = presentations._join_closure(degrees)
         assert got == _fixpoint_join_closure(degrees), degrees
+
+
+def test_join_closure_cap_matches_the_closure_size(monkeypatch):
+    """The closure is built a coordinate at a time; it raises exactly
+    when the whole closure has more than CLOSURE_CAP points, at every
+    d."""
+    rng = random.Random("closure-cap")
+    for d in (1, 2, 3, 4):
+        for _ in range(15):
+            degrees = [tuple(rng.randint(0, 4) for _ in range(d))
+                       for _ in range(rng.randint(1, 10))]
+            size = len(_fixpoint_join_closure(degrees))
+            for cap in (size - 1, size):
+                monkeypatch.setattr(presentations, "CLOSURE_CAP", cap)
+                if cap < size:
+                    with pytest.raises(ResourceCapError):
+                        presentations._join_closure(degrees)
+                else:
+                    assert len(presentations._join_closure(degrees)) == size
 
 
 def test_kernel_rejects_mixed_arity_columns():
@@ -763,6 +857,29 @@ def test_matlis_transpose_shift_is_an_involution():
         t = matlis_transpose_shift(m)
         assert validate_grading(t)
         assert matlis_transpose_shift(t) == m
+
+
+def test_transposed_validated_matrices_pass_validation():
+    """`matlis_transpose_shift` builds its output without re-checking it:
+    the transpose of a validated matrix, over several primes and d, with
+    negative and tied degrees, must pass the full `_validate`, and so
+    must its transpose, which is the input again."""
+    for p in (2, 5, 65521):
+        for d in (1, 2, 3):
+            for seed in range(4):
+                m = _random_graded(seed, 5, 9, 4, p, d=d)
+                m = GradedMatrix(m.field, [tuple(c - 2 for c in r)
+                                           for r in m.rows],
+                                 m.cols, m.columns)
+                t = matlis_transpose_shift(m)
+                t._validate()
+                assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+                back = matlis_transpose_shift(t)
+                back._validate()
+                assert back == m
+    with pytest.raises(DegreeOverflowError):
+        matlis_transpose_shift(GradedMatrix(
+            PrimeField(2), [(-(1 << 62) + 1, 0)], [], []))
 
 
 def test_sparsify_interval_module_two_entries():
