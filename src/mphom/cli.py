@@ -26,6 +26,7 @@ from .benchmarks import (
 from .dualhom import dual_context
 from .errors import (
     CheckMismatchError,
+    DimensionMismatchError,
     FieldArgumentError,
     FlagConflictError,
     ParseError,
@@ -85,11 +86,13 @@ def _size_args(args, **least):
 
 
 def _load_presentation(path, field=None):
+    """The file's minimized presentation and the d of its header (2 for
+    firep), which an empty presentation's degrees cannot show."""
     text = _read_text(path)
     head = text.lstrip().split("\n", 1)[0].strip()
     if head == "firep":
-        return parse_firep(text, field)  # already minimal
-    return minimize(parse_pmod(text, field))
+        return parse_firep(text, field), 2  # already minimal
+    return minimize(parse_pmod(text, field)), int(head.split()[1])
 
 
 def _write_output(text, out):
@@ -143,13 +146,15 @@ def _cmd_hom(args, endo=False):
             "--stats with --alg oracle: the oracle has no bench CSV row"
         )
     field = _field_arg(args)
-    xp = _load_presentation(args.domain, field)
-    yp = xp if endo else _load_presentation(args.target, field)
+    xp, d = _load_presentation(args.domain, field)
+    yp, dy = (xp, d) if endo else _load_presentation(args.target, field)
+    if dy != d:
+        raise DimensionMismatchError(
+            "presentations graded over different posets")
     bases, oracle = {}, None
     if args.check:
         bases, oracle = _run_check(xp, yp, args.grid_cap)
         sys.stderr.write(f"check ok: dim {oracle.dim}\n")
-    d = xp.matrix.dim or yp.matrix.dim or 1
     if args.alg == "oracle":
         oracle = oracle or _oracle(xp, yp, args.grid_cap)
         _write_output(write_oracle_result(oracle, d, xp.field.p), args.out)
@@ -167,12 +172,12 @@ def _cmd_module(args):
     """thickness, minimize or sparsify: the text each writes for its
     minimized input."""
     transform = {
-        "thickness": lambda pres: f"{thickness(pres)}\n",
+        "thickness": lambda pres, d: f"{thickness(pres)}\n",
         "minimize": serialize_pmod,
-        "sparsify": lambda pres: serialize_pmod(sparsify(pres)),
+        "sparsify": lambda pres, d: serialize_pmod(sparsify(pres), d),
     }[args.command]
-    pres = _load_presentation(args.module, _field_arg(args))
-    _write_output(transform(pres), args.out)
+    pres, d = _load_presentation(args.module, _field_arg(args))
+    _write_output(transform(pres, d), args.out)
     return EXIT_OK
 
 

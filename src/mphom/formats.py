@@ -37,9 +37,8 @@ from .errors import (
 from .graded import (
     GradedMatrix,
     PrimeField,
-    _lift_through,
-    column_reduce,
     deg_leq,
+    nullspace_of_columns,
 )
 from .presentations import Presentation, kernel, minimize
 
@@ -282,18 +281,29 @@ def parse_firep(text, field=None):
     k1 = kernel(d1)
     # At d = 2 the kernel is free, so its minimal generators are linearly
     # independent and a top column lifts through them in at most one way.
-    # A column whose lift is missing or uses a generator above its degree
-    # is no cycle there: a nonzero boundary, or a middle row of higher degree.
-    span = column_reduce(k1.columns, fld, record=True)
+    # One solve over k1's columns, then the top ones, gives every lift:
+    # row i's combination zeroing column n + i with k1's columns alone,
+    # less n + i and negated.  A row with no lift, or one through a
+    # generator above its degree, is no cycle there: a nonzero boundary,
+    # or a middle row of higher degree.
+    n = k1.ncols
+    lifts = {}
+    for combo in nullspace_of_columns(
+            list(k1.columns) + [col for _, _, col in top], fld):
+        own = max(combo)
+        del combo[own]
+        if own >= n and all(k < n for k in combo):
+            lifts[own - n] = tuple(sorted(
+                (k, -v % fld.p) for k, v in combo.items()))
     lifted_cols = []
-    for lineno, deg, col in top:
-        combo = _lift_through(span, col)
+    for i, (lineno, deg, _) in enumerate(top):
+        combo = lifts.get(i)
         if combo is None or not all(deg_leq(k1.cols[k], deg) for k, _ in combo):
             raise GradingParseError(
                 f"top boundary does not land in ker(d1) at degree {deg}",
                 line=lineno,
             )
-        lifted_cols.append(tuple(combo))
+        lifted_cols.append(combo)
     pres = GradedMatrix(
         fld,
         k1.cols,

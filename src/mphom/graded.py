@@ -7,26 +7,28 @@ as a list of sparse columns, each column a tuple of (row index, coefficient)
 pairs in strictly increasing row order; this favours the column reductions
 used everywhere downstream.
 
-Column reductions run through `ColumnSpan`, except the nullspace sweep
-over GF(2) and the line sweeps of `presentations`, which carry their own
-reductions.  Each reduced column of a `ColumnSpan` stores the inverse
-of its pivot entry, computed once when it is inserted, so an elimination
-step asks the field for no inverse.  Over GF(2) a step is a sorted
-symmetric difference of rows (`_xor`) with no scale and no `%`; the span
-chooses it from the field, and it gives the same columns and
-combinations, in the same order, as the generic `_axpy` step.
+Every recorded elimination lives here.  A recorded combination is an
+int bitset, updated by `^`, in the packed GF(2) recorders, else a dict,
+updated by `_add_into` alone.
 
-`nullspace_of_columns` inserts many columns and reads back only the
-zeroed combinations, so over GF(2) it uses `_Gf2Span` instead.  It packs
-each column once per call into an int whose bit r is row r, eliminates
-by `^`, reads the pivot off `bit_length()`, and keeps combinations as
-int bitsets over the sources; only the zeroed combinations are unpacked
-(`_bits`).  A zeroed combination is its source plus the column's
-unique expression in the columns kept before it, so both spans return
-the same one.  The GF(2) line sweeps of `presentations` pack and unpack
-their columns and combinations the same way.  The one-shot reductions (local cokernel spans, the homotopy quotient, the
-audit's membership test, lifts) stay on `ColumnSpan`: there packing a
-column costs as much as the XOR saves.
+`ColumnSpan` serves the one-shot reductions (local cokernel spans, the
+homotopy quotient, the audit's membership test, echelon forms), where
+packing a column costs as much as the XOR saves; it records only when
+built to, for the nullspace solve over primes other than 2.  Each
+reduced column stores its pivot's inverse, and over GF(2) a step is a
+sorted symmetric difference of rows (`_xor`) with no scale and no `%`.
+
+`_Gf2Span` serves the nullspace solve over GF(2).  It packs each column
+once into an int whose bit r is row r (`_pack`), eliminates by `^`,
+reads the pivot off `bit_length()`, and unpacks only the zeroed
+combinations (`_bits`).  A zeroed combination is its source plus the
+column's unique expression in the columns kept before it, so both spans
+return the same one.
+
+The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
+lists, carry one reduction along a chain of lines for the line sweeps
+of `presentations` (Lesnick and Wright, arXiv:1902.05708);
+`_line_chains` picks one by prime and packs the columns once per sweep.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -35,6 +37,8 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heapify, heappop, heappush
 from operator import le
 
 from .errors import (
@@ -434,6 +438,24 @@ def _xor(target, source):
     return out
 
 
+def _add_into(combo, other, scale, p):
+    """combo += scale * other for dict combinations, in place; return
+    the keys that were not in combo before.  A key that comes back is
+    appended, so key order is the order in which keys last appeared."""
+    new = []
+    get = combo.get
+    for k, v in other.items():
+        old = get(k, 0)
+        nv = (old + scale * v) % p
+        if nv:
+            combo[k] = nv
+            if not old:
+                new.append(k)
+        else:
+            del combo[k]
+    return new
+
+
 @dataclass(slots=True)
 class ColumnSpan:
     """Result of a left-to-right column reduction with lowest-row pivots.
@@ -441,11 +463,12 @@ class ColumnSpan:
     `reduced` holds the surviving columns (distinct pivots, in sweep order);
     `zeroed` holds, for columns that vanished, the recorded combination of
     original columns that witnesses the dependency (so the zeroed combos are
-    a basis of the nullspace of the input, when recording is on).
-    `_by_pivot` maps each pivot row to its entry of `reduced`.
+    a basis of the nullspace of the input), or None when the span does not
+    `record`.  `_by_pivot` maps each pivot row to its entry of `reduced`.
     """
 
     field: PrimeField
+    record: bool = False
     reduced: list = field(default_factory=list)
     zeroed: list = field(default_factory=list)
     _by_pivot: dict = field(default_factory=dict)
@@ -457,12 +480,9 @@ class ColumnSpan:
     def _reduce(self, col, combo=None):
         """Reduce the sparse column `col` by the reduced columns until its
         pivot is free; return the residual, `col` itself when no step was
-        taken.  Each step's multiple of a recorded column's combination is
-        added to `combo` when one is given.
-
-        Over GF(2) every coefficient is 1, so a step adds the column and
-        toggles the combination's keys; a toggled key that comes back is
-        appended, as the generic update appends it.
+        taken.  Each step's multiple of a reduced column's combination is
+        added to `combo` when one is given.  Over GF(2) a step adds the
+        column once, by `_xor`, with no scale to compute.
 
         Each step must lower the pivot row.  One that does not can only
         come from a column whose rows do not increase, and would loop
@@ -470,6 +490,7 @@ class ColumnSpan:
         """
         p = self.field.p
         by_pivot = self._by_pivot
+        scale = 1
         while col:
             row, lead = col[-1]
             other = by_pivot.get(row)
@@ -477,20 +498,11 @@ class ColumnSpan:
                 break
             if p == 2:
                 col = _xor(col, other.column)
-                if combo is not None and other.combo is not None:
-                    for k in other.combo:
-                        if not combo.pop(k, 0):
-                            combo[k] = 1
             else:
                 scale = -lead * other.inv % p
                 col = _axpy(col, other.column, scale, p)
-                if combo is not None and other.combo is not None:
-                    for k, v in other.combo.items():
-                        nv = (combo.get(k, 0) + scale * v) % p
-                        if nv:
-                            combo[k] = nv
-                        else:
-                            combo.pop(k, None)
+            if combo is not None:
+                _add_into(combo, other.combo, scale, p)
             if col and col[-1][0] >= row:
                 raise UnsortedRowsError(
                     f"reducing at row {row} left row {col[-1][0]} last: "
@@ -498,9 +510,9 @@ class ColumnSpan:
                 )
         return col
 
-    def insert(self, column, source=-1, record=False):
+    def insert(self, column, source=-1):
         """Reduce one column against the span; absorb the residual."""
-        combo = {source: 1} if record else None
+        combo = {source: 1} if self.record else None
         col = self._reduce(column, combo)
         if col:
             pivot, lead = col[-1]
@@ -520,6 +532,14 @@ class ColumnSpan:
         return not self._reduce(column)
 
 
+def _pack(column):
+    """A sparse GF(2) column as an int whose bit r is row r."""
+    bits = 0
+    for r, _ in column:
+        bits |= 1 << r
+    return bits
+
+
 def _bits(packed):
     """Indices of the set bits of a packed int, increasing."""
     out = []
@@ -531,35 +551,25 @@ def _bits(packed):
 
 
 class _Gf2Span:
-    """A GF(2) column span over packed columns, for a sweep that inserts
-    many columns and reads back only zeroed combinations.
+    """A recording GF(2) column span over packed columns (`_pack`).
 
-    `pack` turns a sparse column into an int whose bit r is row r; the
-    callers pack each column once per sweep and insert the ints.  A step
-    XORs a stored column into the residual, and the pivot, the lowest
-    row, is `bit_length() - 1`, as in `ColumnSpan`.  When recording, each
-    stored column carries its combination of sources as an int, bit j for
+    A step XORs a stored column into the residual, and the pivot, the
+    lowest row, is `bit_length() - 1`, as in `ColumnSpan`.  Each stored
+    column carries its combination of sources as an int, bit j for
     source j, and each zeroed column appends (source, combination) to
     `zeroed`; `_bits` unpacks one.
     """
 
     __slots__ = ("_by_pivot", "zeroed")
 
-    def __init__(self, fld=None):
+    def __init__(self):
         self._by_pivot = {}
         self.zeroed = []
 
-    @staticmethod
-    def pack(column):
-        bits = 0
-        for r, _ in column:
-            bits |= 1 << r
-        return bits
-
-    def insert(self, bits, source=-1, record=False):
+    def insert(self, bits, source):
         """Reduce a packed column against the span.  True when it is
         kept, enlarging the span; False when it vanishes."""
-        combo = 1 << source if record else 0
+        combo = 1 << source
         by_pivot = self._by_pivot
         while bits:
             pivot = bits.bit_length() - 1
@@ -569,9 +579,197 @@ class _Gf2Span:
                 return True
             bits ^= other[0]
             combo ^= other[1]
-        if record:
-            self.zeroed.append((source, combo))
+        self.zeroed.append((source, combo))
         return False
+
+
+class _Chain:
+    """A column reduction carried along one chain of lines.
+
+    Columns are known by their sweep rank, and `packed` holds every
+    column of the sweep, indexed by rank, in the chain's own form.
+    `activate` adds columns; `settle` reduces, in rank order by a heap,
+    the columns added since the last call and those displaced from their
+    pivot (the lowest row), and returns (rank, combination) for each
+    column that reached zero, in rank order.  A column whose pivot is
+    held by a column to its left is reduced by it; one whose pivot is
+    held by a column to its right takes the pivot and the right column
+    goes back on the heap.  So every nonzero column holds its own pivot,
+    and a column is zero exactly when it lies in the span of the active
+    columns to its left.  Activating columns only adds columns, so a
+    zero column stays zero for the rest of the chain.
+
+    When recording, each column carries its combination of ranks.  A
+    column reaching zero is normalised by adding in the stored
+    combination of each zero column it uses, highest rank first, and
+    stores the result: its own rank plus the unique combination of the
+    nonzero columns to its left that cancels it, which is what a fresh
+    left-to-right reduction of the line records (`_pairs` reads it).
+    Without recording the combination is None.
+    """
+
+    __slots__ = ("field", "record", "packed", "cols", "combos", "owner",
+                 "heap", "stored")
+
+    def __init__(self, fld, record, packed):
+        self.field = fld
+        self.record = record
+        self.packed = packed
+        self.cols = {}  # rank -> reduced column, for the nonzero columns
+        self.combos = {}  # rank -> its combination
+        self.owner = {}  # pivot row -> rank holding it
+        self.heap = []
+        self.stored = {}  # rank -> normalised combination of a zero column
+
+    def activate(self, ranks):
+        """Add the columns of these ranks; the next `settle` reduces
+        them."""
+        cols, combos, unit, packed = self.cols, self.combos, self.unit, \
+            self.packed
+        record = self.record
+        for r in ranks:
+            cols[r] = packed[r]
+            combos[r] = unit(r) if record else None
+        self.heap += ranks
+
+
+class _Gf2Chain(_Chain):
+    """`_Chain` over GF(2): columns are packed ints (`_pack`), eliminated
+    by `^`, and combinations ints with bit k for rank k."""
+
+    __slots__ = ("zero",)
+
+    pack = staticmethod(_pack)
+
+    def __init__(self, fld, record, packed):
+        super().__init__(fld, record, packed)
+        self.zero = 0  # the zero ranks, as bits
+
+    @staticmethod
+    def unit(rank):
+        return 1 << rank
+
+    def settle(self):
+        cols, combos, owner, heap = self.cols, self.combos, self.owner, \
+            self.heap
+        record = self.record
+        heapify(heap)
+        died = []
+        while heap:
+            r = heappop(heap)
+            bits, combo = cols[r], combos[r]
+            while bits:
+                pivot = bits.bit_length() - 1
+                other = owner.get(pivot)
+                if other is None or other > r:
+                    owner[pivot] = r
+                    if other is not None:
+                        heappush(heap, other)
+                    break
+                bits ^= cols[other]
+                if record:
+                    combo ^= combos[other]
+            if bits:
+                cols[r], combos[r] = bits, combo
+                continue
+            del cols[r], combos[r]
+            if record:
+                stored, zero = self.stored, self.zero
+                while used := combo & zero:
+                    combo ^= stored[used.bit_length() - 1]
+                stored[r] = combo
+                self.zero = zero | 1 << r
+            died.append((r, combo))
+        return died
+
+
+class _FieldChain(_Chain):
+    """`_Chain` over any prime: columns are sparse (row, coefficient)
+    lists, combined by `_axpy` with field scaling, each pivot's inverse
+    is stored when it is taken, and combinations are dicts from rank to
+    coefficient, updated by `_add_into` as in `ColumnSpan`."""
+
+    __slots__ = ("inv",)
+
+    pack = staticmethod(tuple)
+
+    def __init__(self, fld, record, packed):
+        super().__init__(fld, record, packed)
+        self.inv = {}  # rank -> inverse of its pivot entry
+
+    @staticmethod
+    def unit(rank):
+        return {rank: 1}
+
+    def settle(self):
+        fld = self.field
+        p = fld.p
+        cols, combos, owner, inv, heap = self.cols, self.combos, \
+            self.owner, self.inv, self.heap
+        heapify(heap)
+        died = []
+        while heap:
+            r = heappop(heap)
+            col, combo = cols[r], combos[r]
+            while col:
+                row, lead = col[-1]
+                other = owner.get(row)
+                if other is None or other > r:
+                    owner[row] = r
+                    inv[r] = fld.inv(lead)
+                    if other is not None:
+                        heappush(heap, other)
+                    break
+                scale = -lead * inv[other] % p
+                col = _axpy(col, cols[other], scale, p)
+                if col and col[-1][0] >= row:
+                    raise UnsortedRowsError(
+                        f"reducing at row {row} left row {col[-1][0]} "
+                        "last: column rows are not strictly increasing"
+                    )
+                if combo is not None:
+                    _add_into(combo, combos[other], scale, p)
+            if col:
+                cols[r] = col
+                continue
+            del cols[r], combos[r]
+            if combo is not None:
+                self._normalise(combo)
+                self.stored[r] = combo
+            died.append((r, combo))
+        return died
+
+    def _normalise(self, combo):
+        """Add in the stored combination of each zero rank the combination
+        uses, highest first, by a heap of those ranks."""
+        stored, p = self.stored, self.field.p
+        todo = [-k for k in combo if k in stored]
+        heapify(todo)
+        while todo:
+            k = -heappop(todo)
+            v = combo.get(k)
+            if v:
+                for new in _add_into(combo, stored[k], p - v, p):
+                    if new in stored:
+                        heappush(todo, -new)
+
+
+def _line_chains(columns, fld, record):
+    """A function that starts a fresh `_Chain` over `columns`: a
+    `_Gf2Chain` over GF(2), else a `_FieldChain`, the columns packed
+    into the chain type's form (`pack`) once here and shared by every
+    chain it starts."""
+    chain_type = _Gf2Chain if fld.p == 2 else _FieldChain
+    packed = [chain_type.pack(c) for c in columns]
+    return partial(chain_type, fld, record, packed)
+
+
+def _pairs(combo):
+    """A combination `_Chain.settle` recorded, as (rank, coefficient)
+    pairs."""
+    if isinstance(combo, int):
+        return [(k, 1) for k in _bits(combo)]
+    return combo.items()
 
 
 def column_reduce(columns, fld, record=False):
@@ -582,9 +780,9 @@ def column_reduce(columns, fld, record=False):
     span carries, per output column, the combination of input columns it
     equals, and per vanished column the dependency combination.
     """
-    span = ColumnSpan(fld)
+    span = ColumnSpan(fld, record)
     for idx, col in enumerate(columns):
-        span.insert(col, source=idx, record=record)
+        span.insert(col, idx)
     return span
 
 
@@ -592,30 +790,15 @@ def nullspace_of_columns(columns, fld):
     """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
 
     One recording sweep: by `_Gf2Span` over GF(2), else by `ColumnSpan`.
+    Each dict's largest key is the index of the column it zeroed.
     """
     if fld.p != 2:
         span = column_reduce(columns, fld, record=True)
         return [combo for _, combo in span.zeroed]
     span = _Gf2Span()
-    pack = span.pack
     for idx, col in enumerate(columns):
-        span.insert(pack(col), idx, True)
+        span.insert(_pack(col), idx)
     return [dict.fromkeys(_bits(combo), 1) for _, combo in span.zeroed]
-
-
-def _lift_through(span, column):
-    """Express a column in the input columns of a recorded span.
-
-    Returns the sorted (input index, coefficient) pairs of a combination
-    equal to `column`, or None when the column is outside the span (the
-    span then absorbs its residual, as `insert` does).
-    """
-    if span.insert(column, source=-2, record=True) is not None:
-        return None
-    combo = span.zeroed.pop()[1]
-    combo.pop(-2, None)
-    p = span.field.p
-    return sorted((k, (-v) % p) for k, v in combo.items())
 
 
 def _transpose(columns, n_rows):

@@ -50,7 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import _slice_indices, column_reduce, deg_leq
+from .graded import _bits, _slice_indices, column_reduce, deg_leq
 
 
 def _matrix_of(obj):
@@ -229,12 +229,7 @@ class _DegreeIndex:
             if not t:
                 return ()
             mask &= masks[t - 1]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return tuple(_bits(mask))
 
 
 class CokernelCache:

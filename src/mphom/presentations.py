@@ -11,12 +11,9 @@ whose head lies below it, ranked by their last coordinate.  The lines
 that differ only in their last coordinate form a chain, and
 `_line_sweep` carries one left-to-right column reduction along each
 chain (the kernel reduction of Lesnick and Wright, arXiv:1902.05708, as
-in mpfree): on each line it activates the columns new there and reduces,
-by a heap in rank order, only those and the columns they displace from
-their pivots.  A zero column stays zero up the chain.  At d = 2 all
-lines form one chain; at d <= 1 there is one line.  Over GF(2) columns
-are packed ints (`_Gf2Chain`), over other primes sparse lists
-(`_FieldChain`).
+in mpfree; the chains live in `graded`): on each line it activates the
+columns new there, and a zero column stays zero up the chain.  At d = 2
+all lines form one chain; at d <= 1 there is one line.
 
 `minimize` cancels equal-degree units in one pass over a heap of
 candidates (`_cancel_units`), then keeps a relation when it is nonzero
@@ -43,15 +40,14 @@ from .errors import (
     EmptyPresentationError,
     GradingError,
     ResourceCapError,
-    UnsortedRowsError,
 )
 from .graded import (
     _COORD_LIMIT,
     GradedMatrix,
     _axpy,
-    _bits,
-    _Gf2Span,
     _check_arity,
+    _line_chains,
+    _pairs,
     _transpose,
     column_reduce,
     deg_add,
@@ -101,198 +97,6 @@ def _degree_sort_key(deg):
     return (sum(deg), deg)
 
 
-class _Chain:
-    """A column reduction carried along one chain of lines.
-
-    Columns are known by their sweep rank.  `activate` adds columns;
-    `settle` reduces, in rank order by a heap, the columns added since the
-    last call and those displaced from their pivot (the lowest row), and
-    returns (rank, combination) for each column that reached zero, in
-    rank order.  A column whose pivot is held by a column to its left is
-    reduced by it; one whose pivot is held by a column to its right takes
-    the pivot and the right column goes back on the heap.  So every
-    nonzero column holds its own pivot, and a column is zero exactly when
-    it lies in the span of the active columns to its left.  Activating
-    columns only adds columns, so a zero column stays zero for the rest
-    of the chain.
-
-    When recording, each column carries its combination of ranks.  A
-    column reaching zero is normalised by adding in the stored
-    combination of each zero column it uses, highest rank first, and
-    stores the result: its own rank plus the unique combination of the
-    nonzero columns to its left that cancels it, which is what a fresh
-    left-to-right reduction of the line records (`_pairs` reads it).
-    Without recording the combination is None.
-    """
-
-    __slots__ = ("field", "record", "cols", "combos", "owner", "heap",
-                 "stored")
-
-    def __init__(self, fld, record):
-        self.field = fld
-        self.record = record
-        self.cols = {}  # rank -> reduced column, for the nonzero columns
-        self.combos = {}  # rank -> its combination
-        self.owner = {}  # pivot row -> rank holding it
-        self.heap = []
-        self.stored = {}  # rank -> normalised combination of a zero column
-
-    def activate(self, ranks, packed):
-        """Add the columns of these ranks, `packed` indexed by rank; the
-        next `settle` reduces them."""
-        cols, combos, unit = self.cols, self.combos, self.unit
-        record = self.record
-        for r in ranks:
-            cols[r] = packed[r]
-            combos[r] = unit(r) if record else None
-        self.heap += ranks
-
-
-class _Gf2Chain(_Chain):
-    """`_Chain` over GF(2): columns are packed ints (bit r = row r),
-    eliminated by `^`, and combinations ints with bit k for rank k."""
-
-    __slots__ = ("zero",)
-
-    pack = staticmethod(_Gf2Span.pack)
-
-    def __init__(self, fld, record):
-        super().__init__(fld, record)
-        self.zero = 0  # the zero ranks, as bits
-
-    @staticmethod
-    def unit(rank):
-        return 1 << rank
-
-    def settle(self):
-        cols, combos, owner, heap = self.cols, self.combos, self.owner, \
-            self.heap
-        record = self.record
-        heapify(heap)
-        died = []
-        while heap:
-            r = heappop(heap)
-            bits, combo = cols[r], combos[r]
-            while bits:
-                pivot = bits.bit_length() - 1
-                other = owner.get(pivot)
-                if other is None or other > r:
-                    owner[pivot] = r
-                    if other is not None:
-                        heappush(heap, other)
-                    break
-                bits ^= cols[other]
-                if record:
-                    combo ^= combos[other]
-            if bits:
-                cols[r], combos[r] = bits, combo
-                continue
-            del cols[r], combos[r]
-            if record:
-                stored, zero = self.stored, self.zero
-                while used := combo & zero:
-                    combo ^= stored[used.bit_length() - 1]
-                stored[r] = combo
-                self.zero = zero | 1 << r
-            died.append((r, combo))
-        return died
-
-
-class _FieldChain(_Chain):
-    """`_Chain` over any prime: columns are sparse (row, coefficient)
-    lists, combined by `_axpy` with field scaling, each pivot's inverse
-    is stored when it is taken, and combinations are dicts from rank to
-    coefficient, updated in place as `ColumnSpan` updates its own."""
-
-    __slots__ = ("inv",)
-
-    pack = staticmethod(tuple)
-
-    def __init__(self, fld, record):
-        super().__init__(fld, record)
-        self.inv = {}  # rank -> inverse of its pivot entry
-
-    @staticmethod
-    def unit(rank):
-        return {rank: 1}
-
-    def settle(self):
-        fld = self.field
-        p = fld.p
-        cols, combos, owner, inv, heap = self.cols, self.combos, \
-            self.owner, self.inv, self.heap
-        heapify(heap)
-        died = []
-        while heap:
-            r = heappop(heap)
-            col, combo = cols[r], combos[r]
-            while col:
-                row, lead = col[-1]
-                other = owner.get(row)
-                if other is None or other > r:
-                    owner[row] = r
-                    inv[r] = fld.inv(lead)
-                    if other is not None:
-                        heappush(heap, other)
-                    break
-                scale = -lead * inv[other] % p
-                col = _axpy(col, cols[other], scale, p)
-                if col and col[-1][0] >= row:
-                    raise UnsortedRowsError(
-                        f"reducing at row {row} left row {col[-1][0]} "
-                        "last: column rows are not strictly increasing"
-                    )
-                if combo is not None:
-                    _add_into(combo, combos[other], scale, p)
-            if col:
-                cols[r] = col
-                continue
-            del cols[r], combos[r]
-            if combo is not None:
-                self._normalise(combo)
-                self.stored[r] = combo
-            died.append((r, combo))
-        return died
-
-    def _normalise(self, combo):
-        """Add in the stored combination of each zero rank the combination
-        uses, highest first, by a heap of those ranks."""
-        stored, p = self.stored, self.field.p
-        todo = [-k for k in combo if k in stored]
-        heapify(todo)
-        while todo:
-            k = -heappop(todo)
-            v = combo.get(k)
-            if v:
-                for new in _add_into(combo, stored[k], p - v, p):
-                    if new in stored:
-                        heappush(todo, -new)
-
-
-def _add_into(combo, other, scale, p):
-    """combo += scale * other for dict combinations, in place; return
-    the keys that were not in combo before."""
-    new = []
-    get = combo.get
-    for k, v in other.items():
-        old = get(k, 0)
-        nv = (old + scale * v) % p
-        if nv:
-            combo[k] = nv
-            if not old:
-                new.append(k)
-        else:
-            del combo[k]
-    return new
-
-
-def _pairs(combo):
-    """A combination `settle` recorded, as (rank, coefficient) pairs."""
-    if isinstance(combo, int):
-        return [(k, 1) for k in _bits(combo)]
-    return combo.items()
-
-
 def _line_sweep(lines, heads, columns, fld, record=False):
     """Walk `lines`, given in (sum, degree) order, by chains of lines,
     carrying one column reduction along each chain; yield (line, died)
@@ -306,11 +110,9 @@ def _line_sweep(lines, heads, columns, fld, record=False):
     so every line below a line of a later group comes first, and each
     group is walked in increasing last coordinate, which at d = 2 is one
     chain of every line.  On each line the columns that become active
-    there are activated.  Over GF(2) the reduction is a `_Gf2Chain` on
-    columns packed once per call, else a `_FieldChain`.
+    there are activated in the group's chain, one from `_line_chains`.
     """
-    chain_type = _Gf2Chain if fld.p == 2 else _FieldChain
-    packed = [chain_type.pack(c) for c in columns]
+    new_chain = _line_chains(columns, fld, record)
     ranks_of = {}
     for r, h in enumerate(heads):
         ranks_of.setdefault(h, []).append(r)
@@ -320,12 +122,12 @@ def _line_sweep(lines, heads, columns, fld, record=False):
     by_last = sorted(ranks_of, key=lambda h: h[-1:])
     for key in sorted(chains, key=_degree_sort_key):
         below = [h for h in by_last if all(map(le, h[:-1], key))]
-        chain = chain_type(fld, record)
+        chain = new_chain()
         nxt = 0
         for line in chains[key]:
             start = nxt
             while nxt < len(below) and below[nxt][-1:] <= line[-1:]:
-                chain.activate(ranks_of[below[nxt]], packed)
+                chain.activate(ranks_of[below[nxt]])
                 nxt += 1
             if nxt > start:
                 yield line, chain.settle()

@@ -1,0 +1,45 @@
+"""The primal routes' bases, checked element by element past the oracle's
+reach.
+
+Dimension checks alone (against one another, `reference.json` or the
+identities of test_identities.py) would pass a route that returned a
+null-homotopic element, or a homotopic duplicate of another element, in
+place of a survivor.  The primal routes `direct`, `a`, `mixed` and `b`
+share generator coordinates, so their bases can be compared directly
+modulo null-homotopies with `quotient_rank`.  On seeded pairs with 40 to
+60 generators over GF(2), GF(5) and GF(65521), every route's basis must
+be independent modulo null-homotopies (rank == dim), and every two
+routes must span the same subspace (the rank of their union == dim).
+"""
+
+from itertools import combinations
+
+import pytest
+
+from mphom import hom_direct, hom_exact, hom_mixed, hom_restricted
+from mphom.generators import random_pair
+
+from test_homspace import quotient_rank
+
+ROUTES = {
+    "direct": hom_direct,
+    "a": hom_restricted,
+    "mixed": hom_mixed,
+    "b": hom_exact,
+}
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(40, 1), (50, 3), (60, 2)])
+def test_primal_bases_are_independent_and_span_one_subspace(p, n, seed):
+    x, y = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                       p=p)
+    bases = {name: list(route(x, y).elements)
+             for name, route in ROUTES.items()}
+    dim = len(bases["direct"])
+    assert dim > n
+    for name, elements in bases.items():
+        assert len(elements) == dim, name
+        assert quotient_rank(elements, y, x) == dim, name
+    for a, b in combinations(ROUTES, 2):
+        assert quotient_rank(bases[a] + bases[b], y, x) == dim, (a, b)

@@ -584,3 +584,52 @@ def test_bench_jobs_are_capped(monkeypatch):
     monkeypatch.setattr(benchmarks.os, "cpu_count", lambda: None)
     assert benchmarks.run_bench(3, jobs=10**6, **small)
     assert started == []
+
+
+EMPTY_D3 = "pmod 3 2\ngens 0\nrels 0\n"
+EMPTY_FIREP = "firep\nx\ny\n0 0 0\n"
+
+
+@pytest.mark.parametrize("text, d", [(EMPTY_D3, 3), (EMPTY_FIREP, 2)])
+def test_empty_file_keeps_its_arity(tmp_path, capsys, text, d):
+    # An empty presentation has no degree to read d off, so the writers
+    # take it from the file's header (2 for firep).
+    from mphom import cli
+
+    path = tmp_path / "empty"
+    path.write_text(text)
+    for argv, first in (
+            (["minimize"], f"pmod {d} 2"),
+            (["sparsify"], f"pmod {d} 2"),
+            (["end"], f"hombasis {d} 2"),
+            (["end", "--alg", "oracle"], f"hombasis {d} 2"),
+            (["end", "--check"], f"hombasis {d} 2")):
+        assert cli.main([*argv, str(path)]) == 0, argv
+        assert capsys.readouterr().out.split("\n", 1)[0] == first, argv
+    if text == EMPTY_D3:
+        assert cli.main(["minimize", str(path)]) == 0
+        assert capsys.readouterr().out == EMPTY_D3
+
+
+@pytest.mark.parametrize("first, second", [
+    ("pmod 2 2\ngens 0\nrels 0\n", "pmod 3 2\ngens 1\n0 0 0\nrels 0\n"),
+    ("pmod 2 2\ngens 0\nrels 0\n", EMPTY_D3),
+    (EMPTY_FIREP, EMPTY_D3),
+    ((FIXTURE_DIR / "rand_17_gf2.pmod").read_text(), EMPTY_D3),
+])
+@pytest.mark.parametrize("extra", [[], ["--check"], ["--alg", "oracle"]])
+def test_pair_of_different_arities_is_rejected(tmp_path, capsys, first,
+                                                second, extra):
+    # Whether or not a module is empty, a pair whose headers give
+    # different d is the mismatch that two non-empty modules raise.
+    from mphom import cli
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_text(first)
+    b.write_text(second)
+    for pair in ((a, b), (b, a)):
+        assert cli.main(["hom", *map(str, pair), *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "error: presentations graded over different posets"), err

@@ -27,9 +27,9 @@ from mphom import (
     thickness,
 )
 from mphom.generators import random_module
-from mphom.graded import _lift_through
 
 from conftest import red_blue
+from test_graded import lift_through
 
 FIG_N = """pmod 2 3
 gens 2
@@ -188,7 +188,7 @@ def reference_firep(top, mid, r):
         usable = [j for j in range(k1.ncols) if deg_leq(k1.cols[j], deg)]
         span = column_reduce([k1.columns[j] for j in usable], fld,
                              record=True)
-        combo = _lift_through(span, col)
+        combo = lift_through(span, col)
         if combo is None:
             return i
         lifted.append(tuple((usable[k], v) for k, v in combo))

@@ -24,7 +24,7 @@ from mphom.graded import (
     _bits,
     _Gf2Span,
     _is_prime,
-    _lift_through,
+    _pack,
     _slice_at_most,
     _xor,
 )
@@ -215,12 +215,12 @@ def test_reduce_vector_is_the_residual_insert_absorbs():
     rng = random.Random(21)
     for p in (2, 3, 65521):
         for record in (False, True):
-            span = ColumnSpan(PrimeField(p))
+            span = ColumnSpan(PrimeField(p), record)
             for j in range(15):
                 support = sorted(rng.sample(range(6), rng.randint(0, 4)))
                 col = tuple((i, rng.randint(1, p - 1)) for i in support)
                 residual = span.reduce_vector(col)
-                entry = span.insert(col, source=j, record=record)
+                entry = span.insert(col, source=j)
                 if residual:
                     assert entry.column == tuple(residual)
                 else:
@@ -346,8 +346,9 @@ class _ReferenceSpan:
     asks the field for the pivot's inverse, and `_reference_axpy` adds the
     scaled column.  Entries are (pivot, column, source, combo) tuples."""
 
-    def __init__(self, fld):
+    def __init__(self, fld, record=False):
         self.field = fld
+        self.record = record
         self.reduced = []
         self.zeroed = []
         self._by_pivot = {}
@@ -370,8 +371,8 @@ class _ReferenceSpan:
                         combo.pop(k, None)
         return col
 
-    def insert(self, column, source=-1, record=False):
-        combo = {source: 1} if record else None
+    def insert(self, column, source=-1):
+        combo = {source: 1} if self.record else None
         col = self._reduce(list(column), combo)
         if col:
             self._by_pivot[col[-1][0]] = len(self.reduced)
@@ -382,6 +383,23 @@ class _ReferenceSpan:
 
     def reduce_vector(self, column):
         return self._reduce(list(column))
+
+
+def lift_through(span, column):
+    """Express a column in the input columns of a recording span, one
+    column at a time: the reference for the lifts that the firep importer
+    and `sparsify` read off a single solve.
+
+    Returns the sorted (input index, coefficient) pairs of a combination
+    equal to `column`, or None when the column is outside the span (the
+    span then absorbs its residual, as `insert` does).
+    """
+    if span.insert(column, source=-2) is not None:
+        return None
+    combo = span.zeroed.pop()[1]
+    combo.pop(-2, None)
+    p = span.field.p
+    return sorted((k, (-v) % p) for k, v in combo.items())
 
 
 def _ordered(combo):
@@ -437,17 +455,17 @@ def test_column_span_matches_the_generic_reference(p, record):
     rng = random.Random(f"core:{p}:{record}")
     for _ in range(30):
         cols = _random_columns(rng, p, rng.randint(1, 25))
-        span, ref = ColumnSpan(fld), _ReferenceSpan(fld)
+        span, ref = ColumnSpan(fld, record), _ReferenceSpan(fld, record)
         probes = _random_columns(rng, p, 6)
         for j, col in enumerate(cols):
             probe = rng.choice(probes + cols)
             assert span.reduce_vector(probe) == ref.reduce_vector(probe)
             assert span.contains(probe) == (not ref.reduce_vector(probe))
-            assert _entry_view(span.insert(col, source=j, record=record)) \
-                == _entry_view(ref.insert(col, source=j, record=record))
+            assert _entry_view(span.insert(col, source=j)) \
+                == _entry_view(ref.insert(col, source=j))
             if record and rng.random() < 0.3:
                 probe = rng.choice(probes + cols)
-                assert _lift_through(span, probe) == _lift_through(ref, probe)
+                assert lift_through(span, probe) == lift_through(ref, probe)
         assert _span_view(span) == _span_view(ref)
         for entry in span.reduced:
             assert entry.column[-1][1] * entry.inv % p == 1
@@ -468,10 +486,10 @@ def test_gf2_span_matches_the_generic_reference():
     rng = random.Random("packed")
     for _ in range(40):
         cols = _random_columns(rng, 2, rng.randint(0, 30), rows=70)
-        span, ref = _Gf2Span(), _ReferenceSpan(fld)
+        span, ref = _Gf2Span(), _ReferenceSpan(fld, record=True)
         for j, col in enumerate(cols):
-            kept = span.insert(span.pack(col), source=j, record=True)
-            assert kept == (ref.insert(col, source=j, record=True) is not None)
+            kept = span.insert(_pack(col), j)
+            assert kept == (ref.insert(col, source=j) is not None)
         assert [(s, dict.fromkeys(_bits(c), 1)) for s, c in span.zeroed] \
             == [(s, c) for s, c in ref.zeroed]
 

@@ -9,8 +9,9 @@ with the columns packed once per call, as those loops chose; given a
 span type they run on it at every prime, `_ReferenceSpan` being the
 generic `ColumnSpan` loop kept in test_graded.py.  Outputs must be
 equal, matrices entry for entry.  Over GF(2) the sweeps run on packed
-ints (`_Gf2Chain`); `field_chains` runs them on `_FieldChain`, which
-serves every other prime, so the two can be compared on one input.
+ints (`graded._Gf2Chain`); `field_chains` runs them on `_FieldChain`,
+which serves every other prime, so the two can be compared on one
+input.
 """
 
 import random
@@ -27,10 +28,10 @@ from mphom import (
     kernel,
     nullspace_of_columns,
 )
-from mphom import homspace, presentations
+from mphom import graded, homspace, presentations
 from mphom.formats import serialize_pmod
 from mphom.generators import random_pair
-from mphom.graded import _bits, _Gf2Span
+from mphom.graded import _bits, _Gf2Span, _pack
 
 from test_graded import _ReferenceSpan
 
@@ -38,15 +39,14 @@ GF2 = PrimeField(2)
 PRIMES = (2, 5, 65521)
 
 
-def _line_span(fld, span_type=None):
-    """(span type, column packing) of the per-line loops: `_Gf2Span` on
-    packed columns over GF(2), else `ColumnSpan`, unless a span type is
-    given."""
-    if span_type is not None:
-        return span_type, tuple
-    if fld.p == 2:
-        return _Gf2Span, _Gf2Span.pack
-    return ColumnSpan, tuple
+def _line_span(fld, span_type=None, record=False):
+    """(new span, column packing) of the per-line loops: a recording
+    `_Gf2Span` on packed columns over GF(2), else a `ColumnSpan`, unless
+    a span type is given; `new span` takes no argument."""
+    if span_type is None and fld.p == 2:
+        return _Gf2Span, _pack
+    span_type = span_type or ColumnSpan
+    return (lambda: span_type(fld, record)), tuple
 
 
 def per_line_irredundant(degrees, columns, fld, span_type=None):
@@ -54,7 +54,7 @@ def per_line_irredundant(degrees, columns, fld, span_type=None):
     walking the columns in (last coordinate, head, index) order up to
     the last one of head h, it takes each one of head <= h and keeps
     those of head h that enlarge it."""
-    span_type, pack = _line_span(fld, span_type)
+    new_span, pack = _line_span(fld, span_type)
     heads = list(dict.fromkeys(deg[:-1] for deg in degrees))
     head_of = {h: i for i, h in enumerate(heads)}
     order = sorted(range(len(degrees)), key=lambda j: (
@@ -64,9 +64,9 @@ def per_line_irredundant(degrees, columns, fld, span_type=None):
     keep = []
     for line, stop in last.items():
         below = [all(map(le, h, heads[line])) for h in heads]
-        span = span_type(fld)
+        span = new_span()
         for j, h, column in sweep[:stop + 1]:
-            if below[h] and span.insert(column) and h == line:
+            if below[h] and span.insert(column, j) and h == line:
                 keep.append(j)
     return sorted(keep)
 
@@ -81,7 +81,7 @@ def per_line_kernel(matrix, span_type=None, found=None):
     cols = matrix.cols
     if not cols:
         return GradedMatrix(fld, cols, [], [], validate=False)
-    span, pack = _line_span(fld, span_type)
+    new_span, pack = _line_span(fld, span_type, record=True)
     heads = list(dict.fromkeys(c[:-1] for c in cols))
     head_of = {h: i for i, h in enumerate(heads)}
     order = sorted(range(len(cols)), key=lambda j: (cols[j][-1:], j))
@@ -95,12 +95,12 @@ def per_line_kernel(matrix, span_type=None, found=None):
         for earlier, js in gave:
             if all(map(le, earlier, line)):
                 dead.update(js)
-        line_span = span(fld)
+        line_span = new_span()
         zeroed = []
         for j, h, column in sweep:
             if not below[h] or j in dead:
                 continue
-            if not line_span.insert(column, source=j, record=True):
+            if not line_span.insert(column, j):
                 zeroed.append(j)
                 combo = line_span.zeroed[-1][1]
                 combo = (tuple([(k, 1) for k in _bits(combo)])
@@ -124,14 +124,14 @@ def field_chains():
     """Run the carried sweeps on `_FieldChain` at every prime, GF(2)
     included."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(presentations, "_Gf2Chain", presentations._FieldChain)
+        mp.setattr(graded, "_Gf2Chain", graded._FieldChain)
         yield
 
 
 def generic_nullspace(columns, fld):
-    span = _ReferenceSpan(fld)
+    span = _ReferenceSpan(fld, record=True)
     for j, col in enumerate(columns):
-        span.insert(col, source=j, record=True)
+        span.insert(col, source=j)
     return [combo for _, combo in span.zeroed]
 
 
@@ -269,20 +269,20 @@ def _counted_chains(monkeypatch):
     ranks it activates."""
     chains = []
     for name in ("_Gf2Chain", "_FieldChain"):
-        base = getattr(presentations, name)
+        base = getattr(graded, name)
 
         class Counted(base):
             __slots__ = ()
 
-            def __init__(self, fld, record):
-                super().__init__(fld, record)
+            def __init__(self, fld, record, packed):
+                super().__init__(fld, record, packed)
                 chains.append((record, []))
 
-            def activate(self, ranks, packed):
+            def activate(self, ranks):
                 chains[-1][1].extend(ranks)
-                super().activate(ranks, packed)
+                super().activate(ranks)
 
-        monkeypatch.setattr(presentations, name, Counted)
+        monkeypatch.setattr(graded, name, Counted)
     return chains
 
 

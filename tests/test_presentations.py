@@ -35,7 +35,7 @@ from mphom import (
 )
 from mphom import dual_context, homspace, presentations
 from mphom.generators import random_module, random_pair
-from mphom.graded import _axpy, _lift_through
+from mphom.graded import _axpy
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points, local_cokernel
@@ -43,6 +43,7 @@ from mphom.localalg import evaluation_grid, grid_points, local_cokernel
 import numpy as np
 
 from conftest import red_blue
+from test_graded import lift_through
 
 
 def hilbert_table(pres, axes):
@@ -956,7 +957,7 @@ def _reference_sparsify(presentation):
         )
         lifted = []
         for j in batch:
-            combo = _lift_through(span, coordinate_column(ck, columns[j]))
+            combo = lift_through(span, coordinate_column(ck, columns[j]))
             if combo is None:
                 raise GradingError(
                     "batch relation class escapes the lower-generator span"
