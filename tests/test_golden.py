@@ -12,6 +12,9 @@
 - `other_d`: `serialize_pmod` of every differential of `free_resolution`
   of both modules, and `write_hom_basis` of the `a-star` and `b-star`
   routes, on a few seeded d=1 and d=3 `random_pair`s;
+- `primal`: `write_hom_basis` of the four primal routes (`direct`, `a`,
+  `mixed`, `b`) on seeded d=2 `random_pair`s of `ladder` size (40 and 60
+  generators and relations, `coord_range=1.5n`), over GF(2) and GF(5);
 - `modules`: `mphom minimize`, `sparsify` and `thickness` run in-process
   on every file in `tests/fixtures` (exit code and stdout);
 - `reducers`: `serialize_pmod` of `minimize` on seeded non-minimal graded
@@ -45,8 +48,12 @@ from mphom import (
     Presentation,
     dual_context,
     free_resolution,
+    hom_direct,
+    hom_exact,
     hom_exact_dual,
+    hom_mixed,
     hom_module_presentation,
+    hom_restricted,
     hom_restricted_dual,
 )
 from mphom.cli import ALGORITHM_CHOICES, main
@@ -78,6 +85,21 @@ OTHER_D_PAIRS = [
     (3, 2, 5, 5, 65521),
     (3, 3, 6, 5, 2),
 ]
+
+
+# (seed, gens = rels, p) of the seeded d=2 pairs of the primal routes.
+PRIMAL_PAIRS = [
+    (0, 40, 2),
+    (1, 60, 2),
+    (2, 40, 5),
+]
+
+PRIMAL_ROUTES = (
+    ("direct", hom_direct),
+    ("a", hom_restricted),
+    ("mixed", hom_mixed),
+    ("b", hom_exact),
+)
 
 
 # Subcommands that read one module, digested on every fixture.
@@ -151,6 +173,18 @@ def other_d_digests():
             out[f"{tag} {alg}"] = _sha(
                 write_hom_basis(route(x, y, context=ctx), d, p)
             )
+    return out
+
+
+def primal_digests():
+    """Digests of the primal routes' bases on `ladder`-sized pairs."""
+    out = {}
+    for seed, size, p in PRIMAL_PAIRS:
+        x, y = random_pair(seed, d=2, gens=size, rels=size,
+                           coord_range=3 * size // 2, p=p)
+        tag = f"seed={seed} n={size} p={p}"
+        for alg, route in PRIMAL_ROUTES:
+            out[f"{tag} {alg}"] = _sha(write_hom_basis(route(x, y), 2, p))
     return out
 
 
@@ -233,6 +267,7 @@ def all_digests():
         "modules": module_digests(),
         "other_d": other_d_digests(),
         "presentations": presentation_digests(),
+        "primal": primal_digests(),
         "reducers": reducer_digests(),
     }
 
@@ -276,6 +311,11 @@ def test_presentations_match_golden(golden):
 def test_other_d_match_golden(golden):
     got = other_d_digests()
     assert not _mismatches(got, golden["other_d"])
+
+
+def test_primal_bases_match_golden(golden):
+    assert len(golden["primal"]) == len(PRIMAL_PAIRS) * len(PRIMAL_ROUTES)
+    assert not _mismatches(primal_digests(), golden["primal"])
 
 
 def test_module_cli_outputs_match_golden(golden):
