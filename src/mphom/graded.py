@@ -12,18 +12,21 @@ int bitset, updated by `^`, in the packed GF(2) recorders, else a dict,
 updated by `_add_into` alone.
 
 `ColumnSpan` serves the one-shot reductions (local cokernel spans, the
-homotopy quotient, the audit's membership test, echelon forms), where
-packing a column costs as much as the XOR saves; it records only when
-built to, for the nullspace solve over primes other than 2.  Each
-reduced column stores its pivot's inverse, and over GF(2) a step is a
-sorted symmetric difference of rows (`_xor`) with no scale and no `%`.
+audit's membership test, echelon forms, and the homotopy quotient over
+primes other than 2), where packing a column costs as much as the XOR
+saves; it records only when built to, for the nullspace solve over
+primes other than 2.  Each reduced column stores its pivot's inverse,
+and over GF(2) a step is a sorted symmetric difference of rows (`_xor`)
+with no scale and no `%`.
 
 `_Gf2Span` serves the nullspace solve over GF(2).  It packs each column
 once into an int whose bit r is row r (`_pack`), eliminates by `^`,
-reads the pivot off `bit_length()`, and unpacks only the zeroed
-combinations (`_bits`).  A zeroed combination is its source plus the
-column's unique expression in the columns kept before it, so both spans
-return the same one.
+reads the pivot off `bit_length()`, and keeps each combination packed
+(`_gf2_nullspace`); `nullspace_of_columns` unpacks the zeroed ones
+(`_bits`).  A zeroed combination is its source plus the column's unique
+expression in the columns kept before it, so both spans return the same
+one.  `_gf2_survivors` is its non-recording twin for the homotopy
+quotient over GF(2), whose flat Q columns stay packed from the solve.
 
 The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
 lists, carry one reduction along a chain of lines for the line sweeps
@@ -36,6 +39,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -786,19 +790,57 @@ def column_reduce(columns, fld, record=False):
     return span
 
 
+def _gf2_nullspace(columns, sources):
+    """Basis of the GF(2) nullspace of `columns` as packed combinations.
+
+    One `_Gf2Span` sweep over the packed columns, in order, in which bit
+    `sources[j]` stands for column j; the sources must be distinct.  When
+    they increase, each combination's highest bit is the source of the
+    column it zeroed.
+    """
+    span = _Gf2Span()
+    for source, col in zip(sources, columns):
+        span.insert(_pack(col), source)
+    return [combo for _, combo in span.zeroed]
+
+
+def _gf2_survivors(columns, after):
+    """Packed residuals of the GF(2) columns that enlarge a span.
+
+    The packed columns `after`, then `columns`, are reduced left to right
+    against a pivot -> column dict, the pivot being the highest bit, and
+    nothing is recorded.  Returns the nonzero residual of each of
+    `columns` that the sweep keeps, in order: the column that
+    `ColumnSpan` keeps for it over GF(2), packed.
+    """
+    by_pivot = {}
+    survivors = []
+    first = len(after)
+    for j, bits in enumerate(itertools.chain(after, columns)):
+        while bits:
+            pivot = bits.bit_length() - 1
+            other = by_pivot.get(pivot)
+            if other is None:
+                by_pivot[pivot] = bits
+                if j >= first:
+                    survivors.append(bits)
+                break
+            bits ^= other
+    return survivors
+
+
 def nullspace_of_columns(columns, fld):
     """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
 
-    One recording sweep: by `_Gf2Span` over GF(2), else by `ColumnSpan`.
-    Each dict's largest key is the index of the column it zeroed.
+    One recording sweep: by `_Gf2Span` over GF(2) (`_gf2_nullspace`),
+    else by `ColumnSpan`.  Each dict's largest key is the index of the
+    column it zeroed.
     """
     if fld.p != 2:
         span = column_reduce(columns, fld, record=True)
         return [combo for _, combo in span.zeroed]
-    span = _Gf2Span()
-    for idx, col in enumerate(columns):
-        span.insert(_pack(col), idx)
-    return [dict.fromkeys(_bits(combo), 1) for _, combo in span.zeroed]
+    return [dict.fromkeys(_bits(combo), 1)
+            for combo in _gf2_nullspace(columns, range(len(columns)))]
 
 
 def _transpose(columns, n_rows):

@@ -24,16 +24,22 @@ below a degree of X are the `rows_le` and `cols_le` of the slice there,
 which is reduced only when its span or subset is first read.
 
 They also share one flat pipeline after the solve.  `LinearSystem.solve`
-returns each solution's Q part as a single sparse column indexed by the
+returns each solution's Q part as a single flat column indexed by the
 admissible Q entries in `_flat_index` order, and `_reduce_flat`
 column-reduces those columns once: after the flattened null-homotopies
 for `direct` and `mixed`, on their own for `a`, whose lifts are unique.
 Only the surviving columns are turned back into graded matrices.  The
-rank that `homotopy_killed` needs is the solution count less the
-solutions with Q = 0, which the ranks of N's slices at the relation
-degrees of X count, so no Q column is reduced a second time.
-The public `homotopy_reduce` flattens its Q matrices and calls the same
-reducer, over a `CokernelCache` of its target.
+form of a flat column is picked by prime in one place (`_flat_form`):
+over GF(2) it is one int whose bit k is flat position k, kept from the
+packed nullspace sweep through the homotopy columns to the XOR
+reduction, and unpacked only for the survivors; over every other prime
+it is a sorted tuple of (position, value) pairs reduced by `ColumnSpan`.
+Both give the same survivors.  `solve_seconds` times the elimination
+sweep alone, in either form.  The rank that `homotopy_killed` needs is
+the solution count less the solutions with Q = 0, which the ranks of N's
+slices at the relation degrees of X count, so no Q column is reduced a
+second time.  The public `homotopy_reduce` flattens its Q matrices and
+calls the same reducer, over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
 element must respect the grading and pass `verify_hom`.  Basis elements
@@ -58,6 +64,9 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
+    _bits,
+    _gf2_nullspace,
+    _gf2_survivors,
     _transpose,
     deg_sub,
     nullspace_of_columns,
@@ -183,23 +192,20 @@ class LinearSystem:
     def solve(self):
         """Q parts of a basis of the solution space, as flat columns.
 
-        Each solution's Q part is one sparse column sorted by its position
-        in `q_index` (the `_flat_index(cache, m.rows)` order), ready for
-        the homotopy quotient without building a matrix per solution.  The
-        P parts are dropped.  Solutions with Q = 0 give empty columns, so
-        the list length is the dimension of the solution space.  The
-        nullspace call alone is timed into `solve_seconds`.
+        Each solution's Q part is one flat column (`_flat_form`) over the
+        positions of `q_index` (the `_flat_index(cache, m.rows)` order),
+        ready for the homotopy quotient without building a matrix per
+        solution: over GF(2) one int whose bit k is position k, else a
+        tuple of (position, value) pairs by increasing position.  The P
+        parts are dropped.  Solutions with Q = 0 give empty columns (0 or
+        ()), so the list length is the dimension of the solution space.
+        The elimination sweep alone is timed into `solve_seconds`.
         """
-        t0 = time.perf_counter()
-        combos = nullspace_of_columns(self.columns, self.field)
-        self.solve_seconds = time.perf_counter() - t0
-        nq = len(self.q_vars)
         index = self.q_index
         flat = [index[(g, gp)] for gp, g in self.q_vars]
-        return [
-            tuple(sorted((flat[k], v) for k, v in combo.items() if k < nq))
-            for combo in combos
-        ]
+        cols, self.solve_seconds = _flat_form(self.field).solutions(
+            self, flat)
+        return cols
 
 
 def _flat_index(cache, q_cols):
@@ -211,28 +217,103 @@ def _flat_index(cache, q_cols):
     return index
 
 
-def _flatten_q(qmat, index):
-    col = []
-    for g, entries in enumerate(qmat.columns):
-        for gp, v in entries:
-            col.append((index[(g, gp)], v))
-    return tuple(sorted(col))
+class _SortedFlat:
+    """Flat Q columns as tuples of (position, value) pairs by increasing
+    position: the form over every prime but 2."""
+
+    @staticmethod
+    def solutions(system, flat):
+        """(Q parts of the system's nullspace basis, sweep seconds);
+        Q variable k sits at flat position `flat[k]`."""
+        t0 = time.perf_counter()
+        combos = nullspace_of_columns(system.columns, system.field)
+        seconds = time.perf_counter() - t0
+        nq = len(flat)
+        return [
+            tuple(sorted((flat[k], v) for k, v in combo.items() if k < nq))
+            for combo in combos
+        ], seconds
+
+    @staticmethod
+    def column(blocks, index):
+        """The flat column of the sparse columns `blocks` yields as
+        (g, column over N's rows) pairs, each placed in block g."""
+        return tuple(sorted(
+            (index[(g, gp)], v) for g, col in blocks for gp, v in col))
+
+    @staticmethod
+    def survivors(cols, fld, homotopies):
+        """The reduced columns of `cols` that `ColumnSpan` keeps after
+        the homotopy columns, as (position, value) sequences."""
+        span = ColumnSpan(fld)
+        for col in homotopies:
+            span.insert(col, source=-1)
+        kept = []
+        for j, col in enumerate(cols):
+            entry = span.insert(col, source=j)
+            if entry is not None:
+                kept.append(entry.column)
+        return kept
 
 
-def _homotopy_columns(cache, q_cols, index):
+class _PackedFlat:
+    """Over GF(2), a flat Q column is one int whose bit k is position k.
+
+    The solve reads the Q parts straight off the packed combinations of
+    `_gf2_nullspace`: Q variable k is given source bit `flat[k]` and the
+    P variables the bits past every flat position, so masking drops the
+    P part and leaves the Q part at its flat positions.  The quotient
+    reduces by `^` (`_gf2_survivors`), and only survivors are unpacked.
+    """
+
+    @staticmethod
+    def solutions(system, flat):
+        size = len(system.q_index)
+        sources = flat + list(range(size, size + len(system.p_vars)))
+        t0 = time.perf_counter()
+        combos = _gf2_nullspace(system.columns, sources)
+        seconds = time.perf_counter() - t0
+        mask = (1 << size) - 1
+        return [combo & mask for combo in combos], seconds
+
+    @staticmethod
+    def column(blocks, index):
+        bits = 0
+        for g, col in blocks:
+            for gp, _ in col:
+                bits |= 1 << index[(g, gp)]
+        return bits
+
+    @staticmethod
+    def survivors(cols, fld, homotopies):
+        return [[(k, 1) for k in _bits(bits)]
+                for bits in _gf2_survivors(cols, homotopies)]
+
+
+def _flat_form(fld):
+    """The form of the flat Q columns over this field: packed ints over
+    GF(2), sorted (position, value) tuples over every other prime."""
+    return _PackedFlat if fld.p == 2 else _SortedFlat
+
+
+def _flatten_q(qmat, index, form):
+    return form.column(enumerate(qmat.columns), index)
+
+
+def _homotopy_columns(cache, q_cols, index, form):
     """Flattened columns of N placed into each generator block they reach.
 
     One column per pair (r', g) with r' in the slice of N at deg(g), in
     `cache`: the g-block holds the r'-th column of N, every other block is
-    zero.  These span exactly the flattened null-homotopies N H.
+    zero.  These span exactly the flattened null-homotopies N H.  They
+    are built in `form`, a `_flat_form`.
     """
     columns = cache.matrix.columns
-    cols = []
-    for g, gdeg in enumerate(q_cols):
-        for rp in cache.at(gdeg).cols_le:
-            col = tuple((index[(g, gp)], v) for gp, v in columns[rp])
-            cols.append(tuple(sorted(col)))
-    return cols
+    return [
+        form.column(((g, columns[rp]),), index)
+        for g, gdeg in enumerate(q_cols)
+        for rp in cache.at(gdeg).cols_le
+    ]
 
 
 def _q_matrix(flat, keys, q_rows, q_cols, fld):
@@ -253,19 +334,16 @@ def _q_matrix(flat, keys, q_rows, q_cols, fld):
 def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
     """Column-reduce flat Q columns after the given homotopy columns.
 
-    Returns the surviving reduced columns as graded matrices; only they
-    are unflattened.
+    Both are in the field's `_flat_form`: over GF(2) each is one int and
+    the reduction is by `^` against a pivot -> column dict, else each is
+    a sorted tuple reduced by `ColumnSpan`.  Returns the surviving reduced
+    columns as graded matrices; only they are unflattened.
     """
-    span = ColumnSpan(fld)
-    for col in homotopies:
-        span.insert(col, source=-1)
     keys = list(index)
-    survivors = []
-    for j, col in enumerate(cols):
-        entry = span.insert(col, source=j)
-        if entry is not None:
-            survivors.append(_q_matrix(entry.column, keys, q_rows, q_cols, fld))
-    return survivors
+    return [
+        _q_matrix(col, keys, q_rows, q_cols, fld)
+        for col in _flat_form(fld).survivors(cols, fld, homotopies)
+    ]
 
 
 def homotopy_reduce(qs, yp):
@@ -296,13 +374,14 @@ def homotopy_reduce(qs, yp):
         )
     cache = CokernelCache(n)
     index = _flat_index(cache, q_cols)
+    form = _flat_form(n.field)
     return _reduce_flat(
-        [_flatten_q(q, index) for q in qs],
+        [_flatten_q(q, index, form) for q in qs],
         index,
         n.rows,
         q_cols,
         n.field,
-        _homotopy_columns(cache, q_cols, index),
+        _homotopy_columns(cache, q_cols, index, form),
     )
 
 
@@ -406,7 +485,10 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     qcols = system.solve()
     cache, fld = system.cache, xp.field
     q_rows, q_cols, index = cache.matrix.rows, xp.matrix.rows, system.q_index
-    homotopies = _homotopy_columns(cache, q_cols, index) if quotient else ()
+    homotopies = (
+        _homotopy_columns(cache, q_cols, index, _flat_form(fld))
+        if quotient else ()
+    )
     survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
     killed = 0
     if quotient:

@@ -34,7 +34,12 @@ from mphom import (
 )
 from mphom.generators import random_module, random_pair
 from mphom.gridoracle import grid_axes, hom_oracle, realize_grid
-from mphom.homspace import _flat_index, _flatten_q, _homotopy_columns
+from mphom.homspace import (
+    _SortedFlat,
+    _flat_index,
+    _flatten_q,
+    _homotopy_columns,
+)
 from mphom.localalg import evaluation_grid, grid_points
 
 from conftest import red_blue, staircase_pair
@@ -53,11 +58,12 @@ def homotopy_quotient_rank(qs, yp, xp):
     cache = CokernelCache(yp.matrix)
     index = _flat_index(cache, xp.matrix.rows)
     span = ColumnSpan(xp.field)
-    for col in _homotopy_columns(cache, xp.matrix.rows, index):
+    for col in _homotopy_columns(cache, xp.matrix.rows, index,
+                                 _SortedFlat):
         span.insert(col)
     base = span.rank
     for q in qs:
-        span.insert(_flatten_q(q, index))
+        span.insert(_flatten_q(q, index, _SortedFlat))
     return span.rank - base
 
 

@@ -10,14 +10,24 @@ modulo null-homotopies with `quotient_rank`.  On seeded pairs with 40 to
 60 generators over GF(2), GF(5) and GF(65521), every route's basis must
 be independent modulo null-homotopies (rank == dim), and every two
 routes must span the same subspace (the rank of their union == dim).
+
+End(X) is an algebra with a unit: on seeded modules with 20 to 40
+generators over the same three primes, every primal route's basis of
+End(X) must be independent and hold the identity modulo null-homotopies.
 """
 
 from itertools import combinations
 
 import pytest
 
-from mphom import hom_direct, hom_exact, hom_mixed, hom_restricted
-from mphom.generators import random_pair
+from mphom import (
+    graded_matrix_from_entries,
+    hom_direct,
+    hom_exact,
+    hom_mixed,
+    hom_restricted,
+)
+from mphom.generators import random_module, random_pair
 
 from test_homspace import quotient_rank
 
@@ -43,3 +53,21 @@ def test_primal_bases_are_independent_and_span_one_subspace(p, n, seed):
         assert quotient_rank(elements, y, x) == dim, name
     for a, b in combinations(ROUTES, 2):
         assert quotient_rank(bases[a] + bases[b], y, x) == dim, (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 4), (30, 5), (40, 6)])
+def test_identity_lies_in_every_primal_basis_of_end(p, n, seed):
+    x = random_module(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                      p=p)
+    m = x.matrix
+    identity = graded_matrix_from_entries(
+        m.field, m.rows, m.rows, {(g, g): 1 for g in range(m.nrows)})
+    dims = set()
+    for name, route in ROUTES.items():
+        elements = list(route(x, x).elements)
+        dim = len(elements)
+        assert quotient_rank(elements, x, x) == dim, name
+        assert quotient_rank(elements + [identity], x, x) == dim, name
+        dims.add(dim)
+    assert len(dims) == 1 and dims.pop() > n

@@ -1,12 +1,19 @@
 """The flat Q pipeline of the primal routes against the matrix-per-solution
 chain it replaced, and the public homotopy quotient around it.
 
+Over GF(2) the pipeline keeps each flat Q column as one packed int from
+the solve through the quotient, so the reference, which flattens sorted
+tuples and reduces them with `ColumnSpan`, checks the packed form too; the
+`ladder`-sized GF(2) pairs below kill long sets of homotopies.
+
 The reference below copies the earlier implementation: it builds the system with `deg_leq`, turns every solution's Q part
 into a graded matrix, flattens those again for the homotopy quotient (or
 the plain reduction of route `a`) and a third time for the rank.  On a
 free domain, routes `a` and `mixed` must also return the basis that their
 earlier free-domain special case wrote down directly.
 """
+
+import random
 
 import pytest
 
@@ -23,7 +30,7 @@ from mphom import (
 )
 from mphom import homspace
 from mphom.generators import random_module, random_pair
-from mphom.graded import nullspace_of_columns
+from mphom.graded import _bits, nullspace_of_columns
 from mphom.localalg import CokernelCache
 
 from conftest import free_module, red_blue, zero_module
@@ -242,9 +249,26 @@ def special_pairs():
     yield "zero-target", (x, zero_module(p=5))
 
 
+def ladder_pairs():
+    for n, seed in ((40, 0), (50, 1), (60, 1)):
+        yield f"ladder-n{n}-s{seed}", random_pair(
+            seed, d=2, gens=n, rels=n, coord_range=3 * n // 2, p=2
+        )
+
+
 PAIRS = (
     list(seeded_pairs()) + list(special_pairs()) + list(free_domain_pairs())
+    + list(ladder_pairs())
 )
+
+
+def flat_pairs(col):
+    """A flat Q column as (position, value) pairs by increasing position,
+    from either form `LinearSystem.solve` returns: a packed int over GF(2),
+    a sorted tuple of pairs over every other prime."""
+    if isinstance(col, int):
+        return tuple((k, 1) for k in _bits(col))
+    return col
 
 
 def run_recording(monkeypatch, route, xp, yp):
@@ -308,6 +332,10 @@ def test_reference_inputs_exercise_the_quotient():
             dropped += basis.stats.solution_dim > basis.dim
             survivors += basis.dim
     assert killed and dropped and survivors
+    # The GF(2) ladder pairs kill long homotopy sets on the packed path.
+    for name, (xp, yp) in PAIRS:
+        if name.startswith("ladder"):
+            assert hom_direct(xp, yp).stats.homotopy_killed > 30, name
 
 
 def test_solve_returns_sorted_flat_q_columns():
@@ -319,6 +347,24 @@ def test_solve_returns_sorted_flat_q_columns():
     for col in cols:
         assert list(col) == sorted(col)
         assert all(0 <= k < size and 0 < v < 5 for k, v in col)
+
+
+@pytest.mark.parametrize("route", ["direct", "mixed", "a"])
+def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
+    # Over GF(2) each Q part is one int over the flat positions: the same
+    # columns as the sorted form's, which the other primes use, read off
+    # the same system.
+    xp, yp = random_pair(4, d=2, gens=12, rels=12, coord_range=18, p=2)
+    basis, _, system = run_recording(monkeypatch, ROUTES[route], xp, yp)
+    cols = system.solve()
+    assert len(cols) == basis.stats.solution_dim
+    assert all(type(col) is int for col in cols)
+    size = len(system.q_index)
+    assert all(0 <= col < 1 << size for col in cols)
+    assert any(cols)
+    flat = [system.q_index[(g, gp)] for gp, g in system.q_vars]
+    sorted_cols, _ = homspace._SortedFlat.solutions(system, flat)
+    assert [flat_pairs(col) for col in cols] == sorted_cols
 
 
 # -- the public homotopy quotient -------------------------------------------
@@ -386,8 +432,61 @@ def test_homotopy_killed_matches_the_rank_sweep(monkeypatch):
                 monkeypatch, ROUTES[algorithm], xp, yp)
             rank = ColumnSpan(xp.field)
             for col in system.solve():
-                rank.insert(col)
+                rank.insert(flat_pairs(col))
             assert basis.stats.homotopy_killed == rank.rank - basis.dim, (
                 algorithm)
             killed += basis.stats.homotopy_killed
     assert killed
+
+
+def random_q_family(rng, xp, yp, size):
+    """Q matrices over the grading of Hom(X, Y): the zero matrix, repeats
+    and sums of earlier ones, null-homotopies (columns of N placed in one
+    generator block) and random admissible entries."""
+    m, n = xp.matrix, yp.matrix
+    p = m.field.p
+    cache = CokernelCache(n)
+    admissible = [cache.at(gdeg).rows_le for gdeg in m.rows]
+    homotopies = [(g, rp) for g, gdeg in enumerate(m.rows)
+                  for rp in cache.at(gdeg).cols_le]
+    entries = []
+    for _ in range(size):
+        kind = rng.random()
+        if kind < 0.1 or not entries:
+            q = {}
+        elif kind < 0.25:
+            q = dict(rng.choice(entries))
+        elif kind < 0.4:
+            q = dict(rng.choice(entries))
+            for key, v in rng.choice(entries).items():
+                q[key] = (q.get(key, 0) + v) % p
+        elif kind < 0.6 and homotopies:
+            g, rp = rng.choice(homotopies)
+            q = {(gp, g): v * rng.randint(1, p - 1) % p
+                 for gp, v in n.columns[rp]}
+        else:
+            q = {}
+            for _ in range(rng.randint(1, 4)):
+                g = rng.randrange(m.nrows)
+                if admissible[g]:
+                    q[(rng.choice(admissible[g]), g)] = rng.randint(1, p - 1)
+        entries.append(q)
+    return [graded_matrix_from_entries(m.field, n.rows, m.rows, q)
+            for q in entries]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_homotopy_reduce_matches_the_reference_on_random_families(p):
+    rng = random.Random(f"q-family:{p}")
+    kept = dropped = 0
+    for seed in range(6):
+        xp, yp = random_pair(seed, d=2, gens=12, rels=12, coord_range=18,
+                             p=p)
+        qs = random_q_family(rng, xp, yp, 40)
+        assert any(q.nnz() == 0 for q in qs), seed
+        assert len({q.columns for q in qs}) < len(qs), seed
+        got = homotopy_reduce(qs, yp)
+        assert got == old_homotopy_reduce(qs, yp), seed
+        kept += len(got)
+        dropped += len(qs) - len(got)
+    assert kept and dropped

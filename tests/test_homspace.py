@@ -31,7 +31,12 @@ from mphom import (
 )
 from mphom.gridoracle import grid_axes, hom_oracle, realize_grid
 from mphom.generators import random_pair
-from mphom.homspace import _flat_index, _flatten_q, _homotopy_columns
+from mphom.homspace import (
+    _SortedFlat,
+    _flat_index,
+    _flatten_q,
+    _homotopy_columns,
+)
 
 from conftest import free_module, red_blue, staircase_pair, zero_module
 
@@ -46,17 +51,22 @@ def oracle_dim(xp, yp):
 
 
 def quotient_rank(qs, yp, xp):
-    """Rank of the flattened family mod null-homotopies."""
+    """Rank of the flattened family mod null-homotopies.
+
+    It flattens into sorted tuples and reduces by `ColumnSpan` at every
+    prime, so over GF(2) it checks the packed quotient of the routes.
+    """
     if not qs:
         return 0
     cache = CokernelCache(yp.matrix)
     index = _flat_index(cache, xp.matrix.rows)
     span = ColumnSpan(xp.field)
-    for col in _homotopy_columns(cache, xp.matrix.rows, index):
+    for col in _homotopy_columns(cache, xp.matrix.rows, index,
+                                 _SortedFlat):
         span.insert(col)
     base = span.rank
     for q in qs:
-        span.insert(_flatten_q(q, index))
+        span.insert(_flatten_q(q, index, _SortedFlat))
     return span.rank - base
 
 

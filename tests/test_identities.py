@@ -10,7 +10,12 @@ modules with 40 to 60 generators, every route must give
   Y's grid and off it (below it, above it, and between its coordinates);
 * additivity: dim Hom(X + X', Y) = dim Hom(X, Y) + dim Hom(X', Y), and
   the same in the second argument, with direct sums presented
-  block-diagonally.
+  block-diagonally;
+* shift invariance: Hom(X[a], Y[a]) = Hom(X, Y), on seeded pairs with 20
+  to 40 generators over GF(2), GF(5) and GF(65521).  Shifting both
+  modules by one degree changes no comparison between their degrees, so
+  every route must return the same basis, element for element, and not
+  only the same dimension.
 
 The primal routes solve over the packed GF(2) sweep while the slices of Y
 are reduced by `ColumnSpan`; the duals resolve through the packed kernel.
@@ -32,7 +37,7 @@ from mphom import (
     hom_restricted_dual,
     minimize,
 )
-from mphom.generators import random_module
+from mphom.generators import random_module, random_pair
 
 from conftest import free_module
 
@@ -105,3 +110,27 @@ def test_additivity_on_every_route():
         parts = route(yp, xp).dim, route(yp, xq).dim
         assert all(parts), name
         assert route(yp, both).dim == sum(parts), name
+
+
+def _shifted(pres, a):
+    """X[a]: every degree of the presentation translated by a."""
+    m = pres.matrix
+    rows = [tuple(map(sum, zip(deg, a))) for deg in m.rows]
+    cols = [tuple(map(sum, zip(deg, a))) for deg in m.cols]
+    return Presentation(GradedMatrix(m.field, rows, cols, m.columns),
+                        minimal=True)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 1), (30, 2), (40, 3)])
+def test_shift_invariance_on_every_route(p, n, seed):
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=p)
+    a = (-2 * n, 3 * n + 1)
+    xs, ys = _shifted(xp, a), _shifted(yp, a)
+    for name, route in ROUTES.items():
+        basis, moved = route(xp, yp), route(xs, ys)
+        assert basis.dim > n, name
+        assert moved.dim == basis.dim, name
+        assert ([q.columns for q in moved.elements]
+                == [q.columns for q in basis.elements]), name
