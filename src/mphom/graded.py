@@ -8,25 +8,23 @@ pairs in strictly increasing row order; this favours the column reductions
 used everywhere downstream.
 
 Every recorded elimination lives here.  A recorded combination is an
-int bitset, updated by `^`, in the packed GF(2) recorders, else a dict,
+int bitset, updated by `^`, in the packed GF(2) sweeps, else a dict,
 updated by `_add_into` alone.
 
 `ColumnSpan` serves the one-shot reductions (local cokernel spans, the
-audit's membership test, echelon forms, and the homotopy quotient over
-primes other than 2), where packing a column costs as much as the XOR
-saves; it records only when built to, for the nullspace solve over
-primes other than 2.  Each reduced column stores its pivot's inverse,
-and over GF(2) a step is a sorted symmetric difference of rows (`_xor`)
-with no scale and no `%`.
+audit's membership test, echelon forms, and the homotopy quotient and
+nullspace solve over primes other than 2), where packing a column costs
+as much as the XOR saves; it records only when built to.  Each reduced
+column stores its pivot's inverse, and over GF(2) a step is a sorted
+symmetric difference of rows (`_xor`) with no scale and no `%`.
 
-`_Gf2Span` serves the nullspace solve over GF(2).  It packs each column
-once into an int whose bit r is row r (`_pack`), eliminates by `^`,
-reads the pivot off `bit_length()`, and keeps each combination packed
-(`_gf2_nullspace`); `nullspace_of_columns` unpacks the zeroed ones
-(`_bits`).  A zeroed combination is its source plus the column's unique
-expression in the columns kept before it, so both spans return the same
-one.  `_gf2_survivors` is its non-recording twin for the homotopy
-quotient over GF(2), whose flat Q columns stay packed from the solve.
+`_gf2_sweep` is the one packed GF(2) sweep: columns packed into ints
+whose bit r is row r (`_pack`), eliminated by `^`, pivots read off
+`bit_length()`.  Given sources it records each zeroed column's
+combination as an int, the one `ColumnSpan` records; the solves of all
+four primal routes and `nullspace_of_columns` run on it.  Without
+sources it keeps residuals only, for the homotopy quotient.  `_pairs`
+unpacks a packed or sparse column into (index, value) pairs.
 
 The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
 lists, carry one reduction along a chain of lines for the line sweeps
@@ -39,7 +37,6 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -554,39 +551,6 @@ def _bits(packed):
     return out
 
 
-class _Gf2Span:
-    """A recording GF(2) column span over packed columns (`_pack`).
-
-    A step XORs a stored column into the residual, and the pivot, the
-    lowest row, is `bit_length() - 1`, as in `ColumnSpan`.  Each stored
-    column carries its combination of sources as an int, bit j for
-    source j, and each zeroed column appends (source, combination) to
-    `zeroed`; `_bits` unpacks one.
-    """
-
-    __slots__ = ("_by_pivot", "zeroed")
-
-    def __init__(self):
-        self._by_pivot = {}
-        self.zeroed = []
-
-    def insert(self, bits, source):
-        """Reduce a packed column against the span.  True when it is
-        kept, enlarging the span; False when it vanishes."""
-        combo = 1 << source
-        by_pivot = self._by_pivot
-        while bits:
-            pivot = bits.bit_length() - 1
-            other = by_pivot.get(pivot)
-            if other is None:
-                by_pivot[pivot] = (bits, combo)
-                return True
-            bits ^= other[0]
-            combo ^= other[1]
-        self.zeroed.append((source, combo))
-        return False
-
-
 class _Chain:
     """A column reduction carried along one chain of lines.
 
@@ -769,11 +733,14 @@ def _line_chains(columns, fld, record):
 
 
 def _pairs(combo):
-    """A combination `_Chain.settle` recorded, as (rank, coefficient)
-    pairs."""
+    """A column or combination as (index, coefficient) pairs: a packed
+    int (bit k for index k) by increasing index, a dict as its items,
+    and a sequence of pairs as itself."""
     if isinstance(combo, int):
         return [(k, 1) for k in _bits(combo)]
-    return combo.items()
+    if isinstance(combo, dict):
+        return combo.items()
+    return combo
 
 
 def column_reduce(columns, fld, record=False):
@@ -790,57 +757,50 @@ def column_reduce(columns, fld, record=False):
     return span
 
 
-def _gf2_nullspace(columns, sources):
-    """Basis of the GF(2) nullspace of `columns` as packed combinations.
+def _gf2_sweep(columns, sources=None):
+    """One left-to-right sweep over packed GF(2) columns (`_pack`), each
+    reduced by `^` against a pivot -> (residual, combination) dict, the
+    pivot being the highest bit.
 
-    One `_Gf2Span` sweep over the packed columns, in order, in which bit
-    `sources[j]` stands for column j; the sources must be distinct.  When
-    they increase, each combination's highest bit is the source of the
-    column it zeroed.
-    """
-    span = _Gf2Span()
-    for source, col in zip(sources, columns):
-        span.insert(_pack(col), source)
-    return [combo for _, combo in span.zeroed]
-
-
-def _gf2_survivors(columns, after):
-    """Packed residuals of the GF(2) columns that enlarge a span.
-
-    The packed columns `after`, then `columns`, are reduced left to right
-    against a pivot -> column dict, the pivot being the highest bit, and
-    nothing is recorded.  Returns the nonzero residual of each of
-    `columns` that the sweep keeps, in order: the column that
-    `ColumnSpan` keeps for it over GF(2), packed.
+    Returns (kept, zeroed): `kept` maps the index of each kept column to
+    its nonzero residual, in order (the column `ColumnSpan` keeps,
+    packed); `zeroed` lists each zeroed column's combination as an int in
+    which bit `sources[j]` stands for column j.  Sources must be
+    distinct; when they increase, a combination's highest bit is the
+    source of the column it zeroed.  Without sources nothing is recorded.
     """
     by_pivot = {}
-    survivors = []
-    first = len(after)
-    for j, bits in enumerate(itertools.chain(after, columns)):
+    kept = {}
+    zeroed = []
+    for j, bits in enumerate(columns):
+        combo = 0 if sources is None else 1 << sources[j]
         while bits:
             pivot = bits.bit_length() - 1
             other = by_pivot.get(pivot)
             if other is None:
-                by_pivot[pivot] = bits
-                if j >= first:
-                    survivors.append(bits)
+                by_pivot[pivot] = bits, combo
+                kept[j] = bits
                 break
-            bits ^= other
-    return survivors
+            bits ^= other[0]
+            combo ^= other[1]
+        else:
+            if sources is not None:
+                zeroed.append(combo)
+    return kept, zeroed
 
 
 def nullspace_of_columns(columns, fld):
     """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
 
-    One recording sweep: by `_Gf2Span` over GF(2) (`_gf2_nullspace`),
-    else by `ColumnSpan`.  Each dict's largest key is the index of the
-    column it zeroed.
+    One recording sweep: over GF(2) the packed `_gf2_sweep`, else by
+    `ColumnSpan`.  Each dict's largest key is the index of the column it
+    zeroed.
     """
     if fld.p != 2:
         span = column_reduce(columns, fld, record=True)
         return [combo for _, combo in span.zeroed]
-    return [dict.fromkeys(_bits(combo), 1)
-            for combo in _gf2_nullspace(columns, range(len(columns)))]
+    _, zeroed = _gf2_sweep(map(_pack, columns), range(len(columns)))
+    return [dict.fromkeys(_bits(combo), 1) for combo in zeroed]
 
 
 def _transpose(columns, n_rows):

@@ -23,23 +23,25 @@ the route's one `CokernelCache` of N: the generators and relations of Y
 below a degree of X are the `rows_le` and `cols_le` of the slice there,
 which is reduced only when its span or subset is first read.
 
-They also share one flat pipeline after the solve.  `LinearSystem.solve`
-returns each solution's Q part as a single flat column indexed by the
-admissible Q entries in `_flat_index` order, and `_reduce_flat`
-column-reduces those columns once: after the flattened null-homotopies
-for `direct` and `mixed`, on their own for `a`, whose lifts are unique.
-Only the surviving columns are turned back into graded matrices.  The
-form of a flat column is picked by prime in one place (`_flat_form`):
-over GF(2) it is one int whose bit k is flat position k, kept from the
-packed nullspace sweep through the homotopy columns to the XOR
-reduction, and unpacked only for the survivors; over every other prime
-it is a sorted tuple of (position, value) pairs reduced by `ColumnSpan`.
-Both give the same survivors.  `solve_seconds` times the elimination
-sweep alone, in either form.  The rank that `homotopy_killed` needs is
-the solution count less the solutions with Q = 0, which the ranks of N's
-slices at the relation degrees of X count, so no Q column is reduced a
-second time.  The public `homotopy_reduce` flattens its Q matrices and
-calls the same reducer, over a `CokernelCache` of its target.
+All four share one flat solve, by a form picked by prime in one place
+(`_flat_form`), whose `solutions` gives a nullspace basis as flat
+columns: `LinearSystem.solve` numbers the Q variables by their
+`_flat_index` positions and the P variables past them, so each Q part
+comes out as one flat column, and `hom_exact`, whose variables are all Q
+entries, numbers its variables in order.  Over GF(2) a flat column is
+one int whose bit k is position k, kept from the packed `_gf2_sweep`
+through the homotopy columns to the quotient; over every other prime it
+is a sorted tuple of (position, value) pairs reduced by `ColumnSpan`.
+Both give the same survivors, and `_q_matrix` unpacks either (`_pairs`).
+`solve_seconds` times the elimination sweep alone.  `_reduce_flat`
+column-reduces the equation routes' flat columns once: after the
+flattened null-homotopies for `direct` and `mixed`, on their own for
+`a`, whose lifts are unique; only survivors become graded matrices.  The
+rank that `homotopy_killed` needs is the solution count less the
+solutions with Q = 0, which the ranks of N's slices at the relation
+degrees of X count, so no Q column is reduced a second time.  The public
+`homotopy_reduce` flattens its Q matrices and calls the same reducer,
+over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
 element must respect the grading and pass `verify_hom`.  Basis elements
@@ -64,9 +66,9 @@ from .graded import (
     ColumnSpan,
     GradedMatrix,
     _axpy,
-    _bits,
-    _gf2_nullspace,
-    _gf2_survivors,
+    _gf2_sweep,
+    _pack,
+    _pairs,
     _transpose,
     deg_sub,
     nullspace_of_columns,
@@ -202,9 +204,11 @@ class LinearSystem:
         The elimination sweep alone is timed into `solve_seconds`.
         """
         index = self.q_index
-        flat = [index[(g, gp)] for gp, g in self.q_vars]
+        size = len(index)
+        sources = [index[(g, gp)] for gp, g in self.q_vars]
+        sources += range(size, size + len(self.p_vars))
         cols, self.solve_seconds = _flat_form(self.field).solutions(
-            self, flat)
+            self.columns, self.field, sources, size)
         return cols
 
 
@@ -222,15 +226,19 @@ class _SortedFlat:
     position: the form over every prime but 2."""
 
     @staticmethod
-    def solutions(system, flat):
-        """(Q parts of the system's nullspace basis, sweep seconds);
-        Q variable k sits at flat position `flat[k]`."""
+    def solutions(columns, fld, sources, size):
+        """(nullspace basis of `columns` as flat columns, sweep seconds).
+
+        Column j is variable `sources[j]`, a flat position when it is
+        below `size`; the variables past `size` are solved for and
+        dropped.  The sources must be distinct.
+        """
         t0 = time.perf_counter()
-        combos = nullspace_of_columns(system.columns, system.field)
+        combos = nullspace_of_columns(columns, fld)
         seconds = time.perf_counter() - t0
-        nq = len(flat)
         return [
-            tuple(sorted((flat[k], v) for k, v in combo.items() if k < nq))
+            tuple(sorted((sources[k], v) for k, v in combo.items()
+                         if sources[k] < size))
             for combo in combos
         ], seconds
 
@@ -259,19 +267,16 @@ class _SortedFlat:
 class _PackedFlat:
     """Over GF(2), a flat Q column is one int whose bit k is position k.
 
-    The solve reads the Q parts straight off the packed combinations of
-    `_gf2_nullspace`: Q variable k is given source bit `flat[k]` and the
-    P variables the bits past every flat position, so masking drops the
-    P part and leaves the Q part at its flat positions.  The quotient
-    reduces by `^` (`_gf2_survivors`), and only survivors are unpacked.
+    The solve reads the flat columns straight off the packed
+    combinations of `_gf2_sweep`, column j recorded as bit `sources[j]`,
+    so masking drops the variables past `size` and leaves the rest at
+    their flat positions.  The quotient is the same sweep unrecorded.
     """
 
     @staticmethod
-    def solutions(system, flat):
-        size = len(system.q_index)
-        sources = flat + list(range(size, size + len(system.p_vars)))
+    def solutions(columns, fld, sources, size):
         t0 = time.perf_counter()
-        combos = _gf2_nullspace(system.columns, sources)
+        _, combos = _gf2_sweep(map(_pack, columns), sources)
         seconds = time.perf_counter() - t0
         mask = (1 << size) - 1
         return [combo & mask for combo in combos], seconds
@@ -286,8 +291,9 @@ class _PackedFlat:
 
     @staticmethod
     def survivors(cols, fld, homotopies):
-        return [[(k, 1) for k in _bits(bits)]
-                for bits in _gf2_survivors(cols, homotopies)]
+        kept, _ = _gf2_sweep(itertools.chain(homotopies, cols))
+        first = len(homotopies)
+        return [bits for j, bits in kept.items() if j >= first]
 
 
 def _flat_form(fld):
@@ -317,13 +323,14 @@ def _homotopy_columns(cache, q_cols, index, form):
 
 
 def _q_matrix(flat, keys, q_rows, q_cols, fld):
-    """Graded Q matrix of a sorted flat column: `keys[k]` is the (g, g')
-    entry at flat position k.  Keys must be g-major with g' ascending
-    inside each block, so every column fills in sorted row order; `q_rows`
-    and `q_cols` must be tuples of degree tuples, which the matrix shares.
+    """Graded Q matrix of a flat column in either form (`_pairs` reads
+    it): `keys[k]` is the (g, g') entry at flat position k.  Keys must be
+    g-major with g' ascending inside each block, so every column fills in
+    sorted row order; `q_rows` and `q_cols` must be tuples of degree
+    tuples, which the matrix shares.
     """
     blocks = [[] for _ in q_cols]
-    for k, v in flat:
+    for k, v in _pairs(flat):
         g, gp = keys[k]
         blocks[g].append((gp, v))
     return GradedMatrix._trusted(
@@ -353,9 +360,9 @@ def homotopy_reduce(qs, yp):
     reduced Q columns as graded matrices.  Idempotent: the survivors have
     pivots distinct from the homotopy columns and from each other, so a
     second pass returns them unchanged.  Raises FieldMismatchError unless
-    every Q shares the target's field, and DimensionMismatchError unless
+    every Q shares the target's field, DimensionMismatchError unless
     every Q has the target's generator degrees as rows and one set of
-    columns.
+    columns, and GradingError for an entry against the grading.
     """
     if not qs:
         return []
@@ -372,6 +379,8 @@ def homotopy_reduce(qs, yp):
         raise DimensionMismatchError(
             "Q matrices and target graded over different posets"
         )
+    if not all(map(validate_grading, qs)):
+        raise GradingError("Q matrix with an entry against the grading")
     cache = CokernelCache(n)
     index = _flat_index(cache, q_cols)
     form = _flat_form(n.field)
@@ -562,9 +571,9 @@ def hom_exact(xp, yp):
 
     Builds the block matrix from ⊕_g Y_{deg g} to ⊕_r Y_{deg r} whose
     (r, g) block is M_{g,r} times the structure map of Y, computes its
-    nullspace with the sparse engine, and re-expresses each nullvector's
-    g-component as column g of a graded matrix via the distinguished
-    generator subsets.
+    nullspace by the flat solve of the other primal routes, and
+    re-expresses each nullvector's g-component as column g of a graded
+    matrix via the distinguished generator subsets.
     """
     if _check_pair(xp, yp):
         return _empty_basis("b")
@@ -601,16 +610,12 @@ def hom_exact(xp, yp):
                         col.append((row_offsets[r] + t, val))
                         entries += 1
     sys_columns = [tuple(sorted(c)) for c in columns]
-    t0 = time.perf_counter()
-    combos = nullspace_of_columns(sys_columns, fld)
-    elapsed = time.perf_counter() - t0
-    # Re-express nullvectors as graded matrices.
-    elements = [
-        _q_matrix(sorted(combo.items()), keys, n.rows, m.rows, fld)
-        for combo in combos
-    ]
+    # The flat solve of the primal routes, every variable a Q entry.
+    flats, elapsed = _flat_form(fld).solutions(
+        sys_columns, fld, range(total), total)
+    elements = [_q_matrix(flat, keys, n.rows, m.rows, fld) for flat in flats]
     stats = SolveStats(
-        "b", total, rows_total, entries, elapsed, solution_dim=len(combos)
+        "b", total, rows_total, entries, elapsed, solution_dim=len(flats)
     )
     return _audited(elements, stats, xp, yp, cache)
 

@@ -13,9 +13,13 @@ routes must span the same subspace (the rank of their union == dim).
 
 End(X) is an algebra with a unit: on seeded modules with 20 to 40
 generators over the same three primes, every primal route's basis of
-End(X) must be independent and hold the identity modulo null-homotopies.
+End(X) must be independent and hold the identity modulo null-homotopies,
+and be closed under products: products Q_f Q_g of random combinations
+f, g of its elements must pass `verify_hom` and lie in its span modulo
+null-homotopies.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -26,6 +30,8 @@ from mphom import (
     hom_exact,
     hom_mixed,
     hom_restricted,
+    matmul,
+    verify_hom,
 )
 from mphom.generators import random_module, random_pair
 
@@ -71,3 +77,34 @@ def test_identity_lies_in_every_primal_basis_of_end(p, n, seed):
         assert quotient_rank(elements + [identity], x, x) == dim, name
         dims.add(dim)
     assert len(dims) == 1 and dims.pop() > n
+
+
+def _combination(elements, rng):
+    """A random linear combination of graded matrices of one shape."""
+    first = elements[0]
+    p = first.field.p
+    entries = {}
+    for q in elements:
+        c = rng.randrange(p)
+        for j, col in enumerate(q.columns):
+            for i, v in col:
+                entries[(i, j)] = (entries.get((i, j), 0) + c * v) % p
+    return graded_matrix_from_entries(first.field, first.rows, first.cols,
+                                      entries)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 7), (30, 8)])
+def test_products_stay_in_every_primal_basis_of_end(p, n, seed):
+    x = random_module(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                      p=p)
+    rng = random.Random(f"products:{p}:{n}:{seed}")
+    for name, route in ROUTES.items():
+        elements = list(route(x, x).elements)
+        dim = len(elements)
+        products = [matmul(_combination(elements, rng),
+                           _combination(elements, rng)) for _ in range(6)]
+        assert quotient_rank(products, x, x) > 0, name
+        for product in products:
+            assert verify_hom(product, x, x), name
+        assert quotient_rank(elements + products, x, x) == dim, name

@@ -10,7 +10,9 @@ The reference below copies the earlier implementation: it builds the system with
 into a graded matrix, flattens those again for the homotopy quotient (or
 the plain reduction of route `a`) and a third time for the rank.  On a
 free domain, routes `a` and `mixed` must also return the basis that their
-earlier free-domain special case wrote down directly.
+earlier free-domain special case wrote down directly.  Route `b` shares
+the flat solve, and must return the elements of its earlier tail, which
+sorted the items of `nullspace_of_columns`'s dicts, at p = 2, 5 and 65521.
 """
 
 import random
@@ -21,6 +23,7 @@ from mphom import (
     ColumnSpan,
     DimensionMismatchError,
     GradedMatrix,
+    GradingError,
     deg_leq,
     graded_matrix_from_entries,
     hom_direct,
@@ -30,7 +33,7 @@ from mphom import (
 )
 from mphom import homspace
 from mphom.generators import random_module, random_pair
-from mphom.graded import _bits, nullspace_of_columns
+from mphom.graded import _pairs, nullspace_of_columns
 from mphom.localalg import CokernelCache
 
 from conftest import free_module, red_blue, zero_module
@@ -266,9 +269,7 @@ def flat_pairs(col):
     """A flat Q column as (position, value) pairs by increasing position,
     from either form `LinearSystem.solve` returns: a packed int over GF(2),
     a sorted tuple of pairs over every other prime."""
-    if isinstance(col, int):
-        return tuple((k, 1) for k in _bits(col))
-    return col
+    return tuple(_pairs(col))
 
 
 def run_recording(monkeypatch, route, xp, yp):
@@ -362,9 +363,51 @@ def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     size = len(system.q_index)
     assert all(0 <= col < 1 << size for col in cols)
     assert any(cols)
-    flat = [system.q_index[(g, gp)] for gp, g in system.q_vars]
-    sorted_cols, _ = homspace._SortedFlat.solutions(system, flat)
+    sources = [system.q_index[(g, gp)] for gp, g in system.q_vars]
+    sources += range(size, size + len(system.p_vars))
+    sorted_cols, _ = homspace._SortedFlat.solutions(
+        system.columns, system.field, sources, size)
     assert [flat_pairs(col) for col in cols] == sorted_cols
+
+
+def old_exact_tail(columns, fld, keys, q_rows, q_cols):
+    """Route `b`'s elements as it read them before it shared the flat
+    solve: the nullspace combinations as dicts, their items sorted, each
+    made a Q matrix."""
+    return [homspace._q_matrix(sorted(combo.items()), keys, q_rows, q_cols,
+                               fld)
+            for combo in nullspace_of_columns(columns, fld)]
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 1), (30, 2), (40, 3)])
+def test_exact_route_matches_its_own_solve_tail(monkeypatch, p, n, seed):
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=p)
+    seen = []
+    flat_form = homspace._flat_form
+
+    class Recording:
+        def __init__(self, fld):
+            self.form = flat_form(fld)
+
+        def solutions(self, columns, fld, sources, size):
+            assert list(sources) == list(range(size))
+            seen.append(columns)
+            return self.form.solutions(columns, fld, sources, size)
+
+    monkeypatch.setattr(homspace, "_flat_form", Recording)
+    basis = homspace.hom_exact(xp, yp)
+    monkeypatch.undo()
+    (columns,) = seen
+    m, n_mat = xp.matrix, yp.matrix
+    cache = CokernelCache(n_mat)
+    keys = [(g, gp) for g, gdeg in enumerate(m.rows)
+            for gp in cache.at(gdeg).subset]
+    want = old_exact_tail(columns, m.field, keys, n_mat.rows, m.rows)
+    assert basis.dim > n
+    assert list(basis.elements) == want
+    assert basis.stats.solution_dim == len(want)
 
 
 # -- the public homotopy quotient -------------------------------------------
@@ -390,6 +433,17 @@ def test_homotopy_reduce_rejects_q_rows_other_than_the_targets():
         q = graded_matrix_from_entries(fld, rows, xp.matrix.rows, {(0, 0): 1})
         with pytest.raises(DimensionMismatchError, match="foreign rows"):
             homotopy_reduce([q], yp)
+
+
+def test_homotopy_reduce_rejects_an_entry_against_the_grading():
+    # Entry (0, 0) pairs generator 0 of Y with generator 0 of X, whose
+    # degree is not above it: no flat position holds it.
+    x, y = random_pair(1, d=2, gens=5, rels=5, coord_range=8, p=5)
+    assert not deg_leq(y.matrix.rows[0], x.matrix.rows[0])
+    q = graded_matrix_from_entries(x.field, y.matrix.rows, x.matrix.rows,
+                                   {(0, 0): 1}, validate=False)
+    with pytest.raises(GradingError, match="against the grading"):
+        homotopy_reduce([q], y)
 
 
 def test_homotopy_reduce_rejects_a_target_of_other_arity():

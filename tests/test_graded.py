@@ -22,7 +22,7 @@ from mphom import (
 from mphom.generators import random_module
 from mphom.graded import (
     _bits,
-    _Gf2Span,
+    _gf2_sweep,
     _is_prime,
     _pack,
     _slice_at_most,
@@ -479,19 +479,31 @@ def test_gf2_merge_is_the_generic_step():
         assert _xor(a, b) == _reference_axpy(a, b, 1, 2)
 
 
-def test_gf2_span_matches_the_generic_reference():
-    """The packed span keeps the columns the reference keeps, and records
-    the same zeroed combinations, as sets of sources."""
+def test_gf2_sweep_matches_the_generic_reference():
+    """The one packed sweep keeps the columns the reference keeps, with
+    its residuals, with or without sources.  Given increasing sources,
+    not contiguous, it records the reference's zeroed combinations with
+    bit `sources[j]` for column j, each one's highest bit the source of
+    the column it zeroed; without sources it records nothing."""
     fld = PrimeField(2)
     rng = random.Random("packed")
     for _ in range(40):
         cols = _random_columns(rng, 2, rng.randint(0, 30), rows=70)
-        span, ref = _Gf2Span(), _ReferenceSpan(fld, record=True)
+        ref = _ReferenceSpan(fld, record=True)
         for j, col in enumerate(cols):
-            kept = span.insert(_pack(col), j)
-            assert kept == (ref.insert(col, source=j) is not None)
-        assert [(s, dict.fromkeys(_bits(c), 1)) for s, c in span.zeroed] \
-            == [(s, c) for s, c in ref.zeroed]
+            ref.insert(col, source=j)
+        packed = [_pack(col) for col in cols]
+        sources = sorted(rng.sample(range(3 * len(cols)), len(cols)))
+        kept, zeroed = _gf2_sweep(packed, sources)
+        want = {source: column for _, column, source, _ in ref.reduced}
+        assert [(j, tuple((k, 1) for k in _bits(bits)))
+                for j, bits in kept.items()] == list(want.items())
+        assert [dict.fromkeys(_bits(c), 1) for c in zeroed] == [
+            {sources[k]: v for k, v in combo.items()}
+            for _, combo in ref.zeroed]
+        assert [c.bit_length() - 1 for c in zeroed] == [
+            sources[j] for j, _ in ref.zeroed]
+        assert _gf2_sweep(iter(packed)) == (kept, [])
 
 
 @pytest.mark.parametrize("p", [2, 5])

@@ -3,8 +3,9 @@
 The oracle refuses `ladder`-sized pairs, and above that size the routes
 are checked only against one another; they share `graded`, so one bug
 there could make them agree on a wrong answer.  The identities below need
-only one dimension per side and hold at any size.  On seeded GF(2)
-modules with 40 to 60 generators, every route must give
+only one dimension per side and hold at any size.  On seeded modules
+with 40 to 60 generators over GF(2), GF(5) and GF(65521), every route
+must give
 
 * Yoneda: dim Hom(A[a], Y) = dim Y_a = `hilbert_at(Y, a)`, at degrees on
   Y's grid and off it (below it, above it, and between its coordinates);
@@ -17,8 +18,10 @@ modules with 40 to 60 generators, every route must give
   every route must return the same basis, element for element, and not
   only the same dimension.
 
-The primal routes solve over the packed GF(2) sweep while the slices of Y
-are reduced by `ColumnSpan`; the duals resolve through the packed kernel.
+Over GF(2) the primal routes solve on the packed sweep while the slices
+of Y are reduced by `ColumnSpan`, and the duals resolve through the
+packed kernel; over the other primes every step runs on the sparse
+field paths.
 """
 
 import random
@@ -49,11 +52,12 @@ ROUTES = {
     "a-star": hom_restricted_dual,
     "b-star": hom_exact_dual,
 }
+PRIMES = (2, 5, 65521)
 
 
-def _module(seed, n):
+def _module(seed, n, p):
     return random_module(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
-                         p=2)
+                         p=p)
 
 
 def _direct_sum(xp, xq):
@@ -86,30 +90,32 @@ def _yoneda_degrees(yp, rng):
 
 @pytest.mark.parametrize("seed,n", [(1, 40), (2, 60)])
 def test_yoneda_on_every_route(seed, n):
-    yp = _module(seed, n)
-    rng = random.Random(f"yoneda:{seed}:{n}")
-    dims = set()
-    for a in _yoneda_degrees(yp, rng):
-        want = hilbert_at(yp, a)
-        dims.add(want)
-        xp = free_module([a], p=2)
-        for name, route in ROUTES.items():
-            assert route(xp, yp).dim == want, (name, a)
-    assert len(dims) > 2
+    for p in PRIMES:
+        yp = _module(seed, n, p)
+        rng = random.Random(f"yoneda:{seed}:{n}")
+        dims = set()
+        for a in _yoneda_degrees(yp, rng):
+            want = hilbert_at(yp, a)
+            dims.add(want)
+            xp = free_module([a], p=p)
+            for name, route in ROUTES.items():
+                assert route(xp, yp).dim == want, (name, a, p)
+        assert len(dims) > 2, p
 
 
 def test_additivity_on_every_route():
-    xp, xq, yp = _module(3, 40), _module(4, 40), _module(5, 50)
-    both = _direct_sum(xp, xq)
-    assert minimize(both).matrix == both.matrix
-    for name, route in ROUTES.items():
-        parts = route(xp, yp).dim, route(xq, yp).dim
-        assert all(parts), name
-        assert route(both, yp).dim == sum(parts), name
-        # The same sum as the target, from the domain Y.
-        parts = route(yp, xp).dim, route(yp, xq).dim
-        assert all(parts), name
-        assert route(yp, both).dim == sum(parts), name
+    for p in PRIMES:
+        xp, xq, yp = _module(3, 40, p), _module(4, 40, p), _module(5, 50, p)
+        both = _direct_sum(xp, xq)
+        assert minimize(both).matrix == both.matrix
+        for name, route in ROUTES.items():
+            parts = route(xp, yp).dim, route(xq, yp).dim
+            assert all(parts), (name, p)
+            assert route(both, yp).dim == sum(parts), (name, p)
+            # The same sum as the target, from the domain Y.
+            parts = route(yp, xp).dim, route(yp, xq).dim
+            assert all(parts), (name, p)
+            assert route(yp, both).dim == sum(parts), (name, p)
 
 
 def _shifted(pres, a):
@@ -121,7 +127,7 @@ def _shifted(pres, a):
                         minimal=True)
 
 
-@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("n, seed", [(20, 1), (30, 2), (40, 3)])
 def test_shift_invariance_on_every_route(p, n, seed):
     xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,

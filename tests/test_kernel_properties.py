@@ -4,9 +4,9 @@ and matching the rescanning loop, of `_irredundant`'s line sweep against
 the per-column reference and the per-line loop, and of `sparsify`
 against the lift-based reference and its thick + 1 entry bound.  GF(2)
 draws also compare the packed `kernel`, `_irredundant` and
-`nullspace_of_columns` with the generic sweeps.  On small pairs of
-modules, empty, free and zero ones among them, the six routes and the
-oracle must agree.
+`nullspace_of_columns` (on the one packed sweep, `_gf2_sweep`) with the
+generic sweeps.  On small pairs of modules, empty, free and zero ones
+among them, the six routes and the oracle must agree.
 
 Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
@@ -146,8 +146,9 @@ def _small_pairs(draw):
 @given(_small_pairs())
 def test_routes_and_oracle_agree_on_small_pairs(pair):
     """The six routes and the oracle give one dimension: over GF(2) the
-    primal solves run on `_Gf2Span`, over other primes on the recording
-    `ColumnSpan`, and the duals resolve through both kinds of chain."""
+    primal solves run on the packed `_gf2_sweep`, over other primes on
+    the recording `ColumnSpan`, and the duals resolve through both kinds
+    of chain."""
     x, y = pair
     dims = {name: route(x, y).dim for name, route in
             {**PRIMAL_ALGORITHMS, **DUAL_ALGORITHMS}.items()}

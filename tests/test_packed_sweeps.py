@@ -5,7 +5,8 @@ the packed GF(2) sweeps against the generic ones.
 of lines (`presentations._line_sweep`).  The references are the loops
 that reduced every line from scratch, kept here: `per_line_kernel` and
 `per_line_irredundant`, on `ColumnSpan`, or over GF(2) on `_Gf2Span`
-with the columns packed once per call, as those loops chose; given a
+(the recording packed span those loops used, kept here) with the
+columns packed once per call, as those loops chose; given a
 span type they run on it at every prime, `_ReferenceSpan` being the
 generic `ColumnSpan` loop kept in test_graded.py.  Outputs must be
 equal, matrices entry for entry.  Over GF(2) the sweeps run on packed
@@ -31,12 +32,38 @@ from mphom import (
 from mphom import graded, homspace, presentations
 from mphom.formats import serialize_pmod
 from mphom.generators import random_pair
-from mphom.graded import _bits, _Gf2Span, _pack
+from mphom.graded import _bits, _pack
 
 from test_graded import _ReferenceSpan
 
 GF2 = PrimeField(2)
 PRIMES = (2, 5, 65521)
+
+
+class _Gf2Span:
+    """A recording GF(2) column span over packed columns (`_pack`): a
+    step XORs a stored column into the residual, the pivot is the
+    highest bit, and each stored column carries its combination of
+    sources as an int, bit j for source j.  `insert` returns whether the
+    column was kept; a zeroed one appends (source, combination) to
+    `zeroed`."""
+
+    def __init__(self):
+        self._by_pivot = {}
+        self.zeroed = []
+
+    def insert(self, bits, source):
+        combo = 1 << source
+        while bits:
+            pivot = bits.bit_length() - 1
+            other = self._by_pivot.get(pivot)
+            if other is None:
+                self._by_pivot[pivot] = (bits, combo)
+                return True
+            bits ^= other[0]
+            combo ^= other[1]
+        self.zeroed.append((source, combo))
+        return False
 
 
 def _line_span(fld, span_type=None, record=False):
