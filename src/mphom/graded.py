@@ -11,20 +11,20 @@ Every recorded elimination lives here.  A recorded combination is an
 int bitset, updated by `^`, in the packed GF(2) sweeps, else a dict,
 updated by `_add_into` alone.
 
-`ColumnSpan` serves the one-shot reductions (local cokernel spans, the
-audit's membership test, echelon forms, and the homotopy quotient and
-nullspace solve over primes other than 2), where packing a column costs
-as much as the XOR saves; it records only when built to.  Each reduced
-column stores its pivot's inverse, and over GF(2) a step is a sorted
-symmetric difference of rows (`_xor`) with no scale and no `%`.
+`ColumnSpan` serves the one-shot reductions over primes other than 2
+(local cokernel spans, the audit's membership test, and the homotopy
+quotient and nullspace solve), and echelon forms over every prime; it
+records only when built to.  Each reduced column stores its pivot's
+inverse, and every step is the scaled sparse merge `_axpy`.
 
 `_gf2_sweep` is the one packed GF(2) sweep: columns packed into ints
 whose bit r is row r (`_pack`), eliminated by `^`, pivots read off
 `bit_length()`.  Given sources it records each zeroed column's
 combination as an int, the one `ColumnSpan` records; the solves of all
 four primal routes and `nullspace_of_columns` run on it.  Without
-sources it keeps residuals only, for the homotopy quotient.  `_pairs`
-unpacks a packed or sparse column into (index, value) pairs.
+sources it keeps residuals only, for the homotopy quotient and the
+local cokernels of N over GF(2).  `_pairs` unpacks a packed or sparse
+column into (index, value) pairs.
 
 The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
 lists, carry one reduction along a chain of lines for the line sweeps
@@ -417,28 +417,6 @@ class ReducedColumn:
     inv: int = 1
 
 
-def _xor(target, source):
-    """target + source for sparse GF(2) columns: the sorted symmetric
-    difference of their rows, every coefficient being 1."""
-    out = []
-    i = j = 0
-    nt, ns = len(target), len(source)
-    while i < nt and j < ns:
-        ri, rj = target[i][0], source[j][0]
-        if ri < rj:
-            out.append(target[i])
-            i += 1
-        elif ri > rj:
-            out.append(source[j])
-            j += 1
-        else:
-            i += 1
-            j += 1
-    out.extend(target[i:])
-    out.extend(source[j:])
-    return out
-
-
 def _add_into(combo, other, scale, p):
     """combo += scale * other for dict combinations, in place; return
     the keys that were not in combo before.  A key that comes back is
@@ -482,8 +460,7 @@ class ColumnSpan:
         """Reduce the sparse column `col` by the reduced columns until its
         pivot is free; return the residual, `col` itself when no step was
         taken.  Each step's multiple of a reduced column's combination is
-        added to `combo` when one is given.  Over GF(2) a step adds the
-        column once, by `_xor`, with no scale to compute.
+        added to `combo` when one is given.
 
         Each step must lower the pivot row.  One that does not can only
         come from a column whose rows do not increase, and would loop
@@ -491,17 +468,13 @@ class ColumnSpan:
         """
         p = self.field.p
         by_pivot = self._by_pivot
-        scale = 1
         while col:
             row, lead = col[-1]
             other = by_pivot.get(row)
             if other is None:
                 break
-            if p == 2:
-                col = _xor(col, other.column)
-            else:
-                scale = -lead * other.inv % p
-                col = _axpy(col, other.column, scale, p)
+            scale = -lead * other.inv % p
+            col = _axpy(col, other.column, scale, p)
             if combo is not None:
                 _add_into(combo, other.combo, scale, p)
             if col and col[-1][0] >= row:
@@ -534,10 +507,11 @@ class ColumnSpan:
 
 
 def _pack(column):
-    """A sparse GF(2) column as an int whose bit r is row r."""
+    """A sparse GF(2) column as an int whose bit r is row r's value mod
+    2, so a stored even value packs as zero."""
     bits = 0
-    for r, _ in column:
-        bits |= 1 << r
+    for r, v in column:
+        bits |= (v & 1) << r
     return bits
 
 

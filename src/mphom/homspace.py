@@ -48,7 +48,10 @@ element must respect the grading and pass `verify_hom`.  Basis elements
 are sparse, so the audit forms Q M only in the relations that Q's nonzero
 columns reach, through a generator-to-relations index of M built once per
 audit, and reduces only the nonzero products, against the span of N at
-each relation degree.  The zero products it skips pass trivially, so the
+each relation degree.  Over GF(2) a product is one int, the XOR of Q's
+packed columns, reduced by `^` against the packed pivots of the slice;
+over every other prime it is a sparse column that the slice's
+`ColumnSpan` tests.  The zero products it skips pass trivially, so the
 audit is exactly as strong as checking every relation.  Each route hands
 its audit the `CokernelCache` of N it built, so a slice of N is reduced
 once per route whether the masks, the structure maps or the audit asks
@@ -419,10 +422,13 @@ def verify_hom(q, xp, yp, cache=None):
 
     Only the relations that Q reaches are formed: each nonzero column g of
     Q is added, scaled by M_{g,r}, into column r of Q M for every relation
-    r that g appears in, over increasing g.  Zero products pass without
-    being reduced; nonzero ones are reduced against the span of N at
-    their relation degree, which `cache` shares across the calls of one
-    audit.  Raises FieldMismatchError unless Q, X and Y share one field,
+    r that g appears in, over increasing g.  Over GF(2) each column of Q
+    is packed (values read mod 2), a product is the XOR of the packed
+    columns g with odd M_{g,r}, and it is reduced by `^` against the
+    packed pivots of the slice.  Zero products pass without being
+    reduced; nonzero ones are reduced against the span of N at their
+    relation degree, which `cache` shares across the calls of one audit.
+    Raises FieldMismatchError unless Q, X and Y share one field,
     and DimensionMismatchError unless Q has the generator degrees of Y as
     rows and those of X as columns.
     """
@@ -437,17 +443,33 @@ def verify_hom(q, xp, yp, cache=None):
             f"{n.nrows} and {m.nrows} generators"
         )
     audit = cache if cache is not None else _AuditCache(m, CokernelCache(n))
+    rels_of, at = audit.rels_of, audit.cokernels.at
     p = n.field.p
     products = {}
+    if p == 2:
+        for g, qcol in enumerate(q.columns):
+            if qcol:
+                bits = _pack(qcol)
+                for r, mv in rels_of[g]:
+                    if mv & 1:
+                        products[r] = products.get(r, 0) ^ bits
+        for r in sorted(products):
+            bits = products[r]
+            if bits:
+                pivots = at(m.cols[r]).span
+                while bits:
+                    other = pivots.get(bits.bit_length() - 1)
+                    if other is None:
+                        return False
+                    bits ^= other
+        return True
     for g, qcol in enumerate(q.columns):
         if qcol:
-            for r, mv in audit.rels_of[g]:
+            for r, mv in rels_of[g]:
                 products[r] = _axpy(products.get(r, ()), qcol, mv, p)
     for r in sorted(products):
         product = products[r]
-        if not product:
-            continue
-        if not audit.cokernels.at(m.cols[r]).span.contains(product):
+        if product and not at(m.cols[r]).span.contains(product):
             return False
     return True
 
@@ -508,7 +530,7 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
         q_zero = 0
         for rdeg in xp.matrix.cols:
             ck = cache.at(rdeg)
-            q_zero += len(ck.cols_le) - ck.span.rank
+            q_zero += len(ck.cols_le) - len(ck.syzygy_subset)
         killed = len(qcols) - q_zero - len(survivors)
     stats = SolveStats(
         algorithm,

@@ -12,6 +12,14 @@ lowest-row pivots (largest row index); the distinguished subset collects
 the pivot-free rows in their original order.  Any valid subset would do;
 fixing the sweep makes results deterministic.
 
+The reduction takes the field's slice form, picked by prime in one place
+(`_slice_form`): over GF(2) the packed `_gf2_sweep`, each pivot row
+mapped to its residual as an int whose bit r is row r, and the cokernel
+matrix built by XOR of packed columns; over every other prime a
+`ColumnSpan`, each pivot row mapped to its `ReducedColumn`, and the
+matrix built by scaled sums.  Both keep the same pivots, residuals and
+kept columns, so every value read off a slice is the same.
+
 A local cokernel knows at once which generators and relations of N lie
 below alpha (`rows_le`, `cols_le`); it reduces N_{<=alpha} when its span
 or subset is first read, and builds its cokernel matrix when that is
@@ -50,7 +58,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import _bits, _slice_indices, column_reduce, deg_leq
+from .graded import (
+    _bits,
+    _gf2_sweep,
+    _pack,
+    _slice_indices,
+    column_reduce,
+    deg_leq,
+)
 
 
 def _matrix_of(obj):
@@ -58,12 +73,88 @@ def _matrix_of(obj):
     return getattr(obj, "matrix", obj)
 
 
+class _FieldSlice:
+    """The slice form over every prime but 2: a `ColumnSpan` whose pivot
+    rows map to their `ReducedColumn`s."""
+
+    @staticmethod
+    def reduce(columns, fld):
+        """(span, pivot -> residual, positions of the kept columns)."""
+        span = column_reduce(columns, fld)
+        return span, span._by_pivot, tuple([e.source for e in span.reduced])
+
+    @staticmethod
+    def substitute(rows_le, pivots, free_pos, p):
+        """Column of each row of `rows_le` in the subset basis, as a list
+        of values by subset position: a free row is its unit vector, and
+        a pivot row the combination of the rows before it that its
+        residual column makes it equal to modulo the slice."""
+        dim = len(free_pos)
+        cols = {}
+        for r in rows_le:
+            col = [0] * dim
+            if r in free_pos:
+                col[free_pos[r]] = 1
+            else:
+                entry = pivots[r]
+                for i, v in entry.column[:-1]:
+                    scale = (-v * entry.inv) % p
+                    prev = cols[i]
+                    for t in range(dim):
+                        col[t] = (col[t] + scale * prev[t]) % p
+            cols[r] = col
+        return tuple(zip(*cols.values()))
+
+
+class _PackedSlice:
+    """The slice form over GF(2): the packed `_gf2_sweep`, whose span is
+    its pivot -> residual dict, each residual an int whose bit r is row
+    r."""
+
+    @staticmethod
+    def reduce(columns, fld):
+        kept, _ = _gf2_sweep(map(_pack, columns))
+        pivots = {bits.bit_length() - 1: bits for bits in kept.values()}
+        return pivots, pivots, tuple(kept)
+
+    @staticmethod
+    def substitute(rows_le, pivots, free_pos, p):
+        """`_FieldSlice.substitute` with each column packed, bit t for
+        subset position t: a pivot row's column is the XOR of the columns
+        of the other rows of its residual."""
+        cols = {}
+        for r in rows_le:
+            t = free_pos.get(r)
+            if t is not None:
+                cols[r] = 1 << t
+                continue
+            rest = pivots[r] ^ 1 << r
+            acc = 0
+            while rest:
+                i = rest.bit_length() - 1
+                acc ^= cols[i]
+                rest ^= 1 << i
+            cols[r] = acc
+        packed = cols.values()
+        return tuple([
+            tuple([bits >> t & 1 for bits in packed])
+            for t in range(len(free_pos))
+        ])
+
+
+def _slice_form(p):
+    """The form a slice of N is reduced in over GF(p): packed over
+    GF(2), a `ColumnSpan` over every other prime."""
+    return _PackedSlice if p == 2 else _FieldSlice
+
+
 class LocalCokernel:
     """Cokernel of N_{<=alpha} with a distinguished generator subset.
 
     The slice indices are set when the object is built.  The slice is
-    reduced when `span`, `subset` (so `dim`, `syzygy_subset`) or `matrix`
-    is first read, and each is kept once computed.
+    reduced, in the field's `_slice_form`, when `span`, `subset` (so
+    `dim`), `syzygy_subset` or `matrix` is first read, and each is kept
+    once computed.
 
     Attributes
     ----------
@@ -75,14 +166,19 @@ class LocalCokernel:
     positions: {r: position of r in rows_le}.
     subset: original indices of the pivot-free generators; their images
         form a basis of Y_alpha, so dim Y_alpha == len(subset).
-    span: the column span of N_{<=alpha} in N's own row numbering.
+    span: the column span of N_{<=alpha} in N's own row numbering: over
+        GF(2) a dict from each pivot row to its packed residual (bit r
+        for row r), in sweep order; over every other prime a
+        `ColumnSpan`.
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
-        subset positions form the identity; built from `span`.
+        subset positions form the identity; built from the pivots of the
+        reduction.
     """
 
     __slots__ = ("degree", "rows_le", "cols_le", "p", "_source",
-                 "_positions", "_span", "_subset", "_matrix")
+                 "_positions", "_span", "_pivots", "_kept", "_subset",
+                 "_matrix")
 
     def __init__(self, matrix, alpha, rows_le, cols_le):
         self.degree = tuple(alpha)
@@ -97,18 +193,25 @@ class LocalCokernel:
             self._positions = {r: k for k, r in enumerate(self.rows_le)}
         return self._positions
 
-    @property
-    def span(self):
+    def _reduced(self):
+        """(pivot -> residual, positions in `cols_le` of the kept
+        columns), reducing the slice on the first call."""
         if self._span is None:
             n = self._source
             cols = [n.columns[j] for j in self.cols_le]
-            self._span = column_reduce(cols, n.field)
+            self._span, self._pivots, self._kept = _slice_form(self.p).reduce(
+                cols, n.field)
+        return self._pivots, self._kept
+
+    @property
+    def span(self):
+        self._reduced()
         return self._span
 
     @property
     def subset(self):
         if self._subset is None:
-            pivots = self.span._by_pivot
+            pivots, _ = self._reduced()
             self._subset = tuple([r for r in self.rows_le if r not in pivots])
         return self._subset
 
@@ -122,35 +225,23 @@ class LocalCokernel:
 
         In increasing order, these are the pivot-free rows of the local
         cokernel of kernel(N) at the same degree: the distinguished
-        relation subset of the first syzygy module of Y at alpha.
+        relation subset of the first syzygy module of Y at alpha.  Their
+        number is the rank of the slice.
         """
-        return tuple([self.cols_le[e.source] for e in self.span.reduced])
+        _, kept = self._reduced()
+        cols_le = self.cols_le
+        return tuple([cols_le[j] for j in kept])
 
     @property
     def matrix(self):
-        if self._matrix is not None:
-            return self._matrix
-        p = self.p
-        pivot_of = self.span._by_pivot
-        free_pos = {r: t for t, r in enumerate(self.subset)}
-        dim = len(free_pos)
-        # Forward substitution in increasing row order: a reduced column
-        # has its pivot as last entry, so the pivot coordinate only
-        # depends on rows already processed.
-        cols = {}
-        for r in self.rows_le:
-            col = [0] * dim
-            if r in free_pos:
-                col[free_pos[r]] = 1
-            else:
-                entry = pivot_of[r]
-                for i, v in entry.column[:-1]:
-                    scale = (-v * entry.inv) % p
-                    prev = cols[i]
-                    for t in range(dim):
-                        col[t] = (col[t] + scale * prev[t]) % p
-            cols[r] = col
-        self._matrix = tuple(zip(*cols.values()))
+        # Forward substitution in increasing row order: a residual's
+        # pivot is its largest row, so the pivot coordinate only depends
+        # on rows already processed.
+        if self._matrix is None:
+            free_pos = {r: t for t, r in enumerate(self.subset)}
+            pivots, _ = self._reduced()
+            self._matrix = _slice_form(self.p).substitute(
+                self.rows_le, pivots, free_pos, self.p)
         return self._matrix
 
     def coordinates(self, column):

@@ -11,9 +11,11 @@ from mphom import (
     GradedMatrix,
     Presentation,
     PrimeField,
+    column_reduce,
     graded_matrix_from_entries,
     minimize,
 )
+from mphom.graded import _pairs, _slice_indices
 
 
 def red_blue(p=3):
@@ -78,3 +80,26 @@ def fig_pair():
 @pytest.fixture
 def fig_pair_gf2():
     return red_blue(p=2)
+
+
+def slice_view(ck):
+    """(pivot row, residual, source relation) for each kept column of a
+    local cokernel's reduced slice, in sweep order, whichever form the
+    span takes: a packed GF(2) pivot dict is unpacked to (row, 1) pairs,
+    a `ColumnSpan` gives its entries."""
+    span = ck.span
+    if isinstance(span, dict):
+        entries = [(pivot, tuple(_pairs(bits))) for pivot, bits in span.items()]
+    else:
+        entries = [(e.pivot, e.column) for e in span.reduced]
+    assert len(entries) == len(ck.syzygy_subset)
+    return [(pivot, column, source)
+            for (pivot, column), source in zip(entries, ck.syzygy_subset)]
+
+
+def fresh_slice_view(matrix, alpha):
+    """`slice_view` of a fresh `column_reduce` of N_{<=alpha}'s columns,
+    in N's own row numbering."""
+    _, col_idx = _slice_indices(matrix, alpha)
+    fresh = column_reduce([matrix.columns[j] for j in col_idx], matrix.field)
+    return [(e.pivot, e.column, col_idx[e.source]) for e in fresh.reduced]

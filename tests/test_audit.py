@@ -9,6 +9,8 @@ of N_{<=deg r} cut out by `submatrix_at_most` and lifted back to the
 original row indices.
 """
 
+import random
+
 import pytest
 
 from mphom import (
@@ -27,12 +29,12 @@ from mphom import (
     verify_hom,
 )
 from mphom import homspace
-from mphom.graded import _axpy, _slice_at_most, column_reduce, deg_leq
+from mphom.graded import _axpy, column_reduce, deg_leq
 from mphom.generators import random_pair
 from mphom.homspace import _audit, _AuditCache
 from mphom.localalg import CokernelCache
 
-from conftest import red_blue
+from conftest import fresh_slice_view, red_blue, slice_view
 
 ROUTES = {
     "direct": hom_direct,
@@ -274,14 +276,12 @@ def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
         for algorithm, route in ROUTES.items()
     }
     # At every relation degree the audit reads the span of a fresh
-    # reduction of N_{<=deg r}, in N's own row numbering.
+    # reduction of N_{<=deg r}, in N's own row numbering: the same pivot
+    # rows, residuals and kept columns.
     for rdeg in m.cols:
-        _, col_idx, _ = _slice_at_most(n, rdeg)
-        fresh = column_reduce([n.columns[j] for j in col_idx], n.field)
+        fresh = fresh_slice_view(n, rdeg)
         for algorithm, cache in lent.items():
-            assert [e.column for e in cache.at(rdeg).span.reduced] == [
-                e.column for e in fresh.reduced
-            ], algorithm
+            assert slice_view(cache.at(rdeg)) == fresh, algorithm
     unlent = fresh_cache(xp, yp)
     audits = {alg: _AuditCache(m, cache) for alg, cache in lent.items()}
     # The perturbations of the zero Q hold the rejections that
@@ -295,6 +295,42 @@ def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
                 if not expected:
                     with pytest.raises(GradingError):
                         _audit([q], xp, yp, "test", lent[algorithm])
+
+
+@pytest.mark.parametrize("seed,n", [(0, 40), (1, 50), (2, 60)])
+def test_lent_packed_spans_match_fresh_reductions_on_ladder_pairs(
+        seed, n, monkeypatch):
+    """On `ladder`-sized GF(2) pairs every route lends packed spans with
+    the pivot rows, residuals and kept columns of a fresh reduction at
+    each relation degree, and the packed audit over them answers as the
+    per-relation reference on random single-entry changes of a basis
+    element, rejections included."""
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=2)
+    m, nm = xp.matrix, yp.matrix
+    lent = {
+        algorithm: lent_cache(route, xp, yp, monkeypatch)
+        for algorithm, route in ROUTES.items()
+    }
+    for rdeg in set(m.cols):
+        fresh = fresh_slice_view(nm, rdeg)
+        for algorithm, cache in lent.items():
+            assert slice_view(cache.at(rdeg)) == fresh, algorithm
+    rng = random.Random(f"ladder-audit:{seed}")
+    admissible = [(gp, g) for g, gdeg in enumerate(m.rows)
+                  for gp, gpdeg in enumerate(nm.rows) if deg_leq(gpdeg, gdeg)]
+    base = entries_of(hom_exact(xp, yp).elements[0])
+    answers = []
+    for key in rng.sample(admissible, 40):
+        entries = dict(base)
+        entries[key] = entries.get(key, 0) + 1
+        q = graded_matrix_from_entries(xp.field, nm.rows, m.rows, entries)
+        expected = old_verify_hom(q, xp, yp)
+        for algorithm, cache in lent.items():
+            audit = _AuditCache(m, cache)
+            assert verify_hom(q, xp, yp, audit) == expected, algorithm
+        answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_lent_spans_reject_a_non_homomorphism(monkeypatch):
@@ -320,6 +356,25 @@ def test_audits_build_no_cokernel_matrix(name, pair, monkeypatch):
             assert cokernel._matrix is None, algorithm
             if algorithm == "direct" and alpha not in xp.matrix.cols:
                 assert cokernel._span is None and cokernel._subset is None
+
+
+def test_gf2_audit_reads_stored_values_mod_2():
+    """`verify_hom` is public and takes a Q built without validation.
+    Over GF(2) a stored 2 is zero, so the Q whose one entry holds 2
+    passes, and the ones holding 1 or 3 fail, as in the reference."""
+    xp, yp = random_pair(1, d=2, gens=6, rels=6, coord_range=8, p=2)
+    m, n = xp.matrix, yp.matrix
+
+    def single(value):
+        columns = [((0, value),)] + [()] * (m.nrows - 1)
+        return GradedMatrix(xp.field, n.rows, m.rows, columns,
+                            validate=False)
+
+    for value, expected in ((2, True), (1, False), (3, False)):
+        q = single(value)
+        assert old_verify_hom(q, xp, yp) is expected
+        assert verify_hom(q, xp, yp) is expected
+        assert verify_hom(q, xp, yp, fresh_cache(xp, yp)) is expected
 
 
 # -- shape check ------------------------------------------------------------

@@ -26,7 +26,6 @@ from mphom.graded import (
     _is_prime,
     _pack,
     _slice_at_most,
-    _xor,
 )
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points
@@ -448,9 +447,10 @@ def _random_columns(rng, p, count, rows=9):
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**63 - 25])
 @pytest.mark.parametrize("record", [False, True])
 def test_column_span_matches_the_generic_reference(p, record):
-    """Both paths of `ColumnSpan._reduce` (the GF(2) merge and the stored
-    pivot inverse) give the reference's entries, combination key order
-    included, residuals, membership answers and lifts."""
+    """`ColumnSpan._reduce`, with the stored pivot inverse, gives the
+    reference's entries, combination key order included, residuals,
+    membership answers and lifts, over GF(2) as over every other
+    prime."""
     fld = PrimeField(p)
     rng = random.Random(f"core:{p}:{record}")
     for _ in range(30):
@@ -469,14 +469,6 @@ def test_column_span_matches_the_generic_reference(p, record):
         assert _span_view(span) == _span_view(ref)
         for entry in span.reduced:
             assert entry.column[-1][1] * entry.inv % p == 1
-
-
-def test_gf2_merge_is_the_generic_step():
-    rng = random.Random("xor")
-    cols = _random_columns(rng, 2, 200)
-    for _ in range(500):
-        a, b = rng.choice(cols), rng.choice(cols)
-        assert _xor(a, b) == _reference_axpy(a, b, 1, 2)
 
 
 def test_gf2_sweep_matches_the_generic_reference():

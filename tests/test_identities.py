@@ -18,10 +18,9 @@ must give
   every route must return the same basis, element for element, and not
   only the same dimension.
 
-Over GF(2) the primal routes solve on the packed sweep while the slices
-of Y are reduced by `ColumnSpan`, and the duals resolve through the
-packed kernel; over the other primes every step runs on the sparse
-field paths.
+Over GF(2) the primal routes solve, and reduce the slices of Y, on the
+packed sweep, and the duals resolve through the packed kernel; over the
+other primes every step runs on the sparse field paths.
 """
 
 import random

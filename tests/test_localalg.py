@@ -26,7 +26,14 @@ from mphom.generators import random_module, random_pair
 from mphom.graded import _slice_at_most, _slice_indices
 from mphom.localalg import evaluation_grid, grid_points
 
-from conftest import free_module, red_blue, staircase_pair, zero_module
+from conftest import (
+    fresh_slice_view,
+    free_module,
+    red_blue,
+    slice_view,
+    staircase_pair,
+    zero_module,
+)
 
 
 def test_local_cokernel_blue_at_2_2():
@@ -320,12 +327,9 @@ def assert_matches_old(matrix, alpha):
     old = old_local_cokernel(matrix, alpha)
     # The matrix is not part of equality; compare it explicitly.
     assert (ck.degree, ck.rows_le, ck.subset, ck.matrix, ck.p) == old
-    # The span is that of the slice's columns in the matrix's own rows.
-    _, col_idx, _ = _slice_at_most(matrix, alpha)
-    fresh = column_reduce([matrix.columns[j] for j in col_idx], matrix.field)
-    assert [(e.pivot, e.column) for e in ck.span.reduced] == [
-        (e.pivot, e.column) for e in fresh.reduced
-    ]
+    # The span is that of the slice's columns in the matrix's own rows:
+    # the same pivot rows, residuals and kept columns.
+    assert slice_view(ck) == fresh_slice_view(matrix, alpha)
     return ck
 
 
@@ -341,6 +345,71 @@ def test_local_cokernel_matches_the_old_transpose():
         y = random_module(seed, gens=8, rels=8, coord_range=6, p=p)
         for alpha in grid_points(evaluation_grid(y)):
             assert_matches_old(y.matrix, alpha)
+
+
+def generic_cokernel(matrix, alpha):
+    """The local cokernel by `ColumnSpan` and the generic forward
+    substitution, by scaled sums, that `LocalCokernel.matrix` ran over
+    every prime before GF(2) slices were packed.
+
+    Returns (subset, matrix rows, syzygy_subset, rows_le)."""
+    fld = matrix.field
+    p = fld.p
+    rows_le, cols_le = _slice_indices(matrix, alpha)
+    span = column_reduce([matrix.columns[j] for j in cols_le], fld)
+    pivot_of = span._by_pivot
+    subset = tuple(r for r in rows_le if r not in pivot_of)
+    free_pos = {r: t for t, r in enumerate(subset)}
+    dim = len(free_pos)
+    cols = {}
+    for r in rows_le:
+        col = [0] * dim
+        if r in free_pos:
+            col[free_pos[r]] = 1
+        else:
+            entry = pivot_of[r]
+            for i, v in entry.column[:-1]:
+                scale = (-v * entry.inv) % p
+                prev = cols[i]
+                for t in range(dim):
+                    col[t] = (col[t] + scale * prev[t]) % p
+        cols[r] = col
+    syzygy = tuple(cols_le[e.source] for e in span.reduced)
+    return subset, tuple(zip(*cols.values())), syzygy, rows_le
+
+
+def generic_structure_map(ck_a, ck_b):
+    """`structure_map` from two `generic_cokernel` results."""
+    subset_a, _, _, _ = ck_a
+    _, rows_b, _, rows_le_b = ck_b
+    pos = {r: k for k, r in enumerate(rows_le_b)}
+    return tuple(tuple(row[pos[g]] for g in subset_a) for row in rows_b)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 40), (1, 50), (2, 60)])
+def test_packed_slices_match_the_generic_reduction_on_ladder_pairs(seed, n):
+    """Over GF(2) the packed slices give what `ColumnSpan` and the
+    generic forward substitution give on `ladder`-sized pairs: the same
+    pivot rows, residuals and kept columns, subset, cokernel matrix and
+    syzygy subset at every degree of X, and the same structure maps at
+    every pair (deg g, deg r) that M joins, as route b reads them."""
+    x, y = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                       p=2)
+    m, nm = x.matrix, y.matrix
+    cache = CokernelCache(nm)
+    refs = {}
+    for alpha in set(m.rows + m.cols):
+        ck = cache.at(alpha)
+        refs[alpha] = ref = generic_cokernel(nm, alpha)
+        assert slice_view(ck) == fresh_slice_view(nm, alpha), alpha
+        assert (ck.subset, ck.matrix, ck.syzygy_subset) == ref[:3], alpha
+    assert any(ref[1] for ref in refs.values())
+    pairs = {(m.rows[g], m.cols[r])
+             for r, col in enumerate(m.columns) for g, _ in col}
+    assert pairs
+    for gdeg, rdeg in pairs:
+        assert structure_map(nm, gdeg, rdeg, cache) == generic_structure_map(
+            refs[gdeg], refs[rdeg]), (gdeg, rdeg)
 
 
 def test_cokernel_cache_lends_the_spans_it_reduced():
