@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from operator import le
 
 from .errors import (
@@ -343,10 +344,16 @@ def graded_matrix_from_entries(field, rows, cols, entries, validate=True):
 
 
 def validate_grading(matrix):
-    """Pure predicate: does every stored entry satisfy rows[i] <= cols[j]?"""
-    for j, col in enumerate(matrix.columns):
-        for i, _ in col:
-            if not deg_leq(matrix.rows[i], matrix.cols[j]):
+    """Pure predicate: does every stored entry satisfy rows[i] <= cols[j]?
+
+    Only the nonempty columns are visited, so the cost is the number of
+    stored entries, not of columns.
+    """
+    rows, cols, columns = matrix.rows, matrix.cols, matrix.columns
+    for j in compress(range(len(columns)), columns):
+        cdeg = cols[j]
+        for i, _ in columns[j]:
+            if not deg_leq(rows[i], cdeg):
                 return False
     return True
 

@@ -36,7 +36,8 @@ Both give the same survivors, and `_q_matrix` unpacks either (`_pairs`).
 `solve_seconds` times the elimination sweep alone.  `_reduce_flat`
 column-reduces the equation routes' flat columns once: after the
 flattened null-homotopies for `direct` and `mixed`, on their own for
-`a`, whose lifts are unique; only survivors become graded matrices.  The
+`a`, whose lifts are unique; only survivors become graded matrices, and
+`_q_matrix` builds only the columns a survivor touches.  The
 rank that `homotopy_killed` needs is the solution count less the
 solutions with Q = 0, which the ranks of N's slices at the relation
 degrees of X count, so no Q column is reduced a second time.  The public
@@ -44,18 +45,20 @@ degrees of X count, so no Q column is reduced a second time.  The public
 over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
-element must respect the grading and pass `verify_hom`.  Basis elements
-are sparse, so the audit forms Q M only in the relations that Q's nonzero
-columns reach, through a generator-to-relations index of M built once per
-audit, and reduces only the nonzero products, against the span of N at
-each relation degree.  Over GF(2) a product is one int, the XOR of Q's
-packed columns, reduced by `^` against the packed pivots of the slice;
-over every other prime it is a sparse column that the slice's
-`ColumnSpan` tests.  The zero products it skips pass trivially, so the
-audit is exactly as strong as checking every relation.  Each route hands
-its audit the `CokernelCache` of N it built, so a slice of N is reduced
-once per route whether the masks, the structure maps or the audit asks
-for it first.
+element must respect the grading (`validate_grading`) and be a
+homomorphism, at a cost of the basis's stored entries plus the relations
+of X, not dim Hom times the generators of X.  Over GF(2) the whole basis
+is one bit-sliced batch (`_gf2_failures`): one int per Q entry, bit e for
+element e, so the products Q M of all elements at one relation are XORs
+of those ints, reduced together against the packed pivots of the slice
+there; the public `verify_hom` runs the batch on [Q].  Over every other
+prime each element goes through `verify_hom`, which forms Q M only in the
+relations that Q's nonzero columns reach and tests each nonzero product
+with the slice's `ColumnSpan`.  Zero products pass without being reduced,
+so the audit is exactly as strong as checking every relation.  Each route
+hands its audit the `CokernelCache` of N it built, so a slice of N is
+reduced once per route whether the masks, the structure maps or the
+audit asks for it first.
 """
 
 from __future__ import annotations
@@ -306,7 +309,14 @@ def _flat_form(fld):
 
 
 def _flatten_q(qmat, index, form):
-    return form.column(enumerate(qmat.columns), index)
+    """The flat column of a caller's Q matrix, its stored values read mod
+    p and the zeros dropped, as `verify_hom` reads them."""
+    p = qmat.field.p
+    return form.column(
+        ((g, [(gp, v % p) for gp, v in col if v % p])
+         for g, col in enumerate(qmat.columns)),
+        index,
+    )
 
 
 def _homotopy_columns(cache, q_cols, index, form):
@@ -330,15 +340,17 @@ def _q_matrix(flat, keys, q_rows, q_cols, fld):
     it): `keys[k]` is the (g, g') entry at flat position k.  Keys must be
     g-major with g' ascending inside each block, so every column fills in
     sorted row order; `q_rows` and `q_cols` must be tuples of degree
-    tuples, which the matrix shares.
+    tuples, which the matrix shares.  Only the blocks the column touches
+    are built; every other column is the shared empty tuple.
     """
-    blocks = [[] for _ in q_cols]
+    blocks = {}
     for k, v in _pairs(flat):
         g, gp = keys[k]
-        blocks[g].append((gp, v))
-    return GradedMatrix._trusted(
-        fld, q_rows, q_cols, tuple(map(tuple, blocks))
-    )
+        blocks.setdefault(g, []).append((gp, v))
+    columns = [()] * len(q_cols)
+    for g, block in blocks.items():
+        columns[g] = tuple(block)
+    return GradedMatrix._trusted(fld, q_rows, q_cols, tuple(columns))
 
 
 def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
@@ -360,7 +372,9 @@ def homotopy_reduce(qs, yp):
     """Quotient a family of Q matrices by null-homotopies.
 
     Column-reduces [N-bar | flattened Qs] and returns the surviving,
-    reduced Q columns as graded matrices.  Idempotent: the survivors have
+    reduced Q columns as graded matrices.  Stored values are read mod p,
+    as `verify_hom` reads them, so a Q whose entries are all multiples
+    of p is zero.  Idempotent: the survivors have
     pivots distinct from the homotopy columns and from each other, so a
     second pass returns them unchanged.  Raises FieldMismatchError unless
     every Q shares the target's field, DimensionMismatchError unless
@@ -414,26 +428,9 @@ class _AuditCache:
         self.cokernels = cokernels
 
 
-def verify_hom(q, xp, yp, cache=None):
-    """Does Q descend to a homomorphism coker M -> coker N?
-
-    True iff every column of Q M lies in the column span of N at the
-    corresponding relation degree (so that some P with Q M = N P exists).
-
-    Only the relations that Q reaches are formed: each nonzero column g of
-    Q is added, scaled by M_{g,r}, into column r of Q M for every relation
-    r that g appears in, over increasing g.  Over GF(2) each column of Q
-    is packed (values read mod 2), a product is the XOR of the packed
-    columns g with odd M_{g,r}, and it is reduced by `^` against the
-    packed pivots of the slice.  Zero products pass without being
-    reduced; nonzero ones are reduced against the span of N at their
-    relation degree, which `cache` shares across the calls of one audit.
-    Raises FieldMismatchError unless Q, X and Y share one field,
-    and DimensionMismatchError unless Q has the generator degrees of Y as
-    rows and those of X as columns.
-    """
-    m = _matrix_of(xp)
-    n = _matrix_of(yp)
+def _check_q(q, m, n):
+    """Raise unless Q maps the generators of coker M to those of coker N
+    over their field."""
     if not q.field == m.field == n.field:
         raise FieldMismatchError("Q matrix and operands over different fields")
     if q.rows != n.rows or q.cols != m.rows:
@@ -442,31 +439,93 @@ def verify_hom(q, xp, yp, cache=None):
             f"domain's as columns; got a {q.nrows}x{q.ncols} matrix for "
             f"{n.nrows} and {m.nrows} generators"
         )
-    audit = cache if cache is not None else _AuditCache(m, CokernelCache(n))
-    rels_of, at = audit.rels_of, audit.cokernels.at
-    p = n.field.p
-    products = {}
-    if p == 2:
-        for g, qcol in enumerate(q.columns):
-            if qcol:
-                bits = _pack(qcol)
-                for r, mv in rels_of[g]:
-                    if mv & 1:
-                        products[r] = products.get(r, 0) ^ bits
-        for r in sorted(products):
-            bits = products[r]
-            if bits:
+
+
+def _gf2_failures(elements, m, at):
+    """Over GF(2), the elements whose Q M leaves the span of N, as a mask
+    with bit e for `elements[e]`.
+
+    The elements are bit-sliced: `sliced[g][g']` has bit e set when
+    element e holds an odd value at (g', g).  Column r of every product
+    at once is then the XOR of `sliced[g]` over the odd M_{g,r}, one int
+    of elements per row g'.  It is reduced against the packed pivots of
+    the slice of N at deg r (`at(deg r).span`), highest row first: a
+    pivot row's elements are XORed into the other rows of its residual,
+    and the elements left on a row that is no pivot are the failing ones,
+    exactly those the per-element reduction by `^` rejects.  Zero
+    products are not reduced; the cost is the stored entries of the
+    elements and of M, plus the rows each product reaches.
+    """
+    sliced = {}
+    for e, q in enumerate(elements):
+        bit = 1 << e
+        columns = q.columns
+        for g in itertools.compress(range(len(columns)), columns):
+            rows = sliced.setdefault(g, {})
+            for gp, v in columns[g]:
+                if v & 1:
+                    rows[gp] = rows.get(gp, 0) | bit
+    failing = 0
+    for r, mcol in enumerate(m.columns):
+        rows, touched = {}, 0
+        for g, mv in mcol:
+            if mv & 1 and g in sliced:
+                for gp, bits in sliced[g].items():
+                    rows[gp] = rows.get(gp, 0) ^ bits
+                    touched |= 1 << gp
+        pivots = None
+        while touched:
+            i = touched.bit_length() - 1
+            touched ^= 1 << i
+            bits = rows[i]
+            if not bits:
+                continue
+            if pivots is None:
                 pivots = at(m.cols[r]).span
-                while bits:
-                    other = pivots.get(bits.bit_length() - 1)
-                    if other is None:
-                        return False
-                    bits ^= other
-        return True
-    for g, qcol in enumerate(q.columns):
-        if qcol:
-            for r, mv in rels_of[g]:
-                products[r] = _axpy(products.get(r, ()), qcol, mv, p)
+            residual = pivots.get(i)
+            if residual is None:
+                failing |= bits
+                continue
+            rest = residual ^ 1 << i
+            touched |= rest
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                rows[j] = rows.get(j, 0) ^ bits
+    return failing
+
+
+def verify_hom(q, xp, yp, cache=None):
+    """Does Q descend to a homomorphism coker M -> coker N?
+
+    True iff every column of Q M lies in the column span of N at the
+    corresponding relation degree (so that some P with Q M = N P exists).
+
+    Only the relations that Q reaches are formed.  Over GF(2) Q is the
+    one element of the audit's bit-sliced batch (`_gf2_failures`), its
+    stored values read mod 2.  Over every other prime each nonzero column
+    g of Q is added, scaled by M_{g,r}, into column r of Q M for every
+    relation r that g appears in, over increasing g, and each nonzero
+    product is tested against the slice's `ColumnSpan`.  Zero products
+    pass without being reduced; nonzero ones are reduced against the span
+    of N at their relation degree, which `cache` shares across the calls
+    of one audit.  Raises FieldMismatchError unless Q, X and Y share one
+    field, and DimensionMismatchError unless Q has the generator degrees
+    of Y as rows and those of X as columns.
+    """
+    m = _matrix_of(xp)
+    n = _matrix_of(yp)
+    _check_q(q, m, n)
+    audit = cache if cache is not None else _AuditCache(m, CokernelCache(n))
+    at = audit.cokernels.at
+    p = n.field.p
+    if p == 2:
+        return not _gf2_failures((q,), m, at)
+    rels_of, columns = audit.rels_of, q.columns
+    products = {}
+    for g in itertools.compress(range(len(columns)), columns):
+        for r, mv in rels_of[g]:
+            products[r] = _axpy(products.get(r, ()), columns[g], mv, p)
     for r in sorted(products):
         product = products[r]
         if product and not at(m.cols[r]).span.contains(product):
@@ -477,17 +536,32 @@ def verify_hom(q, xp, yp, cache=None):
 def _audit(basis_elements, xp, yp, algorithm, cokernels):
     """Check every returned element: graded, and a homomorphism.
 
-    The elements share one `_AuditCache` over `cokernels`, the route's
-    `CokernelCache` of N, so the generator-to-relation index is built once
-    per call and each slice of N is reduced at most once per route.
+    Over GF(2) the elements are checked together, by one bit-sliced
+    batch per relation (`_gf2_failures`); over every other prime each
+    goes through `verify_hom`, the elements sharing one `_AuditCache`, so
+    the generator-to-relation index is built once per call.  Either way
+    each slice of N is reduced at most once per route, in `cokernels`,
+    the route's `CokernelCache` of N.
     """
-    cache = _AuditCache(xp.matrix, cokernels)
-    for q in basis_elements:
+    m = xp.matrix
+    if m.field.p == 2:
+        n = yp.matrix
+        failing = _gf2_failures(basis_elements, m, cokernels.at)
+
+        def homomorphism(e, q):
+            _check_q(q, m, n)
+            return not failing >> e & 1
+    else:
+        cache = _AuditCache(m, cokernels)
+
+        def homomorphism(e, q):
+            return verify_hom(q, xp, yp, cache)
+    for e, q in enumerate(basis_elements):
         if not validate_grading(q):
             raise GradingError(
                 f"{algorithm}: returned matrix violates the grading"
             )
-        if not verify_hom(q, xp, yp, cache):
+        if not homomorphism(e, q):
             raise GradingError(
                 f"{algorithm}: returned matrix fails the homomorphism test"
             )

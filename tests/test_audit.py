@@ -6,7 +6,10 @@ hands it.
 The reference below copies the earlier implementation: it forms Q M_r for
 every relation r of X, and reduces each nonzero product against the span
 of N_{<=deg r} cut out by `submatrix_at_most` and lifted back to the
-original row indices.
+original row indices.  Over GF(2) the audit checks a whole basis in one
+bit-sliced batch per relation (`_gf2_failures`); it must flag exactly the
+elements that the per-element packed loop it replaced rejects, a copy of
+which is kept below as `old_gf2_verify`.
 """
 
 import random
@@ -29,7 +32,7 @@ from mphom import (
     verify_hom,
 )
 from mphom import homspace
-from mphom.graded import _axpy, column_reduce, deg_leq
+from mphom.graded import _axpy, _pack, column_reduce, deg_leq
 from mphom.generators import random_pair
 from mphom.homspace import _audit, _AuditCache
 from mphom.localalg import CokernelCache
@@ -196,11 +199,11 @@ def test_zero_q_is_a_homomorphism():
         assert verify_hom(q, xp, yp, fresh_cache(xp, yp))
 
 
-def only_last_relation_fails():
+def only_last_relation_fails(p=3):
     """X = k[0,2) + k[0,1) with relations listed at degrees 2 then 1,
     Y = k[0,2); Q sends both generators of X to the one of Y, which dies
     at degree 2 but not at degree 1, so only the last relation fails."""
-    fld = PrimeField(3)
+    fld = PrimeField(p)
     mx = graded_matrix_from_entries(
         fld, [(0,), (0,)], [(2,), (1,)], {(0, 0): 1, (1, 1): 1}
     )
@@ -411,3 +414,113 @@ def test_verify_hom_accepts_bare_matrices():
         xp.field, yp.matrix.rows, xp.matrix.rows, {(0, 0): 1}
     )
     assert verify_hom(q, xp.matrix, yp.matrix)
+
+
+# -- the bit-sliced GF(2) batch ---------------------------------------------
+
+
+def old_gf2_verify(q, m, audit):
+    """The per-element GF(2) loop the batch replaced: each product Q M_r
+    is one packed int, reduced by `^` against the slice's pivots."""
+    products = {}
+    for g, qcol in enumerate(q.columns):
+        if qcol:
+            bits = _pack(qcol)
+            for r, mv in audit.rels_of[g]:
+                if mv & 1:
+                    products[r] = products.get(r, 0) ^ bits
+    for r in sorted(products):
+        bits = products[r]
+        if bits:
+            pivots = audit.cokernels.at(m.cols[r]).span
+            while bits:
+                other = pivots.get(bits.bit_length() - 1)
+                if other is None:
+                    return False
+                bits ^= other
+    return True
+
+
+def old_failing_mask(elements, m, audit):
+    return sum(1 << e for e, q in enumerate(elements)
+               if not old_gf2_verify(q, m, audit))
+
+
+def toggled(q, key):
+    """Q with entry `key` = (g', g) toggled over GF(2)."""
+    entries = entries_of(q)
+    if entries.pop(key, None) is None:
+        entries[key] = 1
+    return graded_matrix_from_entries(q.field, q.rows, q.cols, entries)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 40), (1, 50), (2, 60)])
+def test_gf2_batch_flags_what_the_per_element_loop_rejects(seed, n):
+    """On `ladder`-sized bases of every primal route, single-entry toggles
+    of one element or of several at once: the batch flags exactly the
+    elements the per-element loop rejects."""
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=2)
+    m, nm = xp.matrix, yp.matrix
+    admissible = [(gp, g) for g, gdeg in enumerate(m.rows)
+                  for gp, gpdeg in enumerate(nm.rows) if deg_leq(gpdeg, gdeg)]
+    rng = random.Random(f"gf2-batch:{seed}")
+    outcomes = set()
+    for algorithm, route in ROUTES.items():
+        elements = list(route(xp, yp).elements)
+        cache = CokernelCache(nm)
+        audit = _AuditCache(m, cache)
+        assert homspace._gf2_failures(elements, m, cache.at) == 0, algorithm
+        for trial in range(12):
+            batch = list(elements)
+            count = 1 if trial % 2 else rng.randint(2, 8)
+            picked = rng.sample(range(len(batch)), count)
+            for e in picked:
+                batch[e] = toggled(batch[e], rng.choice(admissible))
+            want = old_failing_mask(batch, m, audit)
+            got = homspace._gf2_failures(batch, m, cache.at)
+            assert got == want, (algorithm, trial)
+            assert not got & ~sum(1 << e for e in picked), (algorithm, trial)
+            outcomes.update(bool(got >> e & 1) for e in picked)
+    assert outcomes == {True, False}
+
+
+def test_gf2_batch_of_no_elements_or_zero_matrices_flags_nothing():
+    xp, yp = random_pair(0, d=2, gens=40, rels=40, coord_range=60, p=2)
+    cache = CokernelCache(yp.matrix)
+    assert homspace._gf2_failures([], xp.matrix, cache.at) == 0
+    zeros = [zero_q(xp, yp)] * 5
+    assert homspace._gf2_failures(zeros, xp.matrix, cache.at) == 0
+    _audit([], xp, yp, "test", cache)
+    _audit(zeros, xp, yp, "test", cache)
+
+
+def test_gf2_batch_flags_an_element_only_the_last_relation_rejects():
+    q, xp, yp = only_last_relation_fails(p=2)
+    m = xp.matrix
+    assert old_failing_relations(q, xp, yp) == [m.ncols - 1]
+    cache = CokernelCache(yp.matrix)
+    batch = [zero_q(xp, yp), q, zero_q(xp, yp)]
+    assert homspace._gf2_failures(batch, m, cache.at) == 0b010
+    assert old_failing_mask(batch, m, _AuditCache(m, cache)) == 0b010
+    assert not verify_hom(q, xp, yp)
+    with pytest.raises(GradingError, match="fails the homomorphism test"):
+        _audit(batch, xp, yp, "test", cache)
+
+
+def test_gf2_verify_hom_runs_the_batch(monkeypatch):
+    """Over GF(2) the public `verify_hom` is the batch on [q], so there is
+    one membership loop; every other prime keeps its own."""
+    calls = []
+    batch = homspace._gf2_failures
+
+    def spy(elements, m, at):
+        calls.append(len(elements))
+        return batch(elements, m, at)
+
+    monkeypatch.setattr(homspace, "_gf2_failures", spy)
+    for p in (2, 3):
+        q, xp, yp = only_last_relation_fails(p=p)
+        assert not verify_hom(q, xp, yp)
+        assert verify_hom(zero_q(xp, yp), xp, yp)
+    assert calls == [1, 1]

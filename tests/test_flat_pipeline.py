@@ -30,6 +30,7 @@ from mphom import (
     hom_mixed,
     hom_restricted,
     homotopy_reduce,
+    verify_hom,
 )
 from mphom import homspace
 from mphom.generators import random_module, random_pair
@@ -444,6 +445,31 @@ def test_homotopy_reduce_rejects_an_entry_against_the_grading():
                                    {(0, 0): 1}, validate=False)
     with pytest.raises(GradingError, match="against the grading"):
         homotopy_reduce([q], y)
+
+
+def single_entry_q(xp, yp, value):
+    """Q, built without validation, holding `value` at the first
+    admissible entry of a seeded pair."""
+    m, n = xp.matrix, yp.matrix
+    gp, g = next((gp, g) for g, gdeg in enumerate(m.rows)
+                 for gp, gpdeg in enumerate(n.rows) if deg_leq(gpdeg, gdeg))
+    columns = [((gp, value),) if k == g else () for k in range(m.nrows)]
+    return GradedMatrix(xp.field, n.rows, m.rows, columns, validate=False)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_homotopy_reduce_reads_stored_values_mod_p(p):
+    """A stored p is zero, as `verify_hom` reads it: nothing survives,
+    where a stored 2 over GF(2) used to survive and a stored 5 over GF(5)
+    used to raise from the field inverse.  A stored p + 1 reads as 1."""
+    xp, yp = random_pair(1, d=2, gens=6, rels=6, coord_range=8, p=p)
+    zero, one = single_entry_q(xp, yp, p), single_entry_q(xp, yp, 1)
+    assert verify_hom(zero, xp, yp)
+    assert homotopy_reduce([zero], yp) == []
+    survivors = homotopy_reduce([one], yp)
+    assert len(survivors) == 1
+    assert homotopy_reduce([single_entry_q(xp, yp, p + 1)], yp) == survivors
+    assert homotopy_reduce([zero, one, zero], yp) == survivors
 
 
 def test_homotopy_reduce_rejects_a_target_of_other_arity():

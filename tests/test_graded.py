@@ -123,6 +123,71 @@ def test_validate_grading_trivial_cases():
     assert not validate_grading(bad)
 
 
+def old_validate_grading(matrix):
+    """The full-column loop `validate_grading` replaced: every column is
+    walked, empty or not."""
+    for j, col in enumerate(matrix.columns):
+        for i, _ in col:
+            if not deg_leq(matrix.rows[i], matrix.cols[j]):
+                return False
+    return True
+
+
+def sparse_graded(rng, nrows, ncols, density, bad=()):
+    """A seeded d=2 GF(2) matrix, built without validation, whose columns
+    are nonempty with probability `density` and hold admissible entries
+    only; each column j in `bad` also gets one entry against the
+    grading."""
+    rows = [(rng.randrange(10), rng.randrange(10)) for _ in range(nrows)]
+    cols, columns = [], []
+    for j in range(ncols):
+        if j in bad:
+            i = rng.randrange(nrows)
+            top = (rows[i][0] - 1, rows[i][1] + rng.randrange(5))
+        else:
+            i, top = None, (rng.randrange(12), rng.randrange(12))
+        held = {i} if i is not None else set()
+        if j in bad or rng.random() < density:
+            below = [k for k, deg in enumerate(rows) if deg_leq(deg, top)]
+            held.update(rng.sample(below, min(len(below), rng.randint(0, 2))))
+        cols.append(top)
+        columns.append(tuple((k, 1) for k in sorted(held)))
+    return GradedMatrix(PrimeField(2), rows, cols, columns, validate=False)
+
+
+def test_validate_grading_matches_the_full_column_loop():
+    rng = random.Random("validate-grading")
+    answers = []
+    for trial in range(300):
+        ncols = rng.randint(0, 40)
+        bad = set(rng.sample(range(ncols), min(ncols, trial % 3)))
+        mat = sparse_graded(rng, rng.randint(1, 20), ncols, 0.1, bad)
+        assert validate_grading(mat) == old_validate_grading(mat), trial
+        answers.append(validate_grading(mat))
+    assert True in answers and False in answers
+
+
+def test_validate_grading_on_sparse_edge_cases():
+    rng = random.Random("validate-grading-edges")
+    held = empty = 0
+    for _ in range(20):
+        ncols = rng.randint(2, 40)
+        cases = {
+            "mostly empty": (sparse_graded(rng, 15, ncols, 0.05), True),
+            "last column": (sparse_graded(rng, 15, ncols, 0.05, {ncols - 1}),
+                            False),
+            "first column": (sparse_graded(rng, 15, ncols, 0.05, {0}), False),
+            "zero columns": (sparse_graded(rng, 15, 0, 0.05), True),
+        }
+        for name, (mat, expected) in cases.items():
+            assert old_validate_grading(mat) is expected, name
+            assert validate_grading(mat) is expected, name
+        columns = cases["mostly empty"][0].columns
+        held += sum(map(bool, columns))
+        empty += columns.count(())
+    assert 0 < held < empty // 4
+
+
 def test_constructor_rejects_grading_violations():
     fld = PrimeField(2)
     with pytest.raises(GradingError):

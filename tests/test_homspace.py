@@ -1,6 +1,7 @@
 """The four Hom algorithms, the homotopy quotient, verification, and the
 enriched Hom-module presentation."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -37,6 +38,7 @@ from mphom.homspace import (
     _flatten_q,
     _homotopy_columns,
 )
+from mphom.localalg import evaluation_grid
 
 from conftest import free_module, red_blue, staircase_pair, zero_module
 
@@ -326,6 +328,40 @@ def test_hom_module_shift_consistency(fig_pair):
         )
         ys = minimize(Presentation(shifted))
         assert hilbert_at(h, alpha) == hom_direct(x, ys).dim, alpha
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hom_module_hilbert_is_dim_hom_into_shifted_targets(seed):
+    """hilbert_at(Hom(X, Y), a) = dim Hom(X, Y[a]) at twelve degrees a on
+    seeded d=2, n=20 GF(2) pairs: six points of the presentation's grid
+    and six with one coordinate on no axis of it, below, between or above
+    the axis values."""
+    x, y = random_pair(seed, d=2, gens=20, rels=20, coord_range=30, p=2)
+    h = hom_module_presentation(x, y)
+    cache = CokernelCache(h.matrix)
+    axes = evaluation_grid(h)
+    gaps = [[c for c in range(axis[0] - 8, axis[-1] + 9) if c not in axis]
+            for axis in axes]
+    rng = random.Random(f"hom-module-hilbert:{seed}")
+    on = [tuple(rng.choice(axis) for axis in axes) for _ in range(6)]
+    off = []
+    for _ in range(3):
+        off.append((rng.choice(gaps[0]), rng.choice(axes[1])))
+        off.append((rng.choice(axes[0]), rng.choice(gaps[1])))
+    n = y.matrix
+    values = {}
+    for a in on + off:
+        shifted = GradedMatrix(
+            n.field,
+            [deg_sub(r, a) for r in n.rows],
+            [deg_sub(c, a) for c in n.cols],
+            n.columns,
+        )
+        want = hom_direct(x, Presentation(shifted, minimal=True)).dim
+        assert hilbert_at(h, a, cache) == want, a
+        values[a] = want
+    assert len(set(values.values())) > 2
+    assert any(values[a] for a in off)
 
 
 def test_hom_module_of_endomorphisms_contains_identity(fig_pair):
