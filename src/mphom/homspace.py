@@ -23,6 +23,15 @@ the route's one `CokernelCache` of N: the generators and relations of Y
 below a degree of X are the `rows_le` and `cols_le` of the slice there,
 which is reduced only when its span or subset is first read.
 
+The same form builds the systems.  Over every prime but 2 a system
+column is a sorted tuple of (equation index, value) pairs, and route
+`b`'s blocks are read off `structure_map`.  Over GF(2) every column is
+one int made of shifted copies of columns the code already holds: of N
+and of the pattern of odd entries of M for `LinearSystem`, whose
+equation (g', r) is bit `off[r] + g'`, and of the slices' packed
+cokernel columns (`LocalCokernel.packed`) for `hom_exact`.  The
+numbering of the equations changes no solution.
+
 All four share one flat solve, by a form picked by prime in one place
 (`_flat_form`), whose `solutions` gives a nullspace basis as flat
 columns: `LinearSystem.solve` numbers the Q variables by their
@@ -153,13 +162,25 @@ class LinearSystem:
     (relation) index of X to the tuple of allowed Y-side row indices;
     `None` means the degree-admissible ones, `rows_le` (`cols_le`) of the
     slice at that degree.
+
+    `columns` holds one column per variable, Q variables first, in the
+    field's `_flat_form`.  Over every prime but 2 a column is a sorted
+    tuple of (equation index, value) pairs.  Over GF(2) it is one int:
+    relation r owns a block of bits from `off[r]`, as wide as the largest
+    row of `rows_le(deg r)` plus one, and equation (g', r) is bit
+    `off[r] + g'`, so Q variable (g', g) is the OR of `1 << off[r]` over
+    the odd M_{g,r}, shifted by g', and P variable (r', r) is column r' of
+    N packed and shifted by `off[r]`.  Renumbering the equations leaves
+    the solutions as they are: which columns are independent of the ones
+    before them, and the unique combination that zeroes a dependent one,
+    do not depend on the order of the rows.  `entries` counts the nonzero
+    entries of either form.
     """
 
     def __init__(self, xp, cache, q_mask=None, p_mask=None):
-        m, n = xp.matrix, cache.matrix
+        m = xp.matrix
         self.field = m.field
         self.cache = cache
-        p = self.field.p
 
         # Flat positions of the admissible Q entries; solve() and the
         # homotopy quotient share this order.
@@ -174,28 +195,8 @@ class LinearSystem:
             allowed = ck.cols_le if p_mask is None else p_mask[r]
             self.p_vars.extend((rp, r) for rp in allowed)
             self.equations.extend((gp, r) for gp in ck.rows_le)
-        eq_pos = {eq: k for k, eq in enumerate(self.equations)}
-
-        nq = len(self.q_vars)
-        columns = [[] for _ in range(nq + len(self.p_vars))]
-        # Q-variable (g', g) hits equation (g', r) with coefficient M_{g,r}.
-        q_of = [[] for _ in range(m.nrows)]
-        for k, (gp, g) in enumerate(self.q_vars):
-            q_of[g].append((gp, k))
-        for r in range(m.ncols):
-            for g, mv in m.columns[r]:
-                for gp, k in q_of[g]:
-                    eq = eq_pos.get((gp, r))
-                    if eq is not None:
-                        columns[k].append((eq, mv))
-        # P-variable (r', r) hits equation (g', r) with coefficient -N_{g',r'}.
-        for k, (rp, r) in enumerate(self.p_vars, start=nq):
-            for gp, nv in n.columns[rp]:
-                eq = eq_pos.get((gp, r))
-                if eq is not None:
-                    columns[k].append((eq, (-nv) % p))
-        self.columns = [tuple(sorted(col)) for col in columns]
-        self.entries = sum(len(c) for c in self.columns)
+        self.columns, self.entries = _flat_form(self.field).system(
+            m, cache, self.q_vars, self.p_vars, self.equations)
 
     def solve(self):
         """Q parts of a basis of the solution space, as flat columns.
@@ -230,6 +231,59 @@ def _flat_index(cache, q_cols):
 class _SortedFlat:
     """Flat Q columns as tuples of (position, value) pairs by increasing
     position: the form over every prime but 2."""
+
+    @staticmethod
+    def system(m, cache, q_vars, p_vars, equations):
+        """(columns, entries) of `LinearSystem`: each column a sorted
+        tuple of (equation index, value) pairs."""
+        p = m.field.p
+        eq_pos = {eq: k for k, eq in enumerate(equations)}
+        nq = len(q_vars)
+        columns = [[] for _ in range(nq + len(p_vars))]
+        # Q-variable (g', g) hits equation (g', r) with coefficient M_{g,r}.
+        q_of = [[] for _ in range(m.nrows)]
+        for k, (gp, g) in enumerate(q_vars):
+            q_of[g].append((gp, k))
+        for r in range(m.ncols):
+            for g, mv in m.columns[r]:
+                for gp, k in q_of[g]:
+                    eq = eq_pos.get((gp, r))
+                    if eq is not None:
+                        columns[k].append((eq, mv))
+        # P-variable (r', r) hits equation (g', r) with coefficient -N_{g',r'}.
+        n_columns = cache.matrix.columns
+        for k, (rp, r) in enumerate(p_vars, start=nq):
+            for gp, nv in n_columns[rp]:
+                eq = eq_pos.get((gp, r))
+                if eq is not None:
+                    columns[k].append((eq, (-nv) % p))
+        columns = [tuple(sorted(col)) for col in columns]
+        return columns, sum(map(len, columns))
+
+    @staticmethod
+    def exact(m, cache, col_offsets, row_offsets, total):
+        """(columns, entries) of route `b`'s block matrix: column
+        `col_offsets[g] + s` holds, from row `row_offsets[r]` on, M_{g,r}
+        times column s of the structure map from deg g to deg r."""
+        n, p = cache.matrix, m.field.p
+        columns = [[] for _ in range(total)]
+        entries = 0
+        for r, rdeg in enumerate(m.cols):
+            dim_r = cache.at(rdeg).dim
+            if dim_r == 0:
+                continue
+            for g, mv in m.columns[r]:
+                gdeg = m.rows[g]
+                block = structure_map(n, gdeg, rdeg, cache)
+                dim_g = cache.at(gdeg).dim
+                for s in range(dim_g):
+                    col = columns[col_offsets[g] + s]
+                    for t in range(dim_r):
+                        val = (mv * block[t][s]) % p
+                        if val:
+                            col.append((row_offsets[r] + t, val))
+                            entries += 1
+        return [tuple(sorted(c)) for c in columns], entries
 
     @staticmethod
     def solutions(columns, fld, sources, size):
@@ -273,16 +327,58 @@ class _SortedFlat:
 class _PackedFlat:
     """Over GF(2), a flat Q column is one int whose bit k is position k.
 
-    The solve reads the flat columns straight off the packed
-    combinations of `_gf2_sweep`, column j recorded as bit `sources[j]`,
-    so masking drops the variables past `size` and leaves the rest at
-    their flat positions.  The quotient is the same sweep unrecorded.
+    The systems are built packed, one int per variable (`system`,
+    `exact`), and the solve reads the flat columns straight off the
+    packed combinations of `_gf2_sweep`, column j recorded as bit
+    `sources[j]`, so masking drops the variables past `size` and leaves
+    the rest at their flat positions.  The quotient is the same sweep
+    unrecorded.
     """
+
+    @staticmethod
+    def system(m, cache, q_vars, p_vars, equations):
+        """`_SortedFlat.system` packed, equation (g', r) at bit
+        `off[r] + g'` (`LinearSystem`)."""
+        off, width = [], 0
+        for rdeg in m.cols:
+            rows = cache.at(rdeg).rows_le
+            off.append(width)
+            if rows:
+                width += rows[-1] + 1
+        spread = [0] * m.nrows
+        for r, mcol in enumerate(m.columns):
+            bit = 1 << off[r]
+            for g, mv in mcol:
+                if mv & 1:
+                    spread[g] |= bit
+        packed = [_pack(col) for col in cache.matrix.columns]
+        columns = [spread[g] << gp for gp, g in q_vars]
+        columns += [packed[rp] << off[r] for rp, r in p_vars]
+        return columns, sum(map(int.bit_count, columns))
+
+    @staticmethod
+    def exact(m, cache, col_offsets, row_offsets, total):
+        """`_SortedFlat.exact` packed: column (g, s) is the XOR, over the
+        relations r with M_{g,r} odd and Y_{deg r} nonzero, of the packed
+        cokernel column at deg r of generator s of the subset at deg g
+        (`LocalCokernel.packed`), shifted by `row_offsets[r]`."""
+        columns = [0] * total
+        for r, rdeg in enumerate(m.cols):
+            ck = cache.at(rdeg)
+            if not ck.dim:
+                continue
+            packed, shift = ck.packed, row_offsets[r]
+            for g, mv in m.columns[r]:
+                if mv & 1:
+                    subset = cache.at(m.rows[g]).subset
+                    for k, gp in enumerate(subset, col_offsets[g]):
+                        columns[k] ^= packed[gp] << shift
+        return columns, sum(map(int.bit_count, columns))
 
     @staticmethod
     def solutions(columns, fld, sources, size):
         t0 = time.perf_counter()
-        _, combos = _gf2_sweep(map(_pack, columns), sources)
+        _, combos = _gf2_sweep(columns, sources)
         seconds = time.perf_counter() - t0
         mask = (1 << size) - 1
         return [combo & mask for combo in combos], seconds
@@ -537,19 +633,26 @@ def _audit(basis_elements, xp, yp, algorithm, cokernels):
     """Check every returned element: graded, and a homomorphism.
 
     Over GF(2) the elements are checked together, by one bit-sliced
-    batch per relation (`_gf2_failures`); over every other prime each
-    goes through `verify_hom`, the elements sharing one `_AuditCache`, so
-    the generator-to-relation index is built once per call.  Either way
-    each slice of N is reduced at most once per route, in `cokernels`,
-    the route's `CokernelCache` of N.
+    batch per relation (`_gf2_failures`), and the field and shape check
+    (`_check_q`) runs again only on an element whose field, rows or
+    columns are other objects than those last checked.  Over every other
+    prime each goes through `verify_hom`, the elements sharing one
+    `_AuditCache`, so the generator-to-relation index is built once per
+    call.  Either way each slice of N is reduced at most once per route,
+    in `cokernels`, the route's `CokernelCache` of N.
     """
     m = xp.matrix
     if m.field.p == 2:
         n = yp.matrix
         failing = _gf2_failures(basis_elements, m, cokernels.at)
+        checked = None, None, None
 
         def homomorphism(e, q):
-            _check_q(q, m, n)
+            nonlocal checked
+            field, rows, cols = checked
+            if q.field is not field or q.rows is not rows or q.cols is not cols:
+                _check_q(q, m, n)
+                checked = q.field, q.rows, q.cols
             return not failing >> e & 1
     else:
         cache = _AuditCache(m, cokernels)
@@ -666,16 +769,16 @@ def hom_exact(xp, yp):
     """Algorithm B: nullspace of the tensored presentation matrix.
 
     Builds the block matrix from ⊕_g Y_{deg g} to ⊕_r Y_{deg r} whose
-    (r, g) block is M_{g,r} times the structure map of Y, computes its
-    nullspace by the flat solve of the other primal routes, and
-    re-expresses each nullvector's g-component as column g of a graded
-    matrix via the distinguished generator subsets.
+    (r, g) block is M_{g,r} times the structure map of Y (over GF(2)
+    from the slices' packed cokernel columns, `_PackedFlat.exact`),
+    computes its nullspace by the flat solve of the other primal routes,
+    and re-expresses each nullvector's g-component as column g of a
+    graded matrix via the distinguished generator subsets.
     """
     if _check_pair(xp, yp):
         return _empty_basis("b")
     m, n = xp.matrix, yp.matrix
     fld = m.field
-    p = fld.p
     cache = CokernelCache(n)
     # Variables are g-major with ascending subset rows, as `_q_matrix`
     # needs: keys[k] is the (g, g') entry of variable k.
@@ -687,31 +790,15 @@ def hom_exact(xp, yp):
     total = len(keys)
     row_offsets = list(itertools.accumulate(
         [cache.at(rdeg).dim for rdeg in m.cols], initial=0))
-    rows_total = row_offsets[-1]
-    columns = [[] for _ in range(total)]
-    entries = 0
-    for r, rdeg in enumerate(m.cols):
-        dim_r = cache.at(rdeg).dim
-        if dim_r == 0:
-            continue
-        for g, mv in m.columns[r]:
-            gdeg = m.rows[g]
-            block = structure_map(n, gdeg, rdeg, cache)
-            dim_g = cache.at(gdeg).dim
-            for s in range(dim_g):
-                col = columns[col_offsets[g] + s]
-                for t in range(dim_r):
-                    val = (mv * block[t][s]) % p
-                    if val:
-                        col.append((row_offsets[r] + t, val))
-                        entries += 1
-    sys_columns = [tuple(sorted(c)) for c in columns]
+    form = _flat_form(fld)
+    sys_columns, entries = form.exact(m, cache, col_offsets, row_offsets,
+                                      total)
     # The flat solve of the primal routes, every variable a Q entry.
-    flats, elapsed = _flat_form(fld).solutions(
-        sys_columns, fld, range(total), total)
+    flats, elapsed = form.solutions(sys_columns, fld, range(total), total)
     elements = [_q_matrix(flat, keys, n.rows, m.rows, fld) for flat in flats]
     stats = SolveStats(
-        "b", total, rows_total, entries, elapsed, solution_dim=len(flats)
+        "b", total, row_offsets[-1], entries, elapsed,
+        solution_dim=len(flats),
     )
     return _audited(elements, stats, xp, yp, cache)
 

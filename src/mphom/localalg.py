@@ -18,7 +18,12 @@ mapped to its residual as an int whose bit r is row r, and the cokernel
 matrix built by XOR of packed columns; over every other prime a
 `ColumnSpan`, each pivot row mapped to its `ReducedColumn`, and the
 matrix built by scaled sums.  Both keep the same pivots, residuals and
-kept columns, so every value read off a slice is the same.
+kept columns, so every value read off a slice is the same.  Over GF(2)
+the packed cokernel columns are kept (`LocalCokernel.packed`): the
+column of generator g' in the subset basis is one int, bit t for subset
+position t, and the dense matrix is unpacked from them.  Route `b`
+builds its block matrix from those ints, so over GF(2) it reads no
+`structure_map`.
 
 A local cokernel knows at once which generators and relations of N lie
 below alpha (`rows_le`, `cols_le`); it reduces N_{<=alpha} when its span
@@ -84,11 +89,15 @@ class _FieldSlice:
         return span, span._by_pivot, tuple([e.source for e in span.reduced])
 
     @staticmethod
-    def substitute(rows_le, pivots, free_pos, p):
-        """Column of each row of `rows_le` in the subset basis, as a list
-        of values by subset position: a free row is its unit vector, and
-        a pivot row the combination of the rows before it that its
+    def matrix(ck):
+        """Dense rows of the cokernel matrix, by forward substitution: the
+        column of each row of `rows_le` in the subset basis, as a list of
+        values by subset position, is its unit vector for a free row, and
+        for a pivot row the combination of the rows before it that its
         residual column makes it equal to modulo the slice."""
+        pivots, _ = ck._reduced()
+        rows_le, p = ck.rows_le, ck.p
+        free_pos = {r: t for t, r in enumerate(ck.subset)}
         dim = len(free_pos)
         cols = {}
         for r in rows_le:
@@ -118,12 +127,15 @@ class _PackedSlice:
         return pivots, pivots, tuple(kept)
 
     @staticmethod
-    def substitute(rows_le, pivots, free_pos, p):
-        """`_FieldSlice.substitute` with each column packed, bit t for
-        subset position t: a pivot row's column is the XOR of the columns
-        of the other rows of its residual."""
+    def packed(ck):
+        """{row of `rows_le`: its column in the subset basis as an int,
+        bit t for subset position t}, by the forward substitution of
+        `_FieldSlice.matrix`: a pivot row's column is the XOR of the
+        columns of the other rows of its residual."""
+        pivots, _ = ck._reduced()
+        free_pos = {r: t for t, r in enumerate(ck.subset)}
         cols = {}
-        for r in rows_le:
+        for r in ck.rows_le:
             t = free_pos.get(r)
             if t is not None:
                 cols[r] = 1 << t
@@ -135,10 +147,15 @@ class _PackedSlice:
                 acc ^= cols[i]
                 rest ^= 1 << i
             cols[r] = acc
-        packed = cols.values()
+        return cols
+
+    @staticmethod
+    def matrix(ck):
+        """Dense rows of the cokernel matrix, unpacked from `ck.packed`."""
+        packed = ck.packed.values()
         return tuple([
             tuple([bits >> t & 1 for bits in packed])
-            for t in range(len(free_pos))
+            for t in range(ck.dim)
         ])
 
 
@@ -170,22 +187,26 @@ class LocalCokernel:
         GF(2) a dict from each pivot row to its packed residual (bit r
         for row r), in sweep order; over every other prime a
         `ColumnSpan`.
+    packed: over GF(2) only, a dict from each row of `rows_le`, in
+        order, to its column of `matrix` packed as an int, bit t for
+        subset position t; route `b` builds its system from these.
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
         subset positions form the identity; built from the pivots of the
-        reduction.
+        reduction, over GF(2) unpacked from `packed`.
     """
 
     __slots__ = ("degree", "rows_le", "cols_le", "p", "_source",
                  "_positions", "_span", "_pivots", "_kept", "_subset",
-                 "_matrix")
+                 "_packed", "_matrix")
 
     def __init__(self, matrix, alpha, rows_le, cols_le):
         self.degree = tuple(alpha)
         self.rows_le, self.cols_le = rows_le, cols_le
         self.p = matrix.field.p
         self._source = matrix
-        self._positions = self._span = self._subset = self._matrix = None
+        self._positions = self._span = self._subset = None
+        self._packed = self._matrix = None
 
     @property
     def positions(self):
@@ -233,15 +254,18 @@ class LocalCokernel:
         return tuple([cols_le[j] for j in kept])
 
     @property
+    def packed(self):
+        if self._packed is None:
+            self._packed = _PackedSlice.packed(self)
+        return self._packed
+
+    @property
     def matrix(self):
-        # Forward substitution in increasing row order: a residual's
-        # pivot is its largest row, so the pivot coordinate only depends
-        # on rows already processed.
+        # Forward substitution in increasing row order (over GF(2) into
+        # `packed`): a residual's pivot is its largest row, so the pivot
+        # coordinate only depends on rows already processed.
         if self._matrix is None:
-            free_pos = {r: t for t, r in enumerate(self.subset)}
-            pivots, _ = self._reduced()
-            self._matrix = _slice_form(self.p).substitute(
-                self.rows_le, pivots, free_pos, self.p)
+            self._matrix = _slice_form(self.p).matrix(self)
         return self._matrix
 
     def coordinates(self, column):

@@ -18,6 +18,7 @@ import pytest
 
 from mphom import (
     DimensionMismatchError,
+    FieldMismatchError,
     GradedMatrix,
     GradingError,
     Presentation,
@@ -524,3 +525,32 @@ def test_gf2_verify_hom_runs_the_batch(monkeypatch):
         assert not verify_hom(q, xp, yp)
         assert verify_hom(zero_q(xp, yp), xp, yp)
     assert calls == [1, 1]
+
+
+def test_gf2_audit_checks_field_and_shape_of_each_new_object():
+    """Over GF(2) `_audit` skips `_check_q` for an element whose field,
+    rows and columns are the objects it last checked.  An element holding
+    other objects is checked again: an equal copy passes, and a foreign
+    shape or field raises as the check would on any element."""
+    xp, yp = random_pair(0, d=2, gens=12, rels=12, coord_range=18, p=2)
+    elements = list(hom_direct(xp, yp).elements)
+    assert len(elements) >= 3
+    q = elements[1]
+
+    def variant(field=q.field, rows=q.rows):
+        return GradedMatrix._trusted(field, rows, q.cols, q.columns)
+
+    def audit(element):
+        batch = elements[:1] + [element] + elements[2:]
+        _audit(batch, xp, yp, "test", CokernelCache(yp.matrix))
+
+    rows = tuple(list(q.rows))
+    assert rows == q.rows and rows is not q.rows
+    audit(variant(rows=rows))
+    with pytest.raises(DimensionMismatchError):
+        audit(variant(rows=q.rows + q.rows[:1]))
+    field = PrimeField(2)
+    assert field == q.field and field is not q.field
+    audit(variant(field=field))
+    with pytest.raises(FieldMismatchError):
+        audit(variant(field=PrimeField(3)))

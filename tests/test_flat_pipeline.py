@@ -15,6 +15,8 @@ the flat solve, and must return the elements of its earlier tail, which
 sorted the items of `nullspace_of_columns`'s dicts, at p = 2, 5 and 65521.
 """
 
+import bisect
+import itertools
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from mphom import (
     DimensionMismatchError,
     GradedMatrix,
     GradingError,
+    Presentation,
     deg_leq,
     graded_matrix_from_entries,
     hom_direct,
@@ -35,7 +38,7 @@ from mphom import (
 from mphom import homspace
 from mphom.generators import random_module, random_pair
 from mphom.graded import _pairs, nullspace_of_columns
-from mphom.localalg import CokernelCache
+from mphom.localalg import CokernelCache, structure_map
 
 from conftest import free_module, red_blue, zero_module
 
@@ -308,19 +311,58 @@ def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
             assert shape == (len(elements), 0, 0, len(elements), 0), algorithm
 
 
+def packed_equations(system, m):
+    """The columns of a GF(2) system as lists of (g', r) equations:
+    relation r's bit block starts at the sum of the widths before it,
+    each width the largest row of `rows_le(deg r)` plus one, and bit
+    `off[r] + g'` is equation (g', r)."""
+    widths = [rows[-1] + 1 if rows else 0
+              for rows in (system.cache.at(rdeg).rows_le for rdeg in m.cols)]
+    off = [0]
+    for w in widths:
+        off.append(off[-1] + w)
+    out = []
+    for bits in system.columns:
+        assert type(bits) is int and 0 <= bits < 1 << off[-1]
+        eqs = []
+        for b, _ in _pairs(bits):
+            r = bisect.bisect_right(off, b) - 1
+            assert off[r] <= b < off[r] + widths[r]
+            eqs.append((b - off[r], r))
+        out.append(sorted(eqs))
+    return out
+
+
 @pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
 def test_system_matches_the_degree_scans(monkeypatch, name, pair):
     # The slices of the route's cache give the variables and equations,
     # in the order and with the columns that the pairwise scans gave.
+    # Over GF(2) each column is one int over the relations' bit blocks:
+    # every set bit must name an equation, and the equations each column
+    # hits must be those of the scanned column.
     xp, yp = pair
     for algorithm, route in ROUTES.items():
         _, masks, system = run_recording(monkeypatch, route, xp, yp)
         if system is None:
             assert xp.is_zero_module() or yp.is_zero_module(), algorithm
             continue
-        assert (
-            system.q_vars, system.p_vars, system.equations, system.columns,
-        ) == old_system(xp, yp, **masks), algorithm
+        want = old_system(xp, yp, **masks)
+        if xp.field.p != 2:
+            assert (
+                system.q_vars, system.p_vars, system.equations,
+                system.columns,
+            ) == want, algorithm
+            continue
+        q_vars, p_vars, equations, columns = want
+        assert (system.q_vars, system.p_vars, system.equations) == (
+            q_vars, p_vars, equations), algorithm
+        got = packed_equations(system, xp.matrix)
+        known = set(equations)
+        assert all(eq in known for col in got for eq in col), algorithm
+        assert all(v == 1 for col in columns for _, v in col), algorithm
+        assert got == [sorted(equations[k] for k, _ in col)
+                       for col in columns], algorithm
+        assert system.entries == sum(map(len, columns)), algorithm
 
 
 def test_reference_inputs_exercise_the_quotient():
@@ -366,8 +408,9 @@ def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     assert any(cols)
     sources = [system.q_index[(g, gp)] for gp, g in system.q_vars]
     sources += range(size, size + len(system.p_vars))
+    unpacked = [tuple(_pairs(col)) for col in system.columns]
     sorted_cols, _ = homspace._SortedFlat.solutions(
-        system.columns, system.field, sources, size)
+        unpacked, system.field, sources, size)
     assert [flat_pairs(col) for col in cols] == sorted_cols
 
 
@@ -391,6 +434,7 @@ def test_exact_route_matches_its_own_solve_tail(monkeypatch, p, n, seed):
     class Recording:
         def __init__(self, fld):
             self.form = flat_form(fld)
+            self.exact = self.form.exact
 
         def solutions(self, columns, fld, sources, size):
             assert list(sources) == list(range(size))
@@ -401,6 +445,10 @@ def test_exact_route_matches_its_own_solve_tail(monkeypatch, p, n, seed):
     basis = homspace.hom_exact(xp, yp)
     monkeypatch.undo()
     (columns,) = seen
+    if p == 2:
+        # The packed system columns, unpacked for the dict-based tail.
+        assert all(type(col) is int for col in columns)
+        columns = [tuple(_pairs(col)) for col in columns]
     m, n_mat = xp.matrix, yp.matrix
     cache = CokernelCache(n_mat)
     keys = [(g, gp) for g, gdeg in enumerate(m.rows)
@@ -409,6 +457,98 @@ def test_exact_route_matches_its_own_solve_tail(monkeypatch, p, n, seed):
     assert basis.dim > n
     assert list(basis.elements) == want
     assert basis.stats.solution_dim == len(want)
+
+
+def old_exact_columns(xp, yp, cache):
+    """Route `b`'s block matrix as it was built from `structure_map`:
+    (sorted (row, value) columns, entries)."""
+    m, n = xp.matrix, yp.matrix
+    p = m.field.p
+    col_offsets, total = [], 0
+    for gdeg in m.rows:
+        col_offsets.append(total)
+        total += cache.at(gdeg).dim
+    row_offsets = [0]
+    for rdeg in m.cols:
+        row_offsets.append(row_offsets[-1] + cache.at(rdeg).dim)
+    columns = [[] for _ in range(total)]
+    entries = 0
+    for r, rdeg in enumerate(m.cols):
+        dim_r = cache.at(rdeg).dim
+        if dim_r == 0:
+            continue
+        for g, mv in m.columns[r]:
+            gdeg = m.rows[g]
+            block = structure_map(n, gdeg, rdeg, cache)
+            for s in range(cache.at(gdeg).dim):
+                col = columns[col_offsets[g] + s]
+                for t in range(dim_r):
+                    val = (mv * block[t][s]) % p
+                    if val:
+                        col.append((row_offsets[r] + t, val))
+                        entries += 1
+    return [tuple(sorted(c)) for c in columns], entries
+
+
+def with_stored_values(xp, values):
+    """X's presentation, built without validation, with the stored
+    values of M cycled through `values` in column order."""
+    m = xp.matrix
+    cycle = itertools.cycle(values)
+    columns = [[(i, next(cycle)) for i, _ in col] for col in m.columns]
+    return Presentation(
+        GradedMatrix(m.field, m.rows, m.cols, columns, validate=False),
+        minimal=True,
+    )
+
+
+@pytest.mark.parametrize("n, seed", [(40, 0), (50, 1), (60, 1)])
+def test_exact_route_builds_the_structure_map_system_packed(
+        monkeypatch, n, seed):
+    """Over GF(2) route `b` builds its block matrix from the slices'
+    packed cokernel columns: unpacked, its columns and entry count are
+    those of the structure-map loop, also when M stores even values,
+    which are zero over GF(2)."""
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=2)
+    nm = yp.matrix
+    stored = with_stored_values(xp, (1, 2, 3))
+    assert any(v == 2 for col in stored.matrix.columns for _, v in col)
+    solutions = homspace._PackedFlat.solutions
+    for x in (xp, stored):
+        seen = []
+
+        def spy(columns, fld, sources, size):
+            seen.append(columns)
+            return solutions(columns, fld, sources, size)
+
+        monkeypatch.setattr(homspace._PackedFlat, "solutions",
+                            staticmethod(spy))
+        basis = homspace.hom_exact(x, yp)
+        monkeypatch.undo()
+        (columns,) = seen
+        want, entries = old_exact_columns(x, yp, CokernelCache(nm))
+        assert all(type(col) is int for col in columns)
+        assert [tuple(_pairs(col)) for col in columns] == want
+        assert basis.stats.entries == entries
+    # Each slice's packed columns unpack to its cokernel matrix: the
+    # subset columns are the identity and every column of N below the
+    # degree maps to zero, which pins the matrix down.
+    cache = CokernelCache(nm)
+    for alpha in set(xp.matrix.rows + xp.matrix.cols):
+        ck = cache.at(alpha)
+        packed = ck.packed
+        assert list(packed) == list(ck.rows_le)
+        assert ck.matrix == tuple(
+            tuple(packed[r] >> t & 1 for r in ck.rows_le)
+            for t in range(ck.dim))
+        assert [packed[r] for r in ck.subset] == [1 << t
+                                                  for t in range(ck.dim)]
+        for j in ck.cols_le:
+            image = 0
+            for r, _ in nm.columns[j]:
+                image ^= packed[r]
+            assert image == 0, (alpha, j)
 
 
 # -- the public homotopy quotient -------------------------------------------
