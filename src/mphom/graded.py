@@ -11,25 +11,24 @@ Every recorded elimination lives here.  A recorded combination is an
 int bitset, updated by `^`, in the packed GF(2) sweeps, else a dict,
 updated by `_add_into` alone.
 
-`ColumnSpan` serves the one-shot reductions over primes other than 2
-(local cokernel spans, the audit's membership test, and the homotopy
-quotient and nullspace solve), and echelon forms over every prime; it
-records only when built to.  Each reduced column stores its pivot's
-inverse, and every step is the scaled sparse merge `_axpy`.
-
-`_gf2_sweep` is the one packed GF(2) sweep: columns packed into ints
-whose bit r is row r (`_pack`), eliminated by `^`, pivots read off
-`bit_length()`.  Given sources it records each zeroed column's
-combination as an int, the one `ColumnSpan` records; the solves of all
-four primal routes and `nullspace_of_columns` run on it.  Without
-sources it keeps residuals only, for the homotopy quotient and the
-local cokernels of N over GF(2).  `_pairs` unpacks a packed or sparse
-column into (index, value) pairs.
+The prime picks the column form in one place, `_column_form`: over GF(2)
+a column is one int whose bit r is row r (`_pack`), swept by
+`_gf2_sweep`, the one packed sweep, with pivots read off
+`bit_length()`; over every other prime it is a tuple of (row, value)
+pairs by increasing row, swept by `ColumnSpan`.  The primal systems and
+solves of `homspace` and the slices of N in `localalg` are written once
+over the form's operations (pack, shift, scale, join, sweep, nullspace,
+forward substitution), so each takes one code path at every prime.
+`ColumnSpan` also serves the audit's membership test and echelon forms
+over every prime; each reduced column stores its pivot's inverse, and
+every step is the scaled sparse merge `_axpy`.  `_pairs` unpacks a
+column or combination of either form into (index, value) pairs.
 
 The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
 lists, carry one reduction along a chain of lines for the line sweeps
 of `presentations` (Lesnick and Wright, arXiv:1902.05708);
-`_line_chains` picks one by prime and packs the columns once per sweep.
+`_line_chains` takes the one of the field's column form and packs the
+columns once per sweep.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import le
+from operator import add, le, lshift, mul, or_
 
 from .errors import (
     DegreeOverflowError,
@@ -133,10 +132,11 @@ class PrimeField:
 
     p is validated at construction to be a prime below 2^63
     (`MAX_CHARACTERISTIC`); inverses are computed by Fermat and cached for
-    small p.
+    small p.  The field's column form (`_column_form`) is kept on first
+    use.
     """
 
-    __slots__ = ("p", "_inv")
+    __slots__ = ("p", "_inv", "_form")
 
     def __init__(self, p):
         if not isinstance(p, int) or not _is_prime(p):
@@ -151,6 +151,7 @@ class PrimeField:
             self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
         else:
             self._inv = None
+        self._form = None
 
     def inv(self, value):
         value %= self.p
@@ -704,11 +705,10 @@ class _FieldChain(_Chain):
 
 
 def _line_chains(columns, fld, record):
-    """A function that starts a fresh `_Chain` over `columns`: a
-    `_Gf2Chain` over GF(2), else a `_FieldChain`, the columns packed
-    into the chain type's form (`pack`) once here and shared by every
-    chain it starts."""
-    chain_type = _Gf2Chain if fld.p == 2 else _FieldChain
+    """A function that starts a fresh `_Chain` over `columns`, of the
+    field's `_column_form`, the columns packed into the chain type's
+    form (`pack`) once here and shared by every chain it starts."""
+    chain_type = _column_form(fld).chain()
     packed = [chain_type.pack(c) for c in columns]
     return partial(chain_type, fld, record, packed)
 
@@ -770,18 +770,162 @@ def _gf2_sweep(columns, sources=None):
     return kept, zeroed
 
 
+class _PackedColumns:
+    """The column form over GF(2): a column is one int whose bit r is
+    row r (`_pack`), shifted by `<<`, and every sweep is `_gf2_sweep`.
+    Combinations are ints too, bit k for source k."""
+
+    pack = staticmethod(_pack)
+    shift = staticmethod(lshift)
+    # A scale is a value mod 2, so 0 or 1, and the product is exact.
+    scaled = staticmethod(mul)
+    join = staticmethod(or_)
+    size = staticmethod(int.bit_count)
+
+    @staticmethod
+    def renumbered(column, rows, k):
+        bits = 0
+        for i, v in column:
+            bits |= (v & 1) << rows[i]
+        return bits << k
+
+    @staticmethod
+    def sweep(columns):
+        return _gf2_sweep(columns)[0]
+
+    @staticmethod
+    def nullspace(columns, sources):
+        return _gf2_sweep(columns, sources)[1]
+
+    @staticmethod
+    def truncate(combos, size):
+        mask = (1 << size) - 1
+        return [combo & mask for combo in combos]
+
+    @staticmethod
+    def span(columns):
+        kept, _ = _gf2_sweep(columns)
+        pivots = {bits.bit_length() - 1: bits for bits in kept.values()}
+        return pivots, pivots, tuple(kept)
+
+    @staticmethod
+    def substitute(record, columns):
+        # The record of a pivot row is its residual.
+        rest = record ^ 1 << record.bit_length() - 1
+        acc = 0
+        while rest:
+            i = rest.bit_length() - 1
+            acc ^= columns[i]
+            rest ^= 1 << i
+        return acc
+
+    @staticmethod
+    def chain():
+        return _Gf2Chain
+
+
+class _SortedColumns:
+    """The column form over any prime: a column is a tuple of (row,
+    value) pairs by increasing row, shifted by adding to each row, and
+    every sweep is a `ColumnSpan`'s.  Combinations are dicts from source
+    to value.  Every prime but 2 takes it; it holds over GF(2) too."""
+
+    pack = staticmethod(tuple)
+    join = staticmethod(add)
+    size = staticmethod(len)
+
+    def __init__(self, fld):
+        self.field = fld
+
+    @staticmethod
+    def renumbered(column, rows, k):
+        return tuple([(rows[i] + k, v) for i, v in column])
+
+    @staticmethod
+    def shift(column, k):
+        return tuple([(i + k, v) for i, v in column])
+
+    def scaled(self, column, c):
+        p = self.field.p
+        return tuple([(i, x) for i, v in column if (x := c * v % p)])
+
+    def sweep(self, columns):
+        span = column_reduce(columns, self.field)
+        return {e.source: e.column for e in span.reduced}
+
+    def nullspace(self, columns, sources):
+        span = ColumnSpan(self.field, record=True)
+        for source, col in zip(sources, columns):
+            span.insert(col, source)
+        return [combo for _, combo in span.zeroed]
+
+    @staticmethod
+    def truncate(combos, size):
+        return [tuple(sorted((k, v) for k, v in combo.items() if k < size))
+                for combo in combos]
+
+    def span(self, columns):
+        span = column_reduce(columns, self.field)
+        return span, span._by_pivot, tuple([e.source for e in span.reduced])
+
+    def substitute(self, record, columns):
+        # The record of a pivot row is its `ReducedColumn`.
+        p = self.field.p
+        acc = ()
+        for i, v in record.column[:-1]:
+            acc = _axpy(acc, columns[i], -v * record.inv % p, p)
+        return tuple(acc)
+
+    @staticmethod
+    def chain():
+        return _FieldChain
+
+
+_PACKED_COLUMNS = _PackedColumns()
+
+
+def _column_form(fld):
+    """The column form over GF(p): `_PackedColumns` over GF(2),
+    `_SortedColumns` over every other prime.  Both offer:
+
+    * `pack(column)`, from (row, value) pairs, each value nonzero and
+      reduced mod p, and `renumbered(column, rows, k)`, row i put at
+      rows[i] + k, the rows increasing in i;
+    * `shift(column, k)`, rows raised by k; `scaled(column, c)`, times c
+      in [0, p); `join(a, b)`, the sum of columns whose rows lie in
+      disjoint blocks, those of `a` first; `size(column)`, its nonzeros;
+    * `sweep(columns)`, a left-to-right reduction with lowest-row
+      pivots, as {index of each kept column: its residual};
+      `nullspace(columns, sources)`, the same sweep recording column j
+      as source `sources[j]`, as the combination of each zeroed column;
+      `truncate(combos, size)`, those combinations as columns of their
+      sources below `size`;
+    * `span(columns)`, a slice reduced as (span, pivot row -> its
+      record, positions of the kept columns), the span being the pivot
+      -> residual dict over GF(2) and the `ColumnSpan` otherwise, and
+      `substitute(record, columns)`, the column forward substitution
+      gives a pivot row: -1/lead times the sum of v * columns[i] over
+      the other entries (i, v) of its residual;
+    * `chain()`, the `_Chain` type of the line sweeps.
+
+    The form is picked on the field's first call and kept on it.
+    """
+    form = fld._form
+    if form is None:
+        form = fld._form = (_PACKED_COLUMNS if fld.p == 2
+                            else _SortedColumns(fld))
+    return form
+
+
 def nullspace_of_columns(columns, fld):
     """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
 
-    One recording sweep: over GF(2) the packed `_gf2_sweep`, else by
-    `ColumnSpan`.  Each dict's largest key is the index of the column it
-    zeroed.
+    One recording sweep in the field's `_column_form`.  Each dict's
+    largest key is the index of the column it zeroed.
     """
-    if fld.p != 2:
-        span = column_reduce(columns, fld, record=True)
-        return [combo for _, combo in span.zeroed]
-    _, zeroed = _gf2_sweep(map(_pack, columns), range(len(columns)))
-    return [dict.fromkeys(_bits(combo), 1) for combo in zeroed]
+    form = _column_form(fld)
+    zeroed = form.nullspace(map(form.pack, columns), range(len(columns)))
+    return [dict(_pairs(combo)) for combo in zeroed]
 
 
 def _transpose(columns, n_rows):

@@ -23,25 +23,30 @@ the route's one `CokernelCache` of N: the generators and relations of Y
 below a degree of X are the `rows_le` and `cols_le` of the slice there,
 which is reduced only when its span or subset is first read.
 
-The same form builds the systems.  Over every prime but 2 a system
-column is a sorted tuple of (equation index, value) pairs, and route
-`b`'s blocks are read off `structure_map`.  Over GF(2) every column is
-one int made of shifted copies of columns the code already holds: of N
-and of the pattern of odd entries of M for `LinearSystem`, whose
-equation (g', r) is bit `off[r] + g'`, and of the slices' packed
-cokernel columns (`LocalCokernel.packed`) for `hom_exact`.  The
-numbering of the equations changes no solution.
+Every system, solve and quotient is written once over the field's
+column form (`graded._column_form`): over GF(2) a column is one int
+whose bit k is row k, over every other prime a tuple of (row, value)
+pairs by increasing row.  In Q M = N P relation r owns a block of rows
+from `off[r]` and equation (g', r) is row `off[r] + g'`; Q variable
+(g', g) is row g of M moved to the block starts and shifted by g', and
+P variable (r', r) is column r' of N, negated, shifted to block r.
+Route `b`'s column (g, s) sums, over the relations r of g, M_{g,r}
+times the slice's cokernel column (`LocalCokernel.columns`) of
+generator s of the subset at deg g, shifted to block r; the blocks are
+disjoint and come in order, so over GF(2) the sum is an OR and over
+every other prime a concatenation, and no route reads `structure_map`.
+The grading puts every entry inside its block, and numbering the rows
+by any injective map leaves the kept columns and the unique combination
+that zeroes a dependent one as they are, so the numbering changes no
+solution.
 
-All four share one flat solve, by a form picked by prime in one place
-(`_flat_form`), whose `solutions` gives a nullspace basis as flat
-columns: `LinearSystem.solve` numbers the Q variables by their
-`_flat_index` positions and the P variables past them, so each Q part
-comes out as one flat column, and `hom_exact`, whose variables are all Q
-entries, numbers its variables in order.  Over GF(2) a flat column is
-one int whose bit k is position k, kept from the packed `_gf2_sweep`
-through the homotopy columns to the quotient; over every other prime it
-is a sorted tuple of (position, value) pairs reduced by `ColumnSpan`.
-Both give the same survivors, and `_q_matrix` unpacks either (`_pairs`).
+All four share one flat solve (`_flat_solutions`), whose nullspace
+basis comes out as flat columns: `LinearSystem.solve` numbers the Q
+variables by their `_flat_index` positions and the P variables past
+them, so each Q part comes out as one flat column, and `hom_exact`,
+whose variables are all Q entries, numbers its variables in order.  A
+flat column stays in the column form through the homotopy columns to
+the quotient, and `_q_matrix` unpacks either form (`_pairs`).
 `solve_seconds` times the elimination sweep alone.  `_reduce_flat`
 column-reduces the equation routes' flat columns once: after the
 flattened null-homotopies for `direct` and `mixed`, on their own for
@@ -66,7 +71,7 @@ relations that Q's nonzero columns reach and tests each nonzero product
 with the slice's `ColumnSpan`.  Zero products pass without being reduced,
 so the audit is exactly as strong as checking every relation.  Each route
 hands its audit the `CokernelCache` of N it built, so a slice of N is
-reduced once per route whether the masks, the structure maps or the
+reduced once per route whether the masks, the cokernel columns or the
 audit asks for it first.
 """
 
@@ -78,18 +83,15 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, FieldMismatchError, GradingError
 from .graded import (
-    ColumnSpan,
     GradedMatrix,
     _axpy,
-    _gf2_sweep,
-    _pack,
+    _column_form,
     _pairs,
     _transpose,
     deg_sub,
-    nullspace_of_columns,
     validate_grading,
 )
-from .localalg import CokernelCache, _matrix_of, structure_map
+from .localalg import CokernelCache, _matrix_of
 from .presentations import Presentation, kernel, minimize
 
 
@@ -164,23 +166,23 @@ class LinearSystem:
     slice at that degree.
 
     `columns` holds one column per variable, Q variables first, in the
-    field's `_flat_form`.  Over every prime but 2 a column is a sorted
-    tuple of (equation index, value) pairs.  Over GF(2) it is one int:
-    relation r owns a block of bits from `off[r]`, as wide as the largest
-    row of `rows_le(deg r)` plus one, and equation (g', r) is bit
-    `off[r] + g'`, so Q variable (g', g) is the OR of `1 << off[r]` over
-    the odd M_{g,r}, shifted by g', and P variable (r', r) is column r' of
-    N packed and shifted by `off[r]`.  Renumbering the equations leaves
-    the solutions as they are: which columns are independent of the ones
-    before them, and the unique combination that zeroes a dependent one,
-    do not depend on the order of the rows.  `entries` counts the nonzero
-    entries of either form.
+    field's `_column_form`.  Relation r owns a block of rows from
+    `off[r]`, as wide as the largest row of `rows_le(deg r)` plus one,
+    and equation (g', r) is row `off[r] + g'` at every prime, so Q
+    variable (g', g) is row g of M with M_{g,r} moved to `off[r]`,
+    shifted by g', and P variable (r', r) is column r' of N, negated,
+    shifted by `off[r]`.  Renumbering the equations leaves the solutions
+    as they are: which columns are independent of the ones before them,
+    and the unique combination that zeroes a dependent one, do not
+    depend on the order of the rows.  `entries` counts the nonzero
+    entries of the columns.
     """
 
     def __init__(self, xp, cache, q_mask=None, p_mask=None):
         m = xp.matrix
         self.field = m.field
         self.cache = cache
+        form = _column_form(self.field)
 
         # Flat positions of the admissible Q entries; solve() and the
         # homotopy quotient share this order.
@@ -189,33 +191,45 @@ class LinearSystem:
             self.q_vars = [(gp, g) for g, gp in self.q_index]
         else:
             self.q_vars = [(gp, g) for g in range(m.nrows) for gp in q_mask[g]]
-        self.p_vars, self.equations = [], []
+        self.p_vars, self.equations, off, width = [], [], [], 0
+        rels_of = [[] for _ in range(m.nrows)]
         for r, rdeg in enumerate(m.cols):
             ck = cache.at(rdeg)
             allowed = ck.cols_le if p_mask is None else p_mask[r]
             self.p_vars.extend((rp, r) for rp in allowed)
             self.equations.extend((gp, r) for gp in ck.rows_le)
-        self.columns, self.entries = _flat_form(self.field).system(
-            m, cache, self.q_vars, self.p_vars, self.equations)
+            off.append(width)
+            for g, mv in m.columns[r]:
+                rels_of[g].append((width, mv))
+            if ck.rows_le:
+                width += ck.rows_le[-1] + 1
+        scaled, shift = form.scaled, form.shift
+        spread = list(map(form.pack, rels_of))
+        minus_n = [scaled(col, -1 % self.field.p)
+                   for col in cache._n_columns]
+        self.columns = [shift(spread[g], gp) for gp, g in self.q_vars]
+        self.columns += [shift(minus_n[rp], off[r]) for rp, r in self.p_vars]
+        self.entries = sum(map(form.size, self.columns))
 
     def solve(self):
         """Q parts of a basis of the solution space, as flat columns.
 
-        Each solution's Q part is one flat column (`_flat_form`) over the
-        positions of `q_index` (the `_flat_index(cache, m.rows)` order),
-        ready for the homotopy quotient without building a matrix per
-        solution: over GF(2) one int whose bit k is position k, else a
-        tuple of (position, value) pairs by increasing position.  The P
-        parts are dropped.  Solutions with Q = 0 give empty columns (0 or
-        ()), so the list length is the dimension of the solution space.
-        The elimination sweep alone is timed into `solve_seconds`.
+        Each solution's Q part is one flat column in the field's
+        `_column_form` over the positions of `q_index` (the
+        `_flat_index(cache, m.rows)` order), ready for the homotopy
+        quotient without building a matrix per solution: over GF(2) one
+        int whose bit k is position k, else a tuple of (position, value)
+        pairs by increasing position.  The P parts are dropped.
+        Solutions with Q = 0 give empty columns (0 or ()), so the list
+        length is the dimension of the solution space.  The elimination
+        sweep alone is timed into `solve_seconds`.
         """
         index = self.q_index
         size = len(index)
         sources = [index[(g, gp)] for gp, g in self.q_vars]
         sources += range(size, size + len(self.p_vars))
-        cols, self.solve_seconds = _flat_form(self.field).solutions(
-            self.columns, self.field, sources, size)
+        cols, self.solve_seconds = _flat_solutions(
+            self.columns, _column_form(self.field), sources, size)
         return cols
 
 
@@ -228,216 +242,59 @@ def _flat_index(cache, q_cols):
     return index
 
 
-class _SortedFlat:
-    """Flat Q columns as tuples of (position, value) pairs by increasing
-    position: the form over every prime but 2."""
+def _flat_solutions(columns, form, sources, size):
+    """(nullspace basis of `columns` as flat columns, sweep seconds).
 
-    @staticmethod
-    def system(m, cache, q_vars, p_vars, equations):
-        """(columns, entries) of `LinearSystem`: each column a sorted
-        tuple of (equation index, value) pairs."""
-        p = m.field.p
-        eq_pos = {eq: k for k, eq in enumerate(equations)}
-        nq = len(q_vars)
-        columns = [[] for _ in range(nq + len(p_vars))]
-        # Q-variable (g', g) hits equation (g', r) with coefficient M_{g,r}.
-        q_of = [[] for _ in range(m.nrows)]
-        for k, (gp, g) in enumerate(q_vars):
-            q_of[g].append((gp, k))
-        for r in range(m.ncols):
-            for g, mv in m.columns[r]:
-                for gp, k in q_of[g]:
-                    eq = eq_pos.get((gp, r))
-                    if eq is not None:
-                        columns[k].append((eq, mv))
-        # P-variable (r', r) hits equation (g', r) with coefficient -N_{g',r'}.
-        n_columns = cache.matrix.columns
-        for k, (rp, r) in enumerate(p_vars, start=nq):
-            for gp, nv in n_columns[rp]:
-                eq = eq_pos.get((gp, r))
-                if eq is not None:
-                    columns[k].append((eq, (-nv) % p))
-        columns = [tuple(sorted(col)) for col in columns]
-        return columns, sum(map(len, columns))
-
-    @staticmethod
-    def exact(m, cache, col_offsets, row_offsets, total):
-        """(columns, entries) of route `b`'s block matrix: column
-        `col_offsets[g] + s` holds, from row `row_offsets[r]` on, M_{g,r}
-        times column s of the structure map from deg g to deg r."""
-        n, p = cache.matrix, m.field.p
-        columns = [[] for _ in range(total)]
-        entries = 0
-        for r, rdeg in enumerate(m.cols):
-            dim_r = cache.at(rdeg).dim
-            if dim_r == 0:
-                continue
-            for g, mv in m.columns[r]:
-                gdeg = m.rows[g]
-                block = structure_map(n, gdeg, rdeg, cache)
-                dim_g = cache.at(gdeg).dim
-                for s in range(dim_g):
-                    col = columns[col_offsets[g] + s]
-                    for t in range(dim_r):
-                        val = (mv * block[t][s]) % p
-                        if val:
-                            col.append((row_offsets[r] + t, val))
-                            entries += 1
-        return [tuple(sorted(c)) for c in columns], entries
-
-    @staticmethod
-    def solutions(columns, fld, sources, size):
-        """(nullspace basis of `columns` as flat columns, sweep seconds).
-
-        Column j is variable `sources[j]`, a flat position when it is
-        below `size`; the variables past `size` are solved for and
-        dropped.  The sources must be distinct.
-        """
-        t0 = time.perf_counter()
-        combos = nullspace_of_columns(columns, fld)
-        seconds = time.perf_counter() - t0
-        return [
-            tuple(sorted((sources[k], v) for k, v in combo.items()
-                         if sources[k] < size))
-            for combo in combos
-        ], seconds
-
-    @staticmethod
-    def column(blocks, index):
-        """The flat column of the sparse columns `blocks` yields as
-        (g, column over N's rows) pairs, each placed in block g."""
-        return tuple(sorted(
-            (index[(g, gp)], v) for g, col in blocks for gp, v in col))
-
-    @staticmethod
-    def survivors(cols, fld, homotopies):
-        """The reduced columns of `cols` that `ColumnSpan` keeps after
-        the homotopy columns, as (position, value) sequences."""
-        span = ColumnSpan(fld)
-        for col in homotopies:
-            span.insert(col, source=-1)
-        kept = []
-        for j, col in enumerate(cols):
-            entry = span.insert(col, source=j)
-            if entry is not None:
-                kept.append(entry.column)
-        return kept
-
-
-class _PackedFlat:
-    """Over GF(2), a flat Q column is one int whose bit k is position k.
-
-    The systems are built packed, one int per variable (`system`,
-    `exact`), and the solve reads the flat columns straight off the
-    packed combinations of `_gf2_sweep`, column j recorded as bit
-    `sources[j]`, so masking drops the variables past `size` and leaves
-    the rest at their flat positions.  The quotient is the same sweep
-    unrecorded.
+    Column j is variable `sources[j]`, a flat position when it is below
+    `size`; the variables past `size` are solved for and dropped.  The
+    sources must be distinct.  Columns and solutions are in `form`, a
+    `_column_form`.
     """
-
-    @staticmethod
-    def system(m, cache, q_vars, p_vars, equations):
-        """`_SortedFlat.system` packed, equation (g', r) at bit
-        `off[r] + g'` (`LinearSystem`)."""
-        off, width = [], 0
-        for rdeg in m.cols:
-            rows = cache.at(rdeg).rows_le
-            off.append(width)
-            if rows:
-                width += rows[-1] + 1
-        spread = [0] * m.nrows
-        for r, mcol in enumerate(m.columns):
-            bit = 1 << off[r]
-            for g, mv in mcol:
-                if mv & 1:
-                    spread[g] |= bit
-        packed = [_pack(col) for col in cache.matrix.columns]
-        columns = [spread[g] << gp for gp, g in q_vars]
-        columns += [packed[rp] << off[r] for rp, r in p_vars]
-        return columns, sum(map(int.bit_count, columns))
-
-    @staticmethod
-    def exact(m, cache, col_offsets, row_offsets, total):
-        """`_SortedFlat.exact` packed: column (g, s) is the XOR, over the
-        relations r with M_{g,r} odd and Y_{deg r} nonzero, of the packed
-        cokernel column at deg r of generator s of the subset at deg g
-        (`LocalCokernel.packed`), shifted by `row_offsets[r]`."""
-        columns = [0] * total
-        for r, rdeg in enumerate(m.cols):
-            ck = cache.at(rdeg)
-            if not ck.dim:
-                continue
-            packed, shift = ck.packed, row_offsets[r]
-            for g, mv in m.columns[r]:
-                if mv & 1:
-                    subset = cache.at(m.rows[g]).subset
-                    for k, gp in enumerate(subset, col_offsets[g]):
-                        columns[k] ^= packed[gp] << shift
-        return columns, sum(map(int.bit_count, columns))
-
-    @staticmethod
-    def solutions(columns, fld, sources, size):
-        t0 = time.perf_counter()
-        _, combos = _gf2_sweep(columns, sources)
-        seconds = time.perf_counter() - t0
-        mask = (1 << size) - 1
-        return [combo & mask for combo in combos], seconds
-
-    @staticmethod
-    def column(blocks, index):
-        bits = 0
-        for g, col in blocks:
-            for gp, _ in col:
-                bits |= 1 << index[(g, gp)]
-        return bits
-
-    @staticmethod
-    def survivors(cols, fld, homotopies):
-        kept, _ = _gf2_sweep(itertools.chain(homotopies, cols))
-        first = len(homotopies)
-        return [bits for j, bits in kept.items() if j >= first]
-
-
-def _flat_form(fld):
-    """The form of the flat Q columns over this field: packed ints over
-    GF(2), sorted (position, value) tuples over every other prime."""
-    return _PackedFlat if fld.p == 2 else _SortedFlat
+    t0 = time.perf_counter()
+    combos = form.nullspace(columns, sources)
+    seconds = time.perf_counter() - t0
+    return form.truncate(combos, size), seconds
 
 
 def _flatten_q(qmat, index, form):
-    """The flat column of a caller's Q matrix, its stored values read mod
-    p and the zeros dropped, as `verify_hom` reads them."""
+    """The flat column, in `form`, of a caller's Q matrix, its stored
+    values read mod p and the zeros dropped, as `verify_hom` reads
+    them."""
     p = qmat.field.p
-    return form.column(
-        ((g, [(gp, v % p) for gp, v in col if v % p])
-         for g, col in enumerate(qmat.columns)),
-        index,
-    )
+    return form.pack(sorted(
+        (index[(g, gp)], v % p)
+        for g, col in enumerate(qmat.columns) for gp, v in col if v % p))
 
 
-def _homotopy_columns(cache, q_cols, index, form):
+def _homotopy_columns(cache, q_cols, form):
     """Flattened columns of N placed into each generator block they reach.
 
     One column per pair (r', g) with r' in the slice of N at deg(g), in
     `cache`: the g-block holds the r'-th column of N, every other block is
     zero.  These span exactly the flattened null-homotopies N H.  They
-    are built in `form`, a `_flat_form`.
+    are built in `form`, a `_column_form`: each column of N renumbered to
+    the positions of the slice's rows, then shifted to the start of block
+    g, which in the `_flat_index` order follows the rows of every earlier
+    block.
     """
-    columns = cache.matrix.columns
-    return [
-        form.column(((g, columns[rp]),), index)
-        for g, gdeg in enumerate(q_cols)
-        for rp in cache.at(gdeg).cols_le
-    ]
+    columns, renumbered = cache.matrix.columns, form.renumbered
+    out, start = [], 0
+    for gdeg in q_cols:
+        ck = cache.at(gdeg)
+        if ck.cols_le:
+            pos = ck.positions
+            out += [renumbered(columns[rp], pos, start) for rp in ck.cols_le]
+        start += len(ck.rows_le)
+    return out
 
 
 def _q_matrix(flat, keys, q_rows, q_cols, fld):
-    """Graded Q matrix of a flat column in either form (`_pairs` reads
-    it): `keys[k]` is the (g, g') entry at flat position k.  Keys must be
-    g-major with g' ascending inside each block, so every column fills in
-    sorted row order; `q_rows` and `q_cols` must be tuples of degree
-    tuples, which the matrix shares.  Only the blocks the column touches
-    are built; every other column is the shared empty tuple.
+    """Graded Q matrix of a flat column in either column form (`_pairs`
+    reads it): `keys[k]` is the (g, g') entry at flat position k.  Keys
+    must be g-major with g' ascending inside each block, so every column
+    fills in sorted row order; `q_rows` and `q_cols` must be tuples of
+    degree tuples, which the matrix shares.  Only the blocks the column
+    touches are built; every other column is the shared empty tuple.
     """
     blocks = {}
     for k, v in _pairs(flat):
@@ -452,15 +309,15 @@ def _q_matrix(flat, keys, q_rows, q_cols, fld):
 def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
     """Column-reduce flat Q columns after the given homotopy columns.
 
-    Both are in the field's `_flat_form`: over GF(2) each is one int and
-    the reduction is by `^` against a pivot -> column dict, else each is
-    a sorted tuple reduced by `ColumnSpan`.  Returns the surviving reduced
-    columns as graded matrices; only they are unflattened.
+    Both are in the field's `_column_form`, swept once, the homotopy
+    columns first.  Returns the surviving reduced columns as graded
+    matrices; only they are unflattened.
     """
-    keys = list(index)
+    kept = _column_form(fld).sweep(itertools.chain(homotopies, cols))
+    first, keys = len(homotopies), list(index)
     return [
         _q_matrix(col, keys, q_rows, q_cols, fld)
-        for col in _flat_form(fld).survivors(cols, fld, homotopies)
+        for j, col in kept.items() if j >= first
     ]
 
 
@@ -496,14 +353,14 @@ def homotopy_reduce(qs, yp):
         raise GradingError("Q matrix with an entry against the grading")
     cache = CokernelCache(n)
     index = _flat_index(cache, q_cols)
-    form = _flat_form(n.field)
+    form = _column_form(n.field)
     return _reduce_flat(
         [_flatten_q(q, index, form) for q in qs],
         index,
         n.rows,
         q_cols,
         n.field,
-        _homotopy_columns(cache, q_cols, index, form),
+        _homotopy_columns(cache, q_cols, form),
     )
 
 
@@ -694,7 +551,7 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     cache, fld = system.cache, xp.field
     q_rows, q_cols, index = cache.matrix.rows, xp.matrix.rows, system.q_index
     homotopies = (
-        _homotopy_columns(cache, q_cols, index, _flat_form(fld))
+        _homotopy_columns(cache, q_cols, _column_form(fld))
         if quotient else ()
     )
     survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
@@ -769,9 +626,9 @@ def hom_exact(xp, yp):
     """Algorithm B: nullspace of the tensored presentation matrix.
 
     Builds the block matrix from ⊕_g Y_{deg g} to ⊕_r Y_{deg r} whose
-    (r, g) block is M_{g,r} times the structure map of Y (over GF(2)
-    from the slices' packed cokernel columns, `_PackedFlat.exact`),
-    computes its nullspace by the flat solve of the other primal routes,
+    (r, g) block is M_{g,r} times the structure map of Y, read off the
+    slices' cokernel columns in the field's `_column_form`, computes its
+    nullspace by the flat solve of the other primal routes,
     and re-expresses each nullvector's g-component as column g of a
     graded matrix via the distinguished generator subsets.
     """
@@ -790,14 +647,30 @@ def hom_exact(xp, yp):
     total = len(keys)
     row_offsets = list(itertools.accumulate(
         [cache.at(rdeg).dim for rdeg in m.cols], initial=0))
-    form = _flat_form(fld)
-    sys_columns, entries = form.exact(m, cache, col_offsets, row_offsets,
-                                      total)
+    # Column (g, s) sums, over the relations r of g, M_{g,r} times the
+    # cokernel column at deg r of generator s of the subset at deg g,
+    # placed in block r.  The blocks come in increasing r, so each sum
+    # joins disjoint blocks in order.
+    form, p = _column_form(fld), fld.p
+    join, scaled, shift = form.join, form.scaled, form.shift
+    columns = [form.pack(())] * total
+    for r, rdeg in enumerate(m.cols):
+        ck = cache.at(rdeg)
+        if not ck.dim:
+            continue
+        images, start = ck.columns, row_offsets[r]
+        for g, mv in m.columns[r]:
+            c = mv % p
+            if c:
+                for k, gp in enumerate(cache.at(m.rows[g]).subset,
+                                       col_offsets[g]):
+                    columns[k] = join(columns[k],
+                                      shift(scaled(images[gp], c), start))
     # The flat solve of the primal routes, every variable a Q entry.
-    flats, elapsed = form.solutions(sys_columns, fld, range(total), total)
+    flats, elapsed = _flat_solutions(columns, form, range(total), total)
     elements = [_q_matrix(flat, keys, n.rows, m.rows, fld) for flat in flats]
     stats = SolveStats(
-        "b", total, row_offsets[-1], entries, elapsed,
+        "b", total, row_offsets[-1], sum(map(form.size, columns)), elapsed,
         solution_dim=len(flats),
     )
     return _audited(elements, stats, xp, yp, cache)

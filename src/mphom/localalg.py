@@ -12,25 +12,23 @@ lowest-row pivots (largest row index); the distinguished subset collects
 the pivot-free rows in their original order.  Any valid subset would do;
 fixing the sweep makes results deterministic.
 
-The reduction takes the field's slice form, picked by prime in one place
-(`_slice_form`): over GF(2) the packed `_gf2_sweep`, each pivot row
-mapped to its residual as an int whose bit r is row r, and the cokernel
-matrix built by XOR of packed columns; over every other prime a
-`ColumnSpan`, each pivot row mapped to its `ReducedColumn`, and the
-matrix built by scaled sums.  Both keep the same pivots, residuals and
-kept columns, so every value read off a slice is the same.  Over GF(2)
-the packed cokernel columns are kept (`LocalCokernel.packed`): the
-column of generator g' in the subset basis is one int, bit t for subset
-position t, and the dense matrix is unpacked from them.  Route `b`
-builds its block matrix from those ints, so over GF(2) it reads no
-`structure_map`.
+The slice is reduced, and its cokernel columns built, in the field's
+column form (`graded._column_form`), one code path at every prime: the
+column of each generator g' in the subset basis is a unit column for a
+free row and, for a pivot row, the combination that one forward
+substitution reads off its residual (by XOR over GF(2), by `_axpy` with
+-v * inv over every other prime).  Those columns
+(`LocalCokernel.columns`) are what route `b` builds its block matrix
+from; the dense `matrix` is unpacked from them, and `structure_map`,
+which reads it, is public only.
 
 A local cokernel knows at once which generators and relations of N lie
 below alpha (`rows_le`, `cols_le`); it reduces N_{<=alpha} when its span
-or subset is first read, and builds its cokernel matrix when that is
-first read.  So reading the slice indices (the primal routes' equations
-and variables) reduces nothing, and reading the subset or the span (the
-homomorphism audit, the Q masks) builds no matrix.
+or subset is first read, and builds its cokernel columns and matrix
+when each is first read.  So reading the slice indices (the primal
+routes' equations and variables) reduces nothing, and reading the subset
+or the span (the homomorphism audit, the Q masks) builds no cokernel
+column.
 
 The same sweep gives the distinguished relation subset of the first
 syzygy module of Y at alpha.  That module is presented by kernel(N), whose
@@ -63,14 +61,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, GradingError
-from .graded import (
-    _bits,
-    _gf2_sweep,
-    _pack,
-    _slice_indices,
-    column_reduce,
-    deg_leq,
-)
+from .graded import _bits, _column_form, _pairs, _slice_indices, deg_leq
 
 
 def _matrix_of(obj):
@@ -78,100 +69,14 @@ def _matrix_of(obj):
     return getattr(obj, "matrix", obj)
 
 
-class _FieldSlice:
-    """The slice form over every prime but 2: a `ColumnSpan` whose pivot
-    rows map to their `ReducedColumn`s."""
-
-    @staticmethod
-    def reduce(columns, fld):
-        """(span, pivot -> residual, positions of the kept columns)."""
-        span = column_reduce(columns, fld)
-        return span, span._by_pivot, tuple([e.source for e in span.reduced])
-
-    @staticmethod
-    def matrix(ck):
-        """Dense rows of the cokernel matrix, by forward substitution: the
-        column of each row of `rows_le` in the subset basis, as a list of
-        values by subset position, is its unit vector for a free row, and
-        for a pivot row the combination of the rows before it that its
-        residual column makes it equal to modulo the slice."""
-        pivots, _ = ck._reduced()
-        rows_le, p = ck.rows_le, ck.p
-        free_pos = {r: t for t, r in enumerate(ck.subset)}
-        dim = len(free_pos)
-        cols = {}
-        for r in rows_le:
-            col = [0] * dim
-            if r in free_pos:
-                col[free_pos[r]] = 1
-            else:
-                entry = pivots[r]
-                for i, v in entry.column[:-1]:
-                    scale = (-v * entry.inv) % p
-                    prev = cols[i]
-                    for t in range(dim):
-                        col[t] = (col[t] + scale * prev[t]) % p
-            cols[r] = col
-        return tuple(zip(*cols.values()))
-
-
-class _PackedSlice:
-    """The slice form over GF(2): the packed `_gf2_sweep`, whose span is
-    its pivot -> residual dict, each residual an int whose bit r is row
-    r."""
-
-    @staticmethod
-    def reduce(columns, fld):
-        kept, _ = _gf2_sweep(map(_pack, columns))
-        pivots = {bits.bit_length() - 1: bits for bits in kept.values()}
-        return pivots, pivots, tuple(kept)
-
-    @staticmethod
-    def packed(ck):
-        """{row of `rows_le`: its column in the subset basis as an int,
-        bit t for subset position t}, by the forward substitution of
-        `_FieldSlice.matrix`: a pivot row's column is the XOR of the
-        columns of the other rows of its residual."""
-        pivots, _ = ck._reduced()
-        free_pos = {r: t for t, r in enumerate(ck.subset)}
-        cols = {}
-        for r in ck.rows_le:
-            t = free_pos.get(r)
-            if t is not None:
-                cols[r] = 1 << t
-                continue
-            rest = pivots[r] ^ 1 << r
-            acc = 0
-            while rest:
-                i = rest.bit_length() - 1
-                acc ^= cols[i]
-                rest ^= 1 << i
-            cols[r] = acc
-        return cols
-
-    @staticmethod
-    def matrix(ck):
-        """Dense rows of the cokernel matrix, unpacked from `ck.packed`."""
-        packed = ck.packed.values()
-        return tuple([
-            tuple([bits >> t & 1 for bits in packed])
-            for t in range(ck.dim)
-        ])
-
-
-def _slice_form(p):
-    """The form a slice of N is reduced in over GF(p): packed over
-    GF(2), a `ColumnSpan` over every other prime."""
-    return _PackedSlice if p == 2 else _FieldSlice
-
-
 class LocalCokernel:
     """Cokernel of N_{<=alpha} with a distinguished generator subset.
 
-    The slice indices are set when the object is built.  The slice is
-    reduced, in the field's `_slice_form`, when `span`, `subset` (so
-    `dim`), `syzygy_subset` or `matrix` is first read, and each is kept
-    once computed.
+    The slice indices, and N's columns in the field's `_column_form`
+    (shared by a `CokernelCache`), are set when the object is built.  The
+    slice is reduced, in that form, when `span`, `subset` (so `dim`),
+    `syzygy_subset`, `columns` or `matrix` is first read, and each is
+    kept once computed.
 
     Attributes
     ----------
@@ -187,26 +92,26 @@ class LocalCokernel:
         GF(2) a dict from each pivot row to its packed residual (bit r
         for row r), in sweep order; over every other prime a
         `ColumnSpan`.
-    packed: over GF(2) only, a dict from each row of `rows_le`, in
-        order, to its column of `matrix` packed as an int, bit t for
-        subset position t; route `b` builds its system from these.
+    columns: the cokernel columns, a dict from each row of `rows_le`, in
+        order, to its column of `matrix` in the field's column form (an
+        int with bit t for subset position t over GF(2), else a tuple of
+        (t, value) pairs); route `b` builds its system from these.
     matrix: the cokernel map K^{rows_le} -> Y_alpha as a dense list of
         rows (one per subset element), expressed so that the columns at
-        subset positions form the identity; built from the pivots of the
-        reduction, over GF(2) unpacked from `packed`.
+        subset positions form the identity, unpacked from `columns`.
     """
 
     __slots__ = ("degree", "rows_le", "cols_le", "p", "_source",
-                 "_positions", "_span", "_pivots", "_kept", "_subset",
-                 "_packed", "_matrix")
+                 "_n_columns", "_positions", "_span", "_pivots", "_kept",
+                 "_subset", "_columns", "_matrix")
 
-    def __init__(self, matrix, alpha, rows_le, cols_le):
+    def __init__(self, matrix, alpha, rows_le, cols_le, n_columns):
         self.degree = tuple(alpha)
         self.rows_le, self.cols_le = rows_le, cols_le
         self.p = matrix.field.p
-        self._source = matrix
+        self._source, self._n_columns = matrix, n_columns
         self._positions = self._span = self._subset = None
-        self._packed = self._matrix = None
+        self._columns = self._matrix = None
 
     @property
     def positions(self):
@@ -215,13 +120,13 @@ class LocalCokernel:
         return self._positions
 
     def _reduced(self):
-        """(pivot -> residual, positions in `cols_le` of the kept
-        columns), reducing the slice on the first call."""
+        """(pivot row -> its record in the column form, positions in
+        `cols_le` of the kept columns), reducing the slice on the first
+        call."""
         if self._span is None:
-            n = self._source
-            cols = [n.columns[j] for j in self.cols_le]
-            self._span, self._pivots, self._kept = _slice_form(self.p).reduce(
-                cols, n.field)
+            cols = [self._n_columns[j] for j in self.cols_le]
+            self._span, self._pivots, self._kept = _column_form(
+                self._source.field).span(cols)
         return self._pivots, self._kept
 
     @property
@@ -254,18 +159,33 @@ class LocalCokernel:
         return tuple([cols_le[j] for j in kept])
 
     @property
-    def packed(self):
-        if self._packed is None:
-            self._packed = _PackedSlice.packed(self)
-        return self._packed
+    def columns(self):
+        # Forward substitution in increasing row order: free row t of the
+        # subset gets the unit column at t, and a residual's pivot is its
+        # largest row, so a pivot row's column only reads rows already
+        # processed.
+        if self._columns is None:
+            pivots, _ = self._reduced()
+            form = _column_form(self._source.field)
+            shift, substitute = form.shift, form.substitute
+            unit, t, cols = form.pack(((0, 1),)), 0, {}
+            for r in self.rows_le:
+                if r in pivots:
+                    cols[r] = substitute(pivots[r], cols)
+                else:
+                    cols[r] = shift(unit, t)
+                    t += 1
+            self._columns = cols
+        return self._columns
 
     @property
     def matrix(self):
-        # Forward substitution in increasing row order (over GF(2) into
-        # `packed`): a residual's pivot is its largest row, so the pivot
-        # coordinate only depends on rows already processed.
         if self._matrix is None:
-            self._matrix = _slice_form(self.p).matrix(self)
+            rows = [[0] * len(self.rows_le) for _ in range(self.dim)]
+            for k, col in enumerate(self.columns.values()):
+                for t, v in _pairs(col):
+                    rows[t][k] = v
+            self._matrix = tuple(map(tuple, rows))
         return self._matrix
 
     def coordinates(self, column):
@@ -298,17 +218,19 @@ def local_cokernel(matrix, alpha, _index=None):
     of degree <= alpha keep their order, so the pivots are those of the
     renumbered slice.
 
-    The slice indices are found by a scan of N's degrees, unless a
-    `CokernelCache` passes its `_DegreeIndex` of N's rows and of its
-    columns in `_index`; alpha's arity must then be checked already.
+    The slice indices are found by a scan of N's degrees, and N's columns
+    put in the field's column form, unless a `CokernelCache` passes its
+    `_DegreeIndex` of N's rows and of its columns, and N's columns in that
+    form, in `_index`; alpha's arity must then be checked already.
     """
     matrix = _matrix_of(matrix)
     if _index is None:
         rows_le, cols_le = _slice_indices(matrix, alpha)
+        n_columns = list(map(_column_form(matrix.field).pack, matrix.columns))
     else:
-        rows, cols = _index
+        rows, cols, n_columns = _index
         rows_le, cols_le = rows.at_most(alpha), cols.at_most(alpha)
-    return LocalCokernel(matrix, alpha, rows_le, cols_le)
+    return LocalCokernel(matrix, alpha, rows_le, cols_le, n_columns)
 
 
 class _DegreeIndex:
@@ -351,7 +273,7 @@ class CokernelCache:
     """Memoizes local cokernels of one presentation per distinct degree.
 
     It is the one memo of N's slices in a computation: a route reads its
-    system's admissible entries, its masks or its structure maps from one
+    system's admissible entries, its masks or its cokernel columns from one
     and hands it to its homomorphism audit, which reads the span at each
     relation degree.
     The cache is scoped to a single computation context; contexts are
@@ -360,13 +282,16 @@ class CokernelCache:
     On a miss `local_cokernel` reads the slice indices off a
     `_DegreeIndex` of N's rows and one of its columns, built once with the
     cache, instead of scanning every degree of N; they equal
-    `_slice_indices`.  A degree of the wrong arity raises
-    DimensionMismatchError.
+    `_slice_indices`.  N's columns are put in the field's column form once
+    too (`_n_columns`), and each slice reduces its share of them.  A
+    degree of the wrong arity raises DimensionMismatchError.
     """
 
     def __init__(self, matrix):
         self.matrix = m = _matrix_of(matrix)
-        self._index = _DegreeIndex(m.rows, m.dim), _DegreeIndex(m.cols, m.dim)
+        self._n_columns = list(map(_column_form(m.field).pack, m.columns))
+        self._index = (_DegreeIndex(m.rows, m.dim),
+                       _DegreeIndex(m.cols, m.dim), self._n_columns)
         self._memo = {}
 
     def at(self, alpha):

@@ -37,10 +37,11 @@ from mphom import (
 )
 from mphom import homspace
 from mphom.generators import random_module, random_pair
-from mphom.graded import _pairs, nullspace_of_columns
+from mphom.graded import _SortedColumns, _pairs, nullspace_of_columns
 from mphom.localalg import CokernelCache, structure_map
 
 from conftest import free_module, red_blue, zero_module
+from test_localalg import generic_cokernel
 
 ROUTES = {"direct": hom_direct, "mixed": hom_mixed, "a": hom_restricted}
 
@@ -311,24 +312,30 @@ def test_flat_pipeline_matches_matrix_chain(monkeypatch, name, pair):
             assert shape == (len(elements), 0, 0, len(elements), 0), algorithm
 
 
-def packed_equations(system, m):
-    """The columns of a GF(2) system as lists of (g', r) equations:
-    relation r's bit block starts at the sum of the widths before it,
-    each width the largest row of `rows_le(deg r)` plus one, and bit
-    `off[r] + g'` is equation (g', r)."""
+def system_equations(system, m):
+    """The columns of a system as sorted lists of ((g', r), value) pairs,
+    read in either column form (`_pairs`): relation r's block of rows
+    starts at the sum of the widths before it, each width the largest
+    row of `rows_le(deg r)` plus one, and row `off[r] + g'` is equation
+    (g', r).  Over GF(2) a column is one int, over every other prime a
+    tuple of (row, value) pairs by increasing row."""
     widths = [rows[-1] + 1 if rows else 0
               for rows in (system.cache.at(rdeg).rows_le for rdeg in m.cols)]
     off = [0]
     for w in widths:
         off.append(off[-1] + w)
+    form = int if m.field.p == 2 else tuple
     out = []
-    for bits in system.columns:
-        assert type(bits) is int and 0 <= bits < 1 << off[-1]
+    for col in system.columns:
+        assert type(col) is form
         eqs = []
-        for b, _ in _pairs(bits):
+        for b, v in _pairs(col):
+            assert 0 <= b < off[-1] and 0 < v < m.field.p
             r = bisect.bisect_right(off, b) - 1
             assert off[r] <= b < off[r] + widths[r]
-            eqs.append((b - off[r], r))
+            eqs.append(((b - off[r], r), v))
+        if form is tuple:
+            assert [b for b, _ in col] == sorted({b for b, _ in col})
         out.append(sorted(eqs))
     return out
 
@@ -337,30 +344,22 @@ def packed_equations(system, m):
 def test_system_matches_the_degree_scans(monkeypatch, name, pair):
     # The slices of the route's cache give the variables and equations,
     # in the order and with the columns that the pairwise scans gave.
-    # Over GF(2) each column is one int over the relations' bit blocks:
-    # every set bit must name an equation, and the equations each column
-    # hits must be those of the scanned column.
+    # Each column's rows, read back through the relations' blocks, must
+    # name equations, and hit those of the scanned column with the same
+    # values, at every prime.
     xp, yp = pair
     for algorithm, route in ROUTES.items():
         _, masks, system = run_recording(monkeypatch, route, xp, yp)
         if system is None:
             assert xp.is_zero_module() or yp.is_zero_module(), algorithm
             continue
-        want = old_system(xp, yp, **masks)
-        if xp.field.p != 2:
-            assert (
-                system.q_vars, system.p_vars, system.equations,
-                system.columns,
-            ) == want, algorithm
-            continue
-        q_vars, p_vars, equations, columns = want
+        q_vars, p_vars, equations, columns = old_system(xp, yp, **masks)
         assert (system.q_vars, system.p_vars, system.equations) == (
             q_vars, p_vars, equations), algorithm
-        got = packed_equations(system, xp.matrix)
+        got = system_equations(system, xp.matrix)
         known = set(equations)
-        assert all(eq in known for col in got for eq in col), algorithm
-        assert all(v == 1 for col in columns for _, v in col), algorithm
-        assert got == [sorted(equations[k] for k, _ in col)
+        assert all(eq in known for col in got for eq, _ in col), algorithm
+        assert got == [sorted((equations[k], v) for k, v in col)
                        for col in columns], algorithm
         assert system.entries == sum(map(len, columns)), algorithm
 
@@ -396,8 +395,8 @@ def test_solve_returns_sorted_flat_q_columns():
 @pytest.mark.parametrize("route", ["direct", "mixed", "a"])
 def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     # Over GF(2) each Q part is one int over the flat positions: the same
-    # columns as the sorted form's, which the other primes use, read off
-    # the same system.
+    # columns as the sorted form's, which the other primes use and which
+    # holds over GF(2) too, read off the same system.
     xp, yp = random_pair(4, d=2, gens=12, rels=12, coord_range=18, p=2)
     basis, _, system = run_recording(monkeypatch, ROUTES[route], xp, yp)
     cols = system.solve()
@@ -409,9 +408,19 @@ def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     sources = [system.q_index[(g, gp)] for gp, g in system.q_vars]
     sources += range(size, size + len(system.p_vars))
     unpacked = [tuple(_pairs(col)) for col in system.columns]
-    sorted_cols, _ = homspace._SortedFlat.solutions(
-        unpacked, system.field, sources, size)
+    sorted_cols, _ = homspace._flat_solutions(
+        unpacked, _SortedColumns(system.field), sources, size)
     assert [flat_pairs(col) for col in cols] == sorted_cols
+
+
+def spy_solutions(seen, solve):
+    """`_flat_solutions` appending the columns of each call to `seen`;
+    route `b` numbers its variables in order, every one a Q entry."""
+    def spy(columns, form, sources, size):
+        assert list(sources) == list(range(size))
+        seen.append(columns)
+        return solve(columns, form, sources, size)
+    return spy
 
 
 def old_exact_tail(columns, fld, keys, q_rows, q_cols):
@@ -429,19 +438,8 @@ def test_exact_route_matches_its_own_solve_tail(monkeypatch, p, n, seed):
     xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
                          p=p)
     seen = []
-    flat_form = homspace._flat_form
-
-    class Recording:
-        def __init__(self, fld):
-            self.form = flat_form(fld)
-            self.exact = self.form.exact
-
-        def solutions(self, columns, fld, sources, size):
-            assert list(sources) == list(range(size))
-            seen.append(columns)
-            return self.form.solutions(columns, fld, sources, size)
-
-    monkeypatch.setattr(homspace, "_flat_form", Recording)
+    monkeypatch.setattr(homspace, "_flat_solutions",
+                        spy_solutions(seen, homspace._flat_solutions))
     basis = homspace.hom_exact(xp, yp)
     monkeypatch.undo()
     (columns,) = seen
@@ -506,24 +504,18 @@ def with_stored_values(xp, values):
 def test_exact_route_builds_the_structure_map_system_packed(
         monkeypatch, n, seed):
     """Over GF(2) route `b` builds its block matrix from the slices'
-    packed cokernel columns: unpacked, its columns and entry count are
-    those of the structure-map loop, also when M stores even values,
+    cokernel columns, packed ints: unpacked, its columns and entry count
+    are those of the structure-map loop, also when M stores even values,
     which are zero over GF(2)."""
     xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
                          p=2)
     nm = yp.matrix
     stored = with_stored_values(xp, (1, 2, 3))
     assert any(v == 2 for col in stored.matrix.columns for _, v in col)
-    solutions = homspace._PackedFlat.solutions
     for x in (xp, stored):
         seen = []
-
-        def spy(columns, fld, sources, size):
-            seen.append(columns)
-            return solutions(columns, fld, sources, size)
-
-        monkeypatch.setattr(homspace._PackedFlat, "solutions",
-                            staticmethod(spy))
+        monkeypatch.setattr(homspace, "_flat_solutions",
+                            spy_solutions(seen, homspace._flat_solutions))
         basis = homspace.hom_exact(x, yp)
         monkeypatch.undo()
         (columns,) = seen
@@ -537,7 +529,7 @@ def test_exact_route_builds_the_structure_map_system_packed(
     cache = CokernelCache(nm)
     for alpha in set(xp.matrix.rows + xp.matrix.cols):
         ck = cache.at(alpha)
-        packed = ck.packed
+        packed = ck.columns
         assert list(packed) == list(ck.rows_le)
         assert ck.matrix == tuple(
             tuple(packed[r] >> t & 1 for r in ck.rows_le)
@@ -549,6 +541,55 @@ def test_exact_route_builds_the_structure_map_system_packed(
             for r, _ in nm.columns[j]:
                 image ^= packed[r]
             assert image == 0, (alpha, j)
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 4), (40, 5), (60, 6)])
+def test_exact_route_builds_the_structure_map_system_at_odd_primes(
+        monkeypatch, p, n, seed):
+    """Over odd primes route `b` builds its block matrix from the slices'
+    cokernel columns, sorted tuples: its columns and entry count are
+    those of the structure-map loop, every element comes back, and each
+    slice's cokernel columns unpack to its `matrix`, which is the one the
+    generic forward substitution by scaled sums gives."""
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=p)
+    nm = yp.matrix
+    seen = []
+    monkeypatch.setattr(homspace, "_flat_solutions",
+                        spy_solutions(seen, homspace._flat_solutions))
+    basis = homspace.hom_exact(xp, yp)
+    monkeypatch.undo()
+    (columns,) = seen
+    want, entries = old_exact_columns(xp, yp, CokernelCache(nm))
+    assert all(type(col) is tuple for col in columns)
+    assert columns == want
+    assert basis.stats.entries == entries
+    assert entries and any(v > 1 for col in columns for _, v in col)
+    keys = [(g, gp) for g, gdeg in enumerate(xp.matrix.rows)
+            for gp in CokernelCache(nm).at(gdeg).subset]
+    assert list(basis.elements) == old_exact_tail(
+        columns, xp.field, keys, nm.rows, xp.matrix.rows)
+    cache = CokernelCache(nm)
+    dims = 0
+    for alpha in set(xp.matrix.rows + xp.matrix.cols):
+        ck = cache.at(alpha)
+        images = ck.columns
+        assert list(images) == list(ck.rows_le)
+        dense = [dict(images[r]) for r in ck.rows_le]
+        assert ck.matrix == tuple(
+            tuple(col.get(t, 0) for col in dense) for t in range(ck.dim))
+        assert ck.matrix == generic_cokernel(nm, alpha)[1], alpha
+        assert [images[r] for r in ck.subset] == [((t, 1),)
+                                                  for t in range(ck.dim)]
+        for j in ck.cols_le:
+            image = {}
+            for r, v in nm.columns[j]:
+                for t, w in images[r]:
+                    image[t] = (image.get(t, 0) + v * w) % p
+            assert not any(image.values()), (alpha, j)
+        dims += ck.dim
+    assert dims
 
 
 # -- the public homotopy quotient -------------------------------------------

@@ -32,8 +32,8 @@ from mphom import (
 )
 from mphom.gridoracle import grid_axes, hom_oracle, realize_grid
 from mphom.generators import random_pair
+from mphom.graded import _SortedColumns
 from mphom.homspace import (
-    _SortedFlat,
     _flat_index,
     _flatten_q,
     _homotopy_columns,
@@ -63,12 +63,12 @@ def quotient_rank(qs, yp, xp):
     cache = CokernelCache(yp.matrix)
     index = _flat_index(cache, xp.matrix.rows)
     span = ColumnSpan(xp.field)
-    for col in _homotopy_columns(cache, xp.matrix.rows, index,
-                                 _SortedFlat):
+    form = _SortedColumns(xp.field)
+    for col in _homotopy_columns(cache, xp.matrix.rows, form):
         span.insert(col)
     base = span.rank
     for q in qs:
-        span.insert(_flatten_q(q, index, _SortedFlat))
+        span.insert(_flatten_q(q, index, form))
     return span.rank - base
 
 

@@ -435,25 +435,38 @@ def test_cokernel_cache_lends_the_spans_it_reduced():
 
 def test_reading_slice_indices_reduces_nothing(monkeypatch):
     calls = []
-    reduce = localalg.column_reduce
+    column_form = localalg._column_form
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return reduce(*args, **kwargs)
+    class Counting:
+        """The field's column form, counting the slices it reduces."""
 
-    monkeypatch.setattr(localalg, "column_reduce", counting)
-    _, blue = red_blue()
-    cache = CokernelCache(blue.matrix)
-    ck = cache.at((6, 2))
-    assert (ck.rows_le, ck.cols_le) == ((0, 1), (0, 1, 2))
-    for alpha in grid_points(evaluation_grid(blue)):
-        row_idx, col_idx, _ = _slice_at_most(blue.matrix, alpha)
-        ck_alpha = cache.at(alpha)
-        assert (ck_alpha.rows_le, ck_alpha.cols_le) == (row_idx, col_idx)
-    assert calls == []
-    # The first read of the subset reduces the slice, once.
-    assert ck.subset == ck.subset
-    assert len(calls) == 1
+        def __init__(self, fld):
+            self.form = column_form(fld)
+
+        def span(self, columns):
+            calls.append(columns)
+            return self.form.span(columns)
+
+        def __getattr__(self, name):
+            return getattr(self.form, name)
+
+    monkeypatch.setattr(localalg, "_column_form", Counting)
+    for p in (3, 2):
+        del calls[:]
+        _, blue = red_blue(p)
+        cache = CokernelCache(blue.matrix)
+        ck = cache.at((6, 2))
+        assert (ck.rows_le, ck.cols_le) == ((0, 1), (0, 1, 2))
+        for alpha in grid_points(evaluation_grid(blue)):
+            row_idx, col_idx, _ = _slice_at_most(blue.matrix, alpha)
+            ck_alpha = cache.at(alpha)
+            assert (ck_alpha.rows_le, ck_alpha.cols_le) == (row_idx, col_idx)
+        assert calls == []
+        # The first read of the subset reduces the slice, once; the
+        # cokernel columns and matrix reduce nothing more.
+        assert ck.subset == ck.subset
+        assert ck.matrix == ck.matrix and ck.columns
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
