@@ -6,28 +6,34 @@ space of natural transformations by solving one global linear system,
 one equation block per grid edge.
 
 Everything here is deliberately redundant with the sparse engine: ranks
-and nullspaces come from an independent dense row-echelon routine on
-numpy arrays (leftmost-pivot convention), so a bug in the sparse column
-reduction cannot confirm itself.
+and nullspaces come from an independent dense row-echelon routine,
+`rref` (leftmost-pivot convention), which shares no arithmetic with
+`graded`, so a bug in the sparse column reduction cannot confirm itself.
+`rref` eliminates inputs of at most _SMALL_CELLS (1 024) cells on lists
+of Python ints, where numpy's overhead per call would dominate, and
+larger ones on numpy arrays; the RREF is unique, so both give the same
+result.
 
 Three things keep the dense work small.  Many grid points share the same
 slice N_{<=alpha} (the same rows and columns of N lie below them), and
-`realize_grid` reduces each distinct slice once.  Points with the same
-slices of X and of Y are joined by identity maps, so `hom_oracle` gives
-each such class one block of variables and each pair of adjacent classes
-one block of equations, built as sparse triplets rather than a dense
-array.  Nearly every naturality equation has one or two terms, so it
-substitutes those first, writing each variable as a multiple of a root
-variable, and row-reduces only the longer equations over the roots; its
-basis spans the same space as the plain nullspace but is not the RREF
-one.
+`realize_grid` reduces each distinct slice once, read from N's sparse
+columns, and reads its edge maps from the slices' functionals as Python
+lists.  Points with the same slices of X and of Y are joined by identity
+maps, so `hom_oracle` gives each such class one block of variables and
+each pair of adjacent classes one block of equations, built as sparse
+triplets rather than a dense array.  Nearly every naturality equation
+has one or two terms, so it substitutes those first, writing each
+variable as a multiple of a root variable, and row-reduces only the
+longer equations over the roots; its basis spans the same space as the
+plain nullspace but is not the RREF one.
 
-The arithmetic is exact for every prime.  `rref` eliminates in the
-narrowest integer dtype that holds (p-1)^2 + p, the largest magnitude a
-row update produces before it is reduced mod p, and in Python ints
-(object arrays) once that passes int64; matrix products use the same
-rule with the bound inner_dim * (p-1)^2.  Reduced values are stored as
-int64, which holds every residue of a prime below 2^63.
+The arithmetic is exact for every prime.  Python ints are exact at any
+size.  On numpy arrays `rref` eliminates in the narrowest integer dtype
+that holds (p-1)^2 + p, the largest magnitude a row update produces
+before it is reduced mod p, and in Python ints (object arrays) once that
+passes int64; matrix products use the same rule with the bound
+inner_dim * (p-1)^2.  Reduced values are stored as int64, which holds
+every residue of a prime below 2^63.
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import le
 
 from .errors import (
     CheckMismatchError,
     DimensionMismatchError,
     FieldMismatchError,
+    GradingError,
     ResourceCapError,
 )
 from .localalg import _matrix_of, evaluation_grid
@@ -59,6 +67,9 @@ _INT_DTYPES = tuple(
     for dtype in (np.int8, np.int16, np.int32, np.int64)
 )
 _INT64_MAX = _INT_DTYPES[-1][1]
+# Inputs of at most this many cells are eliminated in Python ints: below
+# it numpy's overhead per call outweighs the vectorised row updates.
+_SMALL_CELLS = 1024
 
 
 def _work_dtype(bound):
@@ -92,18 +103,27 @@ def rref(matrix, p):
     or above 2^63).  Each pivot row is the first row at or below the
     current echelon position that is nonzero in its column; it is swapped
     into that position, scaled to 1 by its Fermat inverse, and its column
-    is cleared in one vectorised update of every other row that is
-    nonzero there.  The update touches only the columns where the pivot
-    row is nonzero, all at or right of the pivot, since the pivot row is
-    zero to its left.  The work array takes the narrowest dtype that
-    holds (p-1)^2 + p, the largest magnitude of an update before its
-    reduction, so no step can overflow.
+    is cleared from every other row that is nonzero there.  The update
+    touches only the columns where the pivot row is nonzero, all at or
+    right of the pivot, since the pivot row is zero to its left.
+
+    An input of at most _SMALL_CELLS cells is eliminated on lists of
+    Python ints (`_rref_rows`), where numpy's per-call overhead would
+    outweigh the arithmetic; a larger one in one vectorised update per
+    pivot, in the narrowest dtype that holds (p-1)^2 + p, the largest
+    magnitude of an update before its reduction, so no step can
+    overflow.  The RREF is unique, so both give the same R.
     """
     dtype = _rref_dtype(p)
     r = np.asarray(matrix)
     if r.dtype.kind not in "iu" or (r.size and (r.min() < 0 or r.max() >= p)):
         r = r.astype(object) % p
     r = r.astype(dtype)
+    out_dtype = np.int64 if p <= _INT64_MAX else object
+    if r.size <= _SMALL_CELLS:
+        rows = r.tolist()
+        pivot_cols = _rref_rows(rows, r.shape[1], p)
+        return np.array(rows, dtype=out_dtype).reshape(r.shape), pivot_cols
     n_rows, n_cols = r.shape
     pivot_cols = []
     for col in range(n_cols):
@@ -125,9 +145,40 @@ def rref(matrix, p):
             block = (others[:, None], support)
             r[block] = (r[block] - r[others, col, None] * r[k, support]) % p
         pivot_cols.append(col)
-    if p <= _INT64_MAX:
-        r = r.astype(np.int64, copy=False)
-    return r, pivot_cols
+    return r.astype(out_dtype, copy=False), pivot_cols
+
+
+def _rref_rows(r, n_cols, p):
+    """Reduce `r`, a list of rows of n_cols ints in [0, p), in place to
+    the leftmost-pivot RREF over GF(p), by the steps of `rref`; returns
+    the pivot columns.
+    """
+    pivot_cols = []
+    n_rows = len(r)
+    for col in range(n_cols):
+        k = len(pivot_cols)
+        if k == n_rows:
+            break
+        for i in range(k, n_rows):
+            if r[i][col]:
+                break
+        else:
+            continue
+        r[k], r[i] = r[i], r[k]
+        row = r[k]
+        support = [c for c in range(col, n_cols) if row[c]]
+        piv = int(row[col])
+        if piv != 1:
+            inv = pow(piv, p - 2, p)
+            for c in support:
+                row[c] = row[c] * inv % p
+        for other in r:
+            f = other[col]
+            if f and other is not row:
+                for c in support:
+                    other[c] = (other[c] - f * row[c]) % p
+        pivot_cols.append(col)
+    return pivot_cols
 
 
 def rank(matrix, p):
@@ -175,7 +226,9 @@ class GridModule:
     validated at construction.  `slice_index[point]` numbers the distinct
     slices N_{<=point} in grid order.  Points with the same slice share
     its functionals, and edges between the same two slices share one
-    edge-map array, so treat them as read-only.
+    edge-map array, so treat them as read-only.  `_degrees` holds the
+    generator degrees of the realized presentation, against which
+    `push_to_grid` checks a map.
     """
 
     p: int
@@ -187,6 +240,7 @@ class GridModule:
     maps: dict
     slice_index: dict
     _next: tuple = field(init=False, repr=False, compare=False)
+    _degrees: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._next = tuple(dict(zip(c, c[1:])) for c in self.axes)
@@ -196,9 +250,8 @@ class GridModule:
 
     def successor(self, point, axis):
         """The next grid point after `point` along `axis`."""
-        succ = list(point)
-        succ[axis] = self._next[axis][point[axis]]
-        return tuple(succ)
+        succ = self._next[axis][point[axis]]
+        return point[:axis] + (succ,) + point[axis + 1:]
 
 
 def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
@@ -237,10 +290,6 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
         for axis, coords in enumerate(axes)
     ]
     everything = ((1 << matrix.nrows) - 1, (1 << matrix.ncols) - 1)
-    full = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)
-    for j, col in enumerate(matrix.columns):
-        for i, v in col:
-            full[i, j] = v
     slices, number, slice_index = [], {}, {}
     dims, gen_rows, free_rows, functionals = {}, {}, {}, {}
     for point in itertools.product(*axes):
@@ -250,20 +299,23 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
         key = (rows, cols)
         if key not in number:
             number[key] = len(slices)
-            slices.append(_realize_slice(full, rows, cols, p))
+            slices.append(_realize_slice(matrix.columns, rows, cols, p))
         slice_index[point] = k = number[key]
         dims[point], gen_rows[point], free_rows[point], functionals[point] = (
-            slices[k]
+            slices[k][:4]
         )
     module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, {},
                         slice_index)
+    module._degrees = matrix.rows
+    points = list(slice_index)
+    ids = list(slice_index.values())
+    strides = _strides(axes)
     edges = {}
-    for point in module.points():
-        for axis, coords in enumerate(axes):
-            if point[axis] == coords[-1]:
+    for i, point in enumerate(points):
+        for axis, step in enumerate(strides):
+            if point[axis] == axes[axis][-1]:
                 continue
-            succ = module.successor(point, axis)
-            pair = (slice_index[point], slice_index[succ])
+            pair = (ids[i], ids[i + step])
             if pair not in edges:
                 edges[pair] = _edge_map(p, slices[pair[0]], slices[pair[1]])
             module.maps[(point, axis)] = edges[pair]
@@ -285,16 +337,55 @@ def _bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _realize_slice(full, row_mask, col_mask, p):
-    """(dim, gen_rows, free_rows, functionals) of the cokernel of the
-    slice of N (given densely as `full`) on the masked rows and columns.
+def _realize_slice(columns, row_mask, col_mask, p):
+    """(dim, gen_rows, free_rows, functionals, functional rows) of the
+    cokernel of the slice of N, given by its sparse `columns`, on the
+    masked rows and columns.
+
+    The slice is reduced transposed, one row per column of N, on lists
+    of Python ints up to _SMALL_CELLS cells and by `rref` on numpy
+    beyond; the functionals are its nullspace basis, one row per basis
+    element, as an int64 array and as lists of ints.  With no column of
+    N the generators are a basis, and the functionals are the identity.
     """
     rows = _bits(row_mask)
-    if not rows:
-        return 0, (), (), np.zeros((0, 0), dtype=np.int64)
-    w, free = nullspace_with_free(full[rows][:, _bits(col_mask)].T, p)
-    # One row of functionals per basis element.
-    return w.shape[1], tuple(rows), tuple(rows[k] for k in free), w.T
+    n = len(rows)
+    if not n:
+        return 0, (), (), np.zeros((0, 0), dtype=np.int64), []
+    pos = {r: k for k, r in enumerate(rows)}
+    t = []
+    for j in _bits(col_mask):
+        line = [0] * n
+        for i, v in columns[j]:
+            if i in pos:
+                line[pos[i]] = v % p
+        t.append(line)
+    if len(t) * n > _SMALL_CELLS:
+        r, pivots = rref(np.array(t, dtype=np.int64), p)
+        t = r.tolist()
+    else:
+        pivots = _rref_rows(t, n, p)
+    taken = set(pivots)
+    free = [c for c in range(n) if c not in taken]
+    w = []
+    for f in free:
+        line = [0] * n
+        line[f] = 1
+        for echelon, c in zip(t, pivots):
+            line[c] = -echelon[f] % p
+        w.append(line)
+    array = np.array(w, dtype=np.int64).reshape(len(free), n)
+    return len(free), tuple(rows), tuple(rows[k] for k in free), array, w
+
+
+def _strides(axes):
+    """How far the flat index of a point in grid order moves along each
+    axis, the last axis moving fastest."""
+    out, step = [], 1
+    for coords in reversed(axes):
+        out.append(step)
+        step *= len(coords)
+    return out[::-1]
 
 
 def _edge_map(p, source, target):
@@ -305,42 +396,48 @@ def _edge_map(p, source, target):
     target slice is evaluated by the target's functionals, so the edge
     map consists of the target functional columns at those generators.
     """
-    _, _, free_a, _ = source
-    dim_b, rows_b, _, w_b = target
-    dim_a = len(free_a)
-    if dim_a == 0 or dim_b == 0:
-        return np.zeros((dim_b, dim_a), dtype=np.int64)
+    free_a = source[2]
+    dim_b, rows_b, _, _, w_b = target
+    if not free_a or not dim_b:
+        return np.zeros((dim_b, len(free_a)), dtype=np.int64)
     pos_b = {r: k for k, r in enumerate(rows_b)}
-    return w_b[:, [pos_b[r] for r in free_a]] % p
+    at = [pos_b[r] for r in free_a]
+    return np.array([[line[k] for k in at] for line in w_b], dtype=np.int64)
 
 
 def _validate_squares(module):
     """Raise CheckMismatchError unless every grid square commutes.
 
     Edge maps are shared arrays, so a square is keyed by the identities
-    of its four maps and each distinct square is multiplied out once.
+    of its four maps and each distinct square is multiplied out once.  A
+    square whose source point or far corner is zero has nothing to
+    compare and is skipped.
     """
-    axes, p = module.axes, module.p
+    p, maps = module.p, module.maps
+    points = list(module.points())
+    d, strides = len(module.axes), _strides(module.axes)
+    # out[axis][i]: the map out of the i-th point along `axis`, None past
+    # the last coordinate.
+    out = [[maps.get((point, axis)) for point in points] for axis in range(d)]
+    planes = [(out[ax1], out[ax2], strides[ax1], strides[ax2])
+              for ax1, ax2 in itertools.combinations(range(d), 2)]
     checked = set()
-    for point in module.points():
-        for ax1 in range(len(axes)):
-            for ax2 in range(ax1 + 1, len(axes)):
-                e1 = module.maps.get((point, ax1))
-                e2 = module.maps.get((point, ax2))
-                if e1 is None or e2 is None:
-                    continue
-                succ1 = module.successor(point, ax1)
-                succ2 = module.successor(point, ax2)
-                top = module.maps[(succ1, ax2)]
-                right = module.maps[(succ2, ax1)]
-                square = (id(e1), id(e2), id(top), id(right))
-                if square in checked:
-                    continue
-                checked.add(square)
-                if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
-                    raise CheckMismatchError(
-                        f"grid square at {point} does not commute"
-                    )
+    for i, point in enumerate(points):
+        for out1, out2, step1, step2 in planes:
+            e1, e2 = out1[i], out2[i]
+            if e1 is None or e2 is None:
+                continue
+            top, right = out2[i + step1], out1[i + step2]
+            square = (id(e1), id(e2), id(top), id(right))
+            if square in checked:
+                continue
+            checked.add(square)
+            if not e1.shape[1] or not top.shape[0]:
+                continue
+            if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
+                raise CheckMismatchError(
+                    f"grid square at {point} does not commute"
+                )
 
 
 @dataclass(frozen=True)
@@ -575,8 +672,22 @@ def push_to_grid(q, gx, gy):
     """Evaluate a graded matrix Q: A[G] -> A[G'] pointwise on the grid.
 
     Returns {point: dense dy x dx matrix} mapping the oracle basis of
-    X_alpha to the oracle basis of Y_alpha.
+    X_alpha to the oracle basis of Y_alpha.  Raises FieldMismatchError
+    unless Q and both grids share one field, DimensionMismatchError
+    unless the grids are one grid and Q has Y's generator degrees as rows
+    and X's as columns, and GradingError for an entry of Q against the
+    grading.
     """
+    if not q.field.p == gx.p == gy.p:
+        raise FieldMismatchError("Q matrix and grids over different fields")
+    if gx.axes != gy.axes:
+        raise DimensionMismatchError("oracle modules live on different grids")
+    if q.rows != gy._degrees or q.cols != gx._degrees:
+        raise DimensionMismatchError(
+            "Q must have Y's generator degrees as rows and X's as columns")
+    for cdeg, col in zip(q.cols, q.columns):
+        if not all(all(map(le, q.rows[i], cdeg)) for i, _ in col):
+            raise GradingError("Q matrix with an entry against the grading")
     p = gx.p
     out = {}
     for point in gx.points():

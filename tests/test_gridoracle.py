@@ -11,6 +11,8 @@ from mphom import (
     CheckMismatchError,
     DimensionMismatchError,
     FieldMismatchError,
+    GradedMatrix,
+    GradingError,
     ResourceCapError,
     hilbert_at,
     hom_direct,
@@ -18,6 +20,7 @@ from mphom import (
     hom_mixed,
     hom_restricted,
     naturality_residual,
+    push_to_grid,
     realize_grid,
 )
 from mphom import (
@@ -177,6 +180,41 @@ def test_naturality_residual_detects_fakes():
     assert naturality_residual(fake, gx, gy) != 0
 
 
+def test_push_to_grid_raises_typed_errors():
+    x, y = random_pair(1, d=2, gens=6, rels=6, coord_range=8, p=2)
+    axes = grid_axes(x.matrix, y.matrix)
+    gx, gy = realize_grid(x, axes), realize_grid(y, axes)
+    checks = (push_to_grid, naturality_residual)
+    # A map Y -> X has X's generators as rows and Y's as columns.
+    backwards = hom_direct(y, x).elements
+    assert backwards
+    for q in backwards:
+        for check in checks:
+            with pytest.raises(DimensionMismatchError, match="generator"):
+                check(q, gx, gy)
+    # The same degrees over another field.
+    fld = PrimeField(5)
+    foreign = GradedMatrix(fld, y.matrix.rows, x.matrix.rows,
+                           [() for _ in x.matrix.rows])
+    for check in checks:
+        with pytest.raises(FieldMismatchError):
+            check(foreign, gx, gy)
+    # One entry from X generator 0 at (8, 0) to Y generator 1 at (5, 7).
+    assert (x.matrix.rows[0], y.matrix.rows[1]) == ((8, 0), (5, 7))
+    columns = [() for _ in x.matrix.rows]
+    columns[0] = ((1, 1),)
+    against = GradedMatrix(x.field, y.matrix.rows, x.matrix.rows, columns,
+                           validate=False)
+    for check in checks:
+        with pytest.raises(GradingError, match="against the grading"):
+            check(against, gx, gy)
+    # Grids of two different pairs.
+    other = realize_grid(y)
+    for check in checks:
+        with pytest.raises(DimensionMismatchError, match="different grids"):
+            check(hom_direct(x, y).elements[0], gx, other)
+
+
 def test_oracle_agreement_on_random_pairs():
     for seed in (21, 22, 23):
         x, y = random_pair(seed, gens=4, rels=4, coord_range=5, p=5)
@@ -207,7 +245,10 @@ def reference_rref(matrix, p):
     return r, pivots
 
 
-RREF_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (3, 9), (9, 3), (6, 6))
+# (33, 40) and (40, 33) pass gridoracle._SMALL_CELLS, so rref reduces
+# them on its numpy path and the others on lists of Python ints.
+RREF_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (3, 9), (9, 3), (6, 6),
+               (33, 40), (40, 33))
 
 
 # 11, 181, 46337 and 3037000493 are the largest primes rref works on in
@@ -234,6 +275,66 @@ def test_rref_matches_reference(p):
         assert pivots == want_pivots, (p, matrix.shape)
         assert r.shape == matrix.shape
         assert r.tolist() == want
+
+
+def both_paths(monkeypatch, matrix, p):
+    """rref(matrix, p) on lists of Python ints and on numpy arrays."""
+    out = []
+    for cells in (np.asarray(matrix).size, -1):
+        monkeypatch.setattr(gridoracle, "_SMALL_CELLS", cells)
+        out.append(rref(matrix, p))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p", (2, 5, 65521, 4294967291, 9223372036854775783))
+def test_rref_paths_agree(monkeypatch, p):
+    # 31 x 33, 32 x 32 and 25 x 41 hold one cell fewer than, exactly and
+    # one more than the threshold, so the default takes both paths.
+    assert gridoracle._SMALL_CELLS == 1024
+    rng = random.Random(f"rref-paths:{p}")
+    # Entries in [-p, 2p) need Python ints once 2p passes int64.
+    dtype = np.int64 if 2 * p <= np.iinfo(np.int64).max else object
+    cases = []
+    for shape in ((31, 33), (32, 32), (25, 41), (0, 7), (7, 0), (3, 4)):
+        for density in (0.1, 0.6):
+            m = np.array(
+                [[rng.randrange(-p, 2 * p) if rng.random() < density else 0
+                  for _ in range(shape[1])] for _ in range(shape[0])],
+                dtype=dtype,
+            ).reshape(shape)
+            if m.size:
+                m[rng.randrange(shape[0])] = 0
+                m[:, rng.randrange(shape[1])] = 0
+            cases.append(m)
+        if shape[0] > 3:
+            # Rank-deficient: the lower rows are multiples and sums of the
+            # upper ones.
+            half = cases[-1][: shape[0] // 2]
+            low = (3 * half + np.roll(half, 1, axis=0))[: shape[0] - len(half)]
+            cases.append(np.vstack([half, low]))
+    for matrix in cases:
+        (r1, pivots1), (r2, pivots2) = both_paths(monkeypatch, matrix, p)
+        assert pivots1 == pivots2, (p, matrix.shape)
+        assert r1.dtype == r2.dtype == np.int64
+        assert r1.shape == r2.shape == matrix.shape
+        assert r1.tolist() == r2.tolist()
+        want, want_pivots = reference_rref(matrix.tolist(), p)
+        assert (r1.tolist(), pivots1) == (want, want_pivots), matrix.shape
+    # Inputs that are not integer arrays: bools, floats and Python ints.
+    ints = [[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 0, 0, 0]]
+    for matrix in (np.array(ints, dtype=bool),
+                   np.array(ints, dtype=float) * 3 - 1,
+                   np.array([[v * (p + 2) - 1 for v in row] for row in ints],
+                            dtype=object)):
+        (r1, pivots1), (r2, pivots2) = both_paths(monkeypatch, matrix, p)
+        assert (pivots1, r1.dtype, r1.tolist()) == (
+            pivots2, r2.dtype, r2.tolist()), matrix.dtype
+        if matrix.dtype == float and gridoracle._rref_dtype(p) is object:
+            continue  # object work keeps floats, which round past 2^53
+        want, want_pivots = reference_rref(
+            [[int(v) for v in row] for row in matrix.tolist()], p)
+        assert (r1.tolist(), pivots1) == (want, want_pivots), matrix.dtype
 
 
 # 2^63 - 25 is the largest prime the parser accepts.
@@ -344,6 +445,13 @@ def test_realize_grid_matches_per_point_reference():
             axes = grid_axes(x, y)
             assert_realization_matches_per_point(x, axes)
             assert_realization_matches_per_point(y, axes)
+    # The slice at the top of the grid holds all of N, here more than
+    # gridoracle._SMALL_CELLS cells, so realize_grid reduces it on rref's
+    # numpy path and the smaller slices on lists of Python ints.
+    for p in (2, 5):
+        m = random_module(7, gens=40, rels=40, coord_range=6, p=p).matrix
+        assert m.nrows * m.ncols > gridoracle._SMALL_CELLS
+        assert_realization_matches_per_point(m, None)
 
 
 def dense_grid_system(gx, gy):
