@@ -6,34 +6,30 @@ space of natural transformations by solving one global linear system,
 one equation block per grid edge.
 
 Everything here is deliberately redundant with the sparse engine: ranks
-and nullspaces come from an independent dense row-echelon routine,
-`rref` (leftmost-pivot convention), which shares no arithmetic with
-`graded`, so a bug in the sparse column reduction cannot confirm itself.
-`rref` eliminates inputs of at most _SMALL_CELLS (1 024) cells on lists
-of Python ints, where numpy's overhead per call would dominate, and
-larger ones on numpy arrays; the RREF is unique, so both give the same
-result.
+and nullspaces come from one independent dense row-echelon routine,
+`_rref_rows` (leftmost-pivot convention, on lists of Python ints), which
+shares no arithmetic with `graded`, so a bug in the sparse column
+reduction cannot confirm itself.  `rref`, `rank` and `nullspace` are its
+public entry points; they read every entry of their input as an exact
+int mod p.
 
 Three things keep the dense work small.  Many grid points share the same
 slice N_{<=alpha} (the same rows and columns of N lie below them), and
 `realize_grid` reduces each distinct slice once, read from N's sparse
-columns, and reads its edge maps from the slices' functionals as Python
-lists.  Points with the same slices of X and of Y are joined by identity
-maps, so `hom_oracle` gives each such class one block of variables and
-each pair of adjacent classes one block of equations, built as sparse
-triplets rather than a dense array.  Nearly every naturality equation
-has one or two terms, so it substitutes those first, writing each
-variable as a multiple of a root variable, and row-reduces only the
-longer equations over the roots; its basis spans the same space as the
-plain nullspace but is not the RREF one.
+columns, and builds the edge maps between two slices once.  Points with
+the same slices of X and of Y are joined by identity maps, so
+`hom_oracle` gives each such class one block of variables and each pair
+of adjacent classes one block of equations, built row by row as sparse
+(variable, value) terms rather than a dense array.  Nearly every
+naturality equation has one or two terms, so it substitutes those first,
+writing each variable as a multiple of a root variable, and row-reduces
+only the longer equations over the roots; its basis spans the same space
+as the plain nullspace but is not the RREF one.
 
-The arithmetic is exact for every prime.  Python ints are exact at any
-size.  On numpy arrays `rref` eliminates in the narrowest integer dtype
-that holds (p-1)^2 + p, the largest magnitude a row update produces
-before it is reduced mod p, and in Python ints (object arrays) once that
-passes int64; matrix products use the same rule with the bound
-inner_dim * (p-1)^2.  Reduced values are stored as int64, which holds
-every residue of a prime below 2^63.
+The arithmetic is exact for every prime: every value is a Python int,
+which cannot overflow, and every stored value is reduced mod p.
+Matrices are lists of rows, and a matrix with no rows does not show its
+width, so the shapes are read from the modules' `dims`.
 """
 
 from __future__ import annotations
@@ -52,106 +48,39 @@ from .errors import (
 )
 from .localalg import _matrix_of, evaluation_grid
 
-import numpy as np
-
 GRID_CAP_DEFAULT = 10_000
-# Largest grid naturality system hom_oracle accepts, sized as a dense
-# equations x variables matrix in bytes of the rref working dtype; the
-# solve works on a sparse quotient and never allocates it.  The largest
-# system the test suite and the benchmark pools ask for is 17.9 M cells
-# over GF(2), 18 MB.
-SYSTEM_BYTES_CAP = 768 << 20
-
-_INT_DTYPES = tuple(
-    (dtype, int(np.iinfo(dtype).max))
-    for dtype in (np.int8, np.int16, np.int32, np.int64)
-)
-_INT64_MAX = _INT_DTYPES[-1][1]
-# Inputs of at most this many cells are eliminated in Python ints: below
-# it numpy's overhead per call outweighs the vectorised row updates.
-_SMALL_CELLS = 1024
-
-
-def _work_dtype(bound):
-    """Narrowest signed integer dtype holding magnitudes up to `bound`;
-    object (Python ints, exact at any size) beyond int64."""
-    for dtype, largest in _INT_DTYPES:
-        if bound <= largest:
-            return dtype
-    return object
-
-
-def _rref_dtype(p):
-    return _work_dtype((p - 1) ** 2 + p)
-
-
-def _matmul_mod(a, b, p):
-    """(a @ b) mod p for entries in [0, p), exact for every p.
-
-    int64 while a dot product, at most inner_dim * (p-1)^2, fits;
-    Python-int arithmetic beyond.
-    """
-    if _work_dtype(a.shape[1] * (p - 1) ** 2) is object:
-        return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
-    return (a @ b) % p
+# Largest grid naturality system hom_oracle accepts, counted in cells of
+# the dense equations x variables matrix; the solve works on a sparse
+# quotient and never allocates it.  The benchmark pools ask for at most
+# 17.9 M cells; the test suite's largest system, 30 059 x 15 109 at
+# p = 65521, has 454 M.
+SYSTEM_CELLS_CAP = 768 << 20
 
 
 def rref(matrix, p):
     """Reduced row echelon form over GF(p) with leftmost pivots.
 
-    Returns (R, pivot_cols); R is a fresh int64 array (object for p at
-    or above 2^63).  Each pivot row is the first row at or below the
-    current echelon position that is nonzero in its column; it is swapped
-    into that position, scaled to 1 by its Fermat inverse, and its column
-    is cleared from every other row that is nonzero there.  The update
-    touches only the columns where the pivot row is nonzero, all at or
-    right of the pivot, since the pivot row is zero to its left.
-
-    An input of at most _SMALL_CELLS cells is eliminated on lists of
-    Python ints (`_rref_rows`), where numpy's per-call overhead would
-    outweigh the arithmetic; a larger one in one vectorised update per
-    pivot, in the narrowest dtype that holds (p-1)^2 + p, the largest
-    magnitude of an update before its reduction, so no step can
-    overflow.  The RREF is unique, so both give the same R.
+    `matrix` is a sequence of equal-length rows whose entries `int`
+    converts exactly (ints, bools, integer-valued floats, or array
+    scalars of those); each entry is read as int(v) mod p, so no float
+    product can round.  Returns (rows, pivot_cols), rows a fresh list of
+    lists of ints in [0, p), one per input row.
     """
-    dtype = _rref_dtype(p)
-    r = np.asarray(matrix)
-    if r.dtype.kind not in "iu" or (r.size and (r.min() < 0 or r.max() >= p)):
-        r = r.astype(object) % p
-    r = r.astype(dtype)
-    out_dtype = np.int64 if p <= _INT64_MAX else object
-    if r.size <= _SMALL_CELLS:
-        rows = r.tolist()
-        pivot_cols = _rref_rows(rows, r.shape[1], p)
-        return np.array(rows, dtype=out_dtype).reshape(r.shape), pivot_cols
-    n_rows, n_cols = r.shape
-    pivot_cols = []
-    for col in range(n_cols):
-        k = len(pivot_cols)
-        if k == n_rows:
-            break
-        hits = r[k:, col].nonzero()[0]
-        if hits.size == 0:
-            continue
-        if hits[0]:
-            r[[k, k + hits[0]]] = r[[k + hits[0], k]]
-        support = col + r[k, col:].nonzero()[0]
-        piv = int(r[k, col])
-        if piv != 1:
-            r[k, support] = r[k, support] * pow(piv, p - 2, p) % p
-        others = r[:, col].nonzero()[0]
-        others = others[others != k]
-        if others.size:
-            block = (others[:, None], support)
-            r[block] = (r[block] - r[others, col, None] * r[k, support]) % p
-        pivot_cols.append(col)
-    return r.astype(out_dtype, copy=False), pivot_cols
+    rows = [[int(v) % p for v in row] for row in matrix]
+    pivot_cols = _rref_rows(rows, len(rows[0]) if rows else 0, p)
+    return rows, pivot_cols
 
 
 def _rref_rows(r, n_cols, p):
     """Reduce `r`, a list of rows of n_cols ints in [0, p), in place to
-    the leftmost-pivot RREF over GF(p), by the steps of `rref`; returns
-    the pivot columns.
+    the leftmost-pivot RREF over GF(p); returns the pivot columns.
+
+    Each pivot row is the first row at or below the current echelon
+    position that is nonzero in its column; it is swapped into that
+    position, scaled to 1 by its Fermat inverse, and its column is cleared
+    from every other row that is nonzero there.  The update touches only
+    the columns where the pivot row is nonzero, all at or right of the
+    pivot, since the pivot row is zero to its left.
     """
     pivot_cols = []
     n_rows = len(r)
@@ -167,7 +96,7 @@ def _rref_rows(r, n_cols, p):
         r[k], r[i] = r[i], r[k]
         row = r[k]
         support = [c for c in range(col, n_cols) if row[c]]
-        piv = int(row[col])
+        piv = row[col]
         if piv != 1:
             inv = pow(piv, p - 2, p)
             for c in support:
@@ -182,35 +111,39 @@ def _rref_rows(r, n_cols, p):
 
 
 def rank(matrix, p):
-    a = np.asarray(matrix)
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
+    return len(rref(matrix, p)[1])
 
 
-def nullspace_with_free(matrix, p):
+def nullspace_with_free(matrix, p, n_cols):
     """Nullspace basis plus the free-column indices that label it.
 
-    Columns of the returned basis solve matrix @ x = 0 mod p; basis
-    vector k carries a 1 at free column k and 0 at the other free
-    columns.
+    `matrix` has n_cols columns, passed because a matrix with no rows does
+    not show them.  Each basis vector, a list of n_cols ints in [0, p),
+    solves matrix @ x = 0 mod p; vector k carries a 1 at free column k and
+    0 at the other free columns.
     """
-    a = np.asarray(matrix)
-    n_cols = a.shape[1]
-    if a.size == 0:
-        return np.eye(n_cols, dtype=np.int64), list(range(n_cols))
-    r, pivot_cols = rref(a, p)
+    return _kernel([[int(v) % p for v in row] for row in matrix], n_cols, p)
+
+
+def _kernel(r, n_cols, p):
+    """`nullspace_with_free` of `r`, a list of rows of n_cols ints in
+    [0, p), which it reduces in place."""
+    pivot_cols = _rref_rows(r, n_cols, p)
     pivots = set(pivot_cols)
     free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((n_cols, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
-    basis[pivot_cols] = -r[: len(pivot_cols), free] % p
+    basis = []
+    for f in free:
+        x = [0] * n_cols
+        x[f] = 1
+        for row, c in zip(r, pivot_cols):
+            x[c] = -row[f] % p
+        basis.append(x)
     return basis, free
 
 
-def nullspace(matrix, p):
-    """Columns form a basis of {x : matrix @ x = 0 mod p}."""
-    return nullspace_with_free(matrix, p)[0]
+def nullspace(matrix, p, n_cols):
+    """A basis of {x : matrix @ x = 0 mod p}, one list per vector."""
+    return nullspace_with_free(matrix, p, n_cols)[0]
 
 
 @dataclass
@@ -220,15 +153,16 @@ class GridModule:
     The basis of the slice at each point consists of the classes of the
     unit vectors at `free_rows[point]` (original generator indices, the
     "basis provenance"); `functionals[point]` evaluates a coefficient
-    vector over the local generators in that basis.  maps[(point, axis)]
-    is the dense matrix of the structure map from `point` to its
-    successor along `axis`; square-commutativity of the grid diagram is
-    validated at construction.  `slice_index[point]` numbers the distinct
-    slices N_{<=point} in grid order.  Points with the same slice share
-    its functionals, and edges between the same two slices share one
-    edge-map array, so treat them as read-only.  `_degrees` holds the
-    generator degrees of the realized presentation, against which
-    `push_to_grid` checks a map.
+    vector over the local generators in that basis, one row (a list of
+    ints) per basis element.  maps[(point, axis)] is the matrix of the
+    structure map from `point` to its successor along `axis`, as
+    dims[successor] rows of dims[point] ints; square-commutativity of the
+    grid diagram is validated at construction.  `slice_index[point]`
+    numbers the distinct slices N_{<=point} in grid order.  Points with
+    the same slice share its functionals, and edges between the same two
+    slices share one edge-map list, so treat them as read-only.
+    `_degrees` holds the generator degrees of the realized presentation,
+    against which `push_to_grid` checks a map.
     """
 
     p: int
@@ -302,7 +236,7 @@ def realize_grid(presentation, axes=None, cap=GRID_CAP_DEFAULT):
             slices.append(_realize_slice(matrix.columns, rows, cols, p))
         slice_index[point] = k = number[key]
         dims[point], gen_rows[point], free_rows[point], functionals[point] = (
-            slices[k][:4]
+            slices[k]
         )
     module = GridModule(p, axes, dims, gen_rows, free_rows, functionals, {},
                         slice_index)
@@ -338,20 +272,17 @@ def _bits(mask):
 
 
 def _realize_slice(columns, row_mask, col_mask, p):
-    """(dim, gen_rows, free_rows, functionals, functional rows) of the
-    cokernel of the slice of N, given by its sparse `columns`, on the
-    masked rows and columns.
+    """(dim, gen_rows, free_rows, functionals) of the cokernel of the
+    slice of N, given by its sparse `columns`, on the masked rows and
+    columns.
 
-    The slice is reduced transposed, one row per column of N, on lists
-    of Python ints up to _SMALL_CELLS cells and by `rref` on numpy
-    beyond; the functionals are its nullspace basis, one row per basis
-    element, as an int64 array and as lists of ints.  With no column of
-    N the generators are a basis, and the functionals are the identity.
+    The slice is reduced transposed, one row per column of N; the
+    functionals are its nullspace basis, one row per basis element.  With
+    no column of N the generators are a basis, and the functionals are
+    the identity.
     """
     rows = _bits(row_mask)
     n = len(rows)
-    if not n:
-        return 0, (), (), np.zeros((0, 0), dtype=np.int64), []
     pos = {r: k for k, r in enumerate(rows)}
     t = []
     for j in _bits(col_mask):
@@ -360,22 +291,8 @@ def _realize_slice(columns, row_mask, col_mask, p):
             if i in pos:
                 line[pos[i]] = v % p
         t.append(line)
-    if len(t) * n > _SMALL_CELLS:
-        r, pivots = rref(np.array(t, dtype=np.int64), p)
-        t = r.tolist()
-    else:
-        pivots = _rref_rows(t, n, p)
-    taken = set(pivots)
-    free = [c for c in range(n) if c not in taken]
-    w = []
-    for f in free:
-        line = [0] * n
-        line[f] = 1
-        for echelon, c in zip(t, pivots):
-            line[c] = -echelon[f] % p
-        w.append(line)
-    array = np.array(w, dtype=np.int64).reshape(len(free), n)
-    return len(free), tuple(rows), tuple(rows[k] for k in free), array, w
+    w, free = _kernel(t, n, p)
+    return len(free), tuple(rows), tuple(rows[k] for k in free), w
 
 
 def _strides(axes):
@@ -396,29 +313,56 @@ def _edge_map(p, source, target):
     target slice is evaluated by the target's functionals, so the edge
     map consists of the target functional columns at those generators.
     """
-    free_a = source[2]
-    dim_b, rows_b, _, _, w_b = target
-    if not free_a or not dim_b:
-        return np.zeros((dim_b, len(free_a)), dtype=np.int64)
+    rows_b, w_b = target[1], target[3]
     pos_b = {r: k for k, r in enumerate(rows_b)}
-    at = [pos_b[r] for r in free_a]
-    return np.array([[line[k] for k in at] for line in w_b], dtype=np.int64)
+    at = [pos_b[r] for r in source[2]]
+    return [[line[k] for k in at] for line in w_b]
+
+
+def _sparse(matrix):
+    """The nonzeros of each row of `matrix`, as (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in matrix]
+
+
+def _cached(cache, matrix):
+    """`_sparse(matrix)`, kept in `cache` by the identity of `matrix`."""
+    key = id(matrix)
+    if key not in cache:
+        cache[key] = _sparse(matrix)
+    return cache[key]
+
+
+def _product(a, b, n_cols, p):
+    """a @ b mod p, for a and b given by their `_sparse` rows and b of
+    n_cols columns, as dense rows."""
+    out = []
+    for row in a:
+        acc = [0] * n_cols
+        for k, v in row:
+            for j, x in b[k]:
+                acc[j] += v * x
+        out.append([x % p for x in acc])
+    return out
 
 
 def _validate_squares(module):
     """Raise CheckMismatchError unless every grid square commutes.
 
-    Edge maps are shared arrays, so a square is keyed by the identities
-    of its four maps and each distinct square is multiplied out once.  A
-    square whose source point or far corner is zero has nothing to
-    compare and is skipped.
+    Edge maps are shared lists, so each is read into sparse rows once, a
+    square is keyed by the identities of its four maps, and each distinct
+    square is multiplied out once.  A square whose source point or far
+    corner is zero has nothing to compare and is skipped.
     """
     p, maps = module.p, module.maps
     points = list(module.points())
+    dims = [module.dims[point] for point in points]
     d, strides = len(module.axes), _strides(module.axes)
-    # out[axis][i]: the map out of the i-th point along `axis`, None past
-    # the last coordinate.
-    out = [[maps.get((point, axis)) for point in points] for axis in range(d)]
+    # out[axis][i]: the sparse rows of the map out of the i-th point along
+    # `axis`, None past the last coordinate.
+    sparse = {}
+    out = [[None if m is None else _cached(sparse, m)
+            for m in (maps.get((point, axis)) for point in points)]
+           for axis in range(d)]
     planes = [(out[ax1], out[ax2], strides[ax1], strides[ax2])
               for ax1, ax2 in itertools.combinations(range(d), 2)]
     checked = set()
@@ -432,12 +376,28 @@ def _validate_squares(module):
             if square in checked:
                 continue
             checked.add(square)
-            if not e1.shape[1] or not top.shape[0]:
-                continue
-            if (_matmul_mod(top, e1, p) != _matmul_mod(right, e2, p)).any():
+            n = dims[i]
+            if n and top and not _commutes(top, e1, right, e2, n, p):
                 raise CheckMismatchError(
                     f"grid square at {point} does not commute"
                 )
+
+
+def _commutes(a, b, c, e, n_cols, p):
+    """Whether a @ b == c @ e mod p, for matrices given by their `_sparse`
+    rows, b and e of n_cols columns."""
+    for row_a, row_c in zip(a, c):
+        acc = [0] * n_cols
+        for k, v in row_a:
+            for j, x in b[k]:
+                acc[j] += v * x
+        for k, v in row_c:
+            for j, x in e[k]:
+                acc[j] -= v * x
+        for x in acc:
+            if x % p:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -456,26 +416,27 @@ def hom_oracle(gx, gy):
     One variable per matrix entry of f_alpha wherever both modules are
     nonzero; one equation block per grid edge enforcing
     f_beta . X_edge = Y_edge . f_alpha.  `variables`, `equations`,
-    `var_layout` and SYSTEM_BYTES_CAP count that grid system, but it is
-    solved over the slice quotient: points with the same pair of slices
-    (X's and Y's) form a convex class holding its least element, and
-    consecutive points of a class are joined by identity edge maps, so
-    f is constant on a class.  Each class gets one variable block and
-    each distinct pair of adjacent classes one equation block, emitted as
-    sparse triplets; `_presolved_nullspace` then substitutes the one- and
-    two-term rows, so `vectors` (the class blocks copied back to every
-    point) is a basis of the solution space but not the RREF one.
+    `var_layout` and SYSTEM_CELLS_CAP (against equations x variables)
+    count that grid system, but it is solved over the slice quotient:
+    points with the same pair of slices (X's and Y's) form a convex class
+    holding its least element, and consecutive points of a class are
+    joined by identity edge maps, so f is constant on a class.  Each class
+    gets one variable block and each distinct pair of adjacent classes
+    one equation block, built row by row as sparse (variable, value)
+    terms; `_presolved_nullspace` then substitutes the one- and two-term
+    rows, so `vectors` (the class blocks copied back to every point, one
+    tuple of ints per basis element) is a basis of the solution space but
+    not the RREF one.  `solve_seconds` times building and solving the
+    quotient system, since its rows are built as the solve reads them.
     """
     if gx.p != gy.p:
         raise FieldMismatchError("oracle modules over different fields")
     if gx.axes != gy.axes:
         raise DimensionMismatchError("oracle modules live on different grids")
     p = gx.p
-    layout, total = [], 0
     # offset[point]: the first variable of the block of the point's class;
-    # shift[k]: that offset minus the point's first variable in the grid
-    # system, for the k-th point of `layout`.
-    offset, classes, shift, n_vars = {}, {}, [], 0
+    # gather[v]: the class variable that grid variable v copies.
+    layout, offset, classes, gather, n_vars = [], {}, {}, [], 0
     for point in gx.points():
         dx, dy = gx.dims[point], gy.dims[point]
         if dx and dy:
@@ -483,10 +444,10 @@ def hom_oracle(gx, gy):
             if key not in classes:
                 classes[key] = n_vars
                 n_vars += dx * dy
-            offset[point] = classes[key]
-            shift.append(offset[point] - total)
+            offset[point] = base = classes[key]
+            gather.extend(range(base, base + dx * dy))
             layout.append((point, dy, dx))
-            total += dx * dy
+    total = len(gather)
     n_eqs = 0
     blocks = {}
     for point, axis in gx.maps:
@@ -500,39 +461,18 @@ def hom_oracle(gx, gy):
         # Within a class both edge maps are identities: f_succ = f_point.
         if pair[:2] != pair[2:] and pair not in blocks:
             blocks[pair] = (point, succ, axis)
-    size = n_eqs * total * np.dtype(_rref_dtype(p)).itemsize
-    if size > SYSTEM_BYTES_CAP:
+    if n_eqs * total > SYSTEM_CELLS_CAP:
         raise ResourceCapError(
-            f"oracle system of {n_eqs} equations x {total} variables needs "
-            f"{size} bytes, cap is {SYSTEM_BYTES_CAP}"
+            f"oracle system of {n_eqs} equations x {total} variables has "
+            f"{n_eqs * total} cells, cap is {SYSTEM_CELLS_CAP}"
         )
-    # Row (t, s) of a block equates entry (t, s) of f_succ . X_edge and of
-    # Y_edge . f_point, so the block is -kron(Y_edge, I_dxa) on the
-    # variables of f_point and kron(I_dyb, X_edge^T) on those of f_succ.
-    factors, entries, parts = {}, [], []
-    eq = 0
-    for point, succ, axis in blocks.values():
-        xmap = gx.maps[(point, axis)]  # dxb x dxa
-        ymap = gy.maps[(point, axis)]  # dyb x dya
-        (dxb, dxa), dyb = xmap.shape, ymap.shape[0]
-        if point in offset:
-            entries.append(_kron_factor(factors, ymap, p, True))
-            parts.append((eq, offset[point], dxa, dxa, 1, 1))
-        if succ in offset:
-            entries.append(_kron_factor(factors, xmap, p, False))
-            parts.append((eq, offset[succ], 1, dyb, dxa, dxb))
-        eq += dyb * dxa
-    rows, cols, vals = _kron_triplets(entries, parts)
     t0 = time.perf_counter()
-    quotient = _presolved_nullspace(rows, cols, vals, (eq, n_vars), p)
+    quotient = _presolved_nullspace(
+        _naturality_lines(gx, gy, blocks.values(), offset), n_vars, p)
     elapsed = time.perf_counter() - t0
-    # Copy each class block back to every point of the class.
-    sizes = [dy * dx for _, dy, dx in layout]
-    shift = np.repeat(np.array(shift, dtype=np.int64), sizes)
-    basis = quotient[np.arange(total) + shift]
     return OracleResult(
-        dim=basis.shape[1],
-        vectors=tuple(map(tuple, basis.T.tolist())),
+        dim=len(quotient),
+        vectors=tuple(tuple(map(y.__getitem__, gather)) for y in quotient),
         variables=total,
         equations=n_eqs,
         solve_seconds=elapsed,
@@ -540,68 +480,55 @@ def hom_oracle(gx, gy):
     )
 
 
-def _kron_factor(cache, edge_map, p, of_y):
-    """Nonzeros (row, col, value) of the factor an edge map puts in its
-    block's Kronecker product, -Y_edge mod p for a map of Y and X_edge^T
-    for a map of X, as one 3 x nnz array.  Edge maps are shared arrays, so
-    each is read once, keyed by identity.
+def _naturality_lines(gx, gy, blocks, offset):
+    """The rows of the equation blocks, one list of (variable, value)
+    terms per row, yielded block by block so that no more than one block
+    is held at a time.
+
+    Row t * dxa + s of a block equates entry (t, s) of f_succ . X_edge
+    and of Y_edge . f_point, so the block is -kron(Y_edge, I_dxa) on the
+    variables of f_point and kron(I_dyb, X_edge^T) on those of f_succ.
+    Edge maps are shared lists, so each is read into sparse rows once.
     """
-    key = (id(edge_map), of_y)
-    if key not in cache:
-        rows, cols = edge_map.nonzero()
-        vals = edge_map[rows, cols]
-        cache[key] = np.array(
-            [rows, cols, -vals % p] if of_y else [cols, rows, vals])
-    return cache[key]
+    p, sparse = gx.p, {}
+    for point, succ, axis in blocks:
+        dxa, dxb, dyb = gx.dims[point], gx.dims[succ], gy.dims[succ]
+        block = [[] for _ in range(dyb * dxa)]
+        if point in offset:
+            base = offset[point]
+            for t, row in enumerate(_cached(sparse, gy.maps[(point, axis)])):
+                lines = block[t * dxa:(t + 1) * dxa]
+                for b, v in row:
+                    col, v = base + b * dxa, -v % p
+                    for line, c in zip(lines, range(col, col + dxa)):
+                        line.append((c, v))
+        if succ in offset:
+            base = offset[succ]
+            for b, row in enumerate(_cached(sparse, gx.maps[(point, axis)])):
+                cols = range(base + b, base + b + dyb * dxb, dxb)
+                for s, v in row:
+                    for line, c in zip(block[s::dxa], cols):
+                        line.append((c, v))
+        yield from block
 
 
-def _kron_triplets(entries, parts):
-    """Triplets (rows, cols, vals) of the Kronecker blocks, sorted by row
-    and then column.
-
-    parts[k] = (row0, col0, scale, times, row_step, col_step) places each
-    nonzero (a, b, v) of entries[k] at (row0 + a * scale, col0 + b * scale)
-    and `times` times in all, moving by (row_step, col_step) each time:
-    kron(A, I_m) at (row0, col0) is (row0, col0, m, m, 1, 1), and
-    kron(I_m, B) is (row0, col0, 1, m, B rows, B columns).
-    """
-    if not parts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    a, b, v = np.concatenate(entries, axis=1)
-    row0, col0, scale, times, row_step, col_step = np.repeat(
-        np.array(parts, dtype=np.int64).T, [e.shape[1] for e in entries],
-        axis=1)
-    # k: which copy of its nonzero each triplet is.
-    k = np.arange(times.sum()) - np.repeat(np.cumsum(times) - times, times)
-    rows = np.repeat(row0 + a * scale, times) + k * np.repeat(row_step, times)
-    cols = np.repeat(col0 + b * scale, times) + k * np.repeat(col_step, times)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.repeat(v, times)[order]
-
-
-def _presolved_nullspace(rows, cols, vals, shape, p):
-    """Nullspace basis mod p of the matrix `a` of the given shape whose
-    nonzeros are the triplets (rows[k], cols[k], vals[k]), values in
-    [0, p), listed row by row with columns ascending.
+def _presolved_nullspace(lines, n, p):
+    """Nullspace basis mod p, one list of n ints per vector, of the
+    system whose equations are `lines`, each a list of (variable, value)
+    terms with distinct variables in [0, n) and values in [1, p).
 
     Nearly every naturality equation has one or two terms.  A row
-    c_u x_u + c_v x_v = 0 fixes x_u as a multiple of x_v and a row
-    c_u x_u = 0 fixes x_u = 0, so a weighted union-find over those rows
-    writes every variable as weight * root; forced-zero variables hang
-    below an extra "zero" node with weight 0.  A row that closes a cycle
-    either holds under the weights or forces its component to zero.  The
-    resulting map P satisfies every short row, and every solution of `a`
-    is P y for exactly one y, so null(a) = P null(a_long P), with a_long
-    the rows of three or more terms.  Column r of a_long P is the
-    weighted sum of the columns of a whose root is r; the dense rref then
-    runs on it without its zero rows.
+    c_u x_u + c_v x_v = 0, read with u < v, fixes x_u as a multiple of x_v
+    and a row c_u x_u = 0 fixes x_u = 0, so a weighted union-find over
+    those rows, taken in order, writes every variable as weight * root;
+    forced-zero variables hang below an extra "zero" node with weight 0.
+    A row that closes a cycle either holds under the weights or forces its
+    component to zero.  The resulting map P satisfies every short row, and
+    every solution of the system `a` is P y for exactly one y, so
+    null(a) = P null(a_long P), with a_long the rows of three or more
+    terms.  Column r of a_long P is the weighted sum of the columns of `a`
+    whose root is r; its nonzero rows are then row-reduced.
     """
-    n_rows, n = shape
-    rows, cols, vals = (
-        np.asarray(x, dtype=np.int64) for x in (rows, cols, vals))
-    terms = np.bincount(rows, minlength=n_rows)[rows]
-    short = terms <= 2
     # Node n is the zero node.  It stays a root, and every variable in its
     # component has weight 0.
     parent = list(range(n + 1))
@@ -620,15 +547,19 @@ def _presolved_nullspace(rows, cols, vals, shape, p):
             parent[v], weight[v] = u, w
         return u, w
 
-    col, coef, n_terms = (x[short].tolist() for x in (cols, vals, terms))
-    k = 0
-    while k < len(col):
-        if n_terms[k] == 1:  # x_u = 0 * x_zero
-            u, v, ratio = col[k], n, 0
-        else:  # x_u = -c_v / c_u * x_v
-            u, v = col[k], col[k + 1]
-            ratio = -coef[k + 1] * pow(coef[k], p - 2, p) % p
-        k += n_terms[k]
+    long = []
+    for line in lines:
+        if len(line) == 2:  # x_u = -c_v / c_u * x_v
+            (u, cu), (v, cv) = line
+            if u > v:
+                u, cu, v, cv = v, cv, u, cu
+            ratio = -cv * pow(cu, p - 2, p) % p
+        elif len(line) == 1:  # x_u = 0 * x_zero
+            u, v, ratio = line[0][0], n, 0
+        else:  # an empty row, or a long one, read once P is known
+            if line:
+                long.append(line)
+            continue
         (ru, wu), (rv, wv) = find(u), find(v)
         if ru == rv:
             if (wu - ratio * wv) % p:  # an inconsistent cycle: x_ru = 0
@@ -637,46 +568,49 @@ def _presolved_nullspace(rows, cols, vals, shape, p):
             parent[ru], weight[ru] = rv, ratio * wv * pow(wu, p - 2, p) % p
         else:  # u is forced zero, hence so is v
             parent[rv], weight[rv] = ru, 0
-    # P as one (root index, weight) per variable; index -1 where x_u = 0.
+    # P as one (root index, weight) per variable, and as the (variable,
+    # weight) pairs below each root; index -1 where x_u = 0.
     root_ids, index, weights = {}, [], []
     for u in range(n):
         r, w = find(u)
         index.append(-1 if r == n else root_ids.setdefault(r, len(root_ids)))
         weights.append(w)
-    index = np.array(index, dtype=np.int64)
-    # Products are reduced before they are summed, so the int64 sums stay
-    # below n * p; object (Python ints) once (p-1)^2 passes int64.
-    dtype = np.int64 if _work_dtype((p - 1) ** 2) is not object else object
-    weights = np.array(weights, dtype=dtype)
-    long = ~short & (index[cols] >= 0)
-    long_rows, row_of = np.unique(rows[long], return_inverse=True)
     n_roots = len(root_ids)
-    # Entry (i, r) of a_long P sums the products of row i at root r.
-    key = row_of * n_roots + index[cols[long]]
-    reduced = np.zeros(len(long_rows) * n_roots, dtype=dtype)
-    if key.size:
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        products = vals[long].astype(dtype) * weights[cols[long]] % p
-        reduced[key[starts]] = np.add.reduceat(products[order], starts) % p
-    reduced = reduced.reshape(len(long_rows), n_roots)
-    y = nullspace(reduced[(reduced != 0).any(axis=1)], p)
-    basis = np.zeros((n, y.shape[1]), dtype=np.int64)
-    live = index >= 0
-    basis[live] = weights[live, None] * y.astype(dtype)[index[live]] % p
+    members = [[] for _ in range(n_roots)]
+    for u, r in enumerate(index):
+        if r >= 0:
+            members[r].append((u, weights[u]))
+    reduced = []
+    for line in long:
+        sums = {}
+        for u, v in line:
+            r = index[u]
+            if r >= 0:
+                sums[r] = sums.get(r, 0) + v * weights[u]
+        row = [0] * n_roots
+        for r, x in sums.items():
+            row[r] = x % p
+        if any(row):
+            reduced.append(row)
+    basis = []
+    for y in _kernel(reduced, n_roots, p)[0]:
+        x = [0] * n
+        for r, c in enumerate(y):
+            if c:
+                for u, w in members[r]:
+                    x[u] = w * c % p
+        basis.append(x)
     return basis
-
 
 def push_to_grid(q, gx, gy):
     """Evaluate a graded matrix Q: A[G] -> A[G'] pointwise on the grid.
 
-    Returns {point: dense dy x dx matrix} mapping the oracle basis of
-    X_alpha to the oracle basis of Y_alpha.  Raises FieldMismatchError
-    unless Q and both grids share one field, DimensionMismatchError
-    unless the grids are one grid and Q has Y's generator degrees as rows
-    and X's as columns, and GradingError for an entry of Q against the
-    grading.
+    Returns {point: dy x dx matrix as a list of rows} mapping the oracle
+    basis of X_alpha to the oracle basis of Y_alpha.  Raises
+    FieldMismatchError unless Q and both grids share one field,
+    DimensionMismatchError unless the grids are one grid and Q has Y's
+    generator degrees as rows and X's as columns, and GradingError for an
+    entry of Q against the grading.
     """
     if not q.field.p == gx.p == gy.p:
         raise FieldMismatchError("Q matrix and grids over different fields")
@@ -691,18 +625,14 @@ def push_to_grid(q, gx, gy):
     p = gx.p
     out = {}
     for point in gx.points():
-        dx, dy = gx.dims[point], gy.dims[point]
-        rows_y = gy.gen_rows[point]
-        if dx == 0 or dy == 0:
-            out[point] = np.zeros((dy, dx), dtype=np.int64)
-            continue
-        # Column k: image of the unit vector at the k-th free generator.
-        q_dense = np.zeros((len(rows_y), dx), dtype=np.int64)
-        pos_y = {r: k for k, r in enumerate(rows_y)}
-        for k, g in enumerate(gx.free_rows[point]):
-            for gp, v in q.columns[g]:
-                q_dense[pos_y[gp], k] = v
-        out[point] = _matmul_mod(gy.functionals[point], q_dense, p)
+        pos_y = {r: k for k, r in enumerate(gy.gen_rows[point])}
+        # images[k]: Q's column at the k-th free generator of X, over the
+        # local generators of Y.
+        images = [[(pos_y[gp], v) for gp, v in q.columns[g]]
+                  for g in gx.free_rows[point]]
+        out[point] = [[sum(line[i] * v for i, v in image) % p
+                       for image in images]
+                      for line in gy.functionals[point]]
     return out
 
 
@@ -713,9 +643,10 @@ def naturality_residual(q, gx, gy):
     worst = 0
     for (point, axis), xmap in gx.maps.items():
         succ = gx.successor(point, axis)
-        ymap = gy.maps[(point, axis)]
-        lhs = _matmul_mod(f[succ], xmap, p)
-        rhs = _matmul_mod(ymap, f[point], p)
-        if lhs.size:
-            worst = max(worst, int(np.abs(lhs - rhs).max()))
+        n = gx.dims[point]
+        lhs = _product(_sparse(f[succ]), _sparse(xmap), n, p)
+        rhs = _product(_sparse(gy.maps[(point, axis)]), _sparse(f[point]),
+                       n, p)
+        worst = max([worst, *(abs(u - v) for a, b in zip(lhs, rhs)
+                              for u, v in zip(a, b))])
     return worst

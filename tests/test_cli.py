@@ -205,13 +205,75 @@ def test_oracle_system_cap_exit_code(fig_files, monkeypatch, capsys):
     from mphom import cli, gridoracle
 
     x, y = fig_files
-    # End(Y) has 22 equations in 17 variables, one byte each over GF(3).
-    monkeypatch.setattr(gridoracle, "SYSTEM_BYTES_CAP", 22 * 17 - 1)
+    # End(Y) has 22 equations in 17 variables over GF(3).
+    monkeypatch.setattr(gridoracle, "SYSTEM_CELLS_CAP", 22 * 17 - 1)
     assert cli.main(["end", str(y), "--alg", "oracle"]) == 4
     assert "22 equations x 17 variables" in capsys.readouterr().err
     assert cli.main(["end", str(y), "--alg", "b", "--check"]) == 4
-    monkeypatch.setattr(gridoracle, "SYSTEM_BYTES_CAP", 22 * 17)
+    monkeypatch.setattr(gridoracle, "SYSTEM_CELLS_CAP", 22 * 17)
     assert cli.main(["end", str(y), "--alg", "oracle"]) == 0
+
+
+def test_oracle_system_cap_counts_cells_at_a_large_prime(
+        tmp_path, monkeypatch, capsys):
+    from mphom import cli, gridoracle
+    from mphom.formats import serialize_pmod
+    from mphom.generators import random_module
+
+    # The cap counts cells at every prime, not bytes of a dtype.
+    x = tmp_path / "x.pmod"
+    module = random_module(2, gens=5, rels=5, coord_range=4, p=65521)
+    x.write_text(serialize_pmod(module))
+    grid = gridoracle.realize_grid(module)
+    result = gridoracle.hom_oracle(grid, grid)
+    assert (result.equations, result.variables) == (174, 110)
+    monkeypatch.setattr(gridoracle, "SYSTEM_CELLS_CAP", 174 * 110 - 1)
+    assert cli.main(["end", str(x), "--alg", "oracle"]) == 4
+    assert "174 equations x 110 variables" in capsys.readouterr().err
+    monkeypatch.setattr(gridoracle, "SYSTEM_CELLS_CAP", 174 * 110)
+    assert cli.main(["end", str(x), "--alg", "oracle"]) == 0
+
+
+def test_oracle_accepts_a_large_system_at_a_large_prime():
+    from mphom import gridoracle, hom_direct
+    from mphom.generators import random_pair
+
+    # 30 059 x 15 109 cells: within the default cap, and solved over the
+    # slice quotient without building the dense system.
+    x, y = random_pair(1, d=2, gens=20, rels=20, coord_range=30, p=65521)
+    axes = gridoracle.grid_axes(x.matrix, y.matrix)
+    result = gridoracle.hom_oracle(gridoracle.realize_grid(x, axes),
+                                   gridoracle.realize_grid(y, axes))
+    assert (result.equations, result.variables) == (30059, 15109)
+    assert result.equations * result.variables <= gridoracle.SYSTEM_CELLS_CAP
+    assert result.dim == hom_direct(x, y).dim == 30
+
+
+def test_runs_without_numpy(tmp_path):
+    from mphom.formats import serialize_pmod
+    from mphom.generators import random_module
+
+    # mphom has no runtime dependency: with numpy unimportable, the
+    # package imports and checks every route against the oracle, also at
+    # the largest prime the parser accepts.
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "fig_blue.pmod"
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"big{seed}.pmod"
+        path.write_text(serialize_pmod(random_module(
+            seed, gens=5, rels=5, coord_range=4, p=2**63 - 25)))
+        paths.append(str(path))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from mphom import cli\n"
+        f"assert cli.main(['end', {str(fixture)!r}, '--check']) == 0\n"
+        f"assert cli.main(['hom', *{paths!r}, '--check']) == 0\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.count("check ok") == 2
 
 
 def test_grid_cap_exit_code(fig_files):

@@ -48,6 +48,16 @@ from conftest import free_module, red_blue, staircase_pair, zero_module
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def as_array(rows, shape):
+    """A matrix the oracle returns as a list of rows, as an object array
+    of `shape`, after checking that it holds shape[0] rows of shape[1]
+    Python ints (a matrix with no rows does not show its width)."""
+    assert len(rows) == shape[0]
+    assert all(len(row) == shape[1] for row in rows)
+    assert all(type(v) is int for row in rows for v in row)
+    return np.array(rows, dtype=object).reshape(shape)
+
+
 def test_rref_and_rank_basics():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rank(m, 5) == 2
@@ -58,8 +68,9 @@ def test_rref_and_rank_basics():
 def test_nullspace_solves():
     m = np.array([[1, 1, 0], [0, 1, 1]])
     for p in (2, 3, 5):
-        basis = nullspace(m, p)
-        assert basis.shape[1] == 1
+        vectors = nullspace(m, p, 3)
+        assert len(vectors) == 1
+        basis = as_array(vectors, (1, 3)).T
         assert ((m @ basis) % p == 0).all()
 
 
@@ -85,7 +96,7 @@ def test_realize_free_rank_one():
     pres = free_module([(0, 0)], p=2)
     g = realize_grid(pres)
     assert all(d == 1 for d in g.dims.values())
-    assert all(m.tolist() == [[1]] for m in g.maps.values())
+    assert all(m == [[1]] for m in g.maps.values())
 
 
 def test_realize_zero_module():
@@ -245,14 +256,13 @@ def reference_rref(matrix, p):
     return r, pivots
 
 
-# (33, 40) and (40, 33) pass gridoracle._SMALL_CELLS, so rref reduces
-# them on its numpy path and the others on lists of Python ints.
+# (33, 40) and (40, 33) hold more than a thousand cells.
 RREF_SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (3, 9), (9, 3), (6, 6),
                (33, 40), (40, 33))
 
 
-# 11, 181, 46337 and 3037000493 are the largest primes rref works on in
-# int8, int16, int32 and int64; 4294967291 takes Python ints.
+# 11, 181, 46337 and 3037000493 are the largest primes whose products
+# (p-1)^2 + p fit int8, int16, int32 and int64; 4294967291 is past them.
 @pytest.mark.parametrize(
     "p", (2, 3, 5, 11, 181, 46337, 65521, 3037000493, 4294967291))
 def test_rref_matches_reference(p):
@@ -273,25 +283,15 @@ def test_rref_matches_reference(p):
         r, pivots = rref(matrix, p)
         want, want_pivots = reference_rref(matrix.tolist(), p)
         assert pivots == want_pivots, (p, matrix.shape)
-        assert r.shape == matrix.shape
-        assert r.tolist() == want
-
-
-def both_paths(monkeypatch, matrix, p):
-    """rref(matrix, p) on lists of Python ints and on numpy arrays."""
-    out = []
-    for cells in (np.asarray(matrix).size, -1):
-        monkeypatch.setattr(gridoracle, "_SMALL_CELLS", cells)
-        out.append(rref(matrix, p))
-    return out
+        assert as_array(r, matrix.shape).tolist() == want
 
 
 @pytest.mark.parametrize(
     "p", (2, 5, 65521, 4294967291, 9223372036854775783))
-def test_rref_paths_agree(monkeypatch, p):
-    # 31 x 33, 32 x 32 and 25 x 41 hold one cell fewer than, exactly and
-    # one more than the threshold, so the default takes both paths.
-    assert gridoracle._SMALL_CELLS == 1024
+def test_rref_paths_agree(p):
+    # Every way into rref gives the reference RREF: int and object arrays
+    # with entries below 0 and at or above p, the same matrices as lists
+    # of Python ints, and bool, float and object arrays.
     rng = random.Random(f"rref-paths:{p}")
     # Entries in [-p, 2p) need Python ints once 2p passes int64.
     dtype = np.int64 if 2 * p <= np.iinfo(np.int64).max else object
@@ -314,27 +314,34 @@ def test_rref_paths_agree(monkeypatch, p):
             low = (3 * half + np.roll(half, 1, axis=0))[: shape[0] - len(half)]
             cases.append(np.vstack([half, low]))
     for matrix in cases:
-        (r1, pivots1), (r2, pivots2) = both_paths(monkeypatch, matrix, p)
-        assert pivots1 == pivots2, (p, matrix.shape)
-        assert r1.dtype == r2.dtype == np.int64
-        assert r1.shape == r2.shape == matrix.shape
-        assert r1.tolist() == r2.tolist()
         want, want_pivots = reference_rref(matrix.tolist(), p)
-        assert (r1.tolist(), pivots1) == (want, want_pivots), matrix.shape
+        for given in (matrix, matrix.tolist()):
+            r, pivots = rref(given, p)
+            assert pivots == want_pivots, (p, matrix.shape)
+            assert as_array(r, matrix.shape).tolist() == want, matrix.shape
     # Inputs that are not integer arrays: bools, floats and Python ints.
     ints = [[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 0, 0, 0]]
     for matrix in (np.array(ints, dtype=bool),
                    np.array(ints, dtype=float) * 3 - 1,
                    np.array([[v * (p + 2) - 1 for v in row] for row in ints],
                             dtype=object)):
-        (r1, pivots1), (r2, pivots2) = both_paths(monkeypatch, matrix, p)
-        assert (pivots1, r1.dtype, r1.tolist()) == (
-            pivots2, r2.dtype, r2.tolist()), matrix.dtype
-        if matrix.dtype == float and gridoracle._rref_dtype(p) is object:
-            continue  # object work keeps floats, which round past 2^53
         want, want_pivots = reference_rref(
             [[int(v) for v in row] for row in matrix.tolist()], p)
-        assert (r1.tolist(), pivots1) == (want, want_pivots), matrix.dtype
+        r, pivots = rref(matrix, p)
+        assert pivots == want_pivots, matrix.dtype
+        assert as_array(r, matrix.shape).tolist() == want, matrix.dtype
+
+
+def test_rref_reads_floats_exactly_at_a_large_prime():
+    # Past 2^53 a float product rounds, so rref reads each entry as an
+    # exact int before it reduces: the float matrix has the RREF of its
+    # integer twin, of rank 3.
+    p = 4294967291
+    floats = np.array([[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1],
+                       [0, 0, 0, 0]], dtype=float) * 3 - 1
+    r, pivots = rref(floats, p)
+    assert pivots == [0, 1, 2]
+    assert (r, pivots) == rref(floats.astype(np.int64), p)
 
 
 # 2^63 - 25 is the largest prime the parser accepts.
@@ -370,19 +377,18 @@ def per_point_realization(matrix, axes):
         for k, j in enumerate(cols):
             for i, v in matrix.columns[j]:
                 dense[rows.index(i), k] = v
-        w, free = (nullspace_with_free(dense.T, p) if rows
-                   else (np.zeros((0, 0), dtype=np.int64), []))
-        dims[point] = w.shape[1]
+        w, free = nullspace_with_free(dense.T, p, len(rows))
+        dims[point] = len(free)
         gen_rows[point] = tuple(rows)
         free_rows[point] = tuple(rows[k] for k in free)
-        functionals[point] = w.T
+        functionals[point] = as_array(w, (len(free), len(rows)))
     for point in itertools.product(*axes):
         for axis, coords in enumerate(axes):
             k = coords.index(point[axis])
             if k + 1 == len(coords):
                 continue
             succ = point[:axis] + (coords[k + 1],) + point[axis + 1:]
-            out = np.zeros((dims[succ], dims[point]), dtype=np.int64)
+            out = np.zeros((dims[succ], dims[point]), dtype=object)
             for c, r in enumerate(free_rows[point]):
                 out[:, c] = functionals[succ][:, gen_rows[succ].index(r)]
             maps[(point, axis)] = out % p
@@ -399,8 +405,7 @@ def assert_realization_matches_per_point(matrix, axes):
     for want, got in ((functionals, g.functionals), (maps, g.maps)):
         assert got.keys() == want.keys()
         for key, w in want.items():
-            assert got[key].shape == w.shape, key
-            assert (got[key] == w).all(), key
+            assert (as_array(got[key], w.shape) == w).all(), key
 
 
 def negative_degree_module(rng, p):
@@ -445,12 +450,10 @@ def test_realize_grid_matches_per_point_reference():
             axes = grid_axes(x, y)
             assert_realization_matches_per_point(x, axes)
             assert_realization_matches_per_point(y, axes)
-    # The slice at the top of the grid holds all of N, here more than
-    # gridoracle._SMALL_CELLS cells, so realize_grid reduces it on rref's
-    # numpy path and the smaller slices on lists of Python ints.
+    # The slice at the top of the grid holds all of N, here more than a
+    # thousand cells.
     for p in (2, 5):
         m = random_module(7, gens=40, rels=40, coord_range=6, p=p).matrix
-        assert m.nrows * m.ncols > gridoracle._SMALL_CELLS
         assert_realization_matches_per_point(m, None)
 
 
@@ -471,9 +474,11 @@ def dense_grid_system(gx, gy):
             total += dx * dy
     blocks, n_eqs = [], 0
     for (point, axis), xmap in gx.maps.items():
-        ymap = gy.maps[(point, axis)]
+        succ = gx.successor(point, axis)
+        xmap = as_array(xmap, (gx.dims[succ], gx.dims[point]))
+        ymap = as_array(gy.maps[(point, axis)],
+                        (gy.dims[succ], gy.dims[point]))
         if xmap.shape[1] and ymap.shape[0]:
-            succ = gx.successor(point, axis)
             blocks.append((point, succ, xmap, ymap, n_eqs))
             n_eqs += xmap.shape[1] * ymap.shape[0]
     a = np.zeros((n_eqs, total), dtype=object)
@@ -499,7 +504,7 @@ def assert_oracle_matches_dense_system(x, y):
     a, layout = dense_grid_system(gx, gy)
     assert result.var_layout == layout
     assert (result.equations, result.variables) == a.shape
-    assert result.dim == nullspace(a, p).shape[1]
+    assert result.dim == len(nullspace(a, p, a.shape[1]))
     assert len(result.vectors) == result.dim
     if result.dim:
         vectors = np.array(result.vectors, dtype=object).T
@@ -533,7 +538,8 @@ def test_validate_squares_rejects_a_perturbed_map():
     # identity, so all squares but those at a perturbed copy are alike.
     g = realize_grid(free_module([(0, 0)]), ((0, 1, 2), (0, 1, 2)))
     _validate_squares(g)
-    g.maps[((1, 1), 0)] = (g.maps[((1, 1), 0)] + 1) % g.p
+    g.maps[((1, 1), 0)] = [[(v + 1) % g.p for v in row]
+                           for row in g.maps[((1, 1), 0)]]
     with pytest.raises(CheckMismatchError, match=r"\(1, 0\)"):
         _validate_squares(g)
 
@@ -552,7 +558,7 @@ def test_realize_grid_rejects_a_corrupted_slice_pair(monkeypatch):
         out = edge_map(p, source, target)
         if source is target and source[0] == 1:
             corrupted.append(source)
-            return 2 * out % p
+            return [[2 * v % p for v in row] for row in out]
         return out
 
     monkeypatch.setattr(gridoracle, "_edge_map", corrupt)

@@ -1,20 +1,21 @@
 """Property test of the oracle's presolved solve against the plain one.
 
-`hom_oracle` hands its system to `_presolved_nullspace` as sparse
-triplets, which substitutes the one- and two-term rows before the dense
-solve; here that solve must span the same nullspace as `nullspace(a, p)`
-on random sparse systems.  Needs hypothesis (the `dev` extra).
+`hom_oracle` hands its system to `_presolved_nullspace` as sparse rows
+of (variable, value) terms, and it substitutes the one- and two-term
+rows before the dense solve; here that solve must span the same
+nullspace as `nullspace(a, p, n)` on random sparse systems.  Needs
+hypothesis and numpy (the `dev` extra).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mphom.gridoracle import _presolved_nullspace, _rref_dtype, nullspace, rank
+from mphom.gridoracle import _presolved_nullspace, nullspace, rank
 
 # Small primes, the largest prime whose products (p-1)^2 fit int64, one
-# whose products need Python ints, and the largest prime the parser
-# accepts, 2^63 - 25.
+# whose products do not, and the largest prime the parser accepts,
+# 2^63 - 25.
 PRIMES = (2, 5, 65521, 3037000493, 4294967291, 9223372036854775783)
 
 
@@ -22,7 +23,7 @@ PRIMES = (2, 5, 65521, 3037000493, 4294967291, 9223372036854775783)
 def _sparse_systems(draw):
     """Systems of zero, one-, two- and many-term rows, plus triangles of
     two-term rows whose closing ratio is drawn freely (so usually
-    inconsistent), as dense arrays in the dtype `rref` works in."""
+    inconsistent), as dense object arrays of Python ints."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(0, 9))
     coef = st.integers(1, p - 1)
@@ -45,7 +46,7 @@ def _sparse_systems(draw):
                     if u != v:
                         rows.append({u: draw(coef), v: draw(coef)})
     order = draw(st.permutations(range(len(rows))))
-    a = np.zeros((len(rows), n), dtype=_rref_dtype(p))
+    a = np.zeros((len(rows), n), dtype=object)
     for i, k in enumerate(order):
         for c, v in rows[k].items():
             a[i, c] = v
@@ -56,11 +57,16 @@ def _sparse_systems(draw):
 @given(_sparse_systems())
 def test_presolved_nullspace_matches_dense_nullspace(system):
     a, p = system
-    rows, cols = np.nonzero(a)  # row by row, columns ascending
-    basis = _presolved_nullspace(rows, cols, a[rows, cols], a.shape, p)
-    dim = nullspace(a, p).shape[1]
-    assert basis.shape == (a.shape[1], dim)
-    assert dim == a.shape[1] - rank(a, p)
-    product = a.astype(object) @ basis.astype(object)
+    n = a.shape[1]
+    lines = [[(c, row[c]) for c in np.flatnonzero(row).tolist()] for row in a]
+    basis = _presolved_nullspace(lines, n, p)
+    # The basis depends on the rows' order, not on the order of the terms
+    # inside a row.
+    assert _presolved_nullspace([line[::-1] for line in lines], n, p) == basis
+    dim = len(nullspace(a, p, n))
+    assert len(basis) == dim
+    assert all(len(x) == n and all(type(v) is int for v in x) for x in basis)
+    assert dim == n - rank(a, p)
+    product = a @ np.array(basis, dtype=object).reshape(dim, n).T
     assert not (product % p).any()
     assert rank(basis, p) == dim

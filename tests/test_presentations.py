@@ -357,14 +357,15 @@ def test_kernel_matches_per_degree_dense_nullspace():
             for kk, j in enumerate(cols_le):
                 for i, v in m.columns[j]:
                     dense[i, kk] = v
-            expected = dense_nullspace(dense, 2).shape[1]
+            expected = len(dense_nullspace(dense, 2, len(cols_le)))
             span_cols = [j for j in range(k.ncols)
                          if all(a <= b for a, b in zip(k.cols[j], pt))]
             sub = np.zeros((m.ncols, len(span_cols)), dtype=np.int64)
             for kk, j in enumerate(span_cols):
                 for i, v in k.columns[j]:
                     sub[i, kk] = v
-            got = len(span_cols) - dense_nullspace(sub, 2).shape[1]
+            got = len(span_cols) - len(
+                dense_nullspace(sub, 2, len(span_cols)))
             assert got == expected, (seed, pt)
 
 
