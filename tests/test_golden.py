@@ -12,6 +12,10 @@
 - `other_d`: `serialize_pmod` of every differential of `free_resolution`
   of both modules, and `write_hom_basis` of the `a-star` and `b-star`
   routes, on a few seeded d=1 and d=3 `random_pair`s;
+- `dual`: `serialize_pmod` of the Matlis duals `dual_x` and `dual_y` of
+  `dual_context` and of every differential of its two resolutions (of
+  the truncated operands), on seeded d=1, 2 and 3 `random_pair`s over
+  GF(2), GF(5) and GF(65521);
 - `primal`: `write_hom_basis` of the four primal routes (`direct`, `a`,
   `mixed`, `b`) on seeded d=2 `random_pair`s of `ladder` size (40 and 60
   generators and relations, `coord_range=1.5n`), over GF(2) and GF(5);
@@ -85,6 +89,16 @@ OTHER_D_PAIRS = [
     (3, 2, 5, 5, 65521),
     (3, 3, 6, 5, 2),
 ]
+
+
+# (d, seed, gens = rels, coord_range) of the seeded pairs of `dual`, each
+# taken at every prime of DUAL_PRIMES.
+DUAL_PAIRS = [
+    (1, 0, 6, 8),
+    (2, 1, 6, 8),
+    (3, 2, 4, 4),
+]
+DUAL_PRIMES = (2, 5, 65521)
 
 
 # (seed, gens = rels, p) of the seeded d=2 pairs of the primal routes.
@@ -176,6 +190,26 @@ def other_d_digests():
     return out
 
 
+def dual_digests():
+    """Digests of `dual_context`'s duals and resolutions."""
+    out = {}
+    for d, seed, size, coord_range in DUAL_PAIRS:
+        for p in DUAL_PRIMES:
+            x, y = random_pair(seed, d=d, gens=size, rels=size,
+                               coord_range=coord_range, p=p)
+            tag = f"d={d} seed={seed} n={size} p={p}"
+            ctx = dual_context(x, y)
+            for name, dual in (("x", ctx.dual_x), ("y", ctx.dual_y)):
+                out[f"{tag} dual {name}"] = _sha(serialize_pmod(dual, d=d))
+            for name, res in (("x", ctx.resolution_x),
+                              ("y", ctx.resolution_y)):
+                for k, diff in enumerate(res.differentials, start=1):
+                    out[f"{tag} truncated {name} d_{k}"] = _sha(
+                        serialize_pmod(Presentation(diff), d=d)
+                    )
+    return out
+
+
 def primal_digests():
     """Digests of the primal routes' bases on `ladder`-sized pairs."""
     out = {}
@@ -263,6 +297,7 @@ def all_digests():
     for alg in ALGORITHM_CHOICES:
         hom.update(hom_digests(alg))
     return {
+        "dual": dual_digests(),
         "hom": hom,
         "modules": module_digests(),
         "other_d": other_d_digests(),
@@ -311,6 +346,11 @@ def test_presentations_match_golden(golden):
 def test_other_d_match_golden(golden):
     got = other_d_digests()
     assert not _mismatches(got, golden["other_d"])
+
+
+def test_dual_contexts_match_golden(golden):
+    got = dual_digests()
+    assert not _mismatches(got, golden["dual"])
 
 
 def test_primal_bases_match_golden(golden):
