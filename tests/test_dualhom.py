@@ -3,8 +3,10 @@
 import pytest
 
 from mphom import (
+    CheckMismatchError,
     EmptyPresentationError,
     FieldMismatchError,
+    GradedMatrix,
     MphomError,
     Presentation,
     PrimeField,
@@ -20,6 +22,7 @@ from mphom import (
     truncation_bound,
     validate_grading,
 )
+from mphom import dualhom
 from mphom.generators import random_module, random_pair
 
 from conftest import zero_module
@@ -42,6 +45,22 @@ def test_dual_dims_match_primal_after_shared_truncation():
         assert hom_restricted_dual(x, y, context=ctx).dim == primal_a, seed
         assert hom_exact_dual(x, y, context=ctx).dim == primal_b, seed
         assert primal_a == primal_b
+
+
+def test_dual_context_checks_the_transpose_inverts(monkeypatch):
+    """`dual_context` transposes each dual back and compares it with the
+    last stage; a transpose that loses a column fails that check."""
+    x, y = random_pair(1, gens=4, rels=4, coord_range=5, p=5)
+    real = dualhom.matlis_transpose_shift
+
+    def lossy(m):
+        t = real(m)
+        return GradedMatrix._trusted(t.field, t.rows, t.cols[:-1],
+                                     t.columns[:-1])
+
+    monkeypatch.setattr(dualhom, "matlis_transpose_shift", lossy)
+    with pytest.raises(CheckMismatchError, match="does not invert"):
+        dual_context(x, y)
 
 
 def test_dual_on_running_example(fig_pair):

@@ -330,19 +330,16 @@ def test_hom_module_shift_consistency(fig_pair):
         assert hilbert_at(h, alpha) == hom_direct(x, ys).dim, alpha
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_hom_module_hilbert_is_dim_hom_into_shifted_targets(seed):
-    """hilbert_at(Hom(X, Y), a) = dim Hom(X, Y[a]) at twelve degrees a on
-    seeded d=2, n=20 GF(2) pairs: six points of the presentation's grid
-    and six with one coordinate on no axis of it, below, between or above
-    the axis values."""
-    x, y = random_pair(seed, d=2, gens=20, rels=20, coord_range=30, p=2)
+def _check_hom_module_hilbert(x, y, tag):
+    """hilbert_at(Hom(X, Y), a) = dim Hom(X, Y[a]) at twelve degrees a:
+    six points of the presentation's grid and six with one coordinate on
+    no axis of it, below, between or above the axis values."""
     h = hom_module_presentation(x, y)
     cache = CokernelCache(h.matrix)
     axes = evaluation_grid(h)
     gaps = [[c for c in range(axis[0] - 8, axis[-1] + 9) if c not in axis]
             for axis in axes]
-    rng = random.Random(f"hom-module-hilbert:{seed}")
+    rng = random.Random(f"hom-module-hilbert:{tag}")
     on = [tuple(rng.choice(axis) for axis in axes) for _ in range(6)]
     off = []
     for _ in range(3):
@@ -362,6 +359,20 @@ def test_hom_module_hilbert_is_dim_hom_into_shifted_targets(seed):
         values[a] = want
     assert len(set(values.values())) > 2
     assert any(values[a] for a in off)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hom_module_hilbert_is_dim_hom_into_shifted_targets(seed):
+    """The Hilbert check on seeded d=2, n=20 GF(2) pairs."""
+    x, y = random_pair(seed, d=2, gens=20, rels=20, coord_range=30, p=2)
+    _check_hom_module_hilbert(x, y, seed)
+
+
+def test_hom_module_hilbert_over_an_odd_prime():
+    """The Hilbert check on a seeded d=2, n=10 GF(5) pair: `kernel` and
+    `minimize` run their line sweeps in the sorted column form."""
+    x, y = random_pair(3, d=2, gens=10, rels=10, coord_range=15, p=5)
+    _check_hom_module_hilbert(x, y, "gf5")
 
 
 def test_hom_module_of_endomorphisms_contains_identity(fig_pair):

@@ -33,9 +33,10 @@ from mphom import (
     truncation_bound,
     validate_grading,
 )
-from mphom import dual_context, homspace, presentations
+from mphom import dual_context, graded, homspace, presentations
 from mphom.generators import random_module, random_pair
 from mphom.graded import _axpy
+from mphom.presentations import Resolution
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points, local_cokernel
@@ -808,6 +809,96 @@ def test_free_resolution_exact_on_oracle_grid():
             assert ker_dim == im_dim, (seed, pt)
 
 
+PRIMES = (2, 5, 65521)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_free_resolution_rejects_a_non_injective_stage_at_d1(p):
+    """Two equal relations at one degree, flagged minimal: d_1 is not
+    injective, and at d = 1 it must be the last stage."""
+    m = GradedMatrix(PrimeField(p), [(0,)], [(1,), (1,)],
+                     [((0, 1),), ((0, 1),)])
+    with pytest.raises(GradingError,
+                       match="does not terminate at the syzygy bound 1"):
+        free_resolution(Presentation(m, minimal=True))
+
+
+def _repeat_last_generator(monkeypatch):
+    """Make `presentations.kernel` repeat its last generator, so the
+    stage it gives is not injective."""
+    real = presentations.kernel
+
+    def repeating(matrix):
+        k = real(matrix)
+        if not k.ncols:
+            return k
+        return GradedMatrix._trusted(k.field, k.rows, k.cols + k.cols[-1:],
+                                     k.columns + k.columns[-1:])
+
+    monkeypatch.setattr(presentations, "kernel", repeating)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("d", (2, 3))
+def test_free_resolution_rejects_a_non_injective_last_stage(
+        monkeypatch, d, p):
+    """A resolution whose stage d is not injective does not terminate at
+    the syzygy bound d.  The module is truncated, so bounded, and its
+    resolution has all d stages."""
+    pres = random_module(0, d=d, gens=5, rels=6, coord_range=4, p=p)
+    pres = truncate(pres, truncation_bound(pres))
+    assert free_resolution(pres).length == d
+    _repeat_last_generator(monkeypatch)
+    with pytest.raises(GradingError,
+                       match=f"does not terminate at the syzygy bound {d}"):
+        free_resolution(pres)
+
+
+def _stage_pair(p, second):
+    """d_1 with two columns equal to one generator, and d_2 with the
+    given columns over them, at one degree each."""
+    fld = PrimeField(p)
+    d1 = GradedMatrix(fld, [(0, 0)], [(1, 0), (0, 1)],
+                      [((0, 1),), ((0, 1),)])
+    d2 = GradedMatrix(fld, d1.cols, [(1, 1)] * len(second), second)
+    return d1, d2
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_resolution_rejects_a_nonzero_product(p):
+    """d_1 d_2 = 0 is checked on every column of d_2, with the field's
+    arithmetic: 1 + (p - 1) cancels at every prime, 1 alone does not."""
+    d1, d2 = _stage_pair(p, [((0, 1), (1, p - 1))])
+    assert Resolution((d1, d2)).length == 2
+    d1, d2 = _stage_pair(p, [((0, 1), (1, p - 1)), ((1, 1),)])
+    with pytest.raises(GradingError, match=r"d_1 \* d_2 != 0"):
+        Resolution((d1, d2))
+    if p != 2:
+        d1, d2 = _stage_pair(p, [((0, 1), (1, 1))])
+        with pytest.raises(GradingError, match=r"d_1 \* d_2 != 0"):
+            Resolution((d1, d2))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_independence_sweep_matches_the_kernel(d, p):
+    """A stage is injective exactly when its columns, read as plain
+    vectors, are independent: one non-recording sweep keeps every column
+    exactly when `kernel` finds no generator."""
+    form = graded._column_form(PrimeField(p))
+    outcomes = set()
+    for seed in range(4):
+        pres = random_module(seed, d=d, gens=5, rels=6, coord_range=4, p=p)
+        bounded = truncate(pres, truncation_bound(pres))
+        for m in (pres.matrix, *free_resolution(pres).differentials,
+                  *free_resolution(bounded).differentials,
+                  _random_graded(seed, 4, 7, 4, p, d=d)):
+            injective = len(form.sweep(map(form.pack, m.columns))) == m.ncols
+            assert injective == (kernel(m).ncols == 0), (seed, m)
+            outcomes.add(injective)
+    assert outcomes == {True, False}
+
+
 def test_truncate_free_module_forced_columns():
     fld = PrimeField(2)
     free = Presentation(GradedMatrix(fld, [(0, 0)], [], []), minimal=True)
@@ -820,6 +911,18 @@ def test_truncate_requires_dominating_bound():
     _, blue = red_blue()
     with pytest.raises(GradingError):
         truncate(blue, (3, 3))
+
+
+def test_truncate_rejects_a_bound_of_the_wrong_arity():
+    _, blue = red_blue()
+    with pytest.raises(DimensionMismatchError):
+        truncate(blue, (9, 9, 9))
+
+
+def test_truncate_rejects_a_bound_out_of_range():
+    _, blue = red_blue()
+    with pytest.raises(DegreeOverflowError):
+        truncate(blue, (1 << 62, 9))
 
 
 def test_truncate_preserves_hom_dimension():
