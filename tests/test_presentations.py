@@ -913,10 +913,11 @@ def test_truncate_requires_dominating_bound():
         truncate(blue, (3, 3))
 
 
-def test_truncate_rejects_a_bound_of_the_wrong_arity():
+@pytest.mark.parametrize("omega", [(9,), (9, 9, 9)])
+def test_truncate_rejects_a_bound_of_the_wrong_arity(omega):
     _, blue = red_blue()
     with pytest.raises(DimensionMismatchError):
-        truncate(blue, (9, 9, 9))
+        truncate(blue, omega)
 
 
 def test_truncate_rejects_a_bound_out_of_range():
