@@ -8,6 +8,15 @@ resolution, transposed with degrees negated and shifted by the all-ones
 vector.  Both operands are truncated at a shared bound first so that the
 duality applies; truncation does not change the Hom space.
 
+`dual_context` builds that scaffolding once per pair: `truncate` widens
+each operand by one unit relation per generator and axis and minimizes
+it, `free_resolution` computes kernels up to the syzygy bound and ends
+with one independence sweep over the last stage's columns (a bounded
+module's resolution has all d stages, so no last kernel is computed only
+to be found empty), `Resolution` checks d_k d_{k+1} = 0 column by column
+in the field's column form, and `matlis_transpose_shift` is applied once
+more to each dual to check that it inverts to the last stage.
+
 The returned matrices are coordinatised in the cogenerators of X and Y
 (bases of the injective envelopes), never converted back to generator
 coordinates; the `coords` tag on the result makes this explicit.

@@ -790,6 +790,14 @@ class _PackedColumns:
         return bits << k
 
     @staticmethod
+    def combine(columns, column):
+        acc = 0
+        for k, v in column:
+            if v & 1:
+                acc ^= columns[k]
+        return acc
+
+    @staticmethod
     def sweep(columns):
         return _gf2_sweep(columns)[0]
 
@@ -849,6 +857,13 @@ class _SortedColumns:
         p = self.field.p
         return tuple([(i, x) for i, v in column if (x := c * v % p)])
 
+    def combine(self, columns, column):
+        p = self.field.p
+        acc = ()
+        for k, v in column:
+            acc = _axpy(acc, columns[k], v, p)
+        return acc
+
     def sweep(self, columns):
         span = column_reduce(columns, self.field)
         return {e.source: e.column for e in span.reduced}
@@ -894,6 +909,8 @@ def _column_form(fld):
     * `shift(column, k)`, rows raised by k; `scaled(column, c)`, times c
       in [0, p); `join(a, b)`, the sum of columns whose rows lie in
       disjoint blocks, those of `a` first; `size(column)`, its nonzeros;
+      `combine(columns, column)`, the sum of v * columns[k] over the
+      (k, v) pairs of a sparse column, zero (falsy) when they cancel;
     * `sweep(columns)`, a left-to-right reduction with lowest-row
       pivots, as {index of each kept column: its residual};
       `nullspace(columns, sources)`, the same sweep recording column j

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import le
+from operator import itemgetter, le
 
 from .errors import (
     DegreeOverflowError,
     DimensionMismatchError,
     EmptyPresentationError,
+    FieldMismatchError,
     GradingError,
     ResourceCapError,
 )
@@ -46,15 +47,12 @@ from .graded import (
     GradedMatrix,
     _axpy,
     _check_arity,
+    _column_form,
     _line_chains,
     _pairs,
     _transpose,
     column_reduce,
-    deg_add,
     deg_join,
-    deg_leq,
-    deg_neg,
-    matmul,
 )
 from .localalg import local_cokernel
 
@@ -119,18 +117,24 @@ def _line_sweep(lines, heads, columns, fld, record=False):
     chains = {}
     for line in lines:
         chains.setdefault(line[:-1], []).append(line)
-    by_last = sorted(ranks_of, key=lambda h: h[-1:])
+    # (last coordinate, the rest, ranks) of each distinct head, by the
+    # last coordinate.
+    groups = sorted([(h[-1:], h[:-1], ranks) for h, ranks in ranks_of.items()],
+                    key=itemgetter(0))
     for key in sorted(chains, key=_degree_sort_key):
-        below = [h for h in by_last if all(map(le, h[:-1], key))]
+        below = [(last, ranks) for last, rest, ranks in groups
+                 if all(map(le, rest, key))]
         chain = new_chain()
-        nxt = 0
+        activate, settle = chain.activate, chain.settle
+        nxt, end = 0, len(below)
         for line in chains[key]:
+            top = line[-1:]
             start = nxt
-            while nxt < len(below) and below[nxt][-1:] <= line[-1:]:
-                chain.activate(ranks_of[below[nxt]])
+            while nxt < end and below[nxt][0] <= top:
+                activate(below[nxt][1])
                 nxt += 1
             if nxt > start:
-                yield line, chain.settle()
+                yield line, settle()
 
 
 def _irredundant(degrees, columns, fld):
@@ -375,19 +379,30 @@ def kernel(matrix):
 
 @dataclass(frozen=True)
 class Resolution:
-    """A chain of graded matrices d_1, d_2, ... with d_k d_{k+1} = 0."""
+    """A chain of graded matrices d_1, d_2, ... with d_k d_{k+1} = 0.
+
+    The composite is checked column by column without building it: each
+    column of d_{k+1} is combined from the columns of d_k in the field's
+    `_column_form` (packed ints XORed over GF(2), sparse columns added by
+    `_axpy` at every other prime), and the first nonzero one raises
+    GradingError.
+    """
 
     differentials: tuple
 
     def __post_init__(self):
         diffs = self.differentials
         for k in range(len(diffs) - 1):
-            if diffs[k].cols != diffs[k + 1].rows:
+            a, b = diffs[k], diffs[k + 1]
+            if a.cols != b.rows:
                 raise DimensionMismatchError(
                     f"stage {k + 1}: rows of d_{k + 2} differ from cols of d_{k + 1}"
                 )
-            product = matmul(diffs[k], diffs[k + 1])
-            if product.nnz():
+            if a.field != b.field:
+                raise FieldMismatchError("matrix product over different fields")
+            form = _column_form(a.field)
+            packed = [form.pack(col) for col in a.columns]
+            if any(form.combine(packed, col) for col in b.columns):
                 raise GradingError(f"d_{k + 1} * d_{k + 2} != 0")
 
     @property
@@ -403,21 +418,38 @@ def free_resolution(presentation):
     """Minimal free resolution d_1 = M, d_{k+1} = kernel(d_k).
 
     Stops when a kernel vanishes.  For minimal inputs the Hilbert syzygy
-    theorem bounds the number of differentials by max(d, 1); a resolution
-    that would grow past it raises GradingError.
+    theorem bounds the number of differentials by max(d, 1), so no kernel
+    is computed past that many: the last differential must instead be
+    injective, which one non-recording sweep over its columns in the
+    field's `_column_form` tests; a zeroed column raises GradingError.
+
+    That is the same test as an empty kernel.  Write the last
+    differential as f: F -> G, F the sum of the A[-a_j], and let omega be
+    the join of the a_j.  At omega and above every summand of F is
+    one-dimensional, so f is there the plain matrix of its columns.  The
+    structure maps of the free modules F and G are injective, and f
+    commutes with them, so an x in F_alpha with f(x) = 0 maps to a
+    nonzero element of F at the join of alpha and omega, when x is
+    nonzero, that f also sends to zero.  So f is injective at every
+    degree exactly when it is at omega, that is, when its columns, read
+    as plain vectors, are linearly independent; this holds at every d
+    and every prime.
     """
     pres = presentation if presentation.minimal else minimize(presentation)
     d = pres.matrix.dim
     diffs = [pres.matrix]
-    while True:
+    while len(diffs) < max(d, 1):
         nxt = kernel(diffs[-1])
         if nxt.ncols == 0:
             break
-        if len(diffs) >= max(d, 1):
+        diffs.append(nxt)
+    else:
+        last = diffs[-1]
+        form = _column_form(last.field)
+        if len(form.sweep(map(form.pack, last.columns))) < last.ncols:
             raise GradingError(
                 f"resolution does not terminate at the syzygy bound {d}"
             )
-        diffs.append(nxt)
     return Resolution(tuple(diffs))
 
 
@@ -442,29 +474,34 @@ def truncate(presentation, omega):
 
     Adds, for each generator g and each axis i, a relation killing g at
     the degree obtained from deg(g) by replacing coordinate i with
-    omega_i; the result is minimized.  Requires omega to dominate every
-    degree of the presentation.
+    omega_i; the result is minimized.  Requires omega to have the
+    presentation's arity (DimensionMismatchError) and to dominate each of
+    its degrees (GradingError).  The widened matrix shares the input's
+    tuples and is not validated again: a new relation has one unit entry
+    at its generator, and its degree, omega on one axis and the
+    generator's degree on the others, lies above that generator's.
+    `minimize` checks every column degree once, so a coordinate of omega
+    out of range still raises DegreeOverflowError.
     """
     matrix = presentation.matrix
     omega = tuple(omega)
-    if matrix.dim and len(omega) != matrix.dim:
+    degrees = dict.fromkeys(matrix.rows + matrix.cols)
+    if degrees and len(omega) != matrix.dim:
         raise DimensionMismatchError("truncation bound has wrong arity")
-    for deg in matrix.rows + matrix.cols:
-        if not deg_leq(deg, omega):
+    for deg in degrees:
+        if not all(map(le, deg, omega)):
             raise GradingError(
                 f"truncation bound {omega} does not dominate degree {deg}"
             )
     cols = list(matrix.cols)
-    columns = [list(c) for c in matrix.columns]
+    columns = list(matrix.columns)
     for g, gdeg in enumerate(matrix.rows):
-        for axis in range(len(omega)):
-            rho = tuple(
-                omega[axis] if k == axis else gdeg[k]
-                for k in range(len(omega))
-            )
-            cols.append(rho)
-            columns.append([(g, 1)])
-    widened = GradedMatrix(matrix.field, matrix.rows, cols, columns)
+        unit = ((g, 1),)
+        for axis, bound in enumerate(omega):
+            cols.append(gdeg[:axis] + (bound,) + gdeg[axis + 1:])
+            columns.append(unit)
+    widened = GradedMatrix._trusted(matrix.field, matrix.rows, tuple(cols),
+                                    tuple(columns))
     return minimize(
         Presentation(widened, minimal=False, label=presentation.label)
     )
@@ -478,14 +515,20 @@ def matlis_transpose_shift(matrix):
     resolution into a presentation of the Matlis dual.  The transpose of
     a valid matrix is valid (entries keep their values, columns come out
     sorted, and negating reverses the order), so the result is built
-    with `GradedMatrix._trusted`; `deg_add` still raises
-    DegreeOverflowError for a shifted degree out of range.
+    with `GradedMatrix._trusted`.  Each distinct degree is negated and
+    shifted once, and a shifted degree out of range raises
+    DegreeOverflowError.
     """
-    ones = (1,) * matrix.dim if matrix.dim else ()
+    shifted = dict.fromkeys(matrix.rows + matrix.cols)
+    for deg in shifted:
+        out = tuple([1 - c for c in deg])
+        if out and max(max(out), -min(out)) >= _COORD_LIMIT:
+            raise DegreeOverflowError(f"shift {out} exceeds coordinate bounds")
+        shifted[deg] = out
     return GradedMatrix._trusted(
         matrix.field,
-        tuple([deg_add(deg_neg(c), ones) for c in matrix.cols]),
-        tuple([deg_add(deg_neg(r), ones) for r in matrix.rows]),
+        tuple(map(shifted.__getitem__, matrix.cols)),
+        tuple(map(shifted.__getitem__, matrix.rows)),
         tuple(_transpose(matrix.columns, matrix.nrows)),
     )
 

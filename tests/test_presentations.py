@@ -36,10 +36,10 @@ from mphom import (
 from mphom import dual_context, graded, homspace, presentations
 from mphom.generators import random_module, random_pair
 from mphom.graded import _axpy
-from mphom.presentations import Resolution
 from mphom.gridoracle import nullspace as dense_nullspace
 from mphom.gridoracle import rank as dense_rank
 from mphom.localalg import evaluation_grid, grid_points, local_cokernel
+from mphom.presentations import Resolution
 
 import numpy as np
 
