@@ -22,6 +22,7 @@ from .errors import (
     GradingParseError,
     HeaderError,
     MphomError,
+    NonMinimalPresentationError,
     ParseError,
     ResourceCapError,
     SizeArgumentError,

@@ -26,6 +26,11 @@ class EmptyPresentationError(MphomError, ValueError):
     generator and no relation), so there is no bound to take."""
 
 
+class NonMinimalPresentationError(MphomError, ValueError):
+    """A Hom route or `hom_module_presentation` got a presentation that
+    is not marked minimal; `minimize` gives one that is."""
+
+
 class FieldMismatchError(MphomError):
     """Two objects over different prime fields were combined."""
 

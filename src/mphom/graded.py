@@ -16,13 +16,14 @@ a column is one int whose bit r is row r (`_pack`), swept by
 `_gf2_sweep`, the one packed sweep, with pivots read off
 `bit_length()`; over every other prime it is a tuple of (row, value)
 pairs by increasing row, swept by `ColumnSpan`.  The primal systems and
-solves of `homspace` and the slices of N in `localalg` are written once
-over the form's operations (pack, shift, scale, join, sweep, nullspace,
-forward substitution), so each takes one code path at every prime.
-`ColumnSpan` also serves the audit's membership test and echelon forms
-over every prime; each reduced column stores its pivot's inverse, and
-every step is the scaled sparse merge `_axpy`.  `_pairs` unpacks a
-column or combination of either form into (index, value) pairs.
+solves of `homspace`, its audit and the slices of N in `localalg` are
+written once over the form's operations (pack, shift, scale, join,
+sweep, nullspace, forward substitution, failures), so each takes one
+code path at every prime; the audit's `failures` bit-slices a whole
+basis over GF(2).  `ColumnSpan` also serves the echelon forms over
+every prime; each reduced column stores its pivot's inverse, and every
+step is the scaled sparse merge `_axpy`.  `_pairs` unpacks a column or
+combination of either form into (index, value) pairs.
 
 The chains, `_Gf2Chain` on packed ints and `_FieldChain` on sparse
 lists, carry one reduction along a chain of lines for the line sweeps
@@ -99,7 +100,9 @@ def deg_neg(alpha):
 # which covers every n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The oracle slices fields into int64 arrays, so p must stay below 2^63.
+# A supported range, not a limit of the arithmetic, which is exact on
+# Python ints at any p: every coefficient below 2^63 fits a signed
+# 64-bit int, and the tests run up to 2^63 - 25, the largest prime there.
 MAX_CHARACTERISTIC = 1 << 63
 
 
@@ -131,9 +134,9 @@ class PrimeField:
     """GF(p) with values stored as plain ints in [0, p).
 
     p is validated at construction to be a prime below 2^63
-    (`MAX_CHARACTERISTIC`); inverses are computed by Fermat and cached for
-    small p.  The field's column form (`_column_form`) is kept on first
-    use.
+    (`MAX_CHARACTERISTIC`), so every coefficient fits a signed 64-bit
+    int; inverses are computed by Fermat and cached for small p.  The
+    field's column form (`_column_form`) is kept on first use.
     """
 
     __slots__ = ("p", "_inv", "_form")
@@ -144,7 +147,7 @@ class PrimeField:
         if p >= MAX_CHARACTERISTIC:
             raise ValueError(
                 f"field characteristic {p} is not below 2^63, the largest "
-                "the int64 grid slices hold"
+                "supported: every coefficient fits a signed 64-bit int"
             )
         self.p = p
         if p <= 257:
@@ -831,6 +834,52 @@ class _PackedColumns:
     def chain():
         return _Gf2Chain
 
+    @staticmethod
+    def failures(elements, m, span_of):
+        """A bit-sliced batch: `sliced[g][g']` has bit e set when element
+        e holds an odd value at (g', g), so column r of every product at
+        once is the XOR of `sliced[g]` over the odd M_{g,r}, one int of
+        elements per row g'.  It is reduced against the packed pivots of
+        `span_of(deg r)`, highest row first; the elements left on a row
+        that is no pivot fail.  Zero products are not reduced."""
+        sliced = {}
+        for e, q in enumerate(elements):
+            bit = 1 << e
+            columns = q.columns
+            for g in compress(range(len(columns)), columns):
+                rows = sliced.setdefault(g, {})
+                for gp, v in columns[g]:
+                    if v & 1:
+                        rows[gp] = rows.get(gp, 0) | bit
+        failing = 0
+        for r, mcol in enumerate(m.columns):
+            rows, touched = {}, 0
+            for g, mv in mcol:
+                if mv & 1 and g in sliced:
+                    for gp, bits in sliced[g].items():
+                        rows[gp] = rows.get(gp, 0) ^ bits
+                        touched |= 1 << gp
+            pivots = None
+            while touched:
+                i = touched.bit_length() - 1
+                touched ^= 1 << i
+                bits = rows[i]
+                if not bits:
+                    continue
+                if pivots is None:
+                    pivots = span_of(m.cols[r])
+                residual = pivots.get(i)
+                if residual is None:
+                    failing |= bits
+                    continue
+                rest = residual ^ 1 << i
+                touched |= rest
+                while rest:
+                    j = rest.bit_length() - 1
+                    rest ^= 1 << j
+                    rows[j] = rows.get(j, 0) ^ bits
+        return failing
+
 
 class _SortedColumns:
     """The column form over any prime: a column is a tuple of (row,
@@ -895,6 +944,26 @@ class _SortedColumns:
     def chain():
         return _FieldChain
 
+    def failures(self, elements, m, span_of):
+        """Per element, each nonzero column g of Q is added, times
+        M_{g,r}, into column r of Q M for each relation r of g, and the
+        nonzero products are tested by increasing r against the
+        `ColumnSpan` `span_of(deg r)` until one fails."""
+        p = self.field.p
+        rels_of = _transpose(m.columns, m.nrows)
+        failing = 0
+        for e, q in enumerate(elements):
+            columns, products = q.columns, {}
+            for g in compress(range(len(rels_of)), columns):
+                for r, mv in rels_of[g]:
+                    products[r] = _axpy(products.get(r, ()), columns[g], mv, p)
+            for r in sorted(products):
+                product = products[r]
+                if product and not span_of(m.cols[r]).contains(product):
+                    failing |= 1 << e
+                    break
+        return failing
+
 
 _PACKED_COLUMNS = _PackedColumns()
 
@@ -923,6 +992,9 @@ def _column_form(fld):
       `substitute(record, columns)`, the column forward substitution
       gives a pivot row: -1/lead times the sum of v * columns[i] over
       the other entries (i, v) of its residual;
+    * `failures(elements, m, span_of)`, the audit: a mask, bit e set when
+      a column r of `elements[e]` times `m` leaves `span_of(deg r)`, the
+      form's span of N's slice there, stored values read mod p;
     * `chain()`, the `_Chain` type of the line sweeps.
 
     The form is picked on the field's first call and kept on it.

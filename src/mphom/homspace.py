@@ -60,16 +60,11 @@ over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
 element must respect the grading (`validate_grading`) and be a
-homomorphism, at a cost of the basis's stored entries plus the relations
-of X, not dim Hom times the generators of X.  Over GF(2) the whole basis
-is one bit-sliced batch (`_gf2_failures`): one int per Q entry, bit e for
-element e, so the products Q M of all elements at one relation are XORs
-of those ints, reduced together against the packed pivots of the slice
-there; the public `verify_hom` runs the batch on [Q].  Over every other
-prime each element goes through `verify_hom`, which forms Q M only in the
-relations that Q's nonzero columns reach and tests each nonzero product
-with the slice's `ColumnSpan`.  Zero products pass without being reduced,
-so the audit is exactly as strong as checking every relation.  Each route
+homomorphism, by one call of the column form's `failures` on the whole
+basis, which over GF(2) bit-slices it (one int per Q entry, bit e for
+element e); the public `verify_hom` is that call on [Q].  Only the
+relations a Q reaches are formed, and zero products pass unreduced, so
+the audit is exactly as strong as checking every relation.  Each route
 hands its audit the `CokernelCache` of N it built, so a slice of N is
 reduced once per route whether the masks, the cokernel columns or the
 audit asks for it first.
@@ -81,10 +76,15 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, FieldMismatchError, GradingError
+from .errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    GradingError,
+    NonMinimalPresentationError,
+    UnsortedRowsError,
+)
 from .graded import (
     GradedMatrix,
-    _axpy,
     _column_form,
     _pairs,
     _transpose,
@@ -138,7 +138,7 @@ def _require_minimal(pres, name):
     if not isinstance(pres, Presentation):
         raise TypeError(f"{name} must be a Presentation")
     if not pres.minimal:
-        raise ValueError(
+        raise NonMinimalPresentationError(
             f"{name} must be a minimal presentation; call minimize() first"
         )
 
@@ -364,23 +364,6 @@ def homotopy_reduce(qs, yp):
     )
 
 
-class _AuditCache:
-    """What the `verify_hom` calls of one audit share.
-
-    `rels_of` is the transpose of M: `rels_of[g]` lists the relations
-    (r, M_{g,r}) that generator g of X appears in, by increasing r.
-    `cokernels` is a `CokernelCache` of N, whose local cokernel at a
-    relation degree holds the column span of N at that degree in N's own
-    row numbering.
-    """
-
-    __slots__ = ("rels_of", "cokernels")
-
-    def __init__(self, m, cokernels):
-        self.rels_of = _transpose(m.columns, m.nrows)
-        self.cokernels = cokernels
-
-
 def _check_q(q, m, n):
     """Raise unless Q maps the generators of coker M to those of coker N
     over their field."""
@@ -394,58 +377,10 @@ def _check_q(q, m, n):
         )
 
 
-def _gf2_failures(elements, m, at):
-    """Over GF(2), the elements whose Q M leaves the span of N, as a mask
-    with bit e for `elements[e]`.
-
-    The elements are bit-sliced: `sliced[g][g']` has bit e set when
-    element e holds an odd value at (g', g).  Column r of every product
-    at once is then the XOR of `sliced[g]` over the odd M_{g,r}, one int
-    of elements per row g'.  It is reduced against the packed pivots of
-    the slice of N at deg r (`at(deg r).span`), highest row first: a
-    pivot row's elements are XORed into the other rows of its residual,
-    and the elements left on a row that is no pivot are the failing ones,
-    exactly those the per-element reduction by `^` rejects.  Zero
-    products are not reduced; the cost is the stored entries of the
-    elements and of M, plus the rows each product reaches.
-    """
-    sliced = {}
-    for e, q in enumerate(elements):
-        bit = 1 << e
-        columns = q.columns
-        for g in itertools.compress(range(len(columns)), columns):
-            rows = sliced.setdefault(g, {})
-            for gp, v in columns[g]:
-                if v & 1:
-                    rows[gp] = rows.get(gp, 0) | bit
-    failing = 0
-    for r, mcol in enumerate(m.columns):
-        rows, touched = {}, 0
-        for g, mv in mcol:
-            if mv & 1 and g in sliced:
-                for gp, bits in sliced[g].items():
-                    rows[gp] = rows.get(gp, 0) ^ bits
-                    touched |= 1 << gp
-        pivots = None
-        while touched:
-            i = touched.bit_length() - 1
-            touched ^= 1 << i
-            bits = rows[i]
-            if not bits:
-                continue
-            if pivots is None:
-                pivots = at(m.cols[r]).span
-            residual = pivots.get(i)
-            if residual is None:
-                failing |= bits
-                continue
-            rest = residual ^ 1 << i
-            touched |= rest
-            while rest:
-                j = rest.bit_length() - 1
-                rest ^= 1 << j
-                rows[j] = rows.get(j, 0) ^ bits
-    return failing
+def _failures(elements, m, cokernels):
+    """The column form's `failures` over `cokernels`, N's CokernelCache."""
+    return _column_form(m.field).failures(
+        elements, m, lambda alpha: cokernels.at(alpha).span)
 
 
 def verify_hom(q, xp, yp, cache=None):
@@ -454,74 +389,46 @@ def verify_hom(q, xp, yp, cache=None):
     True iff every column of Q M lies in the column span of N at the
     corresponding relation degree (so that some P with Q M = N P exists).
 
-    Only the relations that Q reaches are formed.  Over GF(2) Q is the
-    one element of the audit's bit-sliced batch (`_gf2_failures`), its
-    stored values read mod 2.  Over every other prime each nonzero column
-    g of Q is added, scaled by M_{g,r}, into column r of Q M for every
-    relation r that g appears in, over increasing g, and each nonzero
-    product is tested against the slice's `ColumnSpan`.  Zero products
-    pass without being reduced; nonzero ones are reduced against the span
-    of N at their relation degree, which `cache` shares across the calls
-    of one audit.  Raises FieldMismatchError unless Q, X and Y share one
-    field, and DimensionMismatchError unless Q has the generator degrees
-    of Y as rows and those of X as columns.
+    The column form's `failures` on [Q], its stored values read mod p,
+    against the spans of `cache`, a `CokernelCache` of N that calls may
+    share (a fresh one when None).  Raises FieldMismatchError unless Q,
+    X and Y share one field, DimensionMismatchError unless Q has the
+    generator degrees of Y as rows and those of X as columns, and
+    UnsortedRowsError, at every prime, for a column of Q whose rows do
+    not strictly increase.
     """
     m = _matrix_of(xp)
     n = _matrix_of(yp)
     _check_q(q, m, n)
-    audit = cache if cache is not None else _AuditCache(m, CokernelCache(n))
-    at = audit.cokernels.at
-    p = n.field.p
-    if p == 2:
-        return not _gf2_failures((q,), m, at)
-    rels_of, columns = audit.rels_of, q.columns
-    products = {}
-    for g in itertools.compress(range(len(columns)), columns):
-        for r, mv in rels_of[g]:
-            products[r] = _axpy(products.get(r, ()), columns[g], mv, p)
-    for r in sorted(products):
-        product = products[r]
-        if product and not at(m.cols[r]).span.contains(product):
-            return False
-    return True
+    for j, col in enumerate(q.columns):
+        if any(a >= b for (a, _), (b, _) in zip(col, col[1:])):
+            raise UnsortedRowsError(
+                f"Q column {j}: rows not strictly increasing")
+    if cache is None:
+        cache = CokernelCache(n)
+    return not _failures((q,), m, cache)
 
 
 def _audit(basis_elements, xp, yp, algorithm, cokernels):
     """Check every returned element: graded, and a homomorphism.
 
-    Over GF(2) the elements are checked together, by one bit-sliced
-    batch per relation (`_gf2_failures`), and the field and shape check
-    (`_check_q`) runs again only on an element whose field, rows or
-    columns are other objects than those last checked.  Over every other
-    prime each goes through `verify_hom`, the elements sharing one
-    `_AuditCache`, so the generator-to-relation index is built once per
-    call.  Either way each slice of N is reduced at most once per route,
-    in `cokernels`, the route's `CokernelCache` of N.
+    One `failures` call masks the failing elements, over `cokernels`,
+    the route's `CokernelCache` of N.  `_check_q` runs again only on an
+    element whose field, rows or columns are other objects than those
+    last checked; row order is not checked, as `_q_matrix` sorts it.
     """
-    m = xp.matrix
-    if m.field.p == 2:
-        n = yp.matrix
-        failing = _gf2_failures(basis_elements, m, cokernels.at)
-        checked = None, None, None
-
-        def homomorphism(e, q):
-            nonlocal checked
-            field, rows, cols = checked
-            if q.field is not field or q.rows is not rows or q.cols is not cols:
-                _check_q(q, m, n)
-                checked = q.field, q.rows, q.cols
-            return not failing >> e & 1
-    else:
-        cache = _AuditCache(m, cokernels)
-
-        def homomorphism(e, q):
-            return verify_hom(q, xp, yp, cache)
+    m, n = xp.matrix, yp.matrix
+    failing = _failures(basis_elements, m, cokernels)
+    field = rows = cols = None
     for e, q in enumerate(basis_elements):
+        if q.field is not field or q.rows is not rows or q.cols is not cols:
+            _check_q(q, m, n)
+            field, rows, cols = q.field, q.rows, q.cols
         if not validate_grading(q):
             raise GradingError(
                 f"{algorithm}: returned matrix violates the grading"
             )
-        if not homomorphism(e, q):
+        if failing >> e & 1:
             raise GradingError(
                 f"{algorithm}: returned matrix fails the homomorphism test"
             )

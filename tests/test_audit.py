@@ -6,10 +6,13 @@ hands it.
 The reference below copies the earlier implementation: it forms Q M_r for
 every relation r of X, and reduces each nonzero product against the span
 of N_{<=deg r} cut out by `submatrix_at_most` and lifted back to the
-original row indices.  Over GF(2) the audit checks a whole basis in one
-bit-sliced batch per relation (`_gf2_failures`); it must flag exactly the
+original row indices.  The audit is one `failures` call of the field's
+column form on the whole basis.  Over GF(2) that is one bit-sliced batch
+per relation (`_PackedColumns.failures`); it must flag exactly the
 elements that the per-element packed loop it replaced rejects, a copy of
-which is kept below as `old_gf2_verify`.
+which is kept below as `old_gf2_verify`.  Over every other prime
+(`_SortedColumns.failures`) it must flag exactly the elements the
+reference rejects.
 """
 
 import random
@@ -23,6 +26,7 @@ from mphom import (
     GradingError,
     Presentation,
     PrimeField,
+    UnsortedRowsError,
     graded_matrix_from_entries,
     hom_direct,
     hom_exact,
@@ -33,9 +37,18 @@ from mphom import (
     verify_hom,
 )
 from mphom import homspace
-from mphom.graded import _axpy, _pack, column_reduce, deg_leq
+from mphom.graded import (
+    _PackedColumns,
+    _SortedColumns,
+    _axpy,
+    _column_form,
+    _pack,
+    _transpose,
+    column_reduce,
+    deg_leq,
+)
 from mphom.generators import random_pair
-from mphom.homspace import _audit, _AuditCache
+from mphom.homspace import _audit, _failures as failures
 from mphom.localalg import CokernelCache
 
 from conftest import fresh_slice_view, red_blue, slice_view
@@ -51,11 +64,12 @@ ROUTES = {
 # -- reference: the per-relation check --------------------------------------
 
 
-def old_verify_hom(q, xp, yp):
+def old_verify_hom(q, xp, yp, spans=None):
+    """The reference; calls over one N may share their `spans` memo."""
     m, n = xp.matrix, yp.matrix
     fld = n.field
     p = fld.p
-    spans = {}
+    spans = {} if spans is None else spans
     for r in range(m.ncols):
         rdeg = m.cols[r]
         product = []
@@ -142,8 +156,8 @@ def zero_q(xp, yp):
 
 
 def fresh_cache(xp, yp):
-    """An audit cache over a cokernel cache of N that nothing else read."""
-    return _AuditCache(xp.matrix, CokernelCache(yp.matrix))
+    """A cokernel cache of N that nothing else read."""
+    return CokernelCache(yp.matrix)
 
 
 # -- equivalence ------------------------------------------------------------
@@ -287,15 +301,14 @@ def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
         for algorithm, cache in lent.items():
             assert slice_view(cache.at(rdeg)) == fresh, algorithm
     unlent = fresh_cache(xp, yp)
-    audits = {alg: _AuditCache(m, cache) for alg, cache in lent.items()}
     # The perturbations of the zero Q hold the rejections that
     # `test_perturbations_include_non_homomorphisms` counts.
     bases = list(hom_exact(xp, yp).elements)
     for base in bases[:3] + [zero_q(xp, yp)]:
         for q in perturbations(base, xp, yp):
             expected = verify_hom(q, xp, yp, unlent)
-            for algorithm, audit in audits.items():
-                assert verify_hom(q, xp, yp, audit) == expected, algorithm
+            for algorithm, cache in lent.items():
+                assert verify_hom(q, xp, yp, cache) == expected, algorithm
                 if not expected:
                     with pytest.raises(GradingError):
                         _audit([q], xp, yp, "test", lent[algorithm])
@@ -331,8 +344,7 @@ def test_lent_packed_spans_match_fresh_reductions_on_ladder_pairs(
         q = graded_matrix_from_entries(xp.field, nm.rows, m.rows, entries)
         expected = old_verify_hom(q, xp, yp)
         for algorithm, cache in lent.items():
-            audit = _AuditCache(m, cache)
-            assert verify_hom(q, xp, yp, audit) == expected, algorithm
+            assert verify_hom(q, xp, yp, cache) == expected, algorithm
         answers.append(expected)
     assert True in answers and False in answers
 
@@ -420,20 +432,21 @@ def test_verify_hom_accepts_bare_matrices():
 # -- the bit-sliced GF(2) batch ---------------------------------------------
 
 
-def old_gf2_verify(q, m, audit):
+def old_gf2_verify(q, m, cache):
     """The per-element GF(2) loop the batch replaced: each product Q M_r
     is one packed int, reduced by `^` against the slice's pivots."""
+    rels_of = _transpose(m.columns, m.nrows)
     products = {}
     for g, qcol in enumerate(q.columns):
         if qcol:
             bits = _pack(qcol)
-            for r, mv in audit.rels_of[g]:
+            for r, mv in rels_of[g]:
                 if mv & 1:
                     products[r] = products.get(r, 0) ^ bits
     for r in sorted(products):
         bits = products[r]
         if bits:
-            pivots = audit.cokernels.at(m.cols[r]).span
+            pivots = cache.at(m.cols[r]).span
             while bits:
                 other = pivots.get(bits.bit_length() - 1)
                 if other is None:
@@ -442,16 +455,16 @@ def old_gf2_verify(q, m, audit):
     return True
 
 
-def old_failing_mask(elements, m, audit):
+def old_failing_mask(elements, m, cache):
     return sum(1 << e for e, q in enumerate(elements)
-               if not old_gf2_verify(q, m, audit))
+               if not old_gf2_verify(q, m, cache))
 
 
-def toggled(q, key):
-    """Q with entry `key` = (g', g) toggled over GF(2)."""
+def bumped(q, key):
+    """Q with entry `key` = (g', g) raised by one mod p: over GF(2) the
+    entry is toggled."""
     entries = entries_of(q)
-    if entries.pop(key, None) is None:
-        entries[key] = 1
+    entries[key] = entries.get(key, 0) + 1
     return graded_matrix_from_entries(q.field, q.rows, q.cols, entries)
 
 
@@ -470,16 +483,16 @@ def test_gf2_batch_flags_what_the_per_element_loop_rejects(seed, n):
     for algorithm, route in ROUTES.items():
         elements = list(route(xp, yp).elements)
         cache = CokernelCache(nm)
-        audit = _AuditCache(m, cache)
-        assert homspace._gf2_failures(elements, m, cache.at) == 0, algorithm
+        assert _PackedColumns.failures(
+            elements, m, lambda alpha: cache.at(alpha).span) == 0, algorithm
         for trial in range(12):
             batch = list(elements)
             count = 1 if trial % 2 else rng.randint(2, 8)
             picked = rng.sample(range(len(batch)), count)
             for e in picked:
-                batch[e] = toggled(batch[e], rng.choice(admissible))
-            want = old_failing_mask(batch, m, audit)
-            got = homspace._gf2_failures(batch, m, cache.at)
+                batch[e] = bumped(batch[e], rng.choice(admissible))
+            want = old_failing_mask(batch, m, cache)
+            got = failures(batch, m, cache)
             assert got == want, (algorithm, trial)
             assert not got & ~sum(1 << e for e in picked), (algorithm, trial)
             outcomes.update(bool(got >> e & 1) for e in picked)
@@ -489,9 +502,9 @@ def test_gf2_batch_flags_what_the_per_element_loop_rejects(seed, n):
 def test_gf2_batch_of_no_elements_or_zero_matrices_flags_nothing():
     xp, yp = random_pair(0, d=2, gens=40, rels=40, coord_range=60, p=2)
     cache = CokernelCache(yp.matrix)
-    assert homspace._gf2_failures([], xp.matrix, cache.at) == 0
+    assert failures([], xp.matrix, cache) == 0
     zeros = [zero_q(xp, yp)] * 5
-    assert homspace._gf2_failures(zeros, xp.matrix, cache.at) == 0
+    assert failures(zeros, xp.matrix, cache) == 0
     _audit([], xp, yp, "test", cache)
     _audit(zeros, xp, yp, "test", cache)
 
@@ -502,29 +515,35 @@ def test_gf2_batch_flags_an_element_only_the_last_relation_rejects():
     assert old_failing_relations(q, xp, yp) == [m.ncols - 1]
     cache = CokernelCache(yp.matrix)
     batch = [zero_q(xp, yp), q, zero_q(xp, yp)]
-    assert homspace._gf2_failures(batch, m, cache.at) == 0b010
-    assert old_failing_mask(batch, m, _AuditCache(m, cache)) == 0b010
+    assert failures(batch, m, cache) == 0b010
+    assert old_failing_mask(batch, m, cache) == 0b010
     assert not verify_hom(q, xp, yp)
     with pytest.raises(GradingError, match="fails the homomorphism test"):
         _audit(batch, xp, yp, "test", cache)
 
 
 def test_gf2_verify_hom_runs_the_batch(monkeypatch):
-    """Over GF(2) the public `verify_hom` is the batch on [q], so there is
-    one membership loop; every other prime keeps its own."""
+    """At every prime the public `verify_hom` is its form's `failures` on
+    [q], the audit's one membership loop: the bit-sliced batch over
+    GF(2), the sorted loop over every other prime."""
     calls = []
-    batch = homspace._gf2_failures
+    packed, sorted_ = _PackedColumns.failures, _SortedColumns.failures
 
-    def spy(elements, m, at):
-        calls.append(len(elements))
-        return batch(elements, m, at)
+    def packed_spy(elements, m, span_of):
+        calls.append((2, len(elements)))
+        return packed(elements, m, span_of)
 
-    monkeypatch.setattr(homspace, "_gf2_failures", spy)
-    for p in (2, 3):
+    def sorted_spy(form, elements, m, span_of):
+        calls.append((form.field.p, len(elements)))
+        return sorted_(form, elements, m, span_of)
+
+    monkeypatch.setattr(_PackedColumns, "failures", staticmethod(packed_spy))
+    monkeypatch.setattr(_SortedColumns, "failures", sorted_spy)
+    for p in (2, 3, 65521):
         q, xp, yp = only_last_relation_fails(p=p)
         assert not verify_hom(q, xp, yp)
         assert verify_hom(zero_q(xp, yp), xp, yp)
-    assert calls == [1, 1]
+    assert calls == [(2, 1), (2, 1), (3, 1), (3, 1), (65521, 1), (65521, 1)]
 
 
 def test_gf2_audit_checks_field_and_shape_of_each_new_object():
@@ -554,3 +573,86 @@ def test_gf2_audit_checks_field_and_shape_of_each_new_object():
     audit(variant(field=field))
     with pytest.raises(FieldMismatchError):
         audit(variant(field=PrimeField(3)))
+
+
+# -- the sorted mask at odd primes ------------------------------------------
+
+
+@pytest.mark.parametrize("p", [5, 65521])
+@pytest.mark.parametrize("seed,n", [(0, 40), (1, 50), (2, 60)])
+def test_sorted_mask_flags_what_the_reference_rejects(seed, n, p):
+    """Over GF(5) and GF(65521), on `ladder`-sized bases of every primal
+    route, "+1 mod p" changes of one element or of several at once: the
+    sorted form's `failures` flags exactly the elements that the
+    per-element reference `old_verify_hom` rejects."""
+    xp, yp = random_pair(seed, d=2, gens=n, rels=n, coord_range=3 * n // 2,
+                         p=p)
+    m, nm = xp.matrix, yp.matrix
+    assert type(_column_form(m.field)) is _SortedColumns
+    admissible = [(gp, g) for g, gdeg in enumerate(m.rows)
+                  for gp, gpdeg in enumerate(nm.rows) if deg_leq(gpdeg, gdeg)]
+    rng = random.Random(f"sorted-mask:{p}:{seed}")
+    spans, outcomes = {}, set()
+    for algorithm, route in ROUTES.items():
+        elements = list(route(xp, yp).elements)
+        cache = CokernelCache(nm)
+        assert failures(elements, m, cache) == 0, algorithm
+        for trial in range(6):
+            batch = list(elements)
+            count = 1 if trial % 2 else rng.randint(2, 8)
+            picked = rng.sample(range(len(batch)), count)
+            for e in picked:
+                batch[e] = bumped(batch[e], rng.choice(admissible))
+            want = sum(1 << e for e, q in enumerate(batch)
+                       if not old_verify_hom(q, xp, yp, spans))
+            got = failures(batch, m, cache)
+            assert got == want, (algorithm, trial)
+            assert not got & ~sum(1 << e for e in picked), (algorithm, trial)
+            outcomes.update(bool(got >> e & 1) for e in picked)
+    assert outcomes == {True, False}
+
+
+# -- malformed Q ------------------------------------------------------------
+
+
+def malformed_copies(p, seeds=range(40)):
+    """(xp, yp, reversed, duplicated) for `hom_direct` basis elements over
+    GF(p): `reversed` has one column's rows in decreasing order and
+    `duplicated` one entry stored twice, both built without validation."""
+    for seed in seeds:
+        xp, yp = random_pair(seed, d=2, gens=5, rels=5, coord_range=6, p=p)
+        for q in hom_direct(xp, yp).elements:
+            for g, col in enumerate(q.columns):
+                if len(col) < 2:
+                    continue
+                columns = list(q.columns)
+                columns[g] = col[::-1]
+                reversed_ = GradedMatrix(q.field, q.rows, q.cols, columns,
+                                         validate=False)
+                columns[g] = col[:1] + col
+                duplicated = GradedMatrix(q.field, q.rows, q.cols, columns,
+                                          validate=False)
+                yield xp, yp, reversed_, duplicated
+                break
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_verify_hom_rejects_unsorted_rows_at_every_prime(p, monkeypatch):
+    """A column whose rows do not strictly increase, reversed or with an
+    entry stored twice, raises UnsortedRowsError at every prime before
+    any product is formed."""
+
+    def no_products(*args):
+        raise AssertionError("a product was formed")
+
+    seen = 0
+    for xp, yp, reversed_, duplicated in malformed_copies(p):
+        with monkeypatch.context() as patch:
+            patch.setattr(homspace, "_failures", no_products)
+            for q in (reversed_, duplicated):
+                with pytest.raises(UnsortedRowsError):
+                    verify_hom(q, xp, yp)
+                with pytest.raises(UnsortedRowsError):
+                    verify_hom(q, xp, yp, fresh_cache(xp, yp))
+        seen += 1
+    assert seen >= 10

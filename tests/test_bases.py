@@ -16,7 +16,9 @@ generators over the same three primes, every primal route's basis of
 End(X) must be independent and hold the identity modulo null-homotopies,
 and be closed under products: products Q_f Q_g of random combinations
 f, g of its elements must pass `verify_hom` and lie in its span modulo
-null-homotopies.
+null-homotopies.  The same holds across three modules: for seeded X, Y,
+Z over the three primes, composites of combinations in Hom(X, Y) and
+Hom(Y, Z) must pass `verify_hom` and lie in the span of Hom(X, Z).
 """
 
 import random
@@ -108,3 +110,23 @@ def test_products_stay_in_every_primal_basis_of_end(p, n, seed):
         for product in products:
             assert verify_hom(product, x, x), name
         assert quotient_rank(elements + products, x, x) == dim, name
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("n, seed", [(20, 11), (30, 12)])
+def test_composites_over_triples_stay_in_every_primal_basis(p, n, seed):
+    """For seeded X, Y, Z, composites g f of random combinations f in
+    Hom(X, Y) and g in Hom(Y, Z) pass `verify_hom` and lie in the span of
+    Hom(X, Z) modulo null-homotopies, on every primal route."""
+    x, y, z = (random_module(seed + 100 * k, d=2, gens=n, rels=n,
+                             coord_range=3 * n // 2, p=p) for k in range(3))
+    rng = random.Random(f"triples:{p}:{n}:{seed}")
+    for name, route in ROUTES.items():
+        fs, gs, hs = (list(route(a, b).elements)
+                      for a, b in ((x, y), (y, z), (x, z)))
+        composites = [matmul(_combination(gs, rng), _combination(fs, rng))
+                      for _ in range(6)]
+        assert quotient_rank(composites, z, x) > 0, name
+        for composite in composites:
+            assert verify_hom(composite, x, z), name
+        assert quotient_rank(hs + composites, z, x) == len(hs), name

@@ -11,6 +11,8 @@ from mphom import (
     ColumnSpan,
     FieldMismatchError,
     GradedMatrix,
+    MphomError,
+    NonMinimalPresentationError,
     Presentation,
     PrimeField,
     deg_sub,
@@ -386,6 +388,21 @@ def test_requires_minimal_presentations(fig_pair):
     raw = Presentation(x.matrix, minimal=False)
     with pytest.raises(ValueError):
         hom_direct(raw, y)
+
+
+@pytest.mark.parametrize("route", ALGORITHMS + (
+    hom_restricted_dual, hom_exact_dual, hom_module_presentation))
+def test_non_minimal_presentations_raise_a_typed_error(fig_pair, route):
+    """Every route and `hom_module_presentation` reject a presentation not
+    marked minimal, as either operand, with an `MphomError` that is also
+    a `ValueError`."""
+    x, y = fig_pair
+    for args in ((Presentation(x.matrix, minimal=False), y),
+                 (x, Presentation(y.matrix, minimal=False))):
+        with pytest.raises(NonMinimalPresentationError) as info:
+            route(*args)
+        assert isinstance(info.value, MphomError)
+        assert isinstance(info.value, ValueError)
 
 
 def test_one_parameter_interval_homs():
