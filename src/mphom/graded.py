@@ -100,9 +100,9 @@ def deg_neg(alpha):
 # which covers every n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# A supported range, not a limit of the arithmetic, which is exact on
-# Python ints at any p: every coefficient below 2^63 fits a signed
-# 64-bit int, and the tests run up to 2^63 - 25, the largest prime there.
+# The supported range, exclusive: not a limit of the arithmetic, which
+# is exact on Python ints at any p, but the range the tests cover (up to
+# 2^63 - 25, the largest prime below it).  `_is_prime` is exact far past it.
 MAX_CHARACTERISTIC = 1 << 63
 
 
@@ -134,8 +134,7 @@ class PrimeField:
     """GF(p) with values stored as plain ints in [0, p).
 
     p is validated at construction to be a prime below 2^63
-    (`MAX_CHARACTERISTIC`), so every coefficient fits a signed 64-bit
-    int; inverses are computed by Fermat and cached for small p.  The
+    (`MAX_CHARACTERISTIC`), the supported range; inverses are computed by Fermat and cached for small p.  The
     field's column form (`_column_form`) is kept on first use.
     """
 
@@ -146,8 +145,8 @@ class PrimeField:
             raise ValueError(f"field characteristic must be prime, got {p!r}")
         if p >= MAX_CHARACTERISTIC:
             raise ValueError(
-                f"field characteristic {p} is not below 2^63, the largest "
-                "supported: every coefficient fits a signed 64-bit int"
+                f"field characteristic {p} is not below 2^63, the "
+                "supported range"
             )
         self.p = p
         if p <= 257:

@@ -383,15 +383,14 @@ def _failures(elements, m, cokernels):
         elements, m, lambda alpha: cokernels.at(alpha).span)
 
 
-def verify_hom(q, xp, yp, cache=None):
+def verify_hom(q, xp, yp):
     """Does Q descend to a homomorphism coker M -> coker N?
 
     True iff every column of Q M lies in the column span of N at the
     corresponding relation degree (so that some P with Q M = N P exists).
 
     The column form's `failures` on [Q], its stored values read mod p,
-    against the spans of `cache`, a `CokernelCache` of N that calls may
-    share (a fresh one when None).  Raises FieldMismatchError unless Q,
+    against the spans of a fresh `CokernelCache` of N.  Raises FieldMismatchError unless Q,
     X and Y share one field, DimensionMismatchError unless Q has the
     generator degrees of Y as rows and those of X as columns, and
     UnsortedRowsError, at every prime, for a column of Q whose rows do
@@ -404,9 +403,7 @@ def verify_hom(q, xp, yp, cache=None):
         if any(a >= b for (a, _), (b, _) in zip(col, col[1:])):
             raise UnsortedRowsError(
                 f"Q column {j}: rows not strictly increasing")
-    if cache is None:
-        cache = CokernelCache(n)
-    return not _failures((q,), m, cache)
+    return not _failures((q,), m, CokernelCache(n))
 
 
 def _audit(basis_elements, xp, yp, algorithm, cokernels):

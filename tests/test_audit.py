@@ -160,6 +160,11 @@ def fresh_cache(xp, yp):
     return CokernelCache(yp.matrix)
 
 
+def passes(q, xp, cache):
+    """`verify_hom` over the spans of `cache`, a CokernelCache of N."""
+    return not failures((q,), xp.matrix, cache)
+
+
 # -- equivalence ------------------------------------------------------------
 
 
@@ -172,7 +177,7 @@ def test_basis_elements_pass_both_checks(name, pair):
         for q in basis.elements:
             assert old_verify_hom(q, xp, yp), algorithm
             assert verify_hom(q, xp, yp), algorithm
-            assert verify_hom(q, xp, yp, cache), algorithm
+            assert passes(q, xp, cache), algorithm
         _audit(basis.elements, xp, yp, algorithm, CokernelCache(yp.matrix))
 
 
@@ -189,7 +194,7 @@ def test_perturbed_elements_match_reference(name, pair):
         for q in perturbations(base, xp, yp):
             expected = old_verify_hom(q, xp, yp)
             assert verify_hom(q, xp, yp) == expected
-            assert verify_hom(q, xp, yp, cache) == expected
+            assert passes(q, xp, cache) == expected
             answers.append(expected)
     assert answers
 
@@ -211,7 +216,7 @@ def test_zero_q_is_a_homomorphism():
         q = zero_q(xp, yp)
         assert old_verify_hom(q, xp, yp)
         assert verify_hom(q, xp, yp)
-        assert verify_hom(q, xp, yp, fresh_cache(xp, yp))
+        assert passes(q, xp, fresh_cache(xp, yp))
 
 
 def only_last_relation_fails(p=3):
@@ -238,8 +243,8 @@ def test_q_failing_only_at_the_last_relation():
     assert not old_verify_hom(q, xp, yp)
     assert not verify_hom(q, xp, yp)
     cache = fresh_cache(xp, yp)
-    assert verify_hom(zero_q(xp, yp), xp, yp, cache)
-    assert not verify_hom(q, xp, yp, cache)
+    assert passes(zero_q(xp, yp), xp, cache)
+    assert not passes(q, xp, cache)
 
 
 def test_seeded_q_failing_only_at_the_last_relation():
@@ -252,7 +257,7 @@ def test_seeded_q_failing_only_at_the_last_relation():
             if old_failing_relations(q, xp, yp) == [last]:
                 found += 1
                 assert not verify_hom(q, xp, yp)
-                assert not verify_hom(q, xp, yp, fresh_cache(xp, yp))
+                assert not passes(q, xp, fresh_cache(xp, yp))
     assert found
 
 
@@ -306,9 +311,9 @@ def test_lent_spans_reject_what_the_audit_rejects(name, pair, monkeypatch):
     bases = list(hom_exact(xp, yp).elements)
     for base in bases[:3] + [zero_q(xp, yp)]:
         for q in perturbations(base, xp, yp):
-            expected = verify_hom(q, xp, yp, unlent)
+            expected = passes(q, xp, unlent)
             for algorithm, cache in lent.items():
-                assert verify_hom(q, xp, yp, cache) == expected, algorithm
+                assert passes(q, xp, cache) == expected, algorithm
                 if not expected:
                     with pytest.raises(GradingError):
                         _audit([q], xp, yp, "test", lent[algorithm])
@@ -344,7 +349,7 @@ def test_lent_packed_spans_match_fresh_reductions_on_ladder_pairs(
         q = graded_matrix_from_entries(xp.field, nm.rows, m.rows, entries)
         expected = old_verify_hom(q, xp, yp)
         for algorithm, cache in lent.items():
-            assert verify_hom(q, xp, yp, cache) == expected, algorithm
+            assert passes(q, xp, cache) == expected, algorithm
         answers.append(expected)
     assert True in answers and False in answers
 
@@ -390,7 +395,7 @@ def test_gf2_audit_reads_stored_values_mod_2():
         q = single(value)
         assert old_verify_hom(q, xp, yp) is expected
         assert verify_hom(q, xp, yp) is expected
-        assert verify_hom(q, xp, yp, fresh_cache(xp, yp)) is expected
+        assert passes(q, xp, fresh_cache(xp, yp)) is expected
 
 
 # -- shape check ------------------------------------------------------------
@@ -417,8 +422,6 @@ def test_q_with_wrong_decorations_is_rejected():
     for q in bad:
         with pytest.raises(DimensionMismatchError):
             verify_hom(q, xp, yp)
-        with pytest.raises(DimensionMismatchError):
-            verify_hom(q, xp, yp, fresh_cache(xp, yp))
 
 
 def test_verify_hom_accepts_bare_matrices():
@@ -652,7 +655,5 @@ def test_verify_hom_rejects_unsorted_rows_at_every_prime(p, monkeypatch):
             for q in (reversed_, duplicated):
                 with pytest.raises(UnsortedRowsError):
                     verify_hom(q, xp, yp)
-                with pytest.raises(UnsortedRowsError):
-                    verify_hom(q, xp, yp, fresh_cache(xp, yp))
         seen += 1
     assert seen >= 10
