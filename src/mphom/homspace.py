@@ -65,9 +65,10 @@ basis, which over GF(2) bit-slices it (one int per Q entry, bit e for
 element e); the public `verify_hom` is that call on [Q].  Only the
 relations a Q reaches are formed, and zero products pass unreduced, so
 the audit is exactly as strong as checking every relation.  Each route
-hands its audit the `CokernelCache` of N it built, so a slice of N is
-reduced once per route whether the masks, the cokernel columns or the
-audit asks for it first.
+hands its audit the `CokernelCache` of N it built, so each distinct
+slice of N (the rows and columns of N below a degree, however many
+degrees of X share them) is reduced once per route whether the masks,
+the cokernel columns or the audit asks for it first.
 """
 
 from __future__ import annotations
@@ -332,7 +333,9 @@ def homotopy_reduce(qs, yp):
     second pass returns them unchanged.  Raises FieldMismatchError unless
     every Q shares the target's field, DimensionMismatchError unless
     every Q has the target's generator degrees as rows and one set of
-    columns, and GradingError for an entry against the grading.
+    columns, GradingError for an entry against the grading, and
+    UnsortedRowsError for a column of a Q whose rows do not strictly
+    increase.
     """
     if not qs:
         return []
@@ -345,6 +348,7 @@ def homotopy_reduce(qs, yp):
             raise DimensionMismatchError(
                 "Q matrices with mixed decorations or foreign rows"
             )
+        _require_sorted_rows(q)
     if len({len(deg) for deg in q_cols + n.rows + n.cols}) > 1:
         raise DimensionMismatchError(
             "Q matrices and target graded over different posets"
@@ -377,6 +381,16 @@ def _check_q(q, m, n):
         )
 
 
+def _require_sorted_rows(q):
+    """Raise UnsortedRowsError for a column of Q, built without
+    validation, whose rows do not strictly increase: reversed rows or a
+    row stored twice."""
+    for j, col in enumerate(q.columns):
+        if any(a >= b for (a, _), (b, _) in zip(col, col[1:])):
+            raise UnsortedRowsError(
+                f"Q column {j}: rows not strictly increasing")
+
+
 def _failures(elements, m, cokernels):
     """The column form's `failures` over `cokernels`, N's CokernelCache."""
     return _column_form(m.field).failures(
@@ -399,10 +413,7 @@ def verify_hom(q, xp, yp):
     m = _matrix_of(xp)
     n = _matrix_of(yp)
     _check_q(q, m, n)
-    for j, col in enumerate(q.columns):
-        if any(a >= b for (a, _), (b, _) in zip(col, col[1:])):
-            raise UnsortedRowsError(
-                f"Q column {j}: rows not strictly increasing")
+    _require_sorted_rows(q)
     return not _failures((q,), m, CokernelCache(n))
 
 

@@ -49,16 +49,21 @@ and is kept as their reference.
 
 A `CokernelCache` indexes N's row degrees and column degrees once, per
 axis (`_DegreeIndex`): the sorted distinct coordinates, each with the bit
-mask of the degrees at or below it.  The slice indices at alpha are then
-one bisection and one AND per axis instead of a scan of every degree of
-N.  A `local_cokernel` call made outside a cache scans (`_slice_indices`).
+mask of the degrees at or below it.  The rows and columns below alpha are
+then one bisection and one AND per axis instead of a scan of every degree
+of N, and that pair of masks names the slice: degrees with the same rows
+and columns below share one `LocalCokernel`, so each distinct N_{<=alpha}
+is indexed, reduced and substituted once per cache.  A `local_cokernel`
+call made outside a cache scans (`_slice_indices`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import DimensionMismatchError, GradingError
 from .graded import _bits, _column_form, _pairs, _slice_indices, deg_leq
@@ -80,7 +85,8 @@ class LocalCokernel:
 
     Attributes
     ----------
-    degree: the evaluation degree alpha.
+    degree: the evaluation degree alpha; for a slice a `CokernelCache`
+        shares between degrees, the first degree at which it was read.
     rows_le: original indices of the generators of degree <= alpha, in
         increasing order.
     cols_le: original indices of the relations of degree <= alpha, in
@@ -219,17 +225,17 @@ def local_cokernel(matrix, alpha, _index=None):
     renumbered slice.
 
     The slice indices are found by a scan of N's degrees, and N's columns
-    put in the field's column form, unless a `CokernelCache` passes its
-    `_DegreeIndex` of N's rows and of its columns, and N's columns in that
-    form, in `_index`; alpha's arity must then be checked already.
+    put in the field's column form, unless a `CokernelCache` passes the
+    increasing indices of the rows and of the columns below alpha, and
+    N's columns in that form, in `_index`; alpha's arity must then be
+    checked already.
     """
     matrix = _matrix_of(matrix)
     if _index is None:
         rows_le, cols_le = _slice_indices(matrix, alpha)
         n_columns = list(map(_column_form(matrix.field).pack, matrix.columns))
     else:
-        rows, cols, n_columns = _index
-        rows_le, cols_le = rows.at_most(alpha), cols.at_most(alpha)
+        rows_le, cols_le, n_columns = _index
     return LocalCokernel(matrix, alpha, rows_le, cols_le, n_columns)
 
 
@@ -258,19 +264,29 @@ class _DegreeIndex:
                 masks.append(acc)
             self.axes.append((coords, masks))
 
-    def at_most(self, alpha):
-        """Increasing indices of the degrees <= alpha."""
+    def mask(self, alpha):
+        """Bit mask of the degrees <= alpha, bit i for degree i."""
         mask = self.full
         for (coords, masks), a in zip(self.axes, alpha):
             t = bisect_right(coords, a)
             if not t:
-                return ()
+                return 0
             mask &= masks[t - 1]
-        return tuple(_bits(mask))
+        return mask
+
+
+@functools.cache
+def _byte_table(k):
+    """For each byte value b, the increasing indices 8k + i of its set
+    bits i: the table of byte k of a mask.  Its tuples share eight ints,
+    so a table holds about 20 KB."""
+    index = list(range(8 * k, 8 * k + 8))
+    return tuple(tuple([index[i] for i in range(8) if b >> i & 1])
+                 for b in range(256))
 
 
 class CokernelCache:
-    """Memoizes local cokernels of one presentation per distinct degree.
+    """Memoizes local cokernels of one presentation per distinct slice.
 
     It is the one memo of N's slices in a computation: a route reads its
     system's admissible entries, its masks or its cokernel columns from one
@@ -279,20 +295,47 @@ class CokernelCache:
     The cache is scoped to a single computation context; contexts are
     independent and may run in parallel.
 
-    On a miss `local_cokernel` reads the slice indices off a
-    `_DegreeIndex` of N's rows and one of its columns, built once with the
-    cache, instead of scanning every degree of N; they equal
-    `_slice_indices`.  N's columns are put in the field's column form once
-    too (`_n_columns`), and each slice reduces its share of them.  A
-    degree of the wrong arity raises DimensionMismatchError.
+    `at(alpha)` is memoized per degree.  On a new degree the bit masks of
+    N's rows and of its columns below alpha are read off a `_DegreeIndex`
+    per axis, built once with the cache, instead of scanning every degree
+    of N, and the pair names the slice: a degree whose rows and columns
+    below are those of a slice already built gets that `LocalCokernel`,
+    since its span, subsets and cokernel columns depend on nothing else.
+    Only a new slice calls `local_cokernel`, with the masks unpacked
+    (each distinct mask once) into the indices `_slice_indices` would
+    find.  N's columns are put in the field's column form once too
+    (`_n_columns`), and each slice reduces its share of them.  A degree
+    of the wrong arity raises DimensionMismatchError.
     """
 
     def __init__(self, matrix):
         self.matrix = m = _matrix_of(matrix)
         self._n_columns = list(map(_column_form(m.field).pack, m.columns))
-        self._index = (_DegreeIndex(m.rows, m.dim),
-                       _DegreeIndex(m.cols, m.dim), self._n_columns)
+        self._rows = _DegreeIndex(m.rows, m.dim)
+        self._cols = _DegreeIndex(m.cols, m.dim)
+        self._tables = tuple(map(_byte_table,
+                                 range(max(m.nrows, m.ncols) + 7 >> 3)))
         self._memo = {}
+        self._slices = {}
+        self._unpacked = {}
+
+    def _indices(self, mask):
+        """Increasing indices of the set bits of a mask, unpacked once.
+
+        A mask of 8 or more bits is read a byte at a time through the
+        byte tables, one lookup per byte; below that `_bits`, one step
+        per bit, is the cheaper.
+        """
+        hit = self._unpacked.get(mask)
+        if hit is None:
+            if mask.bit_count() < 8:
+                hit = tuple(_bits(mask))
+            else:
+                data = mask.to_bytes(mask.bit_length() + 7 >> 3, "little")
+                hit = tuple(itertools.chain.from_iterable(
+                    map(getitem, self._tables, data)))
+            self._unpacked[mask] = hit
+        return hit
 
     def at(self, alpha):
         alpha = tuple(alpha)
@@ -303,7 +346,13 @@ class CokernelCache:
                 raise DimensionMismatchError(
                     f"degree {alpha} has arity {len(alpha)}, matrix has d={d}"
                 )
-            hit = local_cokernel(self.matrix, alpha, self._index)
+            key = (self._rows.mask(alpha), self._cols.mask(alpha))
+            hit = self._slices.get(key)
+            if hit is None:
+                index = (self._indices(key[0]), self._indices(key[1]),
+                         self._n_columns)
+                hit = self._slices[key] = local_cokernel(
+                    self.matrix, alpha, index)
             self._memo[alpha] = hit
         return hit
 

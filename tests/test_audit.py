@@ -32,6 +32,7 @@ from mphom import (
     hom_exact,
     hom_mixed,
     hom_restricted,
+    homotopy_reduce,
     minimize,
     submatrix_at_most,
     verify_hom,
@@ -43,6 +44,7 @@ from mphom.graded import (
     _axpy,
     _column_form,
     _pack,
+    _slice_indices,
     _transpose,
     column_reduce,
     deg_leq,
@@ -364,19 +366,25 @@ def test_lent_spans_reject_a_non_homomorphism(monkeypatch):
 
 @pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
 def test_audits_build_no_cokernel_matrix(name, pair, monkeypatch):
-    # Routes direct, a and mixed read only slice indices, subsets and
-    # spans of N, so no local cokernel they cached has built its matrix;
-    # and direct reads spans only at the relation degrees of X, so it
-    # reduces no other slice.
+    # No route reads a cokernel matrix (route b builds from the cokernel
+    # columns), so no local cokernel a route cached has built its matrix.
+    # Direct reads spans only at the relation degrees of X, so it reduces
+    # no slice that is not shared with one of them: a generator degree
+    # whose rows and columns below are those of a relation degree gets
+    # that degree's reduced slice.
     xp, yp = pair
     if xp.is_zero_module() or yp.is_zero_module():
         pytest.skip("no route audits anything between zero modules")
-    for algorithm in ("direct", "a", "mixed"):
-        cache = lent_cache(ROUTES[algorithm], xp, yp, monkeypatch)
-        for alpha, cokernel in cache._memo.items():
+    for algorithm, route in ROUTES.items():
+        cache = lent_cache(route, xp, yp, monkeypatch)
+        for cokernel in cache._memo.values():
             assert cokernel._matrix is None, algorithm
-            if algorithm == "direct" and alpha not in xp.matrix.cols:
-                assert cokernel._span is None and cokernel._subset is None
+        if algorithm == "direct":
+            audited = {_slice_indices(yp.matrix, rdeg)
+                       for rdeg in xp.matrix.cols}
+            for cokernel in cache._memo.values():
+                if (cokernel.rows_le, cokernel.cols_le) not in audited:
+                    assert cokernel._span is None and cokernel._subset is None
 
 
 def test_gf2_audit_reads_stored_values_mod_2():
@@ -642,18 +650,22 @@ def malformed_copies(p, seeds=range(40)):
 @pytest.mark.parametrize("p", [2, 5, 65521])
 def test_verify_hom_rejects_unsorted_rows_at_every_prime(p, monkeypatch):
     """A column whose rows do not strictly increase, reversed or with an
-    entry stored twice, raises UnsortedRowsError at every prime before
-    any product is formed."""
+    entry stored twice, raises UnsortedRowsError at every prime, in
+    `verify_hom` before any product is formed and in `homotopy_reduce`
+    before any column is reduced."""
 
-    def no_products(*args):
-        raise AssertionError("a product was formed")
+    def never(*args):
+        raise AssertionError("a product was formed or a column reduced")
 
     seen = 0
     for xp, yp, reversed_, duplicated in malformed_copies(p):
         with monkeypatch.context() as patch:
-            patch.setattr(homspace, "_failures", no_products)
+            patch.setattr(homspace, "_failures", never)
+            patch.setattr(homspace, "_reduce_flat", never)
             for q in (reversed_, duplicated):
                 with pytest.raises(UnsortedRowsError):
                     verify_hom(q, xp, yp)
+                with pytest.raises(UnsortedRowsError):
+                    homotopy_reduce([q], yp)
         seen += 1
     assert seen >= 10

@@ -2,7 +2,8 @@
 and the per-line loop, of `minimize` reaching its fixpoint in one round
 and matching the rescanning loop, of `_irredundant`'s line sweep against
 the per-column reference and the per-line loop, and of `sparsify`
-against the lift-based reference and its thick + 1 entry bound.  GF(2)
+against the lift-based reference and its thick + 1 entry bound, and of
+`CokernelCache` building one local cokernel per distinct slice.  GF(2)
 draws also compare the packed `kernel`, `_irredundant` and
 `nullspace_of_columns` (on the one packed sweep, `_gf2_sweep`) with the
 generic sweeps.  On small pairs of modules, empty, free and zero ones
@@ -12,6 +13,7 @@ Needs hypothesis (the `dev` extra); it lives apart from
 test_presentations.py so that module collects without it.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +29,17 @@ from mphom import (
     thickness,
 )
 from mphom.benchmarks import DUAL_ALGORITHMS, PRIMAL_ALGORITHMS
-from mphom.localalg import CokernelCache, evaluation_grid, grid_points
+from mphom.generators import random_module
+from mphom.graded import _column_form, _slice_indices, deg_join
+from mphom.localalg import (
+    CokernelCache,
+    evaluation_grid,
+    grid_points,
+    local_cokernel,
+)
 from mphom.presentations import _irredundant
 
+from conftest import slice_view
 from test_packed_sweeps import (
     field_chains,
     generic_nullspace,
@@ -154,3 +164,68 @@ def test_routes_and_oracle_agree_on_small_pairs(pair):
             {**PRIMAL_ALGORITHMS, **DUAL_ALGORITHMS}.items()}
     dims["oracle"] = oracle_dim(x, y)
     assert len(set(dims.values())) == 1, dims
+
+
+# -- one local cokernel per distinct slice ----------------------------------
+
+
+def _assert_one_cokernel_per_slice(matrix):
+    """At every row and column degree of N, the join of each consecutive
+    pair of them, each of those raised by 1 on every axis, and one degree
+    below them all (the empty slice), `CokernelCache.at` gives the slice
+    indices `_slice_indices` scans for, one object for the degrees with
+    the same slice, and the span, subsets and cokernel columns of a fresh
+    `local_cokernel`; each distinct slice is reduced once, by one call of
+    the column form's `span`.  Returns {slice indices: cokernel} and the
+    number of degrees read."""
+    degrees = list(matrix.rows) + list(matrix.cols)
+    degrees += [deg_join(a, b) for a, b in zip(degrees, degrees[1:])]
+    degrees += [tuple(c + 1 for c in deg) for deg in degrees]
+    degrees.append((min(min(deg) for deg in degrees) - 1,) * matrix.dim)
+    form = _column_form(matrix.field)
+    reductions = []
+
+    def counted(columns, span=form.span):
+        reductions.append(len(columns))
+        return span(columns)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(form, "span", counted)
+        cache = CokernelCache(matrix)
+        read = {}
+        for alpha in degrees:
+            ck = cache.at(alpha)
+            read[alpha] = (ck, slice_view(ck), ck.subset, ck.syzygy_subset,
+                           ck.columns)
+    by_slice = {}
+    for alpha, (ck, *views) in read.items():
+        key = _slice_indices(matrix, alpha)
+        assert (ck.rows_le, ck.cols_le) == key
+        assert by_slice.setdefault(key, ck) is ck
+        fresh = local_cokernel(matrix, alpha)
+        assert views == [slice_view(fresh), fresh.subset,
+                         fresh.syzygy_subset, fresh.columns]
+    assert len(reductions) == len(by_slice)
+    assert ((), ()) in by_slice
+    return by_slice, len(read)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from((1, 2, 3, 4)).flatmap(
+    lambda d: st.sampled_from((2, 5, 65521)).flatmap(
+        lambda p: _small_matrices(d, p))))
+def test_cokernel_cache_builds_one_cokernel_per_slice(m):
+    _assert_one_cokernel_per_slice(m)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cokernel_cache_shares_slices_of_wide_presentations(d, p):
+    """Over 64 rows, tied degrees: masks span several bytes, and read
+    on both sides of the 8-bit threshold of the byte tables."""
+    m = random_module(7, d=d, gens=120, rels=120, coord_range=4, p=p).matrix
+    assert m.nrows > 64
+    by_slice, read = _assert_one_cokernel_per_slice(m)
+    assert len(by_slice) < read
+    sizes = {len(indices) for key in by_slice for indices in key}
+    assert max(sizes) > 64 and any(0 < size < 8 for size in sizes)
