@@ -270,10 +270,13 @@ def parse_firep(text, field=None):
     mid = [parse_row(*line, r) for line in body[t:]]
     # Degrees of the bottom generators are not part of the format; the
     # kernel computation only consumes column degrees, so placeholders
-    # are fine (hence validate=False).
+    # are fine (hence validate=False).  Bottom generators past the last
+    # one a middle row names add nothing to the kernel, so the count r
+    # bounds the indices only and sizes no list.
+    used = max((i for _, col in mid for i, _ in col), default=-1)
     d1 = GradedMatrix(
         fld,
-        [(0, 0)] * r,
+        [(0, 0)] * (used + 1),
         [deg for deg, _ in mid],
         [col for _, col in mid],
         validate=False,

@@ -772,6 +772,20 @@ def _gf2_sweep(columns, sources=None):
     return kept, zeroed
 
 
+def _ungraded(elements, *helds):
+    """The elements storing an entry against the grading, as a mask: bit
+    e of `held[g][g']` is set when `elements[e]` stores at (g', g).  The
+    elements share their degrees, so each position is compared once."""
+    out = 0
+    for held in helds:
+        for g, block in held.items():
+            rows, cdeg = elements[0].rows, elements[0].cols[g]
+            for gp, bits in block.items():
+                if not all(map(le, rows[gp], cdeg)):
+                    out |= bits
+    return out
+
+
 class _PackedColumns:
     """The column form over GF(2): a column is one int whose bit r is
     row r (`_pack`), shifted by `<<`, and every sweep is `_gf2_sweep`.
@@ -834,22 +848,27 @@ class _PackedColumns:
         return _Gf2Chain
 
     @staticmethod
+    def unpack(combos):
+        return [[(k, 1) for k in _bits(combo)] for combo in combos]
+
+    @staticmethod
     def failures(elements, m, span_of):
         """A bit-sliced batch: `sliced[g][g']` has bit e set when element
         e holds an odd value at (g', g), so column r of every product at
         once is the XOR of `sliced[g]` over the odd M_{g,r}, one int of
         elements per row g'.  It is reduced against the packed pivots of
         `span_of(deg r)`, highest row first; the elements left on a row
-        that is no pivot fail.  Zero products are not reduced."""
-        sliced = {}
+        that is no pivot fail.  Zero products are not reduced.  Stored
+        even values go to `even`, for `_ungraded` alone."""
+        sliced, even = {}, {}
         for e, q in enumerate(elements):
             bit = 1 << e
             columns = q.columns
             for g in compress(range(len(columns)), columns):
                 rows = sliced.setdefault(g, {})
                 for gp, v in columns[g]:
-                    if v & 1:
-                        rows[gp] = rows.get(gp, 0) | bit
+                    held = rows if v & 1 else even.setdefault(g, {})
+                    held[gp] = held.get(gp, 0) | bit
         failing = 0
         for r, mcol in enumerate(m.columns):
             rows, touched = {}, 0
@@ -877,7 +896,7 @@ class _PackedColumns:
                     j = rest.bit_length() - 1
                     rest ^= 1 << j
                     rows[j] = rows.get(j, 0) ^ bits
-        return failing
+        return _ungraded(elements, sliced, even), failing
 
 
 class _SortedColumns:
@@ -889,6 +908,7 @@ class _SortedColumns:
     pack = staticmethod(tuple)
     join = staticmethod(add)
     size = staticmethod(len)
+    unpack = staticmethod(list)
 
     def __init__(self, fld):
         self.field = fld
@@ -950,18 +970,22 @@ class _SortedColumns:
         `ColumnSpan` `span_of(deg r)` until one fails."""
         p = self.field.p
         rels_of = _transpose(m.columns, m.nrows)
-        failing = 0
+        held, failing = {}, 0
         for e, q in enumerate(elements):
+            bit = 1 << e
             columns, products = q.columns, {}
             for g in compress(range(len(rels_of)), columns):
+                block = held.setdefault(g, {})
+                for gp, _ in columns[g]:
+                    block[gp] = block.get(gp, 0) | bit
                 for r, mv in rels_of[g]:
                     products[r] = _axpy(products.get(r, ()), columns[g], mv, p)
             for r in sorted(products):
                 product = products[r]
                 if product and not span_of(m.cols[r]).contains(product):
-                    failing |= 1 << e
+                    failing |= bit
                     break
-        return failing
+        return _ungraded(elements, held), failing
 
 
 _PACKED_COLUMNS = _PackedColumns()
@@ -991,9 +1015,15 @@ def _column_form(fld):
       `substitute(record, columns)`, the column forward substitution
       gives a pivot row: -1/lead times the sum of v * columns[i] over
       the other entries (i, v) of its residual;
-    * `failures(elements, m, span_of)`, the audit: a mask, bit e set when
-      a column r of `elements[e]` times `m` leaves `span_of(deg r)`, the
-      form's span of N's slice there, stored values read mod p;
+    * `unpack(combos)`, a batch of combinations as lists of (index,
+      value) pairs by increasing index;
+    * `failures(elements, m, span_of)`, the audit, one pass over the
+      stored entries of elements sharing their degrees: masks (ungraded,
+      failing), bit e of `ungraded` set when `elements[e]` stores any
+      value, a multiple of p too, against the grading (`_ungraded`), and
+      of `failing` when a column r of `elements[e]` times `m` leaves
+      `span_of(deg r)`, the form's span of N's slice there, stored values
+      read mod p;
     * `chain()`, the `_Chain` type of the line sweeps.
 
     The form is picked on the field's first call and kept on it.

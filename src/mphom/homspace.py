@@ -46,12 +46,12 @@ variables by their `_flat_index` positions and the P variables past
 them, so each Q part comes out as one flat column, and `hom_exact`,
 whose variables are all Q entries, numbers its variables in order.  A
 flat column stays in the column form through the homotopy columns to
-the quotient, and `_q_matrix` unpacks either form (`_pairs`).
+the quotient, and `_q_matrices` unpacks a batch by one form call.
 `solve_seconds` times the elimination sweep alone.  `_reduce_flat`
 column-reduces the equation routes' flat columns once: after the
 flattened null-homotopies for `direct` and `mixed`, on their own for
 `a`, whose lifts are unique; only survivors become graded matrices, and
-`_q_matrix` builds only the columns a survivor touches.  The
+`_q_matrices` builds only the columns a survivor touches.  The
 rank that `homotopy_killed` needs is the solution count less the
 solutions with Q = 0, which the ranks of N's slices at the relation
 degrees of X count, so no Q column is reduced a second time.  The public
@@ -59,12 +59,15 @@ degrees of X count, so no Q column is reduced a second time.  The public
 over a `CokernelCache` of its target.
 
 Every route's basis is audited before it is returned (`_audit`): each
-element must respect the grading (`validate_grading`) and be a
-homomorphism, by one call of the column form's `failures` on the whole
-basis, which over GF(2) bit-slices it (one int per Q entry, bit e for
-element e); the public `verify_hom` is that call on [Q].  Only the
-relations a Q reaches are formed, and zero products pass unreduced, so
-the audit is exactly as strong as checking every relation.  Each route
+element must respect the grading and be a homomorphism, both masked by
+one call of the column form's `failures` on the whole basis, one pass
+over its stored entries that over GF(2) bit-slices it (one int per Q
+entry, bit e for element e).  The grading is compared once per (g', g)
+position against the Q degrees, never through N's slices, which fix the
+routes' own admissible entries; the public `verify_hom` is that call on
+[Q], reading only the homomorphism mask.  Only the relations a Q
+reaches are formed, and zero products pass unreduced, so the audit is
+exactly as strong as checking every relation.  Each route
 hands its audit the `CokernelCache` of N it built, so each distinct
 slice of N (the rows and columns of N below a degree, however many
 degrees of X share them) is reduced once per route whether the masks,
@@ -87,7 +90,6 @@ from .errors import (
 from .graded import (
     GradedMatrix,
     _column_form,
-    _pairs,
     _transpose,
     deg_sub,
     validate_grading,
@@ -289,22 +291,24 @@ def _homotopy_columns(cache, q_cols, form):
     return out
 
 
-def _q_matrix(flat, keys, q_rows, q_cols, fld):
-    """Graded Q matrix of a flat column in either column form (`_pairs`
-    reads it): `keys[k]` is the (g, g') entry at flat position k.  Keys
-    must be g-major with g' ascending inside each block, so every column
-    fills in sorted row order; `q_rows` and `q_cols` must be tuples of
-    degree tuples, which the matrix shares.  Only the blocks the column
-    touches are built; every other column is the shared empty tuple.
+def _q_matrices(flats, keys, q_rows, q_cols, fld):
+    """Graded Q matrices of flat columns in the field's column form, all
+    unpacked by one call of its `unpack`: `keys[k]` is the (g, g') entry
+    at flat position k.  Keys must be g-major with g' ascending inside
+    each block, so every column fills in sorted row order; `q_rows` and
+    `q_cols` must be tuples of degree tuples, which the matrices share.
+    Only the columns a flat column touches are built; every other column
+    is the shared empty tuple.
     """
-    blocks = {}
-    for k, v in _pairs(flat):
-        g, gp = keys[k]
-        blocks.setdefault(g, []).append((gp, v))
-    columns = [()] * len(q_cols)
-    for g, block in blocks.items():
-        columns[g] = tuple(block)
-    return GradedMatrix._trusted(fld, q_rows, q_cols, tuple(columns))
+    empty, out = [()] * len(q_cols), []
+    for pairs in _column_form(fld).unpack(flats):
+        columns = empty.copy()
+        for k, v in pairs:
+            g, gp = keys[k]
+            columns[g] += ((gp, v),)
+        out.append(GradedMatrix._trusted(fld, q_rows, q_cols,
+                                         tuple(columns)))
+    return out
 
 
 def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
@@ -315,11 +319,9 @@ def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
     matrices; only they are unflattened.
     """
     kept = _column_form(fld).sweep(itertools.chain(homotopies, cols))
-    first, keys = len(homotopies), list(index)
-    return [
-        _q_matrix(col, keys, q_rows, q_cols, fld)
-        for j, col in kept.items() if j >= first
-    ]
+    first = len(homotopies)
+    return _q_matrices([col for j, col in kept.items() if j >= first],
+                       list(index), q_rows, q_cols, fld)
 
 
 def homotopy_reduce(qs, yp):
@@ -391,10 +393,15 @@ def _require_sorted_rows(q):
                 f"Q column {j}: rows not strictly increasing")
 
 
-def _failures(elements, m, cokernels):
+def _masks(elements, m, cokernels):
     """The column form's `failures` over `cokernels`, N's CokernelCache."""
     return _column_form(m.field).failures(
         elements, m, lambda alpha: cokernels.at(alpha).span)
+
+
+def _failures(elements, m, cokernels):
+    """The `failing` mask alone, all that `verify_hom` reads."""
+    return _masks(elements, m, cokernels)[1]
 
 
 def verify_hom(q, xp, yp):
@@ -404,11 +411,15 @@ def verify_hom(q, xp, yp):
     corresponding relation degree (so that some P with Q M = N P exists).
 
     The column form's `failures` on [Q], its stored values read mod p,
-    against the spans of a fresh `CokernelCache` of N.  Raises FieldMismatchError unless Q,
-    X and Y share one field, DimensionMismatchError unless Q has the
-    generator degrees of Y as rows and those of X as columns, and
-    UnsortedRowsError, at every prime, for a column of Q whose rows do
-    not strictly increase.
+    against the spans of a fresh `CokernelCache` of N; only its
+    `failing` mask is read.  The grading is not checked: with
+    X = A[-(0,0)], Y = A[-(1,1)] and Q = [[1]] built with
+    `validate=False`, the answer is True at every prime, yet
+    `hom_direct(X, Y).dim == 0`.  Check it with `validate_grading`.
+    Raises FieldMismatchError unless Q, X and Y share one field,
+    DimensionMismatchError unless Q has the generator degrees of Y as
+    rows and those of X as columns, and UnsortedRowsError, at every
+    prime, for a column of Q whose rows do not strictly increase.
     """
     m = _matrix_of(xp)
     n = _matrix_of(yp)
@@ -420,26 +431,26 @@ def verify_hom(q, xp, yp):
 def _audit(basis_elements, xp, yp, algorithm, cokernels):
     """Check every returned element: graded, and a homomorphism.
 
-    One `failures` call masks the failing elements, over `cokernels`,
-    the route's `CokernelCache` of N.  `_check_q` runs again only on an
-    element whose field, rows or columns are other objects than those
-    last checked; row order is not checked, as `_q_matrix` sorts it.
+    `_check_q` runs first on every element whose field, rows or columns
+    are other objects than those last checked, so all share their
+    degrees; then one `failures` call over `cokernels`, the route's
+    `CokernelCache` of N, masks both checks, and the first bad element
+    raises, its grading checked first.  Row order is not checked, as
+    `_q_matrices` sorts it.
     """
     m, n = xp.matrix, yp.matrix
-    failing = _failures(basis_elements, m, cokernels)
     field = rows = cols = None
-    for e, q in enumerate(basis_elements):
+    for q in basis_elements:
         if q.field is not field or q.rows is not rows or q.cols is not cols:
             _check_q(q, m, n)
             field, rows, cols = q.field, q.rows, q.cols
-        if not validate_grading(q):
-            raise GradingError(
-                f"{algorithm}: returned matrix violates the grading"
-            )
-        if failing >> e & 1:
-            raise GradingError(
-                f"{algorithm}: returned matrix fails the homomorphism test"
-            )
+    ungraded, failing = _masks(basis_elements, m, cokernels)
+    bad = ungraded | failing
+    if bad:
+        first = bad & -bad
+        what = ("violates the grading" if ungraded & first
+                else "fails the homomorphism test")
+        raise GradingError(f"{algorithm}: returned matrix {what}")
 
 
 def _audited(elements, stats, xp, yp, cokernels):
@@ -552,7 +563,7 @@ def hom_exact(xp, yp):
     m, n = xp.matrix, yp.matrix
     fld = m.field
     cache = CokernelCache(n)
-    # Variables are g-major with ascending subset rows, as `_q_matrix`
+    # Variables are g-major with ascending subset rows, as `_q_matrices`
     # needs: keys[k] is the (g, g') entry of variable k.
     keys, col_offsets = [], []
     for g, gdeg in enumerate(m.rows):
@@ -583,7 +594,7 @@ def hom_exact(xp, yp):
                                       shift(scaled(images[gp], c), start))
     # The flat solve of the primal routes, every variable a Q entry.
     flats, elapsed = _flat_solutions(columns, form, range(total), total)
-    elements = [_q_matrix(flat, keys, n.rows, m.rows, fld) for flat in flats]
+    elements = _q_matrices(flats, keys, n.rows, m.rows, fld)
     stats = SolveStats(
         "b", total, row_offsets[-1], sum(map(form.size, columns)), elapsed,
         solution_dim=len(flats),

@@ -35,6 +35,7 @@ from mphom import (
     homotopy_reduce,
     minimize,
     submatrix_at_most,
+    validate_grading,
     verify_hom,
 )
 from mphom import homspace
@@ -271,6 +272,105 @@ def test_audit_rejects_a_non_homomorphism():
         )
 
 
+# -- the one-pass audit against the per-element loop ------------------------
+
+
+def stored_multiples(q, xp, yp):
+    """Copies of Q, built without validation, storing values that are
+    multiples of p (even values over GF(2)): in each column, p at the
+    first empty position that respects the grading and 2p at the first
+    that does not, and each stored value raised by p.  They read as Q
+    does mod p, but store every value they hold."""
+    m, n = xp.matrix, yp.matrix
+    p = m.field.p
+    base = entries_of(q)
+    for g, gdeg in enumerate(m.rows):
+        extra = {}
+        for gp, gpdeg in enumerate(n.rows):
+            if (gp, g) not in base:
+                extra.setdefault(deg_leq(gpdeg, gdeg), (gp, g))
+        for graded, key in extra.items():
+            yield unvalidated(q, {**base, key: p if graded else 2 * p})
+    for key, v in base.items():
+        yield unvalidated(q, {**base, key: v + p})
+
+
+def unvalidated(q, entries):
+    """Q's degrees with the {(g', g): value} entries stored as given."""
+    columns = [[] for _ in q.cols]
+    for (gp, g), v in sorted(entries.items(), key=lambda kv: kv[0][::-1]):
+        columns[g].append((gp, v))
+    return GradedMatrix(q.field, q.rows, q.cols, columns, validate=False)
+
+
+def per_element_verdict(q, xp, yp, spans):
+    """The per-element loop the one-pass audit replaced: the grading by
+    `validate_grading`, then the homomorphism test."""
+    if not validate_grading(q):
+        return "violates the grading"
+    if not old_verify_hom(q, xp, yp, spans):
+        return "fails the homomorphism test"
+    return None
+
+
+def multiples_only_off_grading(q, xp, yp):
+    """Does Q store a value against the grading, and only multiples of p
+    there?"""
+    rows, cols, p = yp.matrix.rows, xp.matrix.rows, xp.field.p
+    off = [v for g, col in enumerate(q.columns) for gp, v in col
+           if not deg_leq(rows[gp], cols[g])]
+    return bool(off) and all(v % p == 0 for v in off)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_one_pass_audit_answers_as_the_per_element_loop(p):
+    """At p in {2, 5, 65521} and d in {1, 2, 3}, on route elements, their
+    single-entry changes (those against the grading included) and copies
+    storing multiples of p, alone and in random batches: `_audit` raises
+    exactly when the per-element loop finds a bad element, with the
+    message of the first one in basis order."""
+    seen, dims = set(), set()
+    for name, (xp, yp) in PAIRS:
+        if xp.field.p != p or xp.is_zero_module() or yp.is_zero_module():
+            continue
+        dims.add(xp.matrix.dim)
+        bases = [q for route in ROUTES.values()
+                 for q in route(xp, yp).elements]
+        candidates = list(bases)
+        for base in bases[:3] + [zero_q(xp, yp)]:
+            candidates += perturbations(base, xp, yp)
+            candidates += stored_multiples(base, xp, yp)
+        spans = {}
+        verdicts = [per_element_verdict(q, xp, yp, spans)
+                    for q in candidates]
+        seen.update(verdicts)
+        seen.update(
+            "multiples of p against the grading" for q in candidates
+            if multiples_only_off_grading(q, xp, yp))
+        rng = random.Random(f"one-pass-audit:{name}")
+        batches = [[k] for k in range(len(candidates))]
+        for _ in range(60):
+            batches.append(rng.sample(range(len(candidates)),
+                                      min(len(candidates), rng.randint(2, 8))))
+        for picked in batches:
+            want = next(
+                (verdicts[k] for k in picked if verdicts[k] is not None),
+                None)
+            batch = [candidates[k] for k in picked]
+            cache = CokernelCache(yp.matrix)
+            if want is None:
+                _audit(batch, xp, yp, "test", cache)
+                continue
+            with pytest.raises(GradingError) as caught:
+                _audit(batch, xp, yp, "test", cache)
+            assert str(caught.value) == f"test: returned matrix {want}", \
+                (name, picked)
+    assert dims == {1, 2, 3}
+    assert seen == {None, "violates the grading",
+                    "fails the homomorphism test",
+                    "multiples of p against the grading"}
+
+
 # -- spans lent by each route's cokernel cache ------------------------------
 
 
@@ -495,7 +595,8 @@ def test_gf2_batch_flags_what_the_per_element_loop_rejects(seed, n):
         elements = list(route(xp, yp).elements)
         cache = CokernelCache(nm)
         assert _PackedColumns.failures(
-            elements, m, lambda alpha: cache.at(alpha).span) == 0, algorithm
+            elements, m, lambda alpha: cache.at(alpha).span) == (0, 0), \
+            algorithm
         for trial in range(12):
             batch = list(elements)
             count = 1 if trial % 2 else rng.randint(2, 8)

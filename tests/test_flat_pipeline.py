@@ -37,7 +37,8 @@ from mphom import (
 )
 from mphom import homspace
 from mphom.generators import random_module, random_pair
-from mphom.graded import _SortedColumns, _pairs, nullspace_of_columns
+from mphom.graded import (
+    _SortedColumns, _column_form, _pairs, nullspace_of_columns)
 from mphom.localalg import CokernelCache, structure_map
 
 from conftest import free_module, red_blue, zero_module
@@ -425,11 +426,13 @@ def spy_solutions(seen, solve):
 
 def old_exact_tail(columns, fld, keys, q_rows, q_cols):
     """Route `b`'s elements as it read them before it shared the flat
-    solve: the nullspace combinations as dicts, their items sorted, each
-    made a Q matrix."""
-    return [homspace._q_matrix(sorted(combo.items()), keys, q_rows, q_cols,
-                               fld)
-            for combo in nullspace_of_columns(columns, fld)]
+    solve: the nullspace combinations as dicts, their items sorted and
+    packed in the field's column form, made Q matrices in one batch."""
+    pack = _column_form(fld).pack
+    return homspace._q_matrices(
+        [pack(sorted(combo.items()))
+         for combo in nullspace_of_columns(columns, fld)],
+        keys, q_rows, q_cols, fld)
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521])

@@ -163,6 +163,17 @@ def test_firep_two_relations():
     assert hilbert_at(pres, (3, 3)) == 1
 
 
+@pytest.mark.parametrize("r", ["99999999999999999999", str(1 << 62)])
+def test_firep_huge_bottom_count_sizes_nothing(r):
+    """The bottom count r bounds the middle rows' indices and allocates
+    nothing: a count past any index-sized integer, or one that fits but
+    whose placeholder list would not, reads as the fixture does."""
+    text = FIREP_RECTANGLE.replace("1 2 1\n", f"1 2 {r}\n")
+    assert text != FIREP_RECTANGLE
+    assert serialize_pmod(parse_firep(text)) == \
+        serialize_pmod(parse_firep(FIREP_RECTANGLE))
+
+
 def test_firep_is_read_over_gf2_only():
     with pytest.raises(FieldMismatchError, match=r"over GF\(2\), expected GF\(5\)"):
         parse_firep(FIREP_RECTANGLE, PrimeField(5))
