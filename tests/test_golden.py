@@ -19,6 +19,10 @@
 - `primal`: `write_hom_basis` of the four primal routes (`direct`, `a`,
   `mixed`, `b`) on seeded d=2 `random_pair`s of `ladder` size (40 and 60
   generators and relations, `coord_range=1.5n`), over GF(2) and GF(5);
+- `stats`: the `SolveStats` counts `variables equations entries
+  solution_dim homotopy_killed`, as one line of numbers (not a digest),
+  of the four primal routes on the pairs of `primal` and of `a-star` and
+  `b-star` on the pairs of `dual`; `hombasis` files carry no stats;
 - `modules`: `mphom minimize`, `sparsify` and `thickness` run in-process
   on every file in `tests/fixtures` (exit code and stdout);
 - `reducers`: `serialize_pmod` of `minimize` on seeded non-minimal graded
@@ -222,6 +226,35 @@ def primal_digests():
     return out
 
 
+STATS_FIELDS = ("variables", "equations", "entries", "solution_dim",
+                "homotopy_killed")
+
+
+def _stats_line(basis):
+    return " ".join(str(getattr(basis.stats, name)) for name in STATS_FIELDS)
+
+
+def stats_lines():
+    """System counts of the primal routes and of both dual routes."""
+    out = {}
+    for seed, size, p in PRIMAL_PAIRS:
+        x, y = random_pair(seed, d=2, gens=size, rels=size,
+                           coord_range=3 * size // 2, p=p)
+        tag = f"seed={seed} n={size} p={p}"
+        for alg, route in PRIMAL_ROUTES:
+            out[f"{tag} {alg}"] = _stats_line(route(x, y))
+    for d, seed, size, coord_range in DUAL_PAIRS:
+        for p in DUAL_PRIMES:
+            x, y = random_pair(seed, d=d, gens=size, rels=size,
+                               coord_range=coord_range, p=p)
+            tag = f"d={d} seed={seed} n={size} p={p}"
+            ctx = dual_context(x, y)
+            for alg, route in (("a-star", hom_restricted_dual),
+                               ("b-star", hom_exact_dual)):
+                out[f"{tag} {alg}"] = _stats_line(route(x, y, context=ctx))
+    return out
+
+
 def module_digests():
     """Digest of exit code and stdout of each one-module subcommand."""
     out = {}
@@ -304,6 +337,7 @@ def all_digests():
         "presentations": presentation_digests(),
         "primal": primal_digests(),
         "reducers": reducer_digests(),
+        "stats": stats_lines(),
     }
 
 
@@ -356,6 +390,13 @@ def test_dual_contexts_match_golden(golden):
 def test_primal_bases_match_golden(golden):
     assert len(golden["primal"]) == len(PRIMAL_PAIRS) * len(PRIMAL_ROUTES)
     assert not _mismatches(primal_digests(), golden["primal"])
+
+
+def test_solve_stats_match_golden(golden):
+    expected = golden["stats"]
+    assert len(expected) == len(PRIMAL_PAIRS) * len(PRIMAL_ROUTES) + (
+        2 * len(DUAL_PAIRS) * len(DUAL_PRIMES))
+    assert not _mismatches(stats_lines(), expected)
 
 
 def test_module_cli_outputs_match_golden(golden):
