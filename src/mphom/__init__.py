@@ -11,6 +11,7 @@ brute-force grid oracle used to validate everything else.
 from .errors import (
     CheckMismatchError,
     CoefficientRangeError,
+    CoordinateRangeError,
     DegreeArityError,
     DegreeOverflowError,
     DimensionMismatchError,

@@ -74,6 +74,11 @@ class DegreeArityError(ParseError):
     """A degree does not have exactly d coordinates."""
 
 
+class CoordinateRangeError(ParseError):
+    """A degree coordinate in a file is at or beyond +-2^62, the range
+    every degree computation supports."""
+
+
 class CoefficientRangeError(ParseError):
     """A coefficient is >= p (coefficients are written in [1, p))."""
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from .errors import (
     CoefficientRangeError,
+    CoordinateRangeError,
     DegreeArityError,
     FieldMismatchError,
     GradingParseError,
@@ -35,6 +36,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .graded import (
+    _COORD_LIMIT,
     GradedMatrix,
     PrimeField,
     deg_leq,
@@ -49,9 +51,15 @@ def _parse_degree(tokens, d, lineno):
             f"expected {d} coordinates, got {len(tokens)}", line=lineno
         )
     try:
-        return tuple(int(t) for t in tokens)
+        deg = tuple(int(t) for t in tokens)
     except ValueError as exc:
         raise DegreeArityError(f"bad coordinate: {exc}", line=lineno)
+    for c in deg:
+        if abs(c) >= _COORD_LIMIT:
+            raise CoordinateRangeError(
+                f"coordinate {c} out of range: |c| must be below 2^62",
+                line=lineno)
+    return deg
 
 
 def _parse_count(token, what, lineno):

@@ -495,8 +495,12 @@ class ColumnSpan:
         return col
 
     def insert(self, column, source=-1):
-        """Reduce one column against the span; absorb the residual."""
-        combo = {source: 1} if self.record else None
+        """Reduce one column against the span; absorb the residual.  A
+        recording span keys its combination by `source`, by none if None.
+        """
+        combo = None
+        if self.record:
+            combo = {} if source is None else {source: 1}
         col = self._reduce(column, combo)
         if col:
             pivot, lead = col[-1]
@@ -740,23 +744,34 @@ def column_reduce(columns, fld, record=False):
     return span
 
 
-def _gf2_sweep(columns, sources=None):
+def _gf2_sweep(columns, sources=None, size=float("inf")):
     """One left-to-right sweep over packed GF(2) columns (`_pack`), each
-    reduced by `^` against a pivot -> (residual, combination) dict, the
-    pivot being the highest bit.
+    reduced by `^` against the kept column of its pivot, the highest bit.
 
     Returns (kept, zeroed): `kept` maps the index of each kept column to
     its nonzero residual, in order (the column `ColumnSpan` keeps,
     packed); `zeroed` lists each zeroed column's combination as an int in
-    which bit `sources[j]` stands for column j.  Sources must be
-    distinct; when they increase, a combination's highest bit is the
-    source of the column it zeroed.  Without sources nothing is recorded.
+    which bit `sources[j]` stands for column j, a bit given only to the
+    sources below `size`, which must be distinct; when they increase, a
+    combination's highest bit is the source of the column it zeroed, if
+    that is below `size`.  Without sources nothing is recorded, and a
+    pivot keeps its residual alone.
     """
-    by_pivot = {}
     kept = {}
-    zeroed = []
-    for j, bits in enumerate(columns):
-        combo = 0 if sources is None else 1 << sources[j]
+    if sources is None:
+        by_pivot = {}
+        for j, bits in enumerate(columns):
+            while bits:
+                pivot = bits.bit_length() - 1
+                other = by_pivot.get(pivot)
+                if other is None:
+                    by_pivot[pivot] = kept[j] = bits
+                    break
+                bits ^= other
+        return kept, []
+    by_pivot, zeroed = {}, []
+    for j, (bits, source) in enumerate(zip(columns, sources)):
+        combo = 1 << source if source < size else 0
         while bits:
             pivot = bits.bit_length() - 1
             other = by_pivot.get(pivot)
@@ -767,8 +782,7 @@ def _gf2_sweep(columns, sources=None):
             bits ^= other[0]
             combo ^= other[1]
         else:
-            if sources is not None:
-                zeroed.append(combo)
+            zeroed.append(combo)
     return kept, zeroed
 
 
@@ -818,13 +832,8 @@ class _PackedColumns:
         return _gf2_sweep(columns)[0]
 
     @staticmethod
-    def nullspace(columns, sources):
-        return _gf2_sweep(columns, sources)[1]
-
-    @staticmethod
-    def truncate(combos, size):
-        mask = (1 << size) - 1
-        return [combo & mask for combo in combos]
+    def nullspace(columns, sources, size):
+        return _gf2_sweep(columns, sources, size)[1]
 
     @staticmethod
     def span(columns):
@@ -936,16 +945,12 @@ class _SortedColumns:
         span = column_reduce(columns, self.field)
         return {e.source: e.column for e in span.reduced}
 
-    def nullspace(self, columns, sources):
+    def nullspace(self, columns, sources, size):
         span = ColumnSpan(self.field, record=True)
+        insert = span.insert
         for source, col in zip(sources, columns):
-            span.insert(col, source)
-        return [combo for _, combo in span.zeroed]
-
-    @staticmethod
-    def truncate(combos, size):
-        return [tuple(sorted((k, v) for k, v in combo.items() if k < size))
-                for combo in combos]
+            insert(col, source if source < size else None)
+        return [tuple(sorted(combo.items())) for _, combo in span.zeroed]
 
     def span(self, columns):
         span = column_reduce(columns, self.field)
@@ -1005,10 +1010,10 @@ def _column_form(fld):
       (k, v) pairs of a sparse column, zero (falsy) when they cancel;
     * `sweep(columns)`, a left-to-right reduction with lowest-row
       pivots, as {index of each kept column: its residual};
-      `nullspace(columns, sources)`, the same sweep recording column j
-      as source `sources[j]`, as the combination of each zeroed column;
-      `truncate(combos, size)`, those combinations as columns of their
-      sources below `size`;
+      `nullspace(columns, sources, size)`, the same sweep recording
+      column j as source `sources[j]` if below `size` (the others enter
+      no combination), as each zeroed column's combination, a column of
+      the form over the sources;
     * `span(columns)`, a slice reduced as (span, pivot row -> its
       record, positions of the kept columns), the span being the pivot
       -> residual dict over GF(2) and the `ColumnSpan` otherwise, and
@@ -1038,11 +1043,13 @@ def _column_form(fld):
 def nullspace_of_columns(columns, fld):
     """Basis of {x : sum_j x_j * columns[j] = 0} as sparse dicts.
 
-    One recording sweep in the field's `_column_form`.  Each dict's
-    largest key is the index of the column it zeroed.
+    One recording sweep in the field's `_column_form`; each dict lists
+    its keys in increasing order, the largest the index of the column it
+    zeroed.
     """
     form = _column_form(fld)
-    zeroed = form.nullspace(map(form.pack, columns), range(len(columns)))
+    n = len(columns)
+    zeroed = form.nullspace(map(form.pack, columns), range(n), n)
     return [dict(_pairs(combo)) for combo in zeroed]
 
 

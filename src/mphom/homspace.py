@@ -41,12 +41,16 @@ that zeroes a dependent one as they are, so the numbering changes no
 solution.
 
 All four share one flat solve (`_flat_solutions`), whose nullspace
-basis comes out as flat columns: `LinearSystem.solve` numbers the Q
-variables by their `_flat_index` positions and the P variables past
-them, so each Q part comes out as one flat column, and `hom_exact`,
-whose variables are all Q entries, numbers its variables in order.  A
-flat column stays in the column form through the homotopy columns to
-the quotient, and `_q_matrices` unpacks a batch by one form call.
+basis comes out as flat columns: `LinearSystem` numbers each Q variable
+by its flat position, the start of its generator's block plus the place
+of its row there, and the sweep records those sources alone, so each Q
+part comes out as one flat column, and no P variable enters a
+combination: the combinations are linear in their sources, so their Q
+parts are those of the full combinations, and which columns are zeroed
+depends on the columns alone.  `hom_exact`, whose variables are all Q
+entries, numbers its variables in order.  A flat column stays in the
+column form through the homotopy columns to the quotient, and
+`_q_matrices` unpacks a batch by one form call.
 `solve_seconds` times the elimination sweep alone.  `_reduce_flat`
 column-reduces the equation routes' flat columns once: after the
 flattened null-homotopies for `direct` and `mixed`, on their own for
@@ -164,11 +168,21 @@ class LinearSystem:
     N is the matrix of `cache`, the route's `CokernelCache`.  Variables
     are the admissible entries of Q and P; there is one equation per pair
     (g', r) with g' in `cache.at(deg r).rows_le`.  Masks map a generator
-    (relation) index of X to the tuple of allowed Y-side row indices;
-    `None` means the degree-admissible ones, `rows_le` (`cols_le`) of the
-    slice at that degree.
+    (relation) index of X to the tuple of allowed Y-side row indices, a
+    subsequence of the slice's; `None` means the degree-admissible ones,
+    `rows_le` (`cols_le`) of the slice at that degree.  The system lists
+    no variable or equation, it numbers and counts them:
 
-    `columns` holds one column per variable, Q variables first, in the
+    * `q_index[k]` is the (g, g') entry of Q at flat position k, the
+      blocks of generators g in order, each holding `rows_le(deg g)`;
+    * `sources[j]` is the flat position of the j-th Q variable, its
+      block start plus the place of g' in the block, so `range(size)`
+      without a Q mask;
+    * `variables`, `equations` and `entries` count the variables, the
+      equations and the nonzero entries of the columns.
+
+    `columns` holds one column per variable, the Q variables in
+    `sources` order and then the P variables (r', r) by r and r', in the
     field's `_column_form`.  Relation r owns a block of rows from
     `off[r]`, as wide as the largest row of `rows_le(deg r)` plus one,
     and equation (g', r) is row `off[r] + g'` at every prime, so Q
@@ -177,60 +191,67 @@ class LinearSystem:
     shifted by `off[r]`.  Renumbering the equations leaves the solutions
     as they are: which columns are independent of the ones before them,
     and the unique combination that zeroes a dependent one, do not
-    depend on the order of the rows.  `entries` counts the nonzero
-    entries of the columns.
+    depend on the order of the rows.
     """
 
     def __init__(self, xp, cache, q_mask=None, p_mask=None):
         m = xp.matrix
-        self.field = m.field
+        self.field = fld = m.field
         self.cache = cache
-        form = _column_form(self.field)
+        form = _column_form(fld)
+        scaled, shift = form.scaled, form.shift
 
-        # Flat positions of the admissible Q entries; solve() and the
-        # homotopy quotient share this order.
-        self.q_index = _flat_index(cache, m.rows)
-        if q_mask is None:
-            self.q_vars = [(gp, g) for g, gp in self.q_index]
-        else:
-            self.q_vars = [(gp, g) for g in range(m.nrows) for gp in q_mask[g]]
-        self.p_vars, self.equations, off, width = [], [], [], 0
+        width = equations = 0
         rels_of = [[] for _ in range(m.nrows)]
+        minus_n = [scaled(col, -1 % fld.p) for col in cache._n_columns]
+        p_columns = []
         for r, rdeg in enumerate(m.cols):
             ck = cache.at(rdeg)
             allowed = ck.cols_le if p_mask is None else p_mask[r]
-            self.p_vars.extend((rp, r) for rp in allowed)
-            self.equations.extend((gp, r) for gp in ck.rows_le)
-            off.append(width)
+            p_columns += [shift(minus_n[rp], width) for rp in allowed]
             for g, mv in m.columns[r]:
                 rels_of[g].append((width, mv))
             if ck.rows_le:
+                equations += len(ck.rows_le)
                 width += ck.rows_le[-1] + 1
-        scaled, shift = form.scaled, form.shift
         spread = list(map(form.pack, rels_of))
-        minus_n = [scaled(col, -1 % self.field.p)
-                   for col in cache._n_columns]
-        self.columns = [shift(spread[g], gp) for gp, g in self.q_vars]
-        self.columns += [shift(minus_n[rp], off[r]) for rp, r in self.p_vars]
+
+        keys, sources, columns = [], [], []
+        for g, gdeg in enumerate(m.rows):
+            rows, start, col = cache.at(gdeg).rows_le, len(keys), spread[g]
+            keys += zip(itertools.repeat(g), rows)
+            if q_mask is None:
+                columns += [shift(col, gp) for gp in rows]
+                continue
+            k = 0
+            for gp in q_mask[g]:
+                k = rows.index(gp, k)
+                sources.append(start + k)
+                columns.append(shift(col, gp))
+        self.q_index = keys
+        self.sources = range(len(keys)) if q_mask is None else sources
+        self.columns = columns + p_columns
+        self.variables = len(self.columns)
+        self.equations = equations
         self.entries = sum(map(form.size, self.columns))
 
     def solve(self):
         """Q parts of a basis of the solution space, as flat columns.
 
         Each solution's Q part is one flat column in the field's
-        `_column_form` over the positions of `q_index` (the
-        `_flat_index(cache, m.rows)` order), ready for the homotopy
-        quotient without building a matrix per solution: over GF(2) one
-        int whose bit k is position k, else a tuple of (position, value)
-        pairs by increasing position.  The P parts are dropped.
-        Solutions with Q = 0 give empty columns (0 or ()), so the list
-        length is the dimension of the solution space.  The elimination
-        sweep alone is timed into `solve_seconds`.
+        `_column_form` over the positions of `q_index`, ready for the
+        homotopy quotient without building a matrix per solution: over
+        GF(2) one int whose bit k is position k, else a tuple of
+        (position, value) pairs by increasing position.  Only the Q
+        variables are recorded, as their `sources`; the P variables are
+        reduced but enter no combination.  Solutions with Q = 0 give
+        empty columns (0 or ()), so the list length is the dimension of
+        the solution space.  The elimination sweep alone is timed into
+        `solve_seconds`.
         """
-        index = self.q_index
-        size = len(index)
-        sources = [index[(g, gp)] for gp, g in self.q_vars]
-        sources += range(size, size + len(self.p_vars))
+        size = len(self.q_index)
+        sources = itertools.chain(self.sources, itertools.repeat(
+            size, len(self.columns) - len(self.sources)))
         cols, self.solve_seconds = _flat_solutions(
             self.columns, _column_form(self.field), sources, size)
         return cols
@@ -248,15 +269,14 @@ def _flat_index(cache, q_cols):
 def _flat_solutions(columns, form, sources, size):
     """(nullspace basis of `columns` as flat columns, sweep seconds).
 
-    Column j is variable `sources[j]`, a flat position when it is below
-    `size`; the variables past `size` are solved for and dropped.  The
-    sources must be distinct.  Columns and solutions are in `form`, a
-    `_column_form`.
+    Column j is variable `sources[j]`, recorded as that flat position
+    when it is below `size`; the variables past `size` are solved for
+    but enter no combination.  The sources below `size` must be
+    distinct.  Columns and solutions are in `form`, a `_column_form`.
     """
     t0 = time.perf_counter()
-    combos = form.nullspace(columns, sources)
-    seconds = time.perf_counter() - t0
-    return form.truncate(combos, size), seconds
+    combos = form.nullspace(columns, sources, size)
+    return combos, time.perf_counter() - t0
 
 
 def _flatten_q(qmat, index, form):
@@ -311,17 +331,18 @@ def _q_matrices(flats, keys, q_rows, q_cols, fld):
     return out
 
 
-def _reduce_flat(cols, index, q_rows, q_cols, fld, homotopies=()):
+def _reduce_flat(cols, keys, q_rows, q_cols, fld, homotopies=()):
     """Column-reduce flat Q columns after the given homotopy columns.
 
     Both are in the field's `_column_form`, swept once, the homotopy
     columns first.  Returns the surviving reduced columns as graded
-    matrices; only they are unflattened.
+    matrices, `keys[k]` the (g, g') entry at flat position k; only they
+    are unflattened.
     """
     kept = _column_form(fld).sweep(itertools.chain(homotopies, cols))
     first = len(homotopies)
     return _q_matrices([col for j, col in kept.items() if j >= first],
-                       list(index), q_rows, q_cols, fld)
+                       keys, q_rows, q_cols, fld)
 
 
 def homotopy_reduce(qs, yp):
@@ -362,7 +383,7 @@ def homotopy_reduce(qs, yp):
     form = _column_form(n.field)
     return _reduce_flat(
         [_flatten_q(q, index, form) for q in qs],
-        index,
+        list(index),
         n.rows,
         q_cols,
         n.field,
@@ -475,12 +496,12 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
     """
     qcols = system.solve()
     cache, fld = system.cache, xp.field
-    q_rows, q_cols, index = cache.matrix.rows, xp.matrix.rows, system.q_index
+    q_rows, q_cols, keys = cache.matrix.rows, xp.matrix.rows, system.q_index
     homotopies = (
         _homotopy_columns(cache, q_cols, _column_form(fld))
         if quotient else ()
     )
-    survivors = _reduce_flat(qcols, index, q_rows, q_cols, fld, homotopies)
+    survivors = _reduce_flat(qcols, keys, q_rows, q_cols, fld, homotopies)
     killed = 0
     if quotient:
         # The solutions with Q = 0 are the (0, P) with N P = 0; column r of
@@ -494,8 +515,8 @@ def _primal_basis(algorithm, xp, yp, system, quotient):
         killed = len(qcols) - q_zero - len(survivors)
     stats = SolveStats(
         algorithm,
-        len(system.q_vars) + len(system.p_vars),
-        len(system.equations),
+        system.variables,
+        system.equations,
         system.entries,
         system.solve_seconds,
         solution_dim=len(qcols),

@@ -167,6 +167,15 @@ def test_malformed_counts_and_indices_exit_code(tmp_path, text):
     assert "parse error" in out.stderr
 
 
+@pytest.mark.parametrize("c", [1 << 62, -(1 << 62) - 1])
+def test_coordinate_beyond_2_to_62_exit_code(tmp_path, c):
+    bad = tmp_path / "bad.pmod"
+    bad.write_text(f"pmod 2 2\ngens 1\n{c} 0\nrels 0\n")
+    out = run_cli("end", str(bad))
+    assert out.returncode == 3, out.stderr
+    assert "parse error: line 3:" in out.stderr and "2^62" in out.stderr
+
+
 def test_large_prime_header_parses(tmp_path):
     big = tmp_path / "big.pmod"
     big.write_text("pmod 2 2305843009213693951\ngens 1\n0 0\nrels 0\n")

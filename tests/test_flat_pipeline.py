@@ -271,6 +271,14 @@ PAIRS = (
 )
 
 
+def masked(combos, size):
+    """Recorded combinations as sorted (source, value) tuples of their
+    sources below `size`: what a sweep recording every source gives once
+    the higher ones are masked off."""
+    return [tuple(sorted((k, v) for k, v in _pairs(combo) if k < size))
+            for combo in combos]
+
+
 def flat_pairs(col):
     """A flat Q column as (position, value) pairs by increasing position,
     from either form `LinearSystem.solve` returns: a packed int over GF(2),
@@ -355,8 +363,17 @@ def test_system_matches_the_degree_scans(monkeypatch, name, pair):
             assert xp.is_zero_module() or yp.is_zero_module(), algorithm
             continue
         q_vars, p_vars, equations, columns = old_system(xp, yp, **masks)
-        assert (system.q_vars, system.p_vars, system.equations) == (
-            q_vars, p_vars, equations), algorithm
+        # The system numbers its variables and counts its equations: the
+        # flat positions are the scanned index's, each Q variable's source
+        # is its entry's position there, the P variables follow, and every
+        # column, Q and P, is the scanned one in order (below).
+        keys = system.q_index
+        assert keys == list(old_flat_index(yp.matrix.rows, xp.matrix.rows))
+        assert [keys[k] for k in system.sources] == [
+            (g, gp) for gp, g in q_vars], algorithm
+        assert len(system.columns) - len(system.sources) == len(p_vars)
+        assert (system.variables, system.equations) == (
+            len(q_vars) + len(p_vars), len(equations)), algorithm
         got = system_equations(system, xp.matrix)
         known = set(equations)
         assert all(eq in known for col in got for eq, _ in col), algorithm
@@ -406,12 +423,44 @@ def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     size = len(system.q_index)
     assert all(0 <= col < 1 << size for col in cols)
     assert any(cols)
-    sources = [system.q_index[(g, gp)] for gp, g in system.q_vars]
-    sources += range(size, size + len(system.p_vars))
+    # The sorted form recording every column, its P variables numbered
+    # past the flat positions and then masked off.
+    n_q = len(system.sources)
+    sources = list(system.sources) + list(
+        range(size, size + len(system.columns) - n_q))
     unpacked = [tuple(_pairs(col)) for col in system.columns]
-    sorted_cols, _ = homspace._flat_solutions(
-        unpacked, _SortedColumns(system.field), sources, size)
-    assert [flat_pairs(col) for col in cols] == sorted_cols
+    every = _SortedColumns(system.field).nullspace(
+        unpacked, sources, float("inf"))
+    assert [flat_pairs(col) for col in cols] == masked(every, size)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_q_matrices_match_a_per_entry_reference(p):
+    """`_q_matrices` unflattens a batch of flat columns, in the field's
+    column form over a system's flat positions, into the matrices that
+    placing each entry (g', g) = v one at a time gives.  The columns
+    repeat positions, and at the odd primes with other values, so no
+    entry may be built for a position alone."""
+    xp, yp = random_pair(3, d=2, gens=12, rels=12, coord_range=18, p=p)
+    keys = homspace.LinearSystem(xp, CokernelCache(yp.matrix)).q_index
+    form = _column_form(xp.field)
+    rng = random.Random(f"q-matrices:{p}")
+    flats, seen = [], {}
+    for _ in range(40):
+        positions = sorted(rng.sample(range(len(keys)), rng.randint(0, 8)))
+        pairs = [(k, rng.randint(1, p - 1)) for k in positions]
+        for k, v in pairs:
+            seen.setdefault(k, set()).add(v)
+        flats.append(form.pack(pairs))
+    m, n = xp.matrix, yp.matrix
+    got = homspace._q_matrices(flats, keys, n.rows, m.rows, xp.field)
+    want = [graded_matrix_from_entries(
+        xp.field, n.rows, m.rows,
+        {(keys[k][1], keys[k][0]): v for k, v in _pairs(flat)})
+        for flat in flats]
+    assert got == want
+    assert p == 2 or any(len(values) > 1 for values in seen.values())
+    assert any(q.nnz() == 0 for q in got)
 
 
 def spy_solutions(seen, solve):

@@ -6,6 +6,7 @@ import pytest
 
 from mphom import (
     CoefficientRangeError,
+    CoordinateRangeError,
     DegreeArityError,
     FieldMismatchError,
     GradedMatrix,
@@ -103,6 +104,29 @@ def test_parse_errors_carry_line_numbers():
         raise AssertionError("expected a DegreeArityError")
 
 
+BEYOND = 1 << 62
+
+
+@pytest.mark.parametrize("text,line", [
+    (f"pmod 2 3\ngens 1\n{BEYOND} 0\nrels 0\n", 3),
+    (f"pmod 2 3\ngens 2\n0 0\n0 {-BEYOND - 1}\nrels 0\n", 4),
+    (f"pmod 2 3\ngens 1\n0 0\nrels 1\n0 {BEYOND} ; 0:1\n", 5),
+    (f"pmod 2 3\ngens 1\n0 0\nrels 1\n{-BEYOND} 0 ; 0:1\n", 5),
+])
+def test_pmod_coordinate_at_or_beyond_2_to_62_names_its_line(text, line):
+    with pytest.raises(CoordinateRangeError, match="below 2\\^62") as info:
+        parse_pmod(text)
+    assert info.value.line == line
+
+
+def test_pmod_coordinates_just_inside_2_to_62_parse():
+    edge = BEYOND - 1
+    pres = parse_pmod(f"pmod 2 3\ngens 1\n{-edge} {-edge}\nrels 1\n"
+                      f"{edge} {edge} ; 0:1\n")
+    assert pres.matrix.rows == ((-edge, -edge),)
+    assert pres.matrix.cols == ((edge, edge),)
+
+
 FIREP_RECTANGLE = """firep
 x-axis
 y-axis
@@ -172,6 +196,29 @@ def test_firep_huge_bottom_count_sizes_nothing(r):
     assert text != FIREP_RECTANGLE
     assert serialize_pmod(parse_firep(text)) == \
         serialize_pmod(parse_firep(FIREP_RECTANGLE))
+
+
+@pytest.mark.parametrize("row,line", [
+    ("2 2 ; 0 1", 5),
+    ("1 0 ; 0", 6),
+    ("0 1 ; 0", 7),
+])
+def test_firep_coordinate_at_or_beyond_2_to_62_names_its_line(row, line):
+    """A top row (line 5) or a middle row (lines 6 and 7) of the
+    rectangle, its first coordinate replaced by +-2^62, is refused with
+    its line."""
+    rest = row.split(" ", 1)[1]
+    for c in (BEYOND, -BEYOND):
+        text = FIREP_RECTANGLE.replace(row, f"{c} {rest}")
+        with pytest.raises(CoordinateRangeError) as info:
+            parse_firep(text)
+        assert info.value.line == line
+
+
+def test_firep_coordinate_just_inside_2_to_62_parses():
+    edge = BEYOND - 1
+    pres = parse_firep(FIREP_RECTANGLE.replace("2 2 ; 0 1", f"{edge} 2 ; 0 1"))
+    assert pres.matrix.cols == ((edge, 2),)
 
 
 def test_firep_is_read_over_gf2_only():

@@ -21,10 +21,13 @@ from mphom import (
 )
 from mphom.generators import random_module
 from mphom.graded import (
+    _PackedColumns,
+    _SortedColumns,
     _bits,
     _gf2_sweep,
     _is_prime,
     _pack,
+    _pairs,
     _slice_at_most,
 )
 from mphom.gridoracle import rank as dense_rank
@@ -561,6 +564,48 @@ def test_gf2_sweep_matches_the_generic_reference():
         assert [c.bit_length() - 1 for c in zeroed] == [
             sources[j] for j, _ in ref.zeroed]
         assert _gf2_sweep(iter(packed)) == (kept, [])
+
+
+def truncate(combos, size):
+    """Recorded combinations as sorted (source, value) tuples of their
+    sources below `size`: the sweep recording every source, then masked,
+    as the solves did before they recorded the sources below `size`
+    alone."""
+    return [tuple(sorted((k, v) for k, v in _pairs(combo) if k < size))
+            for combo in combos]
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_recording_the_sources_below_size_equals_masking(p):
+    """`nullspace(columns, sources, size)` gives the combinations that
+    recording every source and masking off those at or past `size`
+    gives, in both column forms over GF(2) and in the sorted form at the
+    odd primes.  Sources are distinct, out of order and not contiguous,
+    and one of them is `size` itself; the unrecorded columns still pass
+    on the recorded ones their reductions pick up."""
+    fld = PrimeField(p)
+    forms = [_SortedColumns(fld)] + ([_PackedColumns()] if p == 2 else [])
+    rng = random.Random(f"masked:{p}")
+    cut = carried = 0
+    for _ in range(60):
+        cols = _random_columns(rng, p, rng.randint(1, 30),
+                               rows=rng.randint(5, 12))
+        sources = rng.sample(range(3 * len(cols)), len(cols))
+        size = rng.choice(sources)
+        for form in forms:
+            packed = [form.pack(col) for col in cols]
+            every = form.nullspace(packed, sources, float("inf"))
+            got = form.nullspace(packed, sources, size)
+            assert all(type(col) is type(form.pack(())) for col in got)
+            assert [tuple(_pairs(col)) for col in got] == truncate(
+                every, size)
+            cut += any(k >= size for col in every for k, _ in _pairs(col))
+        span = ColumnSpan(fld, record=True)
+        for source, col in zip(sources, cols):
+            span.insert(col, source if source < size else None)
+        carried += any(source is None and combo
+                       for source, combo in span.zeroed)
+    assert cut and carried
 
 
 @pytest.mark.parametrize("p", [2, 5])
