@@ -42,6 +42,7 @@ from mphom.graded import (
 from mphom.localalg import CokernelCache, structure_map
 
 from conftest import free_module, red_blue, zero_module
+from test_graded import truncate
 from test_localalg import generic_cokernel
 
 ROUTES = {"direct": hom_direct, "mixed": hom_mixed, "a": hom_restricted}
@@ -271,14 +272,6 @@ PAIRS = (
 )
 
 
-def masked(combos, size):
-    """Recorded combinations as sorted (source, value) tuples of their
-    sources below `size`: what a sweep recording every source gives once
-    the higher ones are masked off."""
-    return [tuple(sorted((k, v) for k, v in _pairs(combo) if k < size))
-            for combo in combos]
-
-
 def flat_pairs(col):
     """A flat Q column as (position, value) pairs by increasing position,
     from either form `LinearSystem.solve` returns: a packed int over GF(2),
@@ -431,7 +424,7 @@ def test_solve_returns_packed_flat_q_columns_over_gf2(monkeypatch, route):
     unpacked = [tuple(_pairs(col)) for col in system.columns]
     every = _SortedColumns(system.field).nullspace(
         unpacked, sources, float("inf"))
-    assert [flat_pairs(col) for col in cols] == masked(every, size)
+    assert [flat_pairs(col) for col in cols] == truncate(every, size)
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521])
