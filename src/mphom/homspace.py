@@ -41,16 +41,14 @@ that zeroes a dependent one as they are, so the numbering changes no
 solution.
 
 All four share one flat solve (`_flat_solutions`), whose nullspace
-basis comes out as flat columns: `LinearSystem` numbers each Q variable
-by its flat position, the start of its generator's block plus the place
-of its row there, and the sweep records those sources alone, so each Q
-part comes out as one flat column, and no P variable enters a
-combination: the combinations are linear in their sources, so their Q
-parts are those of the full combinations, and which columns are zeroed
-depends on the columns alone.  `hom_exact`, whose variables are all Q
-entries, numbers its variables in order.  A flat column stays in the
-column form through the homotopy columns to the quotient, and
-`_q_matrices` unpacks a batch by one form call.
+basis comes out as flat columns: the sweep records the Q variables
+alone, each by its flat position, so no P variable enters a
+combination; a combination is linear in its sources and which columns
+are zeroed depends on the columns alone, so the Q parts are those that
+recording every variable gives.  `hom_exact`'s variables are all Q
+entries, in order.  A flat column stays in the column form through the
+homotopy columns to the quotient, and `_q_matrices` unpacks a batch by
+one form call.
 `solve_seconds` times the elimination sweep alone.  `_reduce_flat`
 column-reduces the equation routes' flat columns once: after the
 flattened null-homotopies for `direct` and `mixed`, on their own for
@@ -170,16 +168,13 @@ class LinearSystem:
     (g', r) with g' in `cache.at(deg r).rows_le`.  Masks map a generator
     (relation) index of X to the tuple of allowed Y-side row indices, a
     subsequence of the slice's; `None` means the degree-admissible ones,
-    `rows_le` (`cols_le`) of the slice at that degree.  The system lists
-    no variable or equation, it numbers and counts them:
-
-    * `q_index[k]` is the (g, g') entry of Q at flat position k, the
-      blocks of generators g in order, each holding `rows_le(deg g)`;
-    * `sources[j]` is the flat position of the j-th Q variable, its
-      block start plus the place of g' in the block, so `range(size)`
-      without a Q mask;
-    * `variables`, `equations` and `entries` count the variables, the
-      equations and the nonzero entries of the columns.
+    `rows_le` (`cols_le`) of the slice at that degree.  The system
+    numbers its variables and counts its equations: `q_index[k]` is the
+    (g, g') entry at flat position k, generator g's block holding
+    `rows_le(deg g)`, and `sources[j]` the flat position of the j-th Q
+    variable, `range(len(q_index))` without a Q mask; `variables`,
+    `equations` and `entries` count the variables, the equations and the
+    nonzero entries of the columns.
 
     `columns` holds one column per variable, the Q variables in
     `sources` order and then the P variables (r', r) by r and r', in the
